@@ -177,13 +177,33 @@ def solve_bsde(
         if driver.shape not in ((n, m), (n, m - 1)):
             raise ValueError("driver path must be (particles, nodes) aligned")
 
-    grid = bm.grid
     if times is None:
-        times = grid.nodes
+        times = bm.grid.nodes
     else:
         times = np.asarray(times, dtype=float)
         if times.shape != (m,):
             raise ValueError("times must provide one entry per node")
+    return _backward_pass(xi, gen, bm, cfg, driver, times)
+
+
+def _backward_pass(
+    xi: NDArray[np.floating],
+    gen: Generator | None,
+    bm: Ensemble,
+    cfg: RegressionConfig,
+    driver: NDArray[np.floating] | None,
+    times: NDArray[np.floating],
+    mean_shift: Callable[..., float] | None = None,
+) -> BSDESolution:
+    """The regression backward recursion of :func:`solve_bsde`, on checked inputs.
+
+    ``mean_shift(k, y_next, fval)``, when given, returns a deterministic
+    increment added to every particle at step ``k`` after the drift (the
+    penalized scheme's mean push).  Without it nothing is added, so a
+    ``-0.0`` particle value stays ``-0.0``.
+    """
+    grid = bm.grid
+    n, m = bm.values.shape
     dt = grid.step_sizes
     y = np.empty((n, m))
     z = np.zeros((n, m))
@@ -206,6 +226,8 @@ def solve_bsde(
             fval = np.asarray(gen.f(float(times[k]), pred, pred, zk, zk), dtype=float)
             fval = np.broadcast_to(fval, pred.shape)
         y[:, k] = pred + fval * dt[k]
+        if mean_shift is not None:
+            y[:, k] += mean_shift(k, y_next, fval)
         z[:, k] = zk
 
     if with_z and m >= 2:

@@ -41,11 +41,9 @@ from .constraints import (
 from .core import RngSpec
 from .diagnostics import (
     audit_solution,
-    constraint_violation,
     contraction_estimate,
     mean_loss_paths,
     representation_gap,
-    solution_stat_tol,
 )
 from .errors import InfeasibleTerminalError, MeanReflectError
 from .mrbsde import (
@@ -451,7 +449,6 @@ def _run_result(cfg: dict, sc: Scenario, sol: MRSolution, seed: int, dt_wall: fl
         ]
     )
     audit = audit_solution(sol, sc.losses, mult=sc.tol.stat_tol_mult)
-    v_lo, v_hi = constraint_violation(sol.y, sc.losses)
     diag: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -461,8 +458,11 @@ def _run_result(cfg: dict, sc: Scenario, sol: MRSolution, seed: int, dt_wall: fl
         "particles": sc.particles,
         "audit": asdict(audit),
         "representation_gap": representation_gap(sol),
-        "constraint_violation": {"lower": v_lo, "upper": v_hi},
-        "stat_tol": solution_stat_tol(sol.y, sc.losses, sc.tol.stat_tol_mult),
+        "constraint_violation": {
+            "lower": audit.violation_lower,
+            "upper": audit.violation_upper,
+        },
+        "stat_tol": audit.violation_tol,
         "force_terminal": float(sol.K.values[-1]),
         "force_variation": sol.variation,
         "trace": _trace_block(sol),
@@ -577,10 +577,15 @@ def cmd_sweep_penalty(
     return 0
 
 
-def cmd_verify(suite: str, instances: int = 100) -> int:
-    """Run a named verification suite; exit 0 iff every check passes."""
+def cmd_verify(suite: str, instances: int = 100, seed: int | None = None) -> int:
+    """Run a named verification suite; exit 0 iff every check passes.
+
+    ``seed=None`` keeps every suite's own fixed default seed.
+    """
+    if seed is not None and not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit in an unsigned 64-bit integer")
     try:
-        results = run_suite(suite, instances=instances)
+        results = run_suite(suite, instances=instances, seed=seed)
     except ValueError as exc:
         _emit_error("unknown-suite", str(exc))
         return 1
@@ -628,12 +633,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--levels", default=None, help="comma-separated penalty levels (overrides config)"
     )
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a randomized verification suite"
-    )
+    p_verify = sub.add_parser("verify", help="run a randomized verification suite")
     p_verify.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
     p_verify.add_argument(
         "--instances", type=int, default=100, help="instances per suite"
+    )
+    p_verify.add_argument(
+        "--seed", type=int, default=None, help="base seed (default: per-suite fixed seeds)"
     )
     return parser
 
@@ -647,7 +653,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep_penalty(
                 args.config, args.out, args.seed, args.threads, args.levels
             )
-        return cmd_verify(args.suite, args.instances)
+        return cmd_verify(args.suite, args.instances, args.seed)
     except InfeasibleTerminalError as exc:
         _emit_error("infeasible-terminal", str(exc))
         return 2

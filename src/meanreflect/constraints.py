@@ -308,12 +308,10 @@ def invert_boundary(
     Lipschitz constant brackets the root within ``|value| / c``; the bracket
     is then handed to a guaranteed-convergence bracketed solver.
     """
-    if which == "upper_edge":
-        f = lambda x: bp.lower(node, x)
-    elif which == "lower_edge":
-        f = lambda x: bp.upper(node, x)
-    else:
+    if which not in ("upper_edge", "lower_edge"):
         raise ValueError("which must be 'upper_edge' or 'lower_edge'")
+    args = (bp, node, which == "upper_edge")
+    f = lambda x: _boundary_at(x, *args)
 
     x0 = float(hint)
     v0 = f(x0)
@@ -338,8 +336,16 @@ def invert_boundary(
         return lo
     if fhi == 0.0:
         return hi
-    root = brentq(f, lo, hi, xtol=max(root_tol / max(bp.C, 1.0), 1e-15), rtol=8.9e-16)
+    # brentq wraps its callable in a self-referencing closure, so whatever the
+    # callable captures lives until the cyclic collector runs; the boundary
+    # pair (with its particles x nodes offsets) goes in as arguments instead.
+    xtol = max(root_tol / max(bp.C, 1.0), 1e-15)
+    root = brentq(_boundary_at, lo, hi, args=args, xtol=xtol, rtol=8.9e-16)
     return float(root)
+
+
+def _boundary_at(x: float, bp: BoundaryPair, node: int, lower: bool) -> float:
+    return bp.lower(node, x) if lower else bp.upper(node, x)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +376,21 @@ class LinearEnvelope:
         return cls(b=lambda t: float(b), p=lambda t: float(p), q=lambda t: float(q))
 
     def ratio_paths(
-        self, grid: TimeGrid
+        self, nodes: NDArray[np.floating]
     ) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
-        """(p/b, q/b) sampled on the grid nodes."""
-        bs = np.array([float(self.b(t)) for t in grid.nodes])
+        """(p/b, q/b) at the node times; a segment's clock need not start at 0."""
+        bs = np.array([float(self.b(float(t))) for t in nodes])
         if np.any(bs <= 0.0):
             raise ValueError("envelope slope b must stay positive")
-        ps = np.array([float(self.p(t)) for t in grid.nodes])
-        qs = np.array([float(self.q(t)) for t in grid.nodes])
+        ps = np.array([float(self.p(float(t))) for t in nodes])
+        qs = np.array([float(self.q(float(t))) for t in nodes])
         if np.min(ps - qs) <= 0.0:
             raise ValueError("envelope gap p - q must stay positive")
         return ps / bs, qs / bs
 
-    def tv_bound_terms(self, grid: TimeGrid) -> float:
-        """Var(p/b) + Var(q/b) on the grid."""
-        pb, qb = self.ratio_paths(grid)
+    def tv_bound_terms(self, nodes: NDArray[np.floating]) -> float:
+        """Var(p/b) + Var(q/b) over the node times."""
+        pb, qb = self.ratio_paths(nodes)
         return float(np.sum(np.abs(np.diff(pb))) + np.sum(np.abs(np.diff(qb))))
 
 

@@ -12,6 +12,7 @@ uses: elementwise adds in a fixed order never reorder, unlike BLAS reductions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "simulate_brownian",
     "empirical_mean",
     "empirical_std",
+    "stat_tol",
     "ensemble_means",
     "pairwise_sum",
     "pairwise_mean",
@@ -159,11 +161,6 @@ class Ensemble:
         self._check_node(node)
         return self.values[:, node]
 
-    def path(self, i: int) -> SamplePath:
-        if not 0 <= i < self.particle_count:
-            raise ValueError(f"particle index {i} out of range")
-        return SamplePath(self.grid, self.values[i].copy())
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.grid.n_nodes:
             raise ValueError(f"node {node} out of range [0, {self.grid.n_nodes})")
@@ -189,9 +186,6 @@ class RngSpec:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, stream: int) -> "RngSpec":
-        return RngSpec(self.seed, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +245,12 @@ def empirical_std(values: NDArray[np.floating]) -> float:
     m = pairwise_mean(a)
     var = pairwise_mean((a - m) ** 2)
     return float(np.sqrt(var))
+
+
+def stat_tol(values: NDArray[np.floating], mult: float = 4.0) -> float:
+    """Statistical tolerance ``mult * sigma / sqrt(N)`` for a cross-section."""
+    values = np.asarray(values, dtype=float)
+    return float(mult) * empirical_std(values) / math.sqrt(values.size)
 
 
 def ensemble_means(e: Ensemble) -> NDArray[np.floating]:

@@ -8,14 +8,13 @@ function of its inputs and deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .constraints import LossPair
-from .core import Ensemble, empirical_std, pairwise_mean
+from .core import Ensemble, pairwise_mean, stat_tol
 from .mrbsde import MRSolution, PicardTrace
 
 __all__ = [
@@ -67,12 +66,6 @@ def constraint_violation(
     """
     e_l, e_r = mean_loss_paths(y, lp, times)
     return float(np.max(np.maximum(e_l, 0.0))), float(np.max(np.maximum(-e_r, 0.0)))
-
-
-def stat_tol(values: NDArray[np.floating], mult: float = 4.0) -> float:
-    """Statistical tolerance ``mult * sigma / sqrt(N)`` for a cross-section."""
-    values = np.asarray(values, dtype=float)
-    return float(mult) * empirical_std(values) / math.sqrt(values.size)
 
 
 def solution_stat_tol(y: Ensemble, lp: LossPair, mult: float = 4.0) -> float:

@@ -17,7 +17,6 @@ constraint is active (flat residuals near zero).
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,10 +45,10 @@ from .core import (
     SamplePath,
     TimeGrid,
     build_grid,
-    empirical_std,
     ensemble_means,
     pairwise_mean,
     simulate_brownian,
+    stat_tol,
 )
 from .errors import InfeasibleTerminalError, NonConvergenceError
 from .skorokhod import BackwardReflectionSolution, solve_bsp, total_variation
@@ -169,7 +168,7 @@ def terminal_feasibility(
     xi = np.asarray(xi, dtype=float)
     lv = np.asarray(losses.L(float(t_final), xi), dtype=float)
     rv = np.asarray(losses.R(float(t_final), xi), dtype=float)
-    stat = stat_tol_mult * max(empirical_std(lv), empirical_std(rv)) / math.sqrt(xi.size)
+    stat = max(stat_tol(lv, stat_tol_mult), stat_tol(rv, stat_tol_mult))
     return float(pairwise_mean(lv)), float(pairwise_mean(rv)), stat + root_tol
 
 
@@ -191,8 +190,8 @@ def require_feasible_terminal(
     )
     if e_l > tol or e_r < -tol:
         raise InfeasibleTerminalError(
-            f"terminal values are infeasible: E[L(T, xi)] = {e_l:.6g}, "
-            f"E[R(T, xi)] = {e_r:.6g}, tolerance {tol:.3g}"
+            f"terminal values at t = {t_final:.6g} are infeasible: "
+            f"E[L(t, xi)] = {e_l:.6g}, E[R(t, xi)] = {e_r:.6g}, tolerance {tol:.3g}"
         )
     return tol
 
@@ -426,18 +425,6 @@ def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
     return float(np.sqrt(np.max(pairwise_mean(d * d, axis=0))))
 
 
-def _envelope_edge_variation(env: LinearEnvelope, times: NDArray[np.floating]) -> float:
-    """Var(p/b) + Var(q/b) over the given clock times."""
-    bs = np.array([float(env.b(float(t))) for t in times])
-    if np.any(bs <= 0.0):
-        raise ValueError("envelope slope b must stay positive")
-    ps = np.array([float(env.p(float(t))) for t in times])
-    qs = np.array([float(env.q(float(t))) for t in times])
-    if np.min(ps - qs) <= 0.0:
-        raise ValueError("envelope gap p - q must stay positive")
-    return float(np.sum(np.abs(np.diff(ps / bs))) + np.sum(np.abs(np.diff(qs / bs))))
-
-
 def _picard_segment(
     sc: Scenario,
     bm_seg: Ensemble,
@@ -455,17 +442,10 @@ def _picard_segment(
     gen, lp, tol, cfg = sc.generator, sc.losses, sc.tol, sc.regression
     grid = bm_seg.grid
     n, m = bm_seg.values.shape
-    e_l, e_r, term_tol = terminal_feasibility(
+    term_tol = require_feasible_terminal(
         lp, float(times[-1]), xi, stat_tol_mult=tol.stat_tol_mult, root_tol=tol.root_tol
     )
-    if e_l > term_tol or e_r < -term_tol:
-        raise InfeasibleTerminalError(
-            f"stitched terminal at t = {times[-1]:.6g} is infeasible: "
-            f"E[L] = {e_l:.6g}, E[R] = {e_r:.6g}, tolerance {term_tol:.3g}"
-        )
-    env_term = (
-        _envelope_edge_variation(sc.envelope, times) if sc.envelope is not None else None
-    )
+    env_term = sc.envelope.tv_bound_terms(times) if sc.envelope is not None else None
 
     if init == "zero":
         u = Ensemble(grid, np.zeros((n, m)))

@@ -22,14 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bsde import _condexp
-from .core import (
-    Ensemble,
-    SamplePath,
-    empirical_std,
-    ensemble_means,
-    pairwise_mean,
-)
+from .bsde import _backward_pass, constant_driver_path, solve_bsde
+from .core import Ensemble, SamplePath, ensemble_means, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
 from .mrbsde import Scenario
@@ -212,43 +206,21 @@ def solve_penalized(
     lo, hi = sc.obstacles.sample(grid)
     xi = sc.terminal_values(bm)
     a = float(pairwise_mean(xi))
-    stat = (
-        sc.tol.stat_tol_mult * empirical_std(xi) / math.sqrt(xi.size) + sc.tol.root_tol
-    )
+    stat = stat_tol(xi, sc.tol.stat_tol_mult) + sc.tol.root_tol
     if a < lo[-1] - stat or a > hi[-1] + stat:
         raise InfeasibleTerminalError(
             f"terminal mean {a:.6g} lies outside the obstacle band "
             f"[{lo[-1]:.6g}, {hi[-1]:.6g}] beyond tolerance {stat:.3g}"
         )
 
-    gen, cfg = sc.generator, sc.regression
     nodes = grid.nodes
-    dt = grid.step_sizes
-    n_part, m = bm.values.shape
-    y = np.empty((n_part, m))
-    z = np.zeros((n_part, m))
-    y[:, -1] = xi
-    d_up = np.zeros(m - 1)
-    d_dn = np.zeros(m - 1)
-    with_z = cfg.z_mode == "regression"
+    d_up = np.zeros(grid.n_steps)
+    d_dn = np.zeros(grid.n_steps)
 
-    for k in range(m - 2, -1, -1):
-        state = bm.values[:, k]
-        y_next = y[:, k + 1]
-        if with_z:
-            db = bm.values[:, k + 1] - state
-            pred, zk_raw = _condexp(state, [y_next, y_next * db], cfg.degree, cfg.ridge)
-            zk = zk_raw / dt[k]
-        else:
-            (pred,) = _condexp(state, [y_next], cfg.degree, cfg.ridge)
-            zk = z[:, k]
-        fval = np.asarray(gen.f(float(nodes[k]), pred, pred, zk, zk), dtype=float)
-        fval = np.broadcast_to(fval, pred.shape)
-        cbar = float(pairwise_mean(fval))
-        m_next = float(pairwise_mean(y_next))
+    def push(k: int, y_next: NDArray[np.floating], fval: NDArray[np.floating]) -> float:
         up_inc, dn_inc = _mean_substep(
-            m_next,
-            cbar,
+            float(pairwise_mean(y_next)),
+            float(pairwise_mean(fval)),
             float(n),
             float(nodes[k]),
             float(nodes[k + 1]),
@@ -258,19 +230,17 @@ def solve_penalized(
             float(hi[k + 1]),
             sc.tol.stiff_max,
         )
-        y[:, k] = pred + fval * dt[k] + (up_inc - dn_inc)
-        z[:, k] = zk
         d_up[k] = up_inc
         d_dn[k] = dn_inc
+        return up_inc - dn_inc
 
-    if with_z and m >= 2:
-        z[:, -1] = z[:, -2]
+    sol = _backward_pass(xi, sc.generator, bm, sc.regression, None, nodes, push)
     pu = np.concatenate([[0.0], np.cumsum(d_up)])
     pd = np.concatenate([[0.0], np.cumsum(d_dn)])
     return PenaltySolution(
         n=float(n),
-        y=Ensemble(grid, y),
-        z=Ensemble(grid, z),
+        y=sol.y,
+        z=sol.z,
         K=SamplePath(grid, pu - pd),
         push_up=SamplePath(grid, pu),
         push_down=SamplePath(grid, pd),
@@ -292,8 +262,6 @@ def _reference_mean(
     path, and solves the terminal-anchored clamp against the obstacle band
     itself — no root-finding, and a pinched band (``l_0 = r_0``) is allowed.
     """
-    from .bsde import constant_driver_path, solve_bsde
-
     grid = bm.grid
     xi = sc.terminal_values(bm)
     zeros = Ensemble(grid, np.zeros_like(bm.values))

@@ -295,7 +295,7 @@ def check_tv_bound(
     if bp is not None:
         rho, lam = bp.band_edges(root_tol)
     else:
-        pb, qb = envelope.ratio_paths(s.grid)
+        pb, qb = envelope.ratio_paths(s.grid.nodes)
         lam, rho = pb, qb  # upper edge from the lower envelope, lower from the upper
     phi = lam - s.values
     psi = rho - s.values

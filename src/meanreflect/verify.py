@@ -76,12 +76,6 @@ def _finish(name: str, slacks: list[float], details: list[str]) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _band(rng: np.random.Generator, lo: float, hi: float) -> LossPair:
-    if rng.uniform() < 0.5:
-        return linear_band(lo, hi)
-    return saturating_band(lo, hi)
-
-
 def _band_pair(
     rng: np.random.Generator,
 ) -> tuple[float, float, bool]:

@@ -450,6 +450,22 @@ def test_verify_prints_one_line_per_suite(capsys):
     assert len(out) == 4 and all(line.startswith("PASS") for line in out)
 
 
+def test_verify_seed_reaches_the_suites_and_only_its_own_flags_parse(capsys):
+    assert cli.main(["verify", "reversal", "--instances", "3", "--seed", "7"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    (expected,) = mr.run_suite("reversal", 3, seed=7)
+    assert line.endswith(f"worst_slack={cli._fmt(expected.worst_slack)}")
+
+    for flag in (["--threads", "2"], ["--out", "elsewhere"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "reversal", *flag])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+    assert cli.main(["verify", "reversal", "--seed", "-1"]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "sideways"]) == 1
     captured = capsys.readouterr()

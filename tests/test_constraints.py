@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +127,21 @@ def test_boundary_commutes_with_particle_permutation():
 # ---------------------------------------------------------------------------
 
 
+def test_root_finding_leaves_no_cycle_holding_the_boundary():
+    # a boundary pair owns its (nodes, particles) offsets: once its band edges
+    # are found, dropping the last reference must free it at once, without
+    # waiting for the cyclic garbage collector
+    bp = make_mean_boundary(_two_particle_ensemble(-1.0, 1.0), mr.saturating_band(-1.0, 4.0))
+    gc.disable()
+    try:
+        bp.band_edges()
+        ref = weakref.ref(bp)
+        del bp
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_affine_roots_exact():
     bp = boundary_from_losses(mr.build_grid(1.0, 2), mr.linear_band(-1.0, 4.0))
     assert_allclose(invert_boundary(bp, 0, "upper_edge"), 4.0, rtol=0, atol=1e-12)
@@ -187,17 +204,17 @@ def test_envelope_constants_validation():
 def test_envelope_ratio_paths_and_tv():
     g = mr.build_grid(1.0, 4)
     env = mr.LinearEnvelope.constants(2.0, 6.0, 2.0)
-    pb, qb = env.ratio_paths(g)
+    pb, qb = env.ratio_paths(g.nodes)
     assert_allclose(pb, 3.0, rtol=0, atol=0)
     assert_allclose(qb, 1.0, rtol=0, atol=0)
-    assert env.tv_bound_terms(g) == 0.0
+    assert env.tv_bound_terms(g.nodes) == 0.0
 
 
 def test_envelope_tv_of_moving_edges():
     g = mr.build_grid(1.0, 10)
     env = mr.LinearEnvelope(b=lambda t: 1.0, p=lambda t: 3.0 + t, q=lambda t: 1.0 - 2.0 * t)
     # p/b climbs by 1 and q/b falls by 2 over the horizon
-    assert_allclose(env.tv_bound_terms(g), 3.0, rtol=0, atol=1e-12)
+    assert_allclose(env.tv_bound_terms(g.nodes), 3.0, rtol=0, atol=1e-12)
 
 
 def test_envelope_order_holds_globally_for_bent_band():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,8 +80,6 @@ def test_solver_input_validation():
         mr.solve_penalized(sc, 0.0)
     with pytest.raises(ValueError):
         mr.solve_penalized(sc, -4.0)
-    import dataclasses
-
     bare = dataclasses.replace(sc, obstacles=None)
     with pytest.raises(ValueError):
         mr.solve_penalized(bare, 8.0)
@@ -114,11 +113,15 @@ def test_solution_invariants():
     assert_array_equal(sol.y.values[:, -1], xi)
 
 
-def test_wide_obstacles_reduce_to_the_plain_solve_bitwise():
+@pytest.mark.parametrize("z_mode", ["regression", "none"])
+def test_wide_obstacles_reduce_to_the_plain_solve_bitwise(z_mode):
     # the penalty increments must be *exactly* zero when the band is never
     # approached, making the penalized recursion bit-identical to the
     # unpenalized one at every level
-    sc = _wide_scenario(mr.affine_mix_generator(a_y=0.7, a_z=0.3))
+    sc = dataclasses.replace(
+        _wide_scenario(mr.affine_mix_generator(a_y=0.7, a_z=0.3)),
+        regression=mr.RegressionConfig(z_mode=z_mode),
+    )
     grid = sc.make_grid()
     bm = sc.simulate(grid)
     xi = sc.terminal_values(bm)
