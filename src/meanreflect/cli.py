@@ -584,6 +584,8 @@ def cmd_verify(suite: str, instances: int = 100, seed: int | None = None) -> int
     """
     if seed is not None and not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
+    if instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {instances}")
     try:
         results = run_suite(suite, instances=instances, seed=seed)
     except ValueError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 from scipy.optimize import brentq
 
 from .core import Ensemble, TimeGrid, pairwise_mean
@@ -176,13 +176,17 @@ def validate_loss(
 
 @dataclass(frozen=True)
 class BoundaryPair:
-    """Deterministic boundaries on the mean level, one evaluation per node.
+    """Deterministic boundaries on the mean level, vectorized in ``x`` at one node.
 
     ``l``/``r`` at node ``k`` are the loss functions averaged over a recentred
-    ensemble cross-section: ``l(k, x) = mean_i L(times[k], off[k, i] + x)``.
+    ensemble cross-section: ``l(k, x) = mean_i L(times[k], x + off[k, i])``.
     With ``offsets is None`` the boundary is the bare loss pair (equivalent to
     a single centred particle).  ``times[k]`` is the loss-evaluation time for
     node ``k``, which makes time reversal a pure index flip.
+
+    ``lower(k, x)`` and ``upper(k, x)`` take a scalar or an array ``x`` and
+    return values of the same shape; each entry has the bits of the scalar
+    call at that point.
     """
 
     grid: TimeGrid
@@ -204,19 +208,27 @@ class BoundaryPair:
 
     # -- evaluation ---------------------------------------------------------
 
-    def lower(self, node: int, x: float) -> float:
+    def lower(self, node: int, x: ArrayLike) -> float | NDArray[np.floating]:
         """l(t_node, x): averaged lower loss; <= 0 is the admissible side."""
         return self._eval(self.losses.L, node, x)
 
-    def upper(self, node: int, x: float) -> float:
+    def upper(self, node: int, x: ArrayLike) -> float | NDArray[np.floating]:
         """r(t_node, x): averaged upper loss; >= 0 is the admissible side."""
         return self._eval(self.losses.R, node, x)
 
-    def _eval(self, f, node: int, x: float) -> float:
+    def _eval(self, f, node: int, x: ArrayLike) -> float | NDArray[np.floating]:
+        """The one boundary evaluator: ``f`` at node ``node``, shaped like ``x``.
+
+        An averaged pair evaluates ``f`` on the (x, particles) outer sum and
+        reduces each row along its last, contiguous axis, so every entry has
+        the reduction order of a scalar call.
+        """
         t = float(self.times[node])
         if self.offsets is None:
-            return float(np.asarray(f(t, np.float64(x)), dtype=float))
-        return float(pairwise_mean(np.asarray(f(t, self.offsets[node] + x), dtype=float)))
+            vals = f(t, np.asarray(x, dtype=float))
+        else:
+            vals = pairwise_mean(f(t, np.add.outer(x, self.offsets[node])))
+        return np.asarray(vals, dtype=float)[()]
 
     @property
     def c(self) -> float:

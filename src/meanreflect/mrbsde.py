@@ -50,7 +50,7 @@ from .core import (
     simulate_brownian,
     stat_tol,
 )
-from .errors import InfeasibleTerminalError, NonConvergenceError
+from .errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from .skorokhod import BackwardReflectionSolution, solve_bsp, total_variation
 
 __all__ = [
@@ -109,7 +109,8 @@ class Scenario:
     """Complete description of one reflected-solve experiment.
 
     ``terminal`` maps the terminal Brownian cross-section to terminal values
-    (scalar results are broadcast).  ``losses`` drives the mean reflection;
+    (scalar results are broadcast; a non-finite value raises
+    :class:`NumericalFailureError`).  ``losses`` drives the mean reflection;
     ``envelope`` is mandatory for quadratic-mode generators; ``obstacles``
     is only consumed by the penalization scheme.
     """
@@ -145,9 +146,12 @@ class Scenario:
     def terminal_values(self, bm: Ensemble) -> NDArray[np.floating]:
         xi = np.asarray(self.terminal(bm.values[:, -1]), dtype=float)
         if xi.ndim == 0:
-            return np.full(bm.particle_count, float(xi))
-        if xi.shape != (bm.particle_count,):
+            xi = np.full(bm.particle_count, float(xi))
+        elif xi.shape != (bm.particle_count,):
             raise ValueError("terminal function must return one value per particle")
+        bad = int(np.count_nonzero(~np.isfinite(xi)))
+        if bad:
+            raise NumericalFailureError(f"{bad} of {xi.size} terminal values are not finite")
         return xi
 
 
@@ -188,7 +192,7 @@ def require_feasible_terminal(
     e_l, e_r, tol = terminal_feasibility(
         losses, t_final, xi, stat_tol_mult=stat_tol_mult, root_tol=root_tol
     )
-    if e_l > tol or e_r < -tol:
+    if not (e_l <= tol and e_r >= -tol):
         raise InfeasibleTerminalError(
             f"terminal values at t = {t_final:.6g} are infeasible: "
             f"E[L(t, xi)] = {e_l:.6g}, E[R(t, xi)] = {e_r:.6g}, tolerance {tol:.3g}"
@@ -422,7 +426,7 @@ class _TraceBuilder:
 
 def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
     d = a - b
-    return float(np.sqrt(np.max(pairwise_mean(d * d, axis=0))))
+    return float(np.sqrt(np.max(pairwise_mean(np.multiply(d, d, out=d), axis=0))))
 
 
 def _picard_segment(

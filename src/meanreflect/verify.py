@@ -10,6 +10,8 @@ serve both the test suite and the command-line ``verify`` entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -59,18 +61,6 @@ class SuiteResult:
     details: tuple[str, ...]
 
 
-def _finish(name: str, slacks: list[float], details: list[str]) -> SuiteResult:
-    failures = len(details)
-    return SuiteResult(
-        name=name,
-        instances=len(slacks),
-        failures=failures,
-        worst_slack=float(min(slacks)) if slacks else float("nan"),
-        passed=failures == 0,
-        details=tuple(details[:10]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # instance generation
 # ---------------------------------------------------------------------------
@@ -114,6 +104,104 @@ def _interior_anchor(
 # suites
 # ---------------------------------------------------------------------------
 
+# A per-instance check draws one instance from the suite's stream and returns
+# (slack, passed, note); the note is reported for failing instances only.
+_Check = Callable[[np.random.Generator], tuple[float, bool, str]]
+
+
+def _run_instances(name: str, instances: int, seed: int, check: _Check) -> SuiteResult:
+    """Run ``check`` on ``instances`` draws from the stream keyed by ``seed``."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    rng = np.random.default_rng([seed, 0])
+    slacks: list[float] = []
+    details: list[str] = []
+    for i in range(instances):
+        slack, passed, note = check(rng)
+        slacks.append(slack)
+        if not passed:
+            details.append(f"instance {i}: {note}")
+    return SuiteResult(
+        name=name,
+        instances=instances,
+        failures=len(details),
+        worst_slack=float(min(slacks)),
+        passed=not details,
+        details=tuple(details[:10]),
+    )
+
+
+def _reversal_check(rng: np.random.Generator) -> tuple[float, bool, str]:
+    grid = _grid(rng)
+    bp = boundary_from_losses(grid, _make(*_band_pair(rng)))
+    s = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
+    fwd = solve_sp(s, bp)
+    resid = float(np.max(np.abs(fwd.x.values - s.values - fwd.K.values)))
+    a = _interior_anchor(rng, bp)
+    bwd = solve_bsp(s, a, bp)
+    sv, kv = s.values, bwd.K.values
+    recon = a + sv[-1] - sv + kv[-1] - kv
+    resid = max(resid, float(np.max(np.abs(bwd.x.values - recon))))
+    resid = max(resid, abs(float(bwd.x.values[-1]) - a))
+    slack = 1e-12 - resid
+    return slack, not slack < 0.0, f"round-trip residual {resid:.3e}"
+
+
+def _continuity_check(
+    rng: np.random.Generator, backward: bool = False
+) -> tuple[float, bool, str]:
+    """Perturb an input path and its band; compare the two forces.
+
+    Both directions draw the same instance; the backward one then anchors
+    the two problems at nearby interior terminal values.
+    """
+    grid = _grid(rng)
+    lo, hi, saturating = _band_pair(rng)
+    d_lo, d_hi = rng.uniform(-0.1, 0.1, size=2)
+    bp1 = boundary_from_losses(grid, _make(lo, hi, saturating))
+    bp2 = boundary_from_losses(grid, _make(lo + float(d_lo), hi + float(d_hi), saturating))
+    s1 = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
+    bump = _walk(rng, grid, scale=0.1, start=float(rng.normal(0.0, 0.05)))
+    s2 = SamplePath(grid, s1.values + bump.values)
+    if backward:
+        a1 = _interior_anchor(rng, bp1)
+        rho2, lam2 = bp2.band_edges()
+        w2 = lam2[-1] - rho2[-1]
+        a2 = float(
+            np.clip(a1 + rng.uniform(-0.1, 0.1), rho2[-1] + 0.02 * w2, lam2[-1] - 0.02 * w2)
+        )
+        sol1, sol2 = solve_bsp(s1, a1, bp1), solve_bsp(s2, a2, bp2)
+    else:
+        sol1, sol2 = solve_sp(s1, bp1), solve_sp(s2, bp2)
+    rep = check_continuity_bound(sol1, sol2, s1, s2, bp1, bp2, _X_SAMPLES)
+    return rep.slack, rep.passed, f"lhs {rep.lhs:.3e} rhs {rep.rhs:.3e}"
+
+
+def _comparison_check(rng: np.random.Generator) -> tuple[float, bool, str]:
+    grid = _grid(rng)
+    lo, hi, saturating = _band_pair(rng)
+    widen_lo = float(rng.uniform(0.0, 1.0))
+    widen_hi = float(rng.uniform(0.0, 1.0))
+    bp_narrow = boundary_from_losses(grid, _make(lo, hi, saturating))
+    bp_wide = boundary_from_losses(grid, _make(lo - widen_lo, hi + widen_hi, saturating))
+    s = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
+    rep = check_comparison(s, bp_wide, bp_narrow, _X_SAMPLES)
+    slack = 1e-9 - max(rep.max_violation_up, rep.max_violation_down)
+    return slack, rep.passed, (
+        f"premise_ok {rep.premise_ok}, violations "
+        f"{rep.max_violation_up:.3e}/{rep.max_violation_down:.3e}"
+    )
+
+
+def _variation_check(rng: np.random.Generator) -> tuple[float, bool, str]:
+    grid = _grid(rng)
+    bp = boundary_from_losses(grid, _make(*_band_pair(rng)))
+    rho, lam = bp.band_edges()
+    start = float(rng.uniform(rho[0] + 0.02, lam[0] - 0.02))
+    s = _walk(rng, grid, scale=1.0, start=start)
+    rep = check_tv_bound(solve_sp(s, bp), s, bp=bp)
+    return rep.slack, rep.passed, f"tv {rep.tv:.3e} bound {rep.var_phi + rep.var_psi:.3e}"
+
 
 def run_reversal_suite(instances: int = 100, seed: int = 2301) -> SuiteResult:
     """Exact identities of the forward and terminal-anchored maps.
@@ -122,107 +210,24 @@ def run_reversal_suite(instances: int = 100, seed: int = 2301) -> SuiteResult:
     backward one ``x_t = a + s_T - s_t + K_T - K_t`` with the anchor
     recovered at the last node, all to 1e-12.
     """
-    rng = np.random.default_rng([seed, 0])
-    slacks: list[float] = []
-    details: list[str] = []
-    for i in range(instances):
-        grid = _grid(rng)
-        lo, hi, saturating = _band_pair(rng)
-        bp = boundary_from_losses(grid, _make(lo, hi, saturating))
-        s = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
-        fwd = solve_sp(s, bp)
-        resid = float(np.max(np.abs(fwd.x.values - s.values - fwd.K.values)))
-        a = _interior_anchor(rng, bp)
-        bwd = solve_bsp(s, a, bp)
-        sv, kv = s.values, bwd.K.values
-        recon = a + sv[-1] - sv + kv[-1] - kv
-        resid = max(resid, float(np.max(np.abs(bwd.x.values - recon))))
-        resid = max(resid, abs(float(bwd.x.values[-1]) - a))
-        slack = 1e-12 - resid
-        slacks.append(slack)
-        if slack < 0.0:
-            details.append(f"instance {i}: round-trip residual {resid:.3e}")
-    return _finish("reversal", slacks, details)
+    return _run_instances("reversal", instances, seed, _reversal_check)
 
 
 def run_continuity_suite(instances: int = 100, seed: int = 2302) -> SuiteResult:
     """Force stability under joint input/boundary perturbation (forward)."""
-    rng = np.random.default_rng([seed, 0])
-    slacks: list[float] = []
-    details: list[str] = []
-    for i in range(instances):
-        grid = _grid(rng)
-        lo, hi, saturating = _band_pair(rng)
-        d_lo, d_hi = rng.uniform(-0.1, 0.1, size=2)
-        bp1 = boundary_from_losses(grid, _make(lo, hi, saturating))
-        bp2 = boundary_from_losses(grid, _make(lo + float(d_lo), hi + float(d_hi), saturating))
-        s1 = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
-        bump = _walk(rng, grid, scale=0.1, start=float(rng.normal(0.0, 0.05)))
-        s2 = SamplePath(grid, s1.values + bump.values)
-        sol1 = solve_sp(s1, bp1)
-        sol2 = solve_sp(s2, bp2)
-        rep = check_continuity_bound(sol1, sol2, s1, s2, bp1, bp2, _X_SAMPLES)
-        slacks.append(rep.slack)
-        if not rep.passed:
-            details.append(f"instance {i}: lhs {rep.lhs:.3e} rhs {rep.rhs:.3e}")
-    return _finish("continuity", slacks, details)
+    return _run_instances("continuity", instances, seed, _continuity_check)
 
 
 def run_backward_continuity_suite(instances: int = 100, seed: int = 2303) -> SuiteResult:
     """Force stability for the terminal-anchored map (doubled constants)."""
-    rng = np.random.default_rng([seed, 0])
-    slacks: list[float] = []
-    details: list[str] = []
-    for i in range(instances):
-        grid = _grid(rng)
-        lo, hi, saturating = _band_pair(rng)
-        d_lo, d_hi = rng.uniform(-0.1, 0.1, size=2)
-        bp1 = boundary_from_losses(grid, _make(lo, hi, saturating))
-        bp2 = boundary_from_losses(grid, _make(lo + float(d_lo), hi + float(d_hi), saturating))
-        s1 = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
-        bump = _walk(rng, grid, scale=0.1, start=float(rng.normal(0.0, 0.05)))
-        s2 = SamplePath(grid, s1.values + bump.values)
-        a1 = _interior_anchor(rng, bp1)
-        rho2, lam2 = bp2.band_edges()
-        w2 = lam2[-1] - rho2[-1]
-        a2 = float(
-            np.clip(
-                a1 + rng.uniform(-0.1, 0.1), rho2[-1] + 0.02 * w2, lam2[-1] - 0.02 * w2
-            )
-        )
-        sol1 = solve_bsp(s1, a1, bp1)
-        sol2 = solve_bsp(s2, a2, bp2)
-        rep = check_continuity_bound(sol1, sol2, s1, s2, bp1, bp2, _X_SAMPLES)
-        slacks.append(rep.slack)
-        if not rep.passed:
-            details.append(f"instance {i}: lhs {rep.lhs:.3e} rhs {rep.rhs:.3e}")
-    return _finish("backward-continuity", slacks, details)
+    return _run_instances(
+        "backward-continuity", instances, seed, partial(_continuity_check, backward=True)
+    )
 
 
 def run_comparison_suite(instances: int = 100, seed: int = 2304) -> SuiteResult:
     """Nested bands: the narrower band forces at least as much, nodewise."""
-    rng = np.random.default_rng([seed, 0])
-    slacks: list[float] = []
-    details: list[str] = []
-    for i in range(instances):
-        grid = _grid(rng)
-        lo, hi, saturating = _band_pair(rng)
-        widen_lo = float(rng.uniform(0.0, 1.0))
-        widen_hi = float(rng.uniform(0.0, 1.0))
-        bp_narrow = boundary_from_losses(grid, _make(lo, hi, saturating))
-        bp_wide = boundary_from_losses(
-            grid, _make(lo - widen_lo, hi + widen_hi, saturating)
-        )
-        s = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
-        rep = check_comparison(s, bp_wide, bp_narrow, _X_SAMPLES)
-        slack = 1e-9 - max(rep.max_violation_up, rep.max_violation_down)
-        slacks.append(slack)
-        if not rep.passed:
-            details.append(
-                f"instance {i}: premise_ok {rep.premise_ok}, violations "
-                f"{rep.max_violation_up:.3e}/{rep.max_violation_down:.3e}"
-            )
-    return _finish("comparison", slacks, details)
+    return _run_instances("comparison", instances, seed, _comparison_check)
 
 
 def run_variation_suite(instances: int = 100, seed: int = 2305) -> SuiteResult:
@@ -231,24 +236,7 @@ def run_variation_suite(instances: int = 100, seed: int = 2305) -> SuiteResult:
     Inputs start inside the band (the estimate does not cover an initial
     jump into it).
     """
-    rng = np.random.default_rng([seed, 0])
-    slacks: list[float] = []
-    details: list[str] = []
-    for i in range(instances):
-        grid = _grid(rng)
-        lo, hi, saturating = _band_pair(rng)
-        bp = boundary_from_losses(grid, _make(lo, hi, saturating))
-        rho, lam = bp.band_edges()
-        start = float(rng.uniform(rho[0] + 0.02, lam[0] - 0.02))
-        s = _walk(rng, grid, scale=1.0, start=start)
-        sol = solve_sp(s, bp)
-        rep = check_tv_bound(sol, s, bp=bp)
-        slacks.append(rep.slack)
-        if not rep.passed:
-            details.append(
-                f"instance {i}: tv {rep.tv:.3e} bound {rep.var_phi + rep.var_psi:.3e}"
-            )
-    return _finish("variation", slacks, details)
+    return _run_instances("variation", instances, seed, _variation_check)
 
 
 def run_suite(
@@ -257,30 +245,21 @@ def run_suite(
     """Dispatch by suite name; ``skorokhod`` bundles the four estimate
     suites, ``all`` additionally includes the reversal identities.
 
-    With ``seed=None`` every runner keeps its own fixed default seed.
+    With ``seed=None`` every runner keeps its own fixed default seed.  Raises
+    ``ValueError`` for an unknown suite or fewer than one instance.
     """
-    runners = {
-        "reversal": [run_reversal_suite],
-        "continuity": [run_continuity_suite],
-        "backward-continuity": [run_backward_continuity_suite],
-        "comparison": [run_comparison_suite],
-        "variation": [run_variation_suite],
-        "skorokhod": [
-            run_continuity_suite,
-            run_backward_continuity_suite,
-            run_comparison_suite,
-            run_variation_suite,
-        ],
-        "all": [
-            run_reversal_suite,
-            run_continuity_suite,
-            run_backward_continuity_suite,
-            run_comparison_suite,
-            run_variation_suite,
-        ],
-    }
-    if name not in runners:
+    # Looked up at call time, so a runner replaced on the module is the one run.
+    runners = (
+        run_reversal_suite,
+        run_continuity_suite,
+        run_backward_continuity_suite,
+        run_comparison_suite,
+        run_variation_suite,
+    )
+    bundles = {suite: [fn] for suite, fn in zip(SUITE_NAMES, runners)}
+    bundles.update(skorokhod=runners[1:], all=runners)
+    if name not in bundles:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if seed is None:
-        return [fn(instances) for fn in runners[name]]
-    return [fn(instances, seed + j + 1) for j, fn in enumerate(runners[name])]
+        return [fn(instances) for fn in bundles[name]]
+    return [fn(instances, seed + j + 1) for j, fn in enumerate(bundles[name])]

@@ -316,6 +316,23 @@ def test_run_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+def test_non_finite_terminal_exits_one(tmp_path, capsys):
+    # json.dumps writes the NaN literal, which json.loads accepts
+    nan_terminal = {"kind": "constant", "value": float("nan")}
+    for method in ("constant-driver", "picard"):
+        cfg = _write(
+            tmp_path, f"{method}.json", _clamp_config(method=method, terminal=nan_terminal)
+        )
+        out = tmp_path / method
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NumericalFailureError" and "not finite" in err["message"]
+        assert not (out / "result.csv").exists()
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(terminal=nan_terminal))
+    assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "sweep")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericalFailureError"
+
+
 def test_run_nonconvergence_maps_to_exit_one(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -122,6 +122,30 @@ def test_boundary_commutes_with_particle_permutation():
             assert abs(bp1.upper(node, x) - bp2.upper(node, x)) <= 1e-12
 
 
+@pytest.mark.parametrize("averaged", [False, True], ids=["bare", "averaged"])
+@pytest.mark.parametrize(
+    "losses",
+    [mr.saturating_band(-1.5, 2.0), mr.linear_band(-1.5, 2.0)],
+    ids=["saturating", "linear"],
+)
+def test_array_evaluation_matches_scalar_calls_bitwise(losses, averaged):
+    rng = np.random.default_rng(5)
+    g = mr.build_grid(1.0, 4)
+    # an odd particle count exercises the carried tail of the pairwise tree;
+    # the pair is built directly so the affine band keeps its offsets too
+    off = rng.normal(0.0, 1.3, (g.n_nodes, 257)) if averaged else None
+    bp = mr.BoundaryPair(g, losses, g.nodes.copy(), off)
+    xs = np.concatenate([rng.normal(0.0, 4.0, 9), [0.0, -0.0, 1e-300]])
+    for node in range(g.n_nodes):
+        for side in (bp.lower, bp.upper):
+            assert isinstance(side(node, 0.5), float)
+            vec = side(node, xs)
+            assert vec.shape == xs.shape
+            scalar = np.array([side(node, float(x)) for x in xs])
+            assert vec.tobytes() == scalar.tobytes()
+            assert side(node, xs.reshape(3, 4)).tobytes() == vec.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # root-finding
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
-from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError
+from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from oracles import cole_hopf_value
 
 
@@ -110,6 +110,32 @@ def test_terminal_feasibility_helpers():
     assert mr.require_feasible_terminal(lp, 1.0, ok) == tol
     with pytest.raises(InfeasibleTerminalError):
         mr.require_feasible_terminal(lp, 1.0, np.full(4, 9.0))
+    # NaN means fail the check rather than slip through both comparisons
+    with pytest.raises(InfeasibleTerminalError):
+        mr.require_feasible_terminal(lp, 1.0, np.array([0.5, np.nan, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "terminal",
+    [lambda b: math.nan, lambda b: math.inf, lambda b: np.where(b > 0.0, np.nan, b)],
+    ids=["nan", "inf", "some-nan"],
+)
+def test_non_finite_terminal_values_rejected(terminal):
+    sc = mr.Scenario(
+        horizon=1.0,
+        steps=4,
+        particles=64,
+        rng=mr.RngSpec(2),
+        terminal=terminal,
+        generator=mr.constant_generator(0.0),
+        losses=mr.linear_band(-2.0, 2.0),
+    )
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        sc.terminal_values(sc.simulate())
+    with pytest.raises(NumericalFailureError):
+        mr.solve_constant_driver(sc)
+    with pytest.raises(NumericalFailureError):
+        mr.picard_solve(sc)
 
 
 def test_scenario_terminal_catalogue_broadcasts_scalars():

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
 from meanreflect.errors import DegenerateConstraintsError, InfeasibleTerminalError
+from meanreflect.skorokhod import _boundary_discrepancy
 from oracles import double_barrier_batch
 
 _XS = np.linspace(-6.0, 6.0, 25)
@@ -111,6 +112,11 @@ def test_mismatched_grids_rejected():
     bp = _band(-1.0, 1.0, mr.build_grid(1.0, 8))
     with pytest.raises(ValueError):
         mr.solve_sp(s, bp)
+    # same node count on a longer horizon: the nodes differ
+    with pytest.raises(ValueError):
+        mr.solve_sp(_ramp(mr.build_grid(2.0, 8), 1.0), bp)
+    # an equal grid need not be the same object
+    mr.solve_sp(_ramp(mr.build_grid(1.0, 8), 1.0), bp)
 
 
 def test_forward_map_matches_closed_form_oracle():
@@ -208,6 +214,9 @@ def test_backward_rejects_infeasible_anchor():
     g = mr.build_grid(1.0, 8)
     with pytest.raises(InfeasibleTerminalError):
         mr.solve_bsp(_ramp(g, 0.0), 5.0, _band(-1.0, 1.0, g))
+    # NaN fails every comparison, so a NaN anchor must not pass the check
+    with pytest.raises(InfeasibleTerminalError):
+        mr.solve_bsp(_ramp(g, 0.0), float("nan"), _band(-1.0, 1.0, g))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +326,24 @@ def test_continuity_shifted_boundaries():
     assert rep.passed
     assert rep.lhs <= eps + 1e-12  # forward constant is 1/c = 1
     assert rep.boundary_gap >= eps - 1e-12
+
+
+def test_boundary_discrepancy_matches_the_pointwise_loop():
+    # reference: a running Python max over nodes and samples, in which a NaN
+    # gap never wins a comparison and so is skipped
+    rng = np.random.default_rng(3)
+    g = mr.build_grid(1.0, 5)
+    off1, off2 = rng.normal(0.0, 1.0, (2, g.n_nodes, 33))
+    bp1 = mr.BoundaryPair(g, mr.saturating_band(-1.0, 2.0), g.nodes.copy(), off1)
+    bp2 = mr.BoundaryPair(g, mr.saturating_band(-1.2, 2.1), g.nodes.copy(), off2)
+    xs = np.array([-3.0, np.nan, 0.5, 4.0])
+    ref = [0.0, 0.0]
+    for k in range(g.n_nodes):
+        for x in xs:
+            ref[0] = max(ref[0], abs(bp1.lower(k, x) - bp2.lower(k, x)))
+            ref[1] = max(ref[1], abs(bp1.upper(k, x) - bp2.upper(k, x)))
+    assert _boundary_discrepancy(bp1, bp2, xs) == tuple(ref)
+    assert min(ref) > 0.0
 
 
 def test_backward_continuity_uses_doubled_constants():

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import math
+import json
 
 import pytest
 
 import meanreflect as mr
 import meanreflect.verify as verify_mod
+from meanreflect import cli
 from meanreflect.core import SamplePath
 
 
@@ -56,9 +57,17 @@ def test_seed_override_changes_instances_but_not_the_verdict():
     assert default.worst_slack != seeded.worst_slack
 
 
-def test_zero_instances_vacuously_pass():
-    (res,) = mr.run_suite("reversal", instances=0)
-    assert res.passed and res.instances == 0 and math.isnan(res.worst_slack)
+def test_empty_runs_are_rejected(capsys):
+    # a run that checks nothing must not report a pass
+    for instances in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            mr.run_suite("reversal", instances=instances)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_mod.run_variation_suite(instances=instances)
+        assert cli.main(["verify", "all", "--instances", str(instances)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip())["error"] == "config"
 
 
 def test_reversal_suite_catches_a_crooked_solver(monkeypatch):
