@@ -200,7 +200,8 @@ def _backward_pass(
     ``mean_shift(k, y_next, fval)``, when given, returns a deterministic
     increment added to every particle at step ``k`` after the drift (the
     penalized scheme's mean push).  Without it nothing is added, so a
-    ``-0.0`` particle value stays ``-0.0``.
+    ``-0.0`` particle value stays ``-0.0``.  A step that leaves a non-finite
+    value raises :class:`NumericalFailureError` naming the node.
     """
     grid = bm.grid
     n, m = bm.values.shape
@@ -228,6 +229,10 @@ def _backward_pass(
         y[:, k] = pred + fval * dt[k]
         if mean_shift is not None:
             y[:, k] += mean_shift(k, y_next, fval)
+        if not np.isfinite(y[:, k]).all():
+            raise NumericalFailureError(
+                f"backward step left non-finite values at node {k} (t = {times[k]:.6g})"
+            )
         z[:, k] = zk
 
     if with_z and m >= 2:

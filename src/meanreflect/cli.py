@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -398,21 +398,9 @@ def resolve_seed(cli_seed: int | None, cfg: dict | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One experiment's full artifact bundle, pre-serialization."""
-
-    scenario: dict
-    table: np.ndarray
-    diagnostics: dict
-    timing: float
-    seed: int
-
-    def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for row in self.table:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+def _write_csv(path: Path, header: str, rows) -> None:
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _trace_block(sol: MRSolution) -> dict | None:
@@ -433,7 +421,10 @@ def _trace_block(sol: MRSolution) -> dict | None:
     return block
 
 
-def _run_result(cfg: dict, sc: Scenario, sol: MRSolution, seed: int, dt_wall: float) -> RunResult:
+def _run_result(
+    cfg: dict, sc: Scenario, sol: MRSolution, seed: int, dt_wall: float
+) -> tuple[np.ndarray, dict]:
+    """The per-node table of ``result.csv`` and the ``diagnostics.json`` payload."""
     grid = sc.make_grid()
     mean_y = sol.mean_path
     e_l, e_r = mean_loss_paths(sol.y, sc.losses)
@@ -466,14 +457,13 @@ def _run_result(cfg: dict, sc: Scenario, sol: MRSolution, seed: int, dt_wall: fl
         "force_terminal": float(sol.K.values[-1]),
         "force_variation": sol.variation,
         "trace": _trace_block(sol),
+        "scenario": cfg,
     }
     if sc.envelope is not None and sol.trace is not None and sol.trace.envelope_terms:
         diag["force_variation_guard"] = asdict(
             kt_variation_guard(sol.trace, sc.envelope)
         )
-    return RunResult(
-        scenario=cfg, table=table, diagnostics=diag, timing=dt_wall, seed=seed
-    )
+    return table, diag
 
 
 def cmd_run(
@@ -498,20 +488,22 @@ def cmd_run(
     if init not in ("zero", "unreflected"):
         raise ConfigError(f"unknown init {init!r}")
     t0 = time.perf_counter()
-    if method == "picard":
-        sol = picard_solve(sc, init=init)
-    elif method == "constant-driver":
-        sol = solve_constant_driver(sc)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    try:
+        if method == "picard":
+            sol = picard_solve(sc, init=init)
+        elif method == "constant-driver":
+            sol = solve_constant_driver(sc)
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+    except ValueError as exc:
+        # the solvers' own scenario checks: a route or envelope that does not fit
+        raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
 
-    result = _run_result(cfg, sc, sol, resolved, wall)
+    table, diag = _run_result(cfg, sc, sol, resolved, wall)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "result.csv").write_text(result.csv_text())
-    diag = dict(result.diagnostics)
-    diag["scenario"] = cfg
+    _write_csv(out / "result.csv", CSV_HEADER, table)
     _dump_json(out / "diagnostics.json", diag)
     return 0
 
@@ -543,7 +535,6 @@ def cmd_sweep_penalty(
         raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
 
-    lines = [SWEEP_HEADER]
     rows = zip(
         sweep.ns,
         sweep.sup_errors,
@@ -553,11 +544,9 @@ def cmd_sweep_penalty(
         sweep.upper_bound_column,
         sweep.lower_bound_column,
     )
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     _dump_json(
         out / "diagnostics.json",
         {

@@ -182,7 +182,8 @@ class BoundaryPair:
     ensemble cross-section: ``l(k, x) = mean_i L(times[k], x + off[k, i])``.
     With ``offsets is None`` the boundary is the bare loss pair (equivalent to
     a single centred particle).  ``times[k]`` is the loss-evaluation time for
-    node ``k``, which makes time reversal a pure index flip.
+    node ``k``.  The band edges are computed once, in natural node order, and
+    serve both the forward and the terminal-anchored reflection.
 
     ``lower(k, x)`` and ``upper(k, x)`` take a scalar or an array ``x`` and
     return values of the same shape; each entry has the bits of the scalar
@@ -238,15 +239,6 @@ class BoundaryPair:
     def C(self) -> float:
         return self.losses.C
 
-    @property
-    def gap(self) -> float:
-        return self.losses.gap
-
-    def reverse(self) -> "BoundaryPair":
-        """Boundary pair of the time-reversed problem (index flip)."""
-        off = None if self.offsets is None else self.offsets[::-1].copy()
-        return BoundaryPair(self.grid, self.losses, self.times[::-1].copy(), off)
-
     # -- band edges ---------------------------------------------------------
 
     def band_edges(
@@ -270,7 +262,8 @@ class BoundaryPair:
             lam[:] = invert_boundary(self, 0, "upper_edge", root_tol)
         else:
             hint_r = hint_l = 0.0
-            for k in range(m):
+            # Last node down, the backward map's clock: this hint chain fixes the edge bits.
+            for k in range(m - 1, -1, -1):
                 hint_r = invert_boundary(self, k, "lower_edge", root_tol, hint=hint_r)
                 hint_l = invert_boundary(self, k, "upper_edge", root_tol, hint=hint_l)
                 rho[k] = hint_r
@@ -290,14 +283,14 @@ def make_mean_boundary(
     without offsets.  ``times`` overrides the loss-evaluation clock for
     shifted sub-interval grids; defaults to the grid nodes.
     """
-    if times is None:
-        times = e.grid.nodes
-    times = np.asarray(times, dtype=float)
+    times = np.array(e.grid.nodes if times is None else times, dtype=float)
     if lp.affine:
-        return BoundaryPair(e.grid, lp, times.copy(), None)
+        return BoundaryPair(e.grid, lp, times, None)
     means = pairwise_mean(e.values, axis=0)
-    offsets = np.ascontiguousarray(e.values.T) - means[:, None]
-    return BoundaryPair(e.grid, lp, times.copy(), offsets)
+    # Copy explicitly: ascontiguousarray views an F-ordered ensemble, which -= would write.
+    offsets = e.values.T.copy()
+    offsets -= means[:, None]
+    return BoundaryPair(e.grid, lp, times, offsets)
 
 
 def boundary_from_losses(grid: TimeGrid, lp: LossPair) -> BoundaryPair:

@@ -128,10 +128,6 @@ class SamplePath:
                 f"path has {values.shape} values for {self.grid.n_nodes} nodes"
             )
 
-    @property
-    def terminal(self) -> float:
-        return float(self.values[-1])
-
 
 @dataclass(frozen=True)
 class Ensemble:

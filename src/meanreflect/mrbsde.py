@@ -302,11 +302,11 @@ def _construct(
     plain = solve_bsde(xi, None, bm, cfg, driver=driver)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
-    bp = make_mean_boundary(plain.y, losses, times=times)
+    # The boundary pair goes in inline, so its offsets are freed before y is allocated.
     bsp = solve_bsp(
         s,
         float(means[-1]),
-        bp,
+        make_mean_boundary(plain.y, losses, times=times),
         root_tol=tol.root_tol,
         band_min=tol.band_min,
         terminal_tol=terminal_tol,
@@ -325,12 +325,19 @@ def solve_constant_driver(
     """Solve the reflected problem for a state-independent driver.
 
     ``driver`` is a per-particle drift path ``(particles, nodes)``; omitted,
-    it is built by evaluating the scenario's generator on zero ensembles,
-    which is only meaningful for generators that ignore their state and law
-    arguments.  ``bm`` lets callers reuse a simulated Brownian ensemble.
+    it is the generator evaluated on zero ensembles, which is right only for
+    a generator declared state-free (``lipschitz`` mode, ``lam == 0``); any
+    other generator raises ``ValueError``.  ``bm`` lets callers reuse a
+    simulated Brownian ensemble.
     """
     if sc.losses is None:
         raise ValueError("scenario carries no loss pair")
+    gen = sc.generator
+    if driver is None and not (gen.mode == "lipschitz" and gen.lam == 0.0):
+        raise ValueError(
+            "the constant-driver route needs a state-free generator (lipschitz "
+            f"mode, lam = 0) or a driver path; got {gen.mode} mode, lam = {gen.lam:g}"
+        )
     grid = bm.grid if bm is not None else sc.make_grid()
     if bm is None:
         bm = sc.simulate(grid)
@@ -344,9 +351,7 @@ def solve_constant_driver(
     )
     if driver is None:
         zeros = Ensemble(grid, np.zeros_like(bm.values))
-        driver = constant_driver_path(sc.generator, zeros, zeros)
-    else:
-        driver = np.asarray(driver, dtype=float)
+        driver = constant_driver_path(gen, zeros, zeros)
     seg = _construct(
         xi, bm, grid.nodes, sc.losses, driver, sc.regression, sc.tol, term_tol
     )
@@ -380,7 +385,6 @@ class _TraceBuilder:
         self.k_variations: list[float] = []
         self.s_variations: list[float] = []
         self.envelope_terms: list[float] = []
-        self.has_envelope = False
         self.segment_iterations: list[int] = []
         self._segment_converged: list[bool] = []
         self._prev_combined: float | None = None
@@ -400,7 +404,6 @@ class _TraceBuilder:
         self.s_variations.append(s_var)
         if env_term is not None:
             self.envelope_terms.append(env_term)
-            self.has_envelope = True
         if self._prev_combined is not None and self._prev_combined > 0.0:
             self.ratios.append(combined / self._prev_combined)
         self._prev_combined = combined
@@ -420,7 +423,7 @@ class _TraceBuilder:
             segment_iterations=tuple(self.segment_iterations),
             k_variations=tuple(self.k_variations),
             s_variations=tuple(self.s_variations),
-            envelope_terms=tuple(self.envelope_terms) if self.has_envelope else None,
+            envelope_terms=tuple(self.envelope_terms) if self.envelope_terms else None,
         )
 
 

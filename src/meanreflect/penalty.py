@@ -27,7 +27,7 @@ from .core import Ensemble, SamplePath, ensemble_means, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
 from .mrbsde import Scenario
-from .skorokhod import _clamp_recursion
+from .skorokhod import _reversed_clamp
 
 __all__ = [
     "PenaltySolution",
@@ -268,11 +268,8 @@ def _reference_mean(
     driver = constant_driver_path(sc.generator, zeros, zeros)
     plain = solve_bsde(xi, None, bm, sc.regression, driver=driver)
     means = ensemble_means(plain.y)
-    s = means[0] - means
-    a = float(means[-1])
-    s_rev = a + s[-1] - s[::-1]
-    xs, _, _ = _clamp_recursion(s_rev, lo[::-1], hi[::-1], band_min=0.0)
-    return np.array(xs)[::-1]
+    x, _, _ = _reversed_clamp(means[0] - means, means[-1], lo, hi, band_min=0.0)
+    return x
 
 
 @dataclass(frozen=True)

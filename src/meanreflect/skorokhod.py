@@ -7,8 +7,8 @@ the constraint at each node reduces to a moving band ``rho_t <= x_t <=
 lam_t`` whose edges are boundary roots; the recursion is then a clamp with
 the force increment charged to whichever edge was hit.
 
-The backward map anchors the path at a terminal value and is computed by
-time reversal of the forward map.
+The backward map anchors the path at a terminal value; it runs the same
+clamp on the reversed clock against the same band edges.
 
 The module also ships the quantitative estimates satisfied by these maps as
 executable report-style checks: input-stability of the force, ordering under
@@ -89,8 +89,8 @@ def _clamp_recursion(
     rho: NDArray[np.floating],
     lam: NDArray[np.floating],
     band_min: float,
-) -> tuple[list[float], list[float], list[float]]:
-    """Run the clamp recursion; returns (x, push_up, push_down) as node lists."""
+) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
+    """Run the clamp recursion; returns (x, push_up, push_down) node arrays."""
     width = lam - rho
     if np.min(width) < band_min:
         k = int(np.argmin(width))
@@ -124,7 +124,14 @@ def _clamp_recursion(
         xs.append(x)
         ups.append(up)
         dns.append(dn)
-    return xs, ups, dns
+    return np.array(xs), np.array(ups), np.array(dns)
+
+
+def _solution(cls, grid, x, push_up, push_down, residuals, **extra):
+    """Wrap node arrays as a reflection solution with ``K = push_up - push_down``."""
+    K = SamplePath(grid, push_up - push_down)
+    up, dn = SamplePath(grid, push_up), SamplePath(grid, push_down)
+    return cls(SamplePath(grid, x), K, up, dn, *residuals, **extra)
 
 
 def solve_sp(
@@ -150,19 +157,32 @@ def solve_sp(
     if s.grid is not bp.grid and not np.array_equal(s.grid.nodes, bp.grid.nodes):
         raise ValueError("input path and boundary pair must share the grid")
     rho, lam = bp.band_edges(root_tol)
-    xs, ups, dns = _clamp_recursion(s.values, rho, lam, band_min)
-    grid = s.grid
-    x = SamplePath(grid, np.array(xs))
-    push_up = SamplePath(grid, np.array(ups))
-    push_down = SamplePath(grid, np.array(dns))
-    K = SamplePath(grid, push_up.values - push_down.values)
-    res_up, res_dn = flatness_residuals_raw(x.values, push_up.values, push_down.values, bp)
-    return ReflectionSolution(x, K, push_up, push_down, res_up, res_dn)
+    x, up, dn = _clamp_recursion(s.values, rho, lam, band_min)
+    residuals = flatness_residuals_raw(x, up, dn, bp)
+    return _solution(ReflectionSolution, s.grid, x, up, dn, residuals)
 
 
 # ---------------------------------------------------------------------------
 # backward map (time reversal)
 # ---------------------------------------------------------------------------
+
+
+def _reversed_clamp(
+    s_vals: NDArray[np.floating],
+    a: float,
+    rho: NDArray[np.floating],
+    lam: NDArray[np.floating],
+    band_min: float,
+) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
+    """Clamp recursion of the terminal-anchored problem on the reversed clock.
+
+    The input ``a + s_T - s_{T-t}`` is clamped into the band read from the
+    last node down.  Returns the path in natural node order and the
+    cumulative (push_up, push_down) on the reversed clock.
+    """
+    s_rev = float(a) + s_vals[-1] - s_vals[::-1]
+    x, up, dn = _clamp_recursion(s_rev, rho[::-1], lam[::-1], band_min)
+    return x[::-1].copy(), up, dn
 
 
 def solve_bsp(
@@ -177,13 +197,15 @@ def solve_bsp(
     """Solve the terminal-anchored reflection problem.
 
     Requires the anchor to satisfy ``l(T, a) <= terminal_tol`` and
-    ``r(T, a) >= -terminal_tol``.  The problem is mapped to a forward one by
-    time reversal — input ``a + s_T - s_{T-t}`` against the index-flipped
-    boundaries — and the force is mapped back as ``K_t = Kbar_T -
+    ``r(T, a) >= -terminal_tol``.  The clamp recursion runs on the reversed
+    clock — input ``a + s_T - s_{T-t}`` against the band edges of ``bp`` from
+    the last node down — and the force is mapped back as ``K_t = Kbar_T -
     Kbar_{T-t}``.  Anchor violations within the tolerance are absorbed as a
     small initial force of the reversed problem.
     """
     grid = s.grid
+    if grid is not bp.grid and not np.array_equal(grid.nodes, bp.grid.nodes):
+        raise ValueError("input path and boundary pair must share the grid")
     if not np.allclose(grid.nodes, grid.reversed_nodes(), rtol=0.0, atol=1e-12):
         raise ValueError("backward reflection needs a reversal-symmetric grid")
     last = grid.n_nodes - 1
@@ -192,25 +214,11 @@ def solve_bsp(
         raise InfeasibleTerminalError(
             f"anchor {a} violates the terminal constraint beyond tolerance {tol:.3e}"
         )
-    sv = s.values
-    s_rev = SamplePath(grid, float(a) + sv[-1] - sv[::-1])
-    rev = solve_sp(s_rev, bp.reverse(), root_tol=root_tol, band_min=band_min)
-
-    x_vals = rev.x.values[::-1].copy()
-    pu_rev = rev.push_up.values
-    pd_rev = rev.push_down.values
-    push_up = SamplePath(grid, pu_rev[-1] - pu_rev[::-1])
-    push_down = SamplePath(grid, pd_rev[-1] - pd_rev[::-1])
-    K = SamplePath(grid, push_up.values - push_down.values)
-    return BackwardReflectionSolution(
-        x=SamplePath(grid, x_vals),
-        K=K,
-        push_up=push_up,
-        push_down=push_down,
-        flat_residual_up=rev.flat_residual_up,
-        flat_residual_down=rev.flat_residual_down,
-        a=float(a),
-    )
+    rho, lam = bp.band_edges(root_tol)
+    x, up, dn = _reversed_clamp(s.values, a, rho, lam, band_min)
+    residuals = flatness_residuals_raw(x, up, dn, bp, reverse=True)
+    up, dn = up[-1] - up[::-1], dn[-1] - dn[::-1]
+    return _solution(BackwardReflectionSolution, grid, x, up, dn, residuals, a=float(a))
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +231,28 @@ def flatness_residuals_raw(
     push_up_vals: NDArray[np.floating],
     push_down_vals: NDArray[np.floating],
     bp: BoundaryPair,
+    *,
+    reverse: bool = False,
 ) -> tuple[float, float]:
     """Force applied while the respective constraint was strictly inactive.
 
     ``up`` weighs each push-up increment by ``max(r(t_k, x_k), 0)`` — positive
     r means the path was strictly above the lower edge, so any up-force there
-    violates minimality.  ``down`` mirrors this with ``max(-l, 0)``.
+    violates minimality.  ``down`` mirrors this with ``max(-l, 0)``.  With
+    ``reverse`` the cumulative parts run on the reversed clock: their
+    position ``k`` is node ``len(x_vals) - 1 - k``.  ``x_vals`` is in node
+    order either way.
     """
+    nodes = range(len(x_vals))[::-1] if reverse else range(len(x_vals))
     d_up = np.diff(push_up_vals, prepend=0.0)
     d_dn = np.diff(push_down_vals, prepend=0.0)
     up = dn = 0.0
     for k in np.nonzero(d_up > 0.0)[0]:
-        up += max(bp.upper(int(k), float(x_vals[k])), 0.0) * float(d_up[k])
+        j = nodes[k]
+        up += max(bp.upper(j, float(x_vals[j])), 0.0) * float(d_up[k])
     for k in np.nonzero(d_dn > 0.0)[0]:
-        dn += max(-bp.lower(int(k), float(x_vals[k])), 0.0) * float(d_dn[k])
+        j = nodes[k]
+        dn += max(-bp.lower(j, float(x_vals[j])), 0.0) * float(d_dn[k])
     return float(up), float(dn)
 
 

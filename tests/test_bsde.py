@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
+from meanreflect.errors import NumericalFailureError
 from oracles import cole_hopf_value
 
 
@@ -64,6 +65,13 @@ def test_solver_input_alignment_checked():
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_step_raises_naming_the_node():
+    bm = _brownian(steps=10, n=2_000)
+    with pytest.raises(NumericalFailureError, match=r"non-finite values at node \d+ \(t = "):
+        mr.solve_bsde(np.zeros(2_000), mr.constant_generator(1e308), bm)
 
 
 def test_terminal_cross_section_is_exact():

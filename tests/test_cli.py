@@ -315,6 +315,12 @@ def test_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o4")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
+    # the solver's own scenario check: a quadratic generator needs an envelope
+    quad = _flat_config(generator={"kind": "quadratic-z", "gamma": 1.0})
+    cfg = _write(tmp_path, "quad.json", quad)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o5")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
 
 def test_non_finite_terminal_exits_one(tmp_path, capsys):
     # json.dumps writes the NaN literal, which json.loads accepts
@@ -331,6 +337,45 @@ def test_non_finite_terminal_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path, "sweep.json", _sweep_config(terminal=nan_terminal))
     assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "sweep")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericalFailureError"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_driver_exits_one(tmp_path, capsys):
+    # a driver of 1e308 overflows the backward recursion into NaN, which must
+    # stop the command before any artifact is written
+    huge = {"kind": "constant", "value": 1e308}
+    band = {"kind": "linear-band", "lower": -5.0, "upper": 5.0}
+    for method in ("constant-driver", "picard"):
+        cfg = _write(
+            tmp_path,
+            f"{method}.json",
+            _clamp_config(method=method, generator=huge, losses=band, steps=10, particles=2_000),
+        )
+        out = tmp_path / method
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NumericalFailureError" and "non-finite" in err["message"]
+        assert not (out / "result.csv").exists()
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(generator=huge))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericalFailureError"
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [{"kind": "linear", "a": 3.0}, {"kind": "affine-mix", "a_y": 0.5}],
+    ids=["linear", "affine-mix-a_y"],
+)
+def test_constant_driver_rejects_state_dependent_generators(tmp_path, capsys, generator):
+    # the route freezes the generator at zero, which would quietly solve f = 0
+    cfg = _write(tmp_path, "cd.json", _clamp_config(generator=generator))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "state-free" in err["message"]
+    assert not out.exists()
 
 
 def test_run_nonconvergence_maps_to_exit_one(tmp_path, capsys):

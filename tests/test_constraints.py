@@ -205,6 +205,34 @@ def test_band_gap_survives_averaging():
         assert np.all(lam - rho >= 5.0 / 1.5 - 1e-9)
 
 
+def test_band_edge_hints_chain_from_the_last_node():
+    # each node's roots start from the next node's, the order in which the
+    # backward map walks the nodes; the chain fixes the bits of every
+    # reflected solve, so it is pinned against explicit calls
+    rng = np.random.default_rng(3)
+    g = mr.build_grid(1.0, 8)
+    vals = rng.normal(0.0, 1.0, (32, g.n_nodes)) * np.sqrt(g.nodes)
+    bp = make_mean_boundary(mr.Ensemble(g, vals), mr.saturating_band(-1.0, 4.0))
+    rho, lam = bp.band_edges()
+    hint_r = hint_l = 0.0
+    for k in range(g.n_nodes - 1, -1, -1):
+        hint_r = invert_boundary(bp, k, "lower_edge", hint=hint_r)
+        hint_l = invert_boundary(bp, k, "upper_edge", hint=hint_l)
+        assert (rho[k], lam[k]) == (hint_r, hint_l)
+
+
+def test_mean_boundary_leaves_an_f_ordered_ensemble_intact():
+    # the offsets are recentred in place, which must not write through to
+    # the ensemble, whatever its memory order
+    rng = np.random.default_rng(4)
+    g = mr.build_grid(1.0, 4)
+    vals = np.asfortranarray(rng.normal(0.0, 1.0, (16, g.n_nodes)))
+    before = vals.copy()
+    bp = make_mean_boundary(mr.Ensemble(g, vals), mr.saturating_band(-1.0, 4.0))
+    np.testing.assert_array_equal(vals, before)
+    assert_allclose(bp.offsets, (before - before.mean(axis=0)).T, rtol=0, atol=1e-12)
+
+
 def test_band_edges_cached_and_consistent():
     bp = boundary_from_losses(mr.build_grid(1.0, 8), mr.saturating_band(-1.0, 4.0))
     rho1, lam1 = bp.band_edges()

@@ -101,6 +101,25 @@ def test_infeasible_terminal_rejected():
         mr.picard_solve(sc)
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [
+        mr.linear_generator(3.0),
+        mr.affine_mix_generator(a_y=0.5),
+        mr.affine_mix_generator(a_mean_y=0.5),
+        mr.quadratic_z_generator(1.0),
+    ],
+    ids=["linear", "affine-mix-a_y", "affine-mix-a_mean_y", "quadratic-z"],
+)
+def test_constant_driver_route_needs_a_state_free_generator(gen):
+    sc = _scenario(gen, steps=4, particles=64)
+    with pytest.raises(ValueError, match="state-free"):
+        mr.solve_constant_driver(sc)
+    # an explicit driver path is the caller's frozen driver: accepted
+    sol = mr.solve_constant_driver(sc, np.zeros((64, 5)))
+    assert np.all(np.isfinite(sol.y.values))
+
+
 def test_terminal_feasibility_helpers():
     lp = mr.linear_band(-1.0, 2.0)
     ok = np.array([0.5, -0.5, 1.0, -1.0])

@@ -108,15 +108,15 @@ def test_degenerate_band_rejected():
 
 
 def test_mismatched_grids_rejected():
-    s = _ramp(mr.build_grid(1.0, 4), 1.0)
     bp = _band(-1.0, 1.0, mr.build_grid(1.0, 8))
-    with pytest.raises(ValueError):
-        mr.solve_sp(s, bp)
-    # same node count on a longer horizon: the nodes differ
-    with pytest.raises(ValueError):
-        mr.solve_sp(_ramp(mr.build_grid(2.0, 8), 1.0), bp)
-    # an equal grid need not be the same object
-    mr.solve_sp(_ramp(mr.build_grid(1.0, 8), 1.0), bp)
+    for solve in (mr.solve_sp, lambda s, bp: mr.solve_bsp(s, 0.0, bp)):
+        with pytest.raises(ValueError):
+            solve(_ramp(mr.build_grid(1.0, 4), 1.0), bp)
+        # same node count on a longer horizon: the nodes differ
+        with pytest.raises(ValueError):
+            solve(_ramp(mr.build_grid(2.0, 8), 1.0), bp)
+        # an equal grid need not be the same object
+        solve(_ramp(mr.build_grid(1.0, 8), 1.0), bp)
 
 
 def test_forward_map_matches_closed_form_oracle():
@@ -193,21 +193,48 @@ def test_backward_identity_reconstructs_anchor():
         assert abs(sol.x.values[-1] - a) <= 1e-12
 
 
+def _round_trip_gaps(s: mr.SamplePath, a: float, bp: mr.BoundaryPair) -> tuple[float, float]:
+    """sup-gaps in K and x between solve_bsp and its definition.
+
+    The definition reflects the reversed input forward against the
+    index-flipped pair, then maps the force back.
+    """
+    sol = mr.solve_bsp(s, a, bp)
+    assert sol.variation > 0.0
+    g = s.grid
+    offsets = None if bp.offsets is None else bp.offsets[::-1]
+    reversed_bp = mr.BoundaryPair(g, bp.losses, bp.times[::-1], offsets)
+    sv = s.values
+    fwd = mr.solve_sp(mr.SamplePath(g, a + sv[-1] - sv[::-1]), reversed_bp)
+    k_back = fwd.K.values[-1] - fwd.K.values[::-1]
+    return (
+        float(np.max(np.abs(sol.K.values - k_back))),
+        float(np.max(np.abs(sol.x.values - fwd.x.values[::-1]))),
+    )
+
+
+def _walk(grid: mr.TimeGrid, rng: np.random.Generator) -> mr.SamplePath:
+    steps = rng.normal(0, 0.4, grid.n_nodes - 1)
+    return mr.SamplePath(grid, np.concatenate([[0.0], np.cumsum(steps)]))
+
+
 def test_backward_is_reversed_forward():
-    # definitional round trip: reflect the reversed input forward, then map
-    # the force back; matches solve_bsp to machine precision
+    # matches the definitional round trip to machine precision
+    g = mr.build_grid(1.0, 32)
+    gaps = _round_trip_gaps(_walk(g, np.random.default_rng(5)), 0.3, _band(-1.2, 0.9, g))
+    assert max(gaps) <= 1e-15
+
+
+def test_backward_is_reversed_forward_on_an_averaged_pair():
+    # Offsets spreading like a Brownian cross-section move the edges in t.
+    # The two sides' band edges come from root-hint chains run in opposite
+    # directions, so they agree to root precision, not to the last bit.
     rng = np.random.default_rng(5)
     g = mr.build_grid(1.0, 32)
-    s = mr.SamplePath(g, np.concatenate([[0.0], np.cumsum(rng.normal(0, 0.4, 32))]))
-    a = 0.3
-    bp = _band(-1.2, 0.9, g)
-    sol = mr.solve_bsp(s, a, bp)
-    sv = s.values
-    rev_input = mr.SamplePath(g, a + sv[-1] - sv[::-1])
-    fwd = mr.solve_sp(rev_input, bp.reverse())
-    k_back = fwd.K.values[-1] - fwd.K.values[::-1]
-    assert np.max(np.abs(sol.K.values - k_back)) <= 1e-15
-    assert np.max(np.abs(sol.x.values - fwd.x.values[::-1])) <= 1e-15
+    s = _walk(g, rng)
+    spread = rng.normal(0.0, 1.0, (64, g.n_nodes)) * np.sqrt(g.nodes)
+    bp = mr.make_mean_boundary(mr.Ensemble(g, spread), mr.saturating_band(-0.5, 0.5))
+    assert max(_round_trip_gaps(s, 0.0, bp)) <= 1e-11
 
 
 def test_backward_rejects_infeasible_anchor():
