@@ -7,10 +7,10 @@ device), which yields both the predictor for the next value and the
 martingale-coefficient estimate ``z = E[y dB] / dt``.  Generators may depend
 on the empirical laws of the solution through the same-step cross-sections.
 
-All reductions over the particle axis use the deterministic pairwise sums
-from :mod:`meanreflect.core`, so solves are bit-stable under threading, and
-regression predictions are evaluated by Horner's rule rather than a BLAS
-matmul for the same reason.
+Every reduction over the particle axis is numpy's pairwise sum over one
+contiguous row (:func:`meanreflect.core.pairwise_mean`), so solves are
+bit-stable under threading; regression predictions are evaluated by Horner's
+rule rather than a BLAS matmul for the same reason.
 """
 
 from __future__ import annotations

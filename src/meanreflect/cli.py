@@ -152,6 +152,14 @@ def _num(node: dict, key: str, what: str, default: float | None = None) -> float
     return float(v)
 
 
+def _int(node: dict, key: str, what: str, default: int | None = None) -> int:
+    """An integer field: a JSON integer or an integral float, never a bool or string."""
+    v = _num(node, key, what, default)
+    if not v.is_integer():
+        raise ConfigError(f"{what}.{key} must be an integer, got {node[key]!r}")
+    return int(v)
+
+
 def _parse_terminal(node: Any) -> Callable[[np.ndarray], np.ndarray]:
     kind = _kind(node, "terminal")
     if kind == "brownian":
@@ -302,14 +310,14 @@ def _parse_solver(node: Any) -> tuple[RegressionConfig, Tolerances]:
     tol_defaults = Tolerances()
     try:
         reg = RegressionConfig(
-            degree=int(node.get("degree", reg_defaults.degree)),
+            degree=_int(node, "degree", "solver", reg_defaults.degree),
             ridge=_num(node, "ridge", "solver", reg_defaults.ridge),
             z_mode=str(node.get("z_mode", reg_defaults.z_mode)),
         )
         tol = Tolerances(
             picard_tol=_num(node, "picard_tol", "solver", tol_defaults.picard_tol),
-            max_iterations=int(
-                node.get("max_iterations", tol_defaults.max_iterations)
+            max_iterations=_int(
+                node, "max_iterations", "solver", tol_defaults.max_iterations
             ),
             contraction_margin=_num(
                 node, "contraction_margin", "solver", tol_defaults.contraction_margin
@@ -354,8 +362,8 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
     try:
         return Scenario(
             horizon=_num(cfg, "horizon", "config"),
-            steps=int(cfg["steps"]),
-            particles=int(cfg["particles"]),
+            steps=_int(cfg, "steps", "config"),
+            particles=_int(cfg, "particles", "config"),
             rng=RngSpec(seed=seed),
             terminal=_parse_terminal(cfg["terminal"]),
             generator=_parse_generator(cfg["generator"]),
@@ -466,17 +474,10 @@ def _run_result(
     return table, diag
 
 
-def cmd_run(
-    config_path: str,
-    out_dir: str,
-    seed: int | None = None,
-    threads: int = 1,
-) -> int:
+def cmd_run(config_path: str, out_dir: str, seed: int | None = None) -> int:
     """Solve the configured scenario and write result.csv + diagnostics.json.
 
-    A single run has no independent sub-tasks, so ``threads`` does not alter
-    the computation; all cross-particle reductions are fixed-order pairwise
-    sums and the emitted bytes depend only on config and seed.
+    The emitted bytes depend only on config and seed.
     """
     cfg = load_config(config_path)
     resolved = resolve_seed(seed, cfg)
@@ -530,7 +531,7 @@ def cmd_sweep_penalty(
             raise ConfigError("no penalty levels: pass --levels or config 'penalty.levels'")
     t0 = time.perf_counter()
     try:
-        sweep = penalty_sweep(sc, levels, threads=max(1, threads))
+        sweep = penalty_sweep(sc, levels, threads=threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
@@ -607,9 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=None, help="unsigned 64-bit seed (overrides config)"
     )
-    common.add_argument(
-        "--threads", type=int, default=1, help="thread fan-out for independent solves"
-    )
     parser = argparse.ArgumentParser(
         prog="meanreflect",
         description="Mean-reflected backward SDE experiments and verification suites.",
@@ -623,6 +621,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config", help="path to JSON scenario config")
     p_sweep.add_argument(
         "--levels", default=None, help="comma-separated penalty levels (overrides config)"
+    )
+    p_sweep.add_argument(
+        "--threads", type=int, default=1, help="threads the penalty levels fan out over"
     )
     p_verify = sub.add_parser("verify", help="run a randomized verification suite")
     p_verify.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
@@ -639,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.out, args.seed, args.threads)
+            return cmd_run(args.config, args.out, args.seed)
         if args.command == "sweep-penalty":
             return cmd_sweep_penalty(
                 args.config, args.out, args.seed, args.threads, args.levels

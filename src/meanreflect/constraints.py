@@ -286,10 +286,9 @@ def make_mean_boundary(
     times = np.array(e.grid.nodes if times is None else times, dtype=float)
     if lp.affine:
         return BoundaryPair(e.grid, lp, times, None)
-    means = pairwise_mean(e.values, axis=0)
     # Copy explicitly: ascontiguousarray views an F-ordered ensemble, which -= would write.
     offsets = e.values.T.copy()
-    offsets -= means[:, None]
+    offsets -= pairwise_mean(offsets)[:, None]
     return BoundaryPair(e.grid, lp, times, offsets)
 
 

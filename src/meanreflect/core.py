@@ -5,9 +5,10 @@ works on the three containers defined here: a :class:`TimeGrid`, a single
 :class:`SamplePath` on it, and an :class:`Ensemble` of aligned paths whose
 cross-sections stand in for the marginal laws of the solution.
 
-All ensemble statistics go through a fixed pairwise (binary tree) summation so
-that results are bit-identical regardless of how many worker threads the caller
-uses: elementwise adds in a fixed order never reorder, unlike BLAS reductions.
+All ensemble statistics go through :func:`pairwise_sum`: numpy's pairwise
+``add.reduce`` along a contiguous row.  Its order depends only on the row
+length, so for a given numpy build the bits never depend on layout or on how
+many worker threads the caller uses, unlike BLAS reductions.
 """
 
 from __future__ import annotations
@@ -41,23 +42,16 @@ __all__ = [
 
 
 def pairwise_sum(values: NDArray[np.floating], axis: int = -1) -> NDArray[np.floating]:
-    """Sum along ``axis`` with a fixed left-to-right pairwise tree.
+    """Sum along ``axis`` with numpy's pairwise ``add.reduce`` over contiguous rows.
 
-    The reduction order is a property of the array length only, so serial and
-    threaded callers get the same bits.  Cost is ~2x a naive sum.
+    ``axis`` is moved last and copied contiguous first, so the summation order
+    is a property of the length only: a strided view, its contiguous copy and
+    any row of a 2-D array reduce to the same bits, on any thread.
     """
     a = np.asarray(values, dtype=float)
     if a.shape[axis] == 0:
         raise ValueError("pairwise_sum of an empty axis")
-    a = np.moveaxis(a, axis, -1)
-    while a.shape[-1] > 1:
-        n = a.shape[-1]
-        if n % 2:
-            head = a[..., : n - 1 : 2] + a[..., 1:n:2]
-            a = np.concatenate([head, a[..., n - 1 :]], axis=-1)
-        else:
-            a = a[..., ::2] + a[..., 1::2]
-    return a[..., 0]
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
 
 
 def pairwise_mean(values: NDArray[np.floating], axis: int = -1) -> NDArray[np.floating]:

@@ -428,8 +428,9 @@ class _TraceBuilder:
 
 
 def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
-    d = a - b
-    return float(np.sqrt(np.max(pairwise_mean(np.multiply(d, d, out=d), axis=0))))
+    """Largest per-node RMS gap, one node at a time: no full-size temporary."""
+    gaps = [pairwise_mean((a[:, k] - b[:, k]) ** 2) for k in range(a.shape[1])]
+    return float(np.sqrt(np.max(gaps)))
 
 
 def _picard_segment(

@@ -198,8 +198,8 @@ def solve_penalized(
     """
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
-    if n <= 0.0:
-        raise ValueError("penalty level must be positive")
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"penalty level must be positive and finite, got {n}")
     grid = bm.grid if bm is not None else sc.make_grid()
     if bm is None:
         bm = sc.simulate(grid)
@@ -307,8 +307,9 @@ def penalty_sweep(
     any thread count.
     """
     levels = [float(v) for v in ns]
-    if len(levels) < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("penalty levels must be strictly increasing")
+    increasing = all(b > a for a, b in zip(levels, levels[1:]))
+    if not levels or not increasing or not all(map(math.isfinite, levels)):
+        raise ValueError(f"penalty levels must be finite and strictly increasing: {levels}")
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
     if threads < 1:
@@ -319,21 +320,25 @@ def penalty_sweep(
     ref = _reference_mean(sc, bm, lo, hi)
     dt = grid.step_sizes
 
+    def level_result(n: float) -> tuple[NDArray[np.floating], SamplePath, SamplePath]:
+        # only what the table reads: no level's particles outlive its solve
+        sol = solve_penalized(sc, n, bm=bm)
+        return ensemble_means(sol.y), sol.push_up, sol.push_down
+
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sols = list(pool.map(lambda n: solve_penalized(sc, n, bm=bm), levels))
+            results = list(pool.map(level_result, levels))
     else:
-        sols = [solve_penalized(sc, level, bm=bm) for level in levels]
+        results = [level_result(level) for level in levels]
 
     errs, tvs, v_up, v_dn, b_up, b_dn = [], [], [], [], [], []
-    for level, sol in zip(levels, sols):
-        mean = ensemble_means(sol.y)
+    for level, (mean, push_up, push_down) in zip(levels, results):
         over = np.maximum(mean - hi, 0.0)
         under = np.maximum(lo - mean, 0.0)
         errs.append(float(np.max(np.abs(mean - ref))))
-        tvs.append(float(sol.push_up.values[-1] + sol.push_down.values[-1]))
+        tvs.append(float(push_up.values[-1] + push_down.values[-1]))
         v_up.append(float(np.max(over)))
         v_dn.append(float(np.max(under)))
         mid_sq = lambda g: float(np.sum(0.5 * (g[1:] ** 2 + g[:-1] ** 2) * dt))

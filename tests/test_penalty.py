@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,9 @@ def test_solver_input_validation():
         mr.solve_penalized(sc, 0.0)
     with pytest.raises(ValueError):
         mr.solve_penalized(sc, -4.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            mr.solve_penalized(sc, bad)
     bare = dataclasses.replace(sc, obstacles=None)
     with pytest.raises(ValueError):
         mr.solve_penalized(bare, 8.0)
@@ -175,6 +179,9 @@ def test_sweep_argument_validation():
         mr.penalty_sweep(sc, [])
     with pytest.raises(ValueError):
         mr.penalty_sweep(sc, [8.0, 64.0], threads=0)
+    for bad in (math.inf, math.nan):  # nan compares false, so never "decreasing"
+        with pytest.raises(ValueError, match="finite"):
+            mr.penalty_sweep(sc, [4.0, bad])
 
 
 def test_sweep_error_decays_like_one_over_n():
@@ -234,3 +241,17 @@ def test_sweep_is_thread_count_invariant():
     assert one.variations == three.variations
     assert one.upper_bound_column == three.upper_bound_column
     assert_array_equal(one.reference_mean, three.reference_mean)
+
+
+def test_sweep_keeps_no_level_particles_alive():
+    # the table reads each level's mean path and push parts only, so eight
+    # levels must cost no more live memory than one, up to two arrays
+    sc = _ode_scenario(particles=4_000)
+    full = sc.particles * (sc.steps + 1) * 8
+    peaks = []
+    for ns in ([4.0], [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]):
+        tracemalloc.start()
+        mr.penalty_sweep(sc, ns)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * full
