@@ -41,13 +41,11 @@ from .core import (
     SamplePath,
     TimeGrid,
     build_grid,
-    empirical_mean,
     empirical_std,
     ensemble_means,
     pairwise_mean,
     pairwise_sum,
     simulate_brownian,
-    w1_empirical,
 )
 from .diagnostics import (
     ContractionEstimate,
@@ -111,10 +109,8 @@ __all__ = [
     "simulate_brownian",
     "pairwise_sum",
     "pairwise_mean",
-    "empirical_mean",
     "empirical_std",
     "ensemble_means",
-    "w1_empirical",
     # constraints
     "LossPair",
     "LossValidation",

@@ -15,6 +15,7 @@ rule rather than a BLAS matmul for the same reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,10 +75,10 @@ class RegressionConfig:
     z_mode: str = "regression"
 
     def __post_init__(self):
-        if self.degree < 0:
+        if not self.degree >= 0:  # NaN fails
             raise ValueError("degree must be nonnegative")
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be nonnegative and finite")
         if self.z_mode not in ("regression", "none"):
             raise ValueError("z_mode must be 'regression' or 'none'")
 

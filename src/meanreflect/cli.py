@@ -2,8 +2,12 @@
 
 Reads versioned JSON scenario configs, orchestrates the solvers, and emits
 bit-stable artifacts: a gnuplot-ready per-node CSV and a diagnostics JSON
-holding every checker report.  All numbers are written with 17 significant
-digits so reruns can be compared byte-for-byte.
+holding every checker report.  CSV numbers are written with 17 significant
+digits and JSON floats as Python's shortest round-trip repr, so both are
+exact and reruns can be compared byte-for-byte.
+
+Configs are checked where they enter: every object rejects a field its
+parser does not read, and every number must be finite.
 
 Exit codes: 0 success, 1 config/validation/verification failure, 2 for a
 terminal condition that is infeasible for the declared constraints.  Every
@@ -14,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from .diagnostics import (
     mean_loss_paths,
     representation_gap,
 )
-from .errors import InfeasibleTerminalError, MeanReflectError
+from .errors import InfeasibleTerminalError, MeanReflectError, NumericalFailureError
 from .mrbsde import (
     MRSolution,
     Scenario,
@@ -77,34 +82,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _Encoder17(json.JSONEncoder):
-    """JSON encoder that prints every float with 17 significant digits."""
-
-    def iterencode(self, o, _one_shot=False):
-        def floatstr(x, _repr=None, _inf=float("inf")):
-            if x != x:
-                return "NaN"
-            if x == _inf:
-                return "Infinity"
-            if x == -_inf:
-                return "-Infinity"
-            return format(x, ".17g")
-
-        chunks = json.encoder._make_iterencode(
-            {} if self.check_circular else None,
-            self.default,
-            json.encoder.encode_basestring_ascii,
-            self.indent,
-            floatstr,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot,
-        )
-        return chunks(o, 0)
-
-
 def _jsonable(obj: Any) -> Any:
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(asdict(obj))
@@ -122,7 +99,7 @@ def _jsonable(obj: Any) -> Any:
 
 
 def _dump_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, cls=_Encoder17)
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     path.write_text(text + "\n")
 
 
@@ -135,10 +112,32 @@ def _emit_error(reason: str, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# every top-level field that some command reads
+_TOP_FIELDS = (
+    "schema_version", "seed", "horizon", "steps", "particles", "terminal", "generator",
+    "losses", "envelope", "obstacles", "solver", "penalty", "method", "init",
+)
+
+
+def _only(node: dict, allowed: Iterable[str], what: str) -> None:
+    """Reject every field of ``node`` that its parser does not read."""
+    unknown = sorted(set(node) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{what} has unknown field(s): {', '.join(unknown)}")
+
+
 def _kind(node: Any, what: str) -> str:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"{what} must be an object with a 'kind' tag")
     return str(node["kind"])
+
+
+def _finite(v: Any, where: str) -> float:
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    # false for NaN, for +-inf and for ints too large for a float
+    if not (number and abs(v) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def _num(node: dict, key: str, what: str, default: float | None = None) -> float:
@@ -146,10 +145,7 @@ def _num(node: dict, key: str, what: str, default: float | None = None) -> float
         if default is None:
             raise ConfigError(f"{what} requires numeric field '{key}'")
         return float(default)
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{what}.{key} must be a number")
-    return float(v)
+    return _finite(node[key], f"{what}.{key}")
 
 
 def _int(node: dict, key: str, what: str, default: int | None = None) -> int:
@@ -160,56 +156,86 @@ def _int(node: dict, key: str, what: str, default: int | None = None) -> int:
     return int(v)
 
 
+def _nums(node: dict, what: str, **spec: float | None) -> list[float]:
+    """The numeric fields of a tagged object, in ``spec`` order (default None: required).
+
+    ``spec`` is also the object's whole schema: any other field but ``kind`` is an error.
+    """
+    _only(node, ("kind", *spec), what)
+    return [_num(node, key, what, default) for key, default in spec.items()]
+
+
+def _array(node: dict, key: str, what: str) -> np.ndarray:
+    v = node.get(key)
+    if not isinstance(v, list):
+        raise ConfigError(f"{what}.{key} must be an array of numbers")
+    return np.array([_finite(x, f"{what}.{key}") for x in v], dtype=float)
+
+
+def _times(node: dict, what: str) -> np.ndarray:
+    times = _array(node, "times", what)
+    if times.size < 2 or np.any(np.diff(times) <= 0.0):
+        raise ConfigError(f"{what} 'times' must be strictly increasing")
+    return times
+
+
+def _sampled(node: dict, key: str, times: np.ndarray, what: str) -> Callable[[float], float]:
+    vals = _array(node, key, what)
+    if vals.shape != times.shape:
+        raise ConfigError(f"{what} '{key}' samples must align with 'times'")
+    return lambda t: float(np.interp(t, times, vals))
+
+
 def _parse_terminal(node: Any) -> Callable[[np.ndarray], np.ndarray]:
     kind = _kind(node, "terminal")
-    if kind == "brownian":
-        scale = _num(node, "scale", "terminal", 1.0)
-        shift = _num(node, "shift", "terminal", 0.0)
-        return lambda b: scale * b + shift
     if kind == "constant":
-        value = _num(node, "value", "terminal")
+        (value,) = _nums(node, "terminal", value=None)
         return lambda b: np.full(b.shape, value)
-    if kind == "bounded-sin":
-        scale = _num(node, "scale", "terminal", 1.0)
-        shift = _num(node, "shift", "terminal", 0.0)
-        return lambda b: scale * np.sin(b) + shift
-    raise ConfigError(f"unknown terminal kind {kind!r}")
+    if kind not in ("brownian", "bounded-sin"):
+        raise ConfigError(f"unknown terminal kind {kind!r}")
+    scale, shift = _nums(node, "terminal", scale=1.0, shift=0.0)
+    if kind == "brownian":
+        return lambda b: scale * b + shift
+    return lambda b: scale * np.sin(b) + shift
+
+
+# kind -> (factory, its positional fields with defaults)
+_GENERATORS = {
+    "constant": (constant_generator, {"value": None}),
+    "linear": (linear_generator, {"a": None}),
+    "quadratic-z": (quadratic_z_generator, {"gamma": None}),
+    "affine-mix": (
+        affine_mix_generator,
+        dict.fromkeys(("a_y", "a_mean_y", "a_z", "a_mean_z", "const"), 0.0),
+    ),
+}
 
 
 def _parse_generator(node: Any) -> Generator:
     kind = _kind(node, "generator")
-    if kind == "constant":
-        return constant_generator(_num(node, "value", "generator"))
-    if kind == "linear":
-        return linear_generator(_num(node, "a", "generator"))
-    if kind == "quadratic-z":
-        return quadratic_z_generator(_num(node, "gamma", "generator"))
-    if kind == "affine-mix":
-        return affine_mix_generator(
-            a_y=_num(node, "a_y", "generator", 0.0),
-            a_mean_y=_num(node, "a_mean_y", "generator", 0.0),
-            a_z=_num(node, "a_z", "generator", 0.0),
-            a_mean_z=_num(node, "a_mean_z", "generator", 0.0),
-            const=_num(node, "const", "generator", 0.0),
-        )
-    raise ConfigError(f"unknown generator kind {kind!r}")
+    if kind not in _GENERATORS:
+        raise ConfigError(f"unknown generator kind {kind!r}")
+    make, spec = _GENERATORS[kind]
+    return make(*_nums(node, "generator", **spec))
 
 
 def _affine_loss_pair(node: dict) -> LossPair:
     """Per-side affine losses ``L = sL x + bL``, ``R = sR x + bR``."""
     sides = []
+    fields = ("slope", "intercept")
     for side in ("L", "R"):
         sub = node.get(side)
+        what = f"losses.{side}"
         if not isinstance(sub, dict):
             raise ConfigError(f"losses kind 'linear' requires object field '{side}'")
-        slope = _num(sub, "slope", f"losses.{side}")
-        intercept = _num(sub, "intercept", f"losses.{side}")
+        _only(sub, fields, what)
+        slope, intercept = (_num(sub, key, what) for key in fields)
         if slope <= 0.0:
-            raise ConfigError(f"losses.{side}.slope must be positive")
+            raise ConfigError(f"{what}.slope must be positive")
         sides.append((slope, intercept))
     (s_l, b_l), (s_r, b_r) = sides
     gap = (-b_l / s_l) - (-b_r / s_r)
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise ConfigError("losses admit no band: root of L must exceed root of R")
     return LossPair(
         L=lambda t, x: s_l * x + b_l,
@@ -224,77 +250,50 @@ def _affine_loss_pair(node: dict) -> LossPair:
 
 def _parse_losses(node: Any) -> LossPair:
     kind = _kind(node, "losses")
-    if kind == "linear-band":
-        return linear_band(_num(node, "lower", "losses"), _num(node, "upper", "losses"))
-    if kind == "saturating-band":
-        return saturating_band(
-            _num(node, "lower", "losses"), _num(node, "upper", "losses")
-        )
     if kind == "linear":
+        _only(node, ("kind", "L", "R"), "losses")
         return _affine_loss_pair(node)
-    raise ConfigError(f"unknown losses kind {kind!r}")
-
-
-def _sampled(node: dict, key: str, times: np.ndarray) -> Callable[[float], float]:
-    vals = np.asarray(node[key], dtype=float)
-    if vals.shape != times.shape:
-        raise ConfigError(f"envelope '{key}' samples must align with 'times'")
-    return lambda t: float(np.interp(t, times, vals))
+    bands = {"linear-band": linear_band, "saturating-band": saturating_band}
+    if kind not in bands:
+        raise ConfigError(f"unknown losses kind {kind!r}")
+    return bands[kind](*_nums(node, "losses", lower=None, upper=None))
 
 
 def _parse_envelope(node: Any) -> LinearEnvelope:
     kind = _kind(node, "envelope")
     if kind != "affine-envelope":
         raise ConfigError(f"unknown envelope kind {kind!r}")
-    if any(isinstance(node.get(k), list) for k in ("b", "p", "q")):
-        if "times" not in node:
-            raise ConfigError("sampled envelope requires a 'times' array")
-        times = np.asarray(node["times"], dtype=float)
-        if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
-            raise ConfigError("envelope 'times' must be strictly increasing")
+    spec = {"b": 1.0, "p": None, "q": None}
+    if any(isinstance(node.get(k), list) for k in spec):
+        _only(node, ("kind", "times", *spec), "envelope")
+        times = _times(node, "envelope")
         fns = {}
-        for k in ("b", "p", "q"):
-            v = node.get(k)
-            if isinstance(v, list):
-                fns[k] = _sampled(node, k, times)
+        for k, default in spec.items():
+            if isinstance(node.get(k), list):
+                fns[k] = _sampled(node, k, times, "envelope")
             else:
-                const = _num(node, k, "envelope")
+                const = _num(node, k, "envelope", default)
                 fns[k] = lambda t, c=const: c
         return LinearEnvelope(b=fns["b"], p=fns["p"], q=fns["q"])
     try:
-        return LinearEnvelope.constants(
-            _num(node, "b", "envelope", 1.0),
-            _num(node, "p", "envelope"),
-            _num(node, "q", "envelope"),
-        )
+        return LinearEnvelope.constants(*_nums(node, "envelope", **spec))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_obstacles(node: Any) -> LinearObstacles:
     kind = _kind(node, "obstacles")
-    starts = (
-        _num(node, "lower_start", "obstacles", 0.0),
-        _num(node, "upper_start", "obstacles", 0.0),
-    )
+    rates = {"lower_rate": None, "upper_rate": None}
+    starts = {"lower_start": 0.0, "upper_start": 0.0}
     try:
         if kind == "linear-rates":
-            return LinearObstacles.constants(
-                _num(node, "lower_rate", "obstacles"),
-                _num(node, "upper_rate", "obstacles"),
-                *starts,
-            )
+            return LinearObstacles.constants(*_nums(node, "obstacles", **rates, **starts))
         if kind == "sampled-rates":
-            times = np.asarray(node.get("times", []), dtype=float)
-            if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
-                raise ConfigError("obstacle 'times' must be strictly increasing")
-            lo = _sampled(node, "lower_rate", times)
-            hi = _sampled(node, "upper_rate", times)
+            _only(node, ("kind", "times", *rates, *starts), "obstacles")
+            times = _times(node, "obstacles")
             return LinearObstacles(
-                lower_rate=lo,
-                upper_rate=hi,
-                lower_start=starts[0],
-                upper_start=starts[1],
+                *(_sampled(node, k, times, "obstacles") for k in rates),
+                *(_num(node, k, "obstacles", d) for k, d in starts.items()),
             )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -306,32 +305,25 @@ def _parse_solver(node: Any) -> tuple[RegressionConfig, Tolerances]:
         return RegressionConfig(), Tolerances()
     if not isinstance(node, dict):
         raise ConfigError("'solver' must be an object")
-    reg_defaults = RegressionConfig()
-    tol_defaults = Tolerances()
+    reg_defaults = asdict(RegressionConfig())
+    tol_defaults = asdict(Tolerances())
+    _only(node, (*reg_defaults, *tol_defaults), "solver")
+
+    def read(defaults: dict) -> dict:
+        out = {}
+        for key, default in defaults.items():
+            if isinstance(default, str):
+                out[key] = str(node.get(key, default))
+            elif isinstance(default, int):
+                out[key] = _int(node, key, "solver", default)
+            else:
+                out[key] = _num(node, key, "solver", default)
+        return out
+
     try:
-        reg = RegressionConfig(
-            degree=_int(node, "degree", "solver", reg_defaults.degree),
-            ridge=_num(node, "ridge", "solver", reg_defaults.ridge),
-            z_mode=str(node.get("z_mode", reg_defaults.z_mode)),
-        )
-        tol = Tolerances(
-            picard_tol=_num(node, "picard_tol", "solver", tol_defaults.picard_tol),
-            max_iterations=_int(
-                node, "max_iterations", "solver", tol_defaults.max_iterations
-            ),
-            contraction_margin=_num(
-                node, "contraction_margin", "solver", tol_defaults.contraction_margin
-            ),
-            root_tol=_num(node, "root_tol", "solver", tol_defaults.root_tol),
-            band_min=_num(node, "band_min", "solver", tol_defaults.band_min),
-            stat_tol_mult=_num(
-                node, "stat_tol_mult", "solver", tol_defaults.stat_tol_mult
-            ),
-            stiff_max=_num(node, "stiff_max", "solver", tol_defaults.stiff_max),
-        )
+        return RegressionConfig(**read(reg_defaults)), Tolerances(**read(tol_defaults))
     except ValueError as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
-    return reg, tol
 
 
 def load_config(path: str | Path) -> dict:
@@ -355,6 +347,7 @@ def load_config(path: str | Path) -> dict:
 
 def build_scenario(cfg: dict, seed: int) -> Scenario:
     """Assemble a Scenario from a parsed config and a resolved seed."""
+    _only(cfg, _TOP_FIELDS, "config")
     for key in ("horizon", "steps", "particles", "terminal", "generator"):
         if key not in cfg:
             raise ConfigError(f"config requires field '{key}'")
@@ -407,6 +400,9 @@ def resolve_seed(cli_seed: int | None, cfg: dict | None) -> int:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    rows = [[float(v) for v in row] for row in rows]
+    if not all(map(math.isfinite, (v for row in rows for v in row))):
+        raise NumericalFailureError(f"{path.name} would hold non-finite values")
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
@@ -526,9 +522,13 @@ def cmd_sweep_penalty(
         except ValueError as exc:
             raise ConfigError("--levels must be a comma-separated number list") from exc
     else:
-        levels = cfg.get("penalty", {}).get("levels")
-        if not levels:
+        penalty = cfg.get("penalty", {})
+        if not isinstance(penalty, dict):
+            raise ConfigError("'penalty' must be an object")
+        _only(penalty, ("levels",), "penalty")
+        if not penalty.get("levels"):
             raise ConfigError("no penalty levels: pass --levels or config 'penalty.levels'")
+        levels = list(_array(penalty, "levels", "penalty"))
     t0 = time.perf_counter()
     try:
         sweep = penalty_sweep(sc, levels, threads=threads)

@@ -17,6 +17,7 @@ constraint is active (flat residuals near zero).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -83,8 +84,7 @@ class Tolerances:
     ``stat_tol_mult`` scales the statistical tolerance ``mult * sigma /
     sqrt(N)`` used wherever an expectation is checked against a hard
     constraint; ``contraction_margin`` is the largest measured Picard ratio
-    tolerated before the horizon is split; ``stiff_max`` caps ``n * dt`` per
-    sub-step of the penalized mean dynamics.
+    tolerated before the horizon is split.
     """
 
     picard_tol: float = 1e-6
@@ -93,15 +93,16 @@ class Tolerances:
     root_tol: float = ROOT_TOL_DEFAULT
     band_min: float = BAND_MIN_DEFAULT
     stat_tol_mult: float = 4.0
-    stiff_max: float = 0.5
 
     def __post_init__(self):
-        if self.picard_tol <= 0.0 or self.max_iterations < 1:
-            raise ValueError("picard_tol must be positive and max_iterations >= 1")
+        # written as "not in range" so that NaN fails every check
+        if not (0.0 < self.picard_tol < math.inf and self.max_iterations >= 1):
+            raise ValueError("picard_tol must be positive and finite, max_iterations >= 1")
         if not 0.0 < self.contraction_margin < 1.0:
             raise ValueError("contraction_margin must lie in (0, 1)")
-        if self.stiff_max <= 0.0:
-            raise ValueError("stiff_max must be positive")
+        for name in ("root_tol", "band_min", "stat_tol_mult"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -316,6 +317,11 @@ def _construct(
     return _SegmentSolution(plain, bsp, y, s)
 
 
+def _state_free(gen: Generator) -> bool:
+    """Whether ``gen`` reads neither the state nor its law, so zero ensembles evaluate it."""
+    return gen.mode == "lipschitz" and gen.lam == 0.0
+
+
 def solve_constant_driver(
     sc: Scenario,
     driver: NDArray[np.floating] | None = None,
@@ -333,7 +339,7 @@ def solve_constant_driver(
     if sc.losses is None:
         raise ValueError("scenario carries no loss pair")
     gen = sc.generator
-    if driver is None and not (gen.mode == "lipschitz" and gen.lam == 0.0):
+    if driver is None and not _state_free(gen):
         raise ValueError(
             "the constant-driver route needs a state-free generator (lipschitz "
             f"mode, lam = 0) or a driver path; got {gen.mode} mode, lam = {gen.lam:g}"

@@ -26,7 +26,7 @@ from .bsde import _backward_pass, constant_driver_path, solve_bsde
 from .core import Ensemble, SamplePath, ensemble_means, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
-from .mrbsde import Scenario
+from .mrbsde import Scenario, _state_free
 from .skorokhod import _reversed_clamp
 
 __all__ = [
@@ -144,42 +144,6 @@ def _events_affine(
     )
 
 
-def _mean_substep(
-    m_end: float,
-    cbar: float,
-    n: float,
-    t0: float,
-    t1: float,
-    lo0: float,
-    lo1: float,
-    hi0: float,
-    hi1: float,
-    stiff_max: float,
-) -> tuple[float, float]:
-    """Penalty-part increments of the mean over one global step.
-
-    Integrates backward from ``m_end`` at ``t1`` to ``t0`` with driver mean
-    ``cbar`` frozen; the step is sub-cycled whenever ``n * dt`` exceeds the
-    stiffness cap, with obstacles interpolated affinely between node values.
-    Returns ``(up_increment, down_increment)``.
-    """
-    dt = t1 - t0
-    subs = max(1, min(64, math.ceil(n * dt / stiff_max)))
-    slope_l = (lo1 - lo0) / dt
-    slope_r = (hi1 - hi0) / dt
-    u = m_end
-    up = dn = 0.0
-    for j in range(subs, 0, -1):
-        tb = t0 + dt * j / subs
-        span = dt / subs
-        al = lo0 + slope_l * (tb - t0)
-        ar = hi0 + slope_r * (tb - t0)
-        u, du, dd = _events_affine(u, cbar, n, span, al, slope_l, ar, slope_r)
-        up += du
-        dn += dd
-    return up, dn
-
-
 # ---------------------------------------------------------------------------
 # the penalized solver
 # ---------------------------------------------------------------------------
@@ -191,10 +155,11 @@ def solve_penalized(
     """Solve the penalized problem at penalty level ``n``.
 
     The particle recursion is the plain regression scheme plus the
-    deterministic penalty increment from the exact mean sub-integrator; the
-    monotone parts of ``K`` accumulate those increments.  When the mean
-    never touches the obstacles the increments are exactly zero and the
-    solution coincides bitwise with the unpenalized solve.
+    deterministic penalty increment from the exact mean integrator, one
+    affine obstacle span per step; the monotone parts of ``K`` accumulate
+    those increments.  When the mean never touches the obstacles the
+    increments are exactly zero and the solution coincides bitwise with the
+    unpenalized solve.
     """
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
@@ -218,17 +183,16 @@ def solve_penalized(
     d_dn = np.zeros(grid.n_steps)
 
     def push(k: int, y_next: NDArray[np.floating], fval: NDArray[np.floating]) -> float:
-        up_inc, dn_inc = _mean_substep(
+        dt = float(nodes[k + 1] - nodes[k])
+        _, up_inc, dn_inc = _events_affine(
             float(pairwise_mean(y_next)),
             float(pairwise_mean(fval)),
             float(n),
-            float(nodes[k]),
-            float(nodes[k + 1]),
-            float(lo[k]),
+            dt,
             float(lo[k + 1]),
-            float(hi[k]),
+            float(lo[k + 1] - lo[k]) / dt,
             float(hi[k + 1]),
-            sc.tol.stiff_max,
+            float(hi[k + 1] - hi[k]) / dt,
         )
         d_up[k] = up_inc
         d_dn[k] = dn_inc
@@ -257,8 +221,8 @@ def _reference_mean(
 ) -> NDArray[np.floating]:
     """Mean path of the exact reflected limit, by direct band clamping.
 
-    Freezes the driver on zero ensembles (the sweep targets scenarios whose
-    driver mean does not depend on the solution), accumulates the mean drift
+    Freezes the driver on zero ensembles (exact for the state-free
+    generators :func:`penalty_sweep` admits), accumulates the mean drift
     path, and solves the terminal-anchored clamp against the obstacle band
     itself — no root-finding, and a pinched band (``l_0 = r_0``) is allowed.
     """
@@ -304,7 +268,8 @@ def penalty_sweep(
     shared reference).  ``threads > 1`` fans the independent levels out over
     a thread pool; each level's solve is a pure function of ``(sc, n, bm)``
     and rows are tabulated in level order, so the result is identical for
-    any thread count.
+    any thread count.  The generator must be state-free (``ValueError``
+    otherwise): the reference freezes the driver at zero.
     """
     levels = [float(v) for v in ns]
     increasing = all(b > a for a, b in zip(levels, levels[1:]))
@@ -312,6 +277,12 @@ def penalty_sweep(
         raise ValueError(f"penalty levels must be finite and strictly increasing: {levels}")
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
+    if not _state_free(sc.generator):
+        gen = sc.generator
+        raise ValueError(
+            "the penalty sweep needs a state-free generator (lipschitz mode, "
+            f"lam = 0); got {gen.mode} mode, lam = {gen.lam:g}"
+        )
     if threads < 1:
         raise ValueError("threads must be >= 1")
     grid = sc.make_grid()
@@ -341,9 +312,10 @@ def penalty_sweep(
         tvs.append(float(push_up.values[-1] + push_down.values[-1]))
         v_up.append(float(np.max(over)))
         v_dn.append(float(np.max(under)))
+        # n * overshoot stays O(1) where n**2 alone would overflow a float
         mid_sq = lambda g: float(np.sum(0.5 * (g[1:] ** 2 + g[:-1] ** 2) * dt))
-        b_up.append(level**2 * mid_sq(over))
-        b_dn.append(level**2 * mid_sq(under))
+        b_up.append(mid_sq(level * over))
+        b_dn.append(mid_sq(level * under))
 
     if all(e > 0.0 for e in errs) and len(errs) >= 2:
         slope, _, _ = rate_fit(levels, errs)

@@ -3,10 +3,9 @@
 Every function here recomputes a quantity through a route disjoint from the
 library's own algorithms: the two-sided reflection through its explicit
 max-min representation instead of the clamp recursion, the penalized mean
-dynamics through an adaptive stiff ODE integrator instead of the event
-sub-stepper, the transport distance through a linear program instead of the
-sorted-sample formula, and the quadratic initial value through the
-exponential transform instead of regression.  Agreement between the two
+dynamics through an adaptive stiff ODE integrator instead of the closed-form
+event integrator, and the quadratic initial value through the exponential
+transform instead of regression.  Agreement between the two
 routes is the point; never "fix" one side to match the other.
 """
 
@@ -17,7 +16,6 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate import solve_ivp
-from scipy.optimize import linprog
 
 
 # ---------------------------------------------------------------------------
@@ -110,34 +108,6 @@ def radau_penalized_mean(
         raise RuntimeError(f"Radau oracle failed: {out.message}")
     taus = T - np.asarray(nodes, dtype=float)
     return np.asarray(out.sol(taus)[0], dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# 1-D transport distance, linear-programming route
-# ---------------------------------------------------------------------------
-
-def w1_linprog(xs: NDArray[np.floating], ys: NDArray[np.floating]) -> float:
-    """First transport distance between two empirical clouds, solved as an LP.
-
-    Builds the full transport polytope (uniform marginals) and minimises
-    sum_ij plan_ij |x_i - y_j|.  Exponentially dumber than sorting, which is
-    exactly why it is a trustworthy cross-check for the sorted formula.
-    Keep the clouds small (<= ~64 points each).
-    """
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    n, m = xs.size, ys.size
-    cost = np.abs(xs[:, None] - ys[None, :]).ravel()
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
-    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------

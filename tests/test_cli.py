@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meanreflect as mr
 from meanreflect import cli
@@ -230,6 +236,132 @@ def test_obstacle_nodes():
         )
 
 
+_MISSPELT = {
+    "config": lambda c: c.update(methd="picard"),
+    "terminal": lambda c: c["terminal"].update(scal=2.0),
+    "generator": lambda c: c.update(generator={"kind": "affine-mix", "ay": 2.0}),
+    "losses": lambda c: c["losses"].update(lowr=-1.0),
+    "losses.L": lambda c: c.update(
+        losses={
+            "kind": "linear",
+            "L": {"slope": 1.0, "intercept": -3.0, "slop": 2.0},
+            "R": {"slope": 1.0, "intercept": -1.0},
+        }
+    ),
+    "losses.R": lambda c: c.update(
+        losses={
+            "kind": "linear",
+            "L": {"slope": 1.0, "intercept": -3.0},
+            "R": {"slope": 1.0, "intercept": -1.0, "kind": "affine"},
+        }
+    ),
+    "envelope": lambda c: c.update(
+        envelope={"kind": "affine-envelope", "p": 3.0, "q": 1.0, "pp": 4.0}
+    ),
+    "sampled envelope": lambda c: c.update(
+        envelope={
+            "kind": "affine-envelope",
+            "p": [3.0, 3.0],
+            "q": 1.0,
+            "times": [0.0, 1.0],
+            "tims": [0.0],
+        }
+    ),
+    "constant envelope with times": lambda c: c.update(
+        envelope={"kind": "affine-envelope", "p": 3.0, "q": 1.0, "times": [0.0, 1.0]}
+    ),
+    "obstacles": lambda c: c.update(
+        obstacles={"kind": "linear-rates", "lower_rate": -1.0, "upper_rate": 1.0, "lower_rat": 0.0}
+    ),
+    "sampled obstacles": lambda c: c.update(
+        obstacles={
+            "kind": "sampled-rates",
+            "times": [0.0, 1.0],
+            "lower_rate": [-1.0, -1.0],
+            "upper_rate": [1.0, 1.0],
+            "upper_star": 1.0,
+        }
+    ),
+    "solver picard_tolerance": lambda c: c.update(solver={"picard_tolerance": 1e-3}),
+    "solver max_iter": lambda c: c.update(solver={"max_iter": 2}),
+    "solver stiff_max": lambda c: c.update(solver={"stiff_max": 0.5}),
+}
+
+
+@pytest.mark.parametrize("where", list(_MISSPELT))
+def test_unknown_fields_are_config_errors(tmp_path, capsys, where):
+    # a misspelt field used to be ignored, solving with its default instead
+    cfg = _flat_config()
+    _MISSPELT[where](cfg)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "unknown field" in err["message"]
+    assert not out.exists()
+
+
+def test_unknown_penalty_field_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(penalty={"level": [8.0, 64.0]}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "level" in err["message"]
+    assert not out.exists()
+
+
+_SOLVER_NUMBERS = [
+    "degree",
+    "ridge",
+    "picard_tol",
+    "max_iterations",
+    "contraction_margin",
+    "root_tol",
+    "band_min",
+    "stat_tol_mult",
+]
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+)
+@pytest.mark.parametrize("field", _SOLVER_NUMBERS)
+def test_solver_fields_reject_non_finite_numbers(field, bad):
+    with pytest.raises(cli.ConfigError, match=field):
+        cli._parse_solver({field: bad})
+
+
+@pytest.mark.parametrize("field", ["root_tol", "band_min", "stat_tol_mult", "ridge", "picard_tol"])
+def test_tolerance_range_checks_fail_on_nan(field):
+    # the library's own checks, behind the config parser
+    make = mr.RegressionConfig if field == "ridge" else mr.Tolerances
+    with pytest.raises(ValueError, match=field):
+        make(**{field: float("nan")})
+
+
+def test_non_finite_literals_are_config_errors(tmp_path, capsys):
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts
+    cases = [
+        _clamp_config(terminal={"kind": "constant", "value": float("nan")}),
+        _clamp_config(horizon=float("inf")),
+        _clamp_config(losses={"kind": "linear-band", "lower": float("-inf"), "upper": 2.0}),
+        _clamp_config(solver={"band_min": float("nan")}),
+        _clamp_config(particles=10**400),
+    ]
+    for i, case in enumerate(cases):
+        cfg = _write(tmp_path, f"c{i}.json", case)
+        out = tmp_path / f"o{i}"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "finite" in err["message"]
+        assert not out.exists()
+    sweep = _sweep_config(penalty={"levels": [8.0, float("nan")]})
+    cfg = _write(tmp_path, "sweep.json", sweep)
+    assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "sweep")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_solver_block():
     reg, tol = cli._parse_solver({"degree": 5, "z_mode": "none", "picard_tol": 1e-5})
     assert reg.degree == 5 and reg.z_mode == "none" and tol.picard_tol == 1e-5
@@ -340,19 +472,21 @@ def test_run_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_terminal_exits_one(tmp_path, capsys):
-    # json.dumps writes the NaN literal, which json.loads accepts
-    nan_terminal = {"kind": "constant", "value": float("nan")}
+    # a finite scale that overflows once multiplied by B_T; a NaN literal
+    # never gets this far, the config check rejects it
+    huge_terminal = {"kind": "brownian", "scale": 1e308}
     for method in ("constant-driver", "picard"):
         cfg = _write(
-            tmp_path, f"{method}.json", _clamp_config(method=method, terminal=nan_terminal)
+            tmp_path, f"{method}.json", _clamp_config(method=method, terminal=huge_terminal)
         )
         out = tmp_path / method
         assert cli.main(["run", cfg, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "NumericalFailureError" and "not finite" in err["message"]
         assert not (out / "result.csv").exists()
-    cfg = _write(tmp_path, "sweep.json", _sweep_config(terminal=nan_terminal))
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(terminal=huge_terminal))
     assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "sweep")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericalFailureError"
 
@@ -492,6 +626,22 @@ def test_sweep_is_byte_identical_across_thread_counts(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [{"kind": "linear", "a": 2.0}, {"kind": "affine-mix", "a_y": 2.0, "const": 10.0}],
+    ids=["linear", "affine-mix-a_y"],
+)
+def test_sweep_rejects_state_dependent_generators(tmp_path, capsys, generator):
+    # the sweep's reference freezes the driver at zero, so it would measure
+    # these against the wrong limit
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(generator=generator))
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "state-free" in err["message"]
+    assert not out.exists()
+
+
 def test_sweep_error_paths(tmp_path, capsys):
     no_levels = _sweep_config()
     del no_levels["penalty"]
@@ -556,3 +706,86 @@ def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "sideways"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.err.strip())["error"] == "unknown-suite"
+
+
+# ---------------------------------------------------------------------------
+# property: any config from the schema ends in a clean exit
+# ---------------------------------------------------------------------------
+
+# values no field should let through, plus the huge finite ones that must
+# either solve or fail cleanly
+_ODD = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-300, 2.5, True, "8", None]
+_FLOATS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_ODD))
+
+
+def _ints(lo, hi):
+    # integer fields never get huge values: those would only allocate
+    return st.one_of(st.integers(lo, hi), st.sampled_from([2.5, float("nan"), True, "8"]))
+
+
+# (object path, field, values); an empty path is the top level
+_FIELDS = [
+    ((), "horizon", _FLOATS),
+    ((), "steps", _ints(1, 8)),
+    ((), "particles", _ints(2, 500)),
+    (("terminal",), "scale", _FLOATS),
+    (("terminal",), "shift", _FLOATS),
+    (("generator",), "value", _FLOATS),
+    (("losses",), "lower", _FLOATS),
+    (("losses",), "upper", _FLOATS),
+    (("obstacles",), "lower_rate", _FLOATS),
+    (("obstacles",), "upper_start", _FLOATS),
+    (("solver",), "degree", _ints(0, 4)),
+    (("solver",), "max_iterations", _ints(1, 50)),
+    (("solver",), "ridge", _FLOATS),
+    (("solver",), "picard_tol", _FLOATS),
+    (("solver",), "contraction_margin", _FLOATS),
+    (("solver",), "root_tol", _FLOATS),
+    (("solver",), "band_min", _FLOATS),
+    (("solver",), "stat_tol_mult", _FLOATS),
+    (("penalty",), "levels", st.lists(_FLOATS, min_size=1, max_size=3)),
+]
+
+
+@st.composite
+def _cli_cases(draw):
+    command = draw(st.sampled_from(["run", "sweep-penalty"]))
+    base = _flat_config if command == "run" else _sweep_config
+    cfg = base(
+        steps=draw(st.integers(1, 8)),
+        particles=draw(st.integers(2, 500)),
+        solver={},
+        obstacles={"kind": "linear-rates", "lower_rate": -2.0, "upper_rate": 2.0},
+        penalty={"levels": [8.0, 64.0]},
+    )
+    for path, key, values in draw(st.lists(st.sampled_from(_FIELDS), max_size=3)):
+        node = cfg
+        for part in path:
+            node = node[part]
+        if draw(st.booleans()):
+            node[key] = draw(values)
+        else:
+            node[key + "_"] = 1.0  # misspelt
+    return command, cfg
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_cli_cases())
+def test_any_config_exits_cleanly(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = cli.main([command, str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        csv = out / ("result.csv" if command == "run" else "sweep.csv")
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
+            assert not csv.exists()
+        else:
+            _, rows = _read_table(csv)
+            assert rows.size and all(math.isfinite(v) for v in rows.ravel())

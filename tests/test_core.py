@@ -1,22 +1,16 @@
-"""Grids, Brownian ensembles, deterministic reductions and the 1-D transport
-distance."""
+"""Grids, Brownian ensembles and deterministic reductions."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
-from oracles import w1_linprog
-
-# a bounded, non-subnormal float strategy; keeps transport arithmetic exact
-# enough for if-and-only-if assertions
-_vals = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +110,6 @@ def test_rng_spec_rejects_oversized_seed():
 # ---------------------------------------------------------------------------
 
 
-def test_empirical_mean_examples():
-    g = mr.build_grid(1.0, 1)
-    e = mr.Ensemble(g, np.array([[-1.0, -1.0], [1.0, 1.0]]))
-    assert mr.empirical_mean(e, 0) == 0.0
-    e = mr.Ensemble(g, np.array([[2.0, 2.0]] * 3))
-    assert mr.empirical_mean(e, 1) == 2.0
-    e = mr.Ensemble(g, np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]], dtype=float))
-    assert mr.empirical_mean(e, 0) == 1.5
-
-
-def test_empirical_mean_node_range_checked():
-    g = mr.build_grid(1.0, 1)
-    e = mr.Ensemble(g, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        mr.empirical_mean(e, 2)
-    with pytest.raises(ValueError):
-        mr.empirical_mean(e, -1)
-
-
 def test_empirical_std_exact_two_point():
     assert mr.empirical_std(np.array([0.0, 2.0])) == 1.0
 
@@ -181,59 +156,20 @@ def test_pairwise_sum_bits_depend_only_on_length(n):
         assert list(pool.map(sums, list(range(5)) * 4)) == serial * 4
 
 
-# ---------------------------------------------------------------------------
-# transport distance
-# ---------------------------------------------------------------------------
+def test_ensemble_means_match_the_axis_0_reduction_bytes():
+    rng = np.random.default_rng(3)
+    g = mr.build_grid(1.0, 6)
+    e = mr.Ensemble(g, rng.normal(0, 1, (8193, 7)) * 10.0 ** rng.integers(-3, 4, (8193, 7)))
+    means = mr.ensemble_means(e)
+    assert means.shape == (7,) and means.dtype == np.float64
+    assert means.tobytes() == mr.pairwise_mean(e.values, axis=0).tobytes()
 
 
-def test_w1_identity_and_shift():
-    a = np.array([0.3, -1.2, 4.0, 0.0])
-    assert mr.w1_empirical(a, a) == 0.0
-    assert_allclose(mr.w1_empirical(a, a + 2.5), 2.5, rtol=0, atol=1e-15)
-
-
-def test_w1_two_point_supports():
-    # optimal plan pairs 0->1 and 2->3 (cost 1); the crossed plan costs 2.
-    # frozen from the transport LP oracle, asserted against it too.
-    a, b = np.array([0.0, 2.0]), np.array([1.0, 3.0])
-    assert mr.w1_empirical(a, b) == 1.0
-    assert_allclose(w1_linprog(a, b), 1.0, rtol=0, atol=1e-9)
-
-
-def test_w1_matches_transport_lp_on_random_clouds():
-    rng = np.random.default_rng(1234)
-    for _ in range(10):
-        n = int(rng.integers(2, 33))
-        a = rng.normal(0, 2, n)
-        b = rng.normal(rng.uniform(-1, 1), 1.5, n)
-        assert abs(mr.w1_empirical(a, b) - w1_linprog(a, b)) <= 1e-9
-
-
-def test_w1_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        mr.w1_empirical(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        mr.w1_empirical(np.zeros(0), np.zeros(0))
-
-
-@given(st.lists(st.tuples(_vals, _vals), min_size=1, max_size=25))
-def test_w1_symmetry_and_zero_iff(pairs):
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
-    d_ab = mr.w1_empirical(a, b)
-    assert d_ab == mr.w1_empirical(b, a)
-    assert d_ab >= 0.0
-    if np.array_equal(np.sort(a), np.sort(b)):
-        assert d_ab == 0.0
-    else:
-        assert d_ab > 0.0
-
-
-@given(st.lists(st.tuples(_vals, _vals, _vals), min_size=1, max_size=25))
-def test_w1_triangle_inequality(triples):
-    a = np.array([p[0] for p in triples])
-    b = np.array([p[1] for p in triples])
-    c = np.array([p[2] for p in triples])
-    lhs = mr.w1_empirical(a, c)
-    rhs = mr.w1_empirical(a, b) + mr.w1_empirical(b, c)
-    assert lhs <= rhs + 1e-9 * (1.0 + rhs)
+def test_ensemble_means_never_copy_the_whole_ensemble():
+    # 20k x 41 doubles are 6.26 MiB; one column is 0.15 MiB
+    e = mr.simulate_brownian(mr.build_grid(1.0, 40), 20_000, mr.RngSpec(1))
+    tracemalloc.start()
+    mr.ensemble_means(e)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20

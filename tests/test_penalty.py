@@ -141,13 +141,13 @@ def test_wide_obstacles_reduce_to_the_plain_solve_bitwise(z_mode):
 
 def test_mean_dynamics_match_stiff_integrator():
     # independent route: integrate the closed mean ODE with an implicit
-    # stiff solver and compare node by node (n dt up to 25 exercises the
-    # sub-cycling path)
+    # stiff solver and compare node by node; each step is one exact span,
+    # so n dt runs from 0.4 to 3277 without losing accuracy
     sc = _ode_scenario()
     grid = sc.make_grid()
     bm = sc.simulate(grid)
     xi = sc.terminal_values(bm)
-    for n in (8.0, 64.0, 512.0):
+    for n in (8.0, 64.0, 512.0, 4096.0, 65536.0):
         sol = mr.solve_penalized(sc, n, bm=bm)
         means = np.array(
             [mr.pairwise_mean(sol.y.values[:, k]) for k in range(grid.n_nodes)]
@@ -184,6 +184,20 @@ def test_sweep_argument_validation():
             mr.penalty_sweep(sc, [4.0, bad])
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [mr.linear_generator(2.0), mr.affine_mix_generator(a_y=2.0, const=10.0)],
+    ids=["linear", "affine-mix"],
+)
+def test_sweep_needs_a_state_free_generator(gen):
+    # the reference freezes the driver at zero: with these generators the
+    # sup errors level off (or never move) instead of falling like 1/n
+    sc = dataclasses.replace(_ode_scenario(particles=512), generator=gen)
+    with pytest.raises(ValueError, match="state-free"):
+        mr.penalty_sweep(sc, [16.0, 64.0])
+    mr.solve_penalized(sc, 16.0)  # the single-level solver stays general
+
+
 def test_sweep_error_decays_like_one_over_n():
     # the binding boundary layer contributes (driver mean + obstacle slope)/n
     # = 12/n here, so sup errors shrink strictly and the fitted rate sits
@@ -212,6 +226,16 @@ def test_sweep_squared_overshoot_column_stays_bounded():
     assert max(col) <= 2.0 * col[0]
     assert abs(col[-1] - col[-2]) <= 0.01 * col[-1]
     assert all(v == 0.0 for v in sw.lower_bound_column)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sweep_survives_huge_levels():
+    # n**2 alone overflows a float at n = 1e200 (it raised OverflowError);
+    # the column is built from n * overshoot instead, which reads inf only
+    # where the overshoot sits at rounding level, far above 1/n
+    sw = mr.penalty_sweep(_ode_scenario(particles=512), [8.0, 1e200])
+    assert math.isfinite(sw.upper_bound_column[0])
+    assert all(math.isfinite(e) for e in sw.sup_errors)
 
 
 def test_inactive_sweep_sits_at_the_noise_floor():
