@@ -207,8 +207,8 @@ def _backward_pass(
     grid = bm.grid
     n, m = bm.values.shape
     dt = grid.step_sizes
-    y = np.empty((n, m))
-    z = np.zeros((n, m))
+    y = np.empty((n, m), order="F")
+    z = np.zeros((n, m), order="F")
     y[:, -1] = xi
     with_z = cfg.z_mode == "regression"
 
@@ -260,7 +260,7 @@ def constant_driver_path(
     n, m = frozen_y.values.shape
     if times is None:
         times = grid.nodes
-    out = np.empty((n, m))
+    out = np.empty((n, m), order="F")
     for k in range(m):
         uk = frozen_y.values[:, k]
         vk = frozen_z.values[:, k]

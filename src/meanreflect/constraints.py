@@ -286,7 +286,7 @@ def make_mean_boundary(
     times = np.array(e.grid.nodes if times is None else times, dtype=float)
     if lp.affine:
         return BoundaryPair(e.grid, lp, times, None)
-    # Copy explicitly: ascontiguousarray views an F-ordered ensemble, which -= would write.
+    # The transpose of the F-ordered values is a C-ordered view: copy it before -=.
     offsets = e.values.T.copy()
     offsets -= pairwise_mean(offsets)[:, None]
     return BoundaryPair(e.grid, lp, times, offsets)
@@ -336,6 +336,11 @@ def invert_boundary(
         radius *= 2.0
         lo, hi = x0 - radius, x0 + radius
         flo, fhi = f(lo), f(hi)
+    if not np.isfinite([v0, lo, hi, flo, fhi]).all():
+        raise NumericalFailureError(
+            f"band edge {which!r} at node {node}: boundary not finite "
+            f"on the bracket [{lo:.6g}, {hi:.6g}]"
+        )
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -5,7 +5,9 @@ works on the three containers defined here: a :class:`TimeGrid`, a single
 :class:`SamplePath` on it, and an :class:`Ensemble` of aligned paths whose
 cross-sections stand in for the marginal laws of the solution.
 
-All ensemble statistics go through :func:`pairwise_sum`: numpy's pairwise
+Ensemble values are stored column-major, so each node's cross-section -- the
+law every solver loop reads -- is one contiguous block of memory.  All
+ensemble statistics go through :func:`pairwise_sum`: numpy's pairwise
 ``add.reduce`` along a contiguous row.  Its order depends only on the row
 length, so for a given numpy build the bits never depend on layout or on how
 many worker threads the caller uses, unlike BLAS reductions.
@@ -49,6 +51,8 @@ def pairwise_sum(values: NDArray[np.floating], axis: int = -1) -> NDArray[np.flo
     a = np.asarray(values, dtype=float)
     if a.shape[axis] == 0:
         raise ValueError("pairwise_sum of an empty axis")
+    if a.ndim == 1 and a.flags.c_contiguous:  # a node's column: already a contiguous row
+        return np.add.reduce(a)
     return np.add.reduce(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
 
 
@@ -125,15 +129,16 @@ class SamplePath:
 class Ensemble:
     """N aligned sample paths; cross-sections are empirical marginal laws.
 
-    ``values`` is (particles, nodes).  The container is immutable; solvers
-    build new ensembles instead of mutating.
+    ``values`` is (particles, nodes) and F-contiguous, so every cross-section
+    ``values[:, k]`` is a contiguous column; a C-ordered input is copied once.
+    The container is immutable; solvers build new ensembles instead of mutating.
     """
 
     grid: TimeGrid
     values: NDArray[np.floating]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asfortranarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[1] != self.grid.n_nodes:
             raise ValueError("ensemble values must be (particles, nodes)")
@@ -155,10 +160,11 @@ class Ensemble:
 class RngSpec:
     """Reproducible randomness: a 64-bit seed plus a consumer stream id.
 
-    Particles are rows of the stream's draw, in a fixed row-major layout, so a
-    given (seed, stream, grid, N) always reproduces the same ensemble bit for
-    bit.  Distinct ``stream`` values give statistically independent draws for
-    independent consumers (e.g. a validation re-run).
+    Particles are rows of the stream's draw, which stays row-major whatever
+    the ensemble's storage order, so a given (seed, stream, grid, N) always
+    reproduces the same ensemble bit for bit.  Distinct ``stream`` values give
+    statistically independent draws for independent consumers (e.g. a
+    validation re-run).
     """
 
     seed: int
@@ -207,7 +213,7 @@ def simulate_brownian(grid: TimeGrid, n: int, rng: RngSpec) -> Ensemble:
     gen = rng.generator()
     dt = grid.step_sizes
     increments = gen.standard_normal((int(n), grid.n_steps)) * np.sqrt(dt)
-    values = np.empty((int(n), grid.n_nodes))
+    values = np.empty((int(n), grid.n_nodes), order="F")
     values[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=values[:, 1:])
     return Ensemble(grid, values)
@@ -235,7 +241,7 @@ def stat_tol(values: NDArray[np.floating], mult: float = 4.0) -> float:
 def ensemble_means(e: Ensemble) -> NDArray[np.floating]:
     """Mean path of an ensemble: one pairwise mean per node.
 
-    Node by node, so only one column is ever copied; the bits equal the
-    axis-0 call's, since a reduction's order depends only on its length.
+    The transpose of the F-ordered values is C-contiguous, so the axis-0
+    reduction copies nothing and sums each node's column as one row.
     """
-    return np.array([pairwise_mean(e.values[:, k]) for k in range(e.grid.n_nodes)])
+    return pairwise_mean(e.values, axis=0)

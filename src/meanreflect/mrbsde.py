@@ -462,8 +462,8 @@ def _picard_segment(
     env_term = sc.envelope.tv_bound_terms(times) if sc.envelope is not None else None
 
     if init == "zero":
-        u = Ensemble(grid, np.zeros((n, m)))
-        v = Ensemble(grid, np.zeros((n, m)))
+        u = Ensemble(grid, np.zeros((n, m), order="F"))
+        v = Ensemble(grid, np.zeros((n, m), order="F"))
     else:
         p0 = solve_bsde(xi, gen, bm_seg, cfg, times=times)
         u, v = p0.y, p0.z
@@ -507,8 +507,8 @@ def _stitch(
     """
     n = segs[0][2].y.values.shape[0]
     m = grid.n_nodes
-    yv = np.empty((n, m))
-    zv = np.empty((n, m))
+    yv = np.empty((n, m), order="F")
+    zv = np.empty((n, m), order="F")
     pu = np.empty(m)
     pd = np.empty(m)
     base_up = base_dn = 0.0
@@ -525,7 +525,7 @@ def _stitch(
         fr_dn += seg.bsp.flat_residual_down
         s_sup = max(s_sup, float(np.max(np.abs(seg.s.values))))
     kv = pu - pd
-    inner = np.empty((n, m))
+    inner = np.empty((n, m), order="F")
     for a, b, seg in segs:
         inner[:, a : b + 1] = seg.plain.y.values - (kv[-1] - kv[b])
     return MRSolution(

@@ -492,6 +492,37 @@ def test_non_finite_terminal_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_band_edge_is_a_numerical_failure(tmp_path, capsys):
+    # finite bounds pass the config check, but the boundary overflows to NaN
+    # while the band edge is bracketed: that is no config mistake
+    huge = {"kind": "saturating-band", "lower": -1e308, "upper": 1e308}
+    cfg = _write(tmp_path, "huge.json", _flat_config(particles=500, steps=8, losses=huge))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NumericalFailureError" and "band edge" in err["message"]
+    assert not (out / "result.csv").exists()
+
+
+def test_commands_build_every_ensemble_f_ordered(tmp_path, monkeypatch):
+    # every creation site allocates column-major, so the constructor never copies
+    seen = []
+    post_init = mr.Ensemble.__post_init__
+
+    def spy(self):
+        v = self.values
+        seen.append(isinstance(v, np.ndarray) and v.ndim == 2 and v.flags.f_contiguous)
+        post_init(self)
+
+    monkeypatch.setattr(mr.Ensemble, "__post_init__", spy)
+    cfg = _write(tmp_path, "flat.json", _flat_config())
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "run")]) == 0
+    cfg = _write(tmp_path, "sweep.json", _sweep_config())
+    assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    assert seen and all(seen)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_driver_exits_one(tmp_path, capsys):
     # a driver of 1e308 overflows the backward recursion into NaN, which must
     # stop the command before any artifact is written

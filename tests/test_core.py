@@ -62,6 +62,17 @@ def test_ensemble_shape_checked():
         mr.Ensemble(g, np.zeros((1, 5)))  # single particle is not a law
 
 
+def test_ensemble_values_are_f_contiguous_and_never_recopied():
+    g = mr.build_grid(1.0, 4)
+    e = mr.simulate_brownian(g, 33, mr.RngSpec(5))
+    assert e.values.flags.f_contiguous
+    assert mr.Ensemble(g, e.values).values is e.values
+    c = np.ascontiguousarray(e.values)  # a C-ordered copy is accepted, copied once
+    again = mr.Ensemble(g, c)
+    assert again.values.flags.f_contiguous and not np.shares_memory(again.values, c)
+    assert_array_equal(again.values, e.values)
+
+
 # ---------------------------------------------------------------------------
 # Brownian ensembles
 # ---------------------------------------------------------------------------
@@ -84,6 +95,16 @@ def test_brownian_reproducible_bitwise():
     a = mr.simulate_brownian(g, 257, mr.RngSpec(99, stream=2))
     b = mr.simulate_brownian(g, 257, mr.RngSpec(99, stream=2))
     assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("n,steps", [(2, 1), (257, 8), (20_001, 3)])
+def test_brownian_bytes_match_a_row_major_reference(n, steps):
+    # the draw stays row-major: each particle keeps its own row of draws
+    g = mr.build_grid(0.7, steps)
+    rng = mr.RngSpec(99, stream=2)
+    inc = rng.generator().standard_normal((n, steps)) * np.sqrt(g.step_sizes)
+    ref = np.hstack([np.zeros((n, 1)), np.cumsum(inc, axis=1)])
+    assert mr.simulate_brownian(g, n, rng).values.tobytes(order="C") == ref.tobytes()
 
 
 def test_brownian_streams_differ():
@@ -122,8 +143,9 @@ def test_pairwise_sum_matches_fsum(n):
 
 
 def test_pairwise_sum_rejects_empty():
-    with pytest.raises(ValueError):
-        mr.pairwise_sum(np.array([]))
+    for empty in (np.array([]), np.zeros((3, 0)), np.zeros((0, 3)).T):
+        with pytest.raises(ValueError):
+            mr.pairwise_sum(empty)
 
 
 def test_pairwise_mean_is_length_independent_of_layout():
@@ -154,6 +176,24 @@ def test_pairwise_sum_bits_depend_only_on_length(n):
     assert all(len(set(row)) == 1 for row in serial)
     with ThreadPoolExecutor(max_workers=4) as pool:
         assert list(pool.map(sums, list(range(5)) * 4)) == serial * 4
+
+
+def test_pairwise_sum_fast_path_matches_the_general_path():
+    # a contiguous column takes the 1-D fast path; the strided column, the
+    # 2-D axis-0 reduction and a one-row 2-D array take the general path
+    for n in [*range(1, 301), 20_000]:
+        rng = np.random.default_rng(n)
+        a = rng.normal(0, 1, (n, 3)) * 10.0 ** rng.integers(-3, 4, (n, 3))
+        f = np.asfortranarray(a)
+        axis0 = mr.pairwise_sum(a, axis=0)
+        for j in range(3):
+            sums = (
+                mr.pairwise_sum(f[:, j]),
+                mr.pairwise_sum(a[:, j]),
+                axis0[j],
+                mr.pairwise_sum(f[:, j][None, :])[0],
+            )
+            assert len({float(v).hex() for v in sums}) == 1, (n, j)
 
 
 def test_ensemble_means_match_the_axis_0_reduction_bytes():

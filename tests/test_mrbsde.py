@@ -366,3 +366,34 @@ def test_max_rms_gap_matches_the_full_array_formula(particles):
     a, b = rng.normal(0.0, 1.0, (2, particles, 9))
     full = float(np.sqrt(np.max(mr.pairwise_mean((a - b) ** 2, axis=0))))
     assert _max_rms_gap(a, b) == full
+
+
+def test_every_returned_ensemble_is_f_contiguous():
+    def assert_f(*ensembles):
+        assert all(e.values.flags.f_contiguous for e in ensembles)
+
+    sc = _scenario(mr.constant_generator(4.0), particles=2_000, steps=8)
+    bm = sc.simulate()
+    assert_f(bm)
+    plain = mr.solve_bsde(sc.terminal_values(bm), mr.linear_generator(0.5), bm)
+    assert_f(plain.y, plain.z)
+    assert mr.constant_driver_path(mr.linear_generator(0.5), plain.y, plain.z).flags.f_contiguous
+    cd = mr.solve_constant_driver(sc)
+    assert_f(cd.y, cd.z, cd.inner)
+    single = mr.picard_solve(sc)
+    assert single.trace.segment_count == 1
+    assert_f(single.y, single.z, single.inner)
+    split_sc = _scenario(
+        mr.affine_mix_generator(a_y=5.0), particles=2_000, steps=16, seed=41,
+        losses=mr.linear_band(-60.0, 60.0),
+    )
+    split = mr.picard_solve(split_sc)
+    assert split.trace.segment_count > 1
+    assert_f(split.y, split.z, split.inner)
+    pen_sc = _scenario(
+        mr.constant_generator(10.0), particles=2_000, steps=8,
+        losses=mr.linear_band(-30.0, 30.0),
+        obstacles=mr.LinearObstacles.constants(-2.0, 2.0),
+    )
+    pen = mr.solve_penalized(pen_sc, 8.0)
+    assert_f(pen.y, pen.z)
