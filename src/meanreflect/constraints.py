@@ -8,18 +8,19 @@ produces a deterministic :class:`BoundaryPair` ``l(t, x), r(t, x)`` acting on
 the mean level; reflection solvers only ever see boundary pairs.
 
 Roots of the boundaries in ``x`` (the edges of the admissible band for the
-mean) are computed by bracketed root-finding: the lower Lipschitz bound ``c``
-gives a rigorous bracket radius ``|value|/c`` around any probe point.
+mean) are found by a bracketed solver in plain numpy, Illinois regula falsi:
+the declared slopes ``[c, C]`` bracket the root from any probe point and
+certify the accuracy of the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.optimize import brentq
 
 from .core import Ensemble, TimeGrid, pairwise_mean
 from .errors import NumericalFailureError
@@ -41,6 +42,7 @@ __all__ = [
 
 ROOT_TOL_DEFAULT = 1e-12
 BAND_MIN_DEFAULT = 1e-9
+_ILLINOIS_STEPS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +184,8 @@ class BoundaryPair:
     ensemble cross-section: ``l(k, x) = mean_i L(times[k], x + off[k, i])``.
     With ``offsets is None`` the boundary is the bare loss pair (equivalent to
     a single centred particle).  ``times[k]`` is the loss-evaluation time for
-    node ``k``.  The band edges are computed once, in natural node order, and
-    serve both the forward and the terminal-anchored reflection.
+    node ``k``.  The band edges are computed once, last node first, and serve
+    both the forward and the terminal-anchored reflection.
 
     ``lower(k, x)`` and ``upper(k, x)`` take a scalar or an array ``x`` and
     return values of the same shape; each entry has the bits of the scalar
@@ -308,53 +310,75 @@ def invert_boundary(
 
     ``which`` selects ``"upper_edge"`` (root of the lower boundary l — the
     top of the admissible band) or ``"lower_edge"`` (root of the upper
-    boundary r — the bottom).  Starting from ``hint``, the declared lower
-    Lipschitz constant brackets the root within ``|value| / c``; the bracket
-    is then handed to a guaranteed-convergence bracketed solver.
+    boundary r — the bottom).  Slopes in ``[c, C]`` put the root between
+    ``hint - f(hint)/C`` and ``hint - f(hint)/c``; Illinois regula falsi
+    (Dowell & Jarratt, BIT 1971) then closes that bracket.  It stops once
+    ``|f(x)| <= c * xtol`` or the bracket is narrower than ``2 * xtol``, with
+    ``xtol = max(root_tol / max(C, 1), 1e-15)``.  Either way the result lies
+    within ``xtol + s`` of the root, ``s`` the float spacing there (the last
+    midpoint is rounded), and ``|f|`` there is at most ``C * (xtol + s)``:
+    ``root_tol`` up to that rounding, unless the ``1e-15`` floor sets
+    ``xtol``.  Where ``s`` exceeds ``2 * xtol`` (``|root|`` above about 1e3
+    at the default ``root_tol`` and ``C = 10``) no bracket is that narrow;
+    the solver stops at two adjacent floats instead, within ``s`` of the
+    root.
     """
     if which not in ("upper_edge", "lower_edge"):
         raise ValueError("which must be 'upper_edge' or 'lower_edge'")
-    args = (bp, node, which == "upper_edge")
-    f = lambda x: _boundary_at(x, *args)
+    side = bp.lower if which == "upper_edge" else bp.upper
+    xtol = max(root_tol / max(bp.C, 1.0), 1e-15)
+    ftol = bp.c * xtol
+
+    def f(x: float) -> float:
+        v = side(node, x)
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise NumericalFailureError(
+                f"band edge {which!r} at node {node}: boundary not finite at x={x:.6g}"
+            )
+        return v
 
     x0 = float(hint)
     v0 = f(x0)
-    if abs(v0) <= root_tol:
+    if abs(v0) <= ftol:
         return x0
-    radius = abs(v0) / bp.c
-    lo, hi = x0 - radius, x0 + radius
-    flo, fhi = f(lo), f(hi)
-    expansions = 0
-    while flo > 0.0 or fhi < 0.0:
-        # Only reachable if the declared c overstates the true slope.
-        expansions += 1
-        if expansions > 60:
-            raise NumericalFailureError(
-                "root bracket failed to close; declared Lipschitz bounds "
-                "are inconsistent with the boundary"
-            )
-        radius *= 2.0
-        lo, hi = x0 - radius, x0 + radius
-        flo, fhi = f(lo), f(hi)
-    if not np.isfinite([v0, lo, hi, flo, fhi]).all():
+    # Walk from the hint to x0 - v0/C, then x0 - v0/c, doubling the last step
+    # only if the declared c overstates the slope, until the sign flips.
+    a, fa = x0, v0
+    b, step = x0 - v0 / bp.C, -v0 / bp.c
+    for _ in range(62):
+        if b != a:
+            fb = f(b)
+            if abs(fb) <= ftol:
+                return b
+            if (fb > 0.0) != (v0 > 0.0):
+                break
+            a, fa = b, fb
+        b, step = x0 + step, 2.0 * step
+    else:
         raise NumericalFailureError(
-            f"band edge {which!r} at node {node}: boundary not finite "
-            f"on the bracket [{lo:.6g}, {hi:.6g}]"
+            f"band edge {which!r} at node {node}: root bracket failed to close; "
+            "declared Lipschitz bounds are inconsistent with the boundary"
         )
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    # brentq wraps its callable in a self-referencing closure, so whatever the
-    # callable captures lives until the cyclic collector runs; the boundary
-    # pair (with its particles x nodes offsets) goes in as arguments instead.
-    xtol = max(root_tol / max(bp.C, 1.0), 1e-15)
-    root = brentq(_boundary_at, lo, hi, args=args, xtol=xtol, rtol=8.9e-16)
-    return float(root)
-
-
-def _boundary_at(x: float, bp: BoundaryPair, node: int, lower: bool) -> float:
-    return bp.lower(node, x) if lower else bp.upper(node, x)
+    # b is always the newest point and f changes sign between a and b.
+    for _ in range(_ILLINOIS_STEPS):
+        if abs(b - a) <= 2.0 * xtol:
+            return 0.5 * (a + b)
+        x = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+            if not min(a, b) < x < max(a, b):
+                return b  # a and b are adjacent floats
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return x
+        if (fx > 0.0) != (fb > 0.0):
+            a, fa = b, fb
+        else:
+            fa *= 0.5  # a kept twice: halve its value so the next secant moves it
+        b, fb = x, fx
+    raise NumericalFailureError(
+        f"band edge {which!r} at node {node}: no root within {_ILLINOIS_STEPS} steps"
+    )
 
 
 # ---------------------------------------------------------------------------

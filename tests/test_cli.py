@@ -6,6 +6,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import meanreflect as mr
 from meanreflect import cli
+from meanreflect.verify import SUITE_NAMES
 
 
 def _write(tmp_path, name, payload):
@@ -820,3 +824,46 @@ def test_any_config_exits_cleanly(case):
         else:
             _, rows = _read_table(csv)
             assert rows.size and all(math.isfinite(v) for v in rows.ravel())
+
+
+_SUITES = st.sampled_from(SUITE_NAMES) | st.sampled_from(["revresal", "Al", ""])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    _SUITES,
+    st.sampled_from([-3, 0, 1, 2]),
+    st.sampled_from([-1, 0, 2**64 - 1, 2**64]),
+)
+def test_any_verify_call_exits_cleanly(suite, instances, seed):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", suite, "--instances", str(instances), "--seed", str(seed)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+    else:
+        assert lines == [] and instances >= 1 and 0 <= seed < 2**64
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the package and runs a small non-affine solve must load no scipy module
+    cfg = _write(tmp_path, "flat.json", _flat_config(particles=300, steps=8))
+    script = (
+        "import sys, meanreflect, meanreflect.cli as cli\n"
+        f"assert cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(mr.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "result.csv").exists()

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import meanreflect as mr
@@ -18,6 +19,7 @@ from meanreflect.constraints import (
     make_mean_boundary,
     validate_loss,
 )
+from meanreflect.errors import NumericalFailureError
 
 _TS = np.linspace(0.0, 1.0, 5)
 _XS = np.linspace(-6.0, 8.0, 29)
@@ -219,6 +221,145 @@ def test_band_edge_hints_chain_from_the_last_node():
         hint_r = invert_boundary(bp, k, "lower_edge", hint=hint_r)
         hint_l = invert_boundary(bp, k, "upper_edge", hint=hint_l)
         assert (rho[k], lam[k]) == (hint_r, hint_l)
+
+
+def _bisect(g) -> float:
+    """Root of an increasing scalar function, bisected until the bracket ends are adjacent floats."""
+    lo, hi = -1.0, 1.0
+    while g(lo) > 0.0:
+        lo *= 2.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        v = g(mid)
+        if v == 0.0:
+            return mid
+        lo, hi = (mid, hi) if v < 0.0 else (lo, mid)
+
+
+@st.composite
+def _boundary_cases(draw):
+    """A boundary pair (bare or averaged) with its declared slopes, and a tolerance.
+
+    ``kind`` is a saturating band (slopes in [s/2, 3s/2]) or a linear one
+    (c == C == s); a nonzero ``amp`` shifts both losses in time, so no edge
+    can be reused across nodes.
+    """
+    kind = draw(st.sampled_from(["saturating", "linear"]))
+    s = draw(st.floats(0.1, 10.0))
+    lower = draw(st.floats(-5.0, 5.0))
+    upper = lower + draw(st.floats(0.1, 10.0))
+    amp = draw(st.sampled_from([0.0, 0.7]))
+    bend = 1.0 if kind == "saturating" else 0.0
+
+    def sat(x):
+        x = np.asarray(x, dtype=float)
+        return bend * x * x / (2.0 * (1.0 + np.abs(x)))
+
+    def shift(t):
+        return amp * math.sin(3.0 * t)
+
+    lp = mr.LossPair(
+        L=lambda t, x: s * (np.asarray(x, dtype=float) - sat(x) - upper - shift(t)),
+        R=lambda t, x: s * (np.asarray(x, dtype=float) + sat(x) - lower - shift(t)),
+        c=s * (0.5 if kind == "saturating" else 1.0),
+        C=s * (1.5 if kind == "saturating" else 1.0),
+        gap=s * (upper - lower),
+        time_invariant=amp == 0.0,
+        affine=kind == "linear",
+    )
+    g = mr.build_grid(1.0, draw(st.integers(1, 5)))
+    off = None
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        seed = draw(st.integers(0, 2**32 - 1))
+        off = np.random.default_rng(seed).normal(0.0, draw(st.floats(0.1, 3.0)), (g.n_nodes, n))
+    root_tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    return mr.BoundaryPair(g, lp, g.nodes.copy(), off), root_tol
+
+
+def _sides(bp):
+    return (("lower_edge", bp.upper), ("upper_edge", bp.lower))
+
+
+@given(_boundary_cases(), st.floats(-50.0, 50.0))
+def test_band_edges_match_an_independent_bisection(case, hint):
+    bp, root_tol = case
+    xtol = max(root_tol / max(bp.C, 1.0), 1e-15)
+    edges = dict(zip(("lower_edge", "upper_edge"), bp.band_edges(root_tol)))
+    for which, side in _sides(bp):
+        for k in range(bp.grid.n_nodes):
+            root = _bisect(lambda x: side(k, x))
+            slack = 4.0 * np.spacing(abs(root))  # the bisection's own rounding
+            for edge in (edges[which][k], invert_boundary(bp, k, which, root_tol, hint)):
+                assert abs(edge - root) <= xtol + slack
+                assert abs(side(k, edge)) <= root_tol
+
+
+@pytest.mark.parametrize("at", [10000.0, -25000.0, 12345.5])
+@pytest.mark.parametrize("declared", [(1.0, 1.0), (0.5, 2.0)])
+def test_band_edges_far_from_zero_stop_at_adjacent_floats(at, declared):
+    # each root lies 0.4 float spacings past a float, where the spacing is
+    # above 2 * xtol and |f| at every float is above c * xtol: neither the
+    # width stop nor the value stop can fire, only the adjacent-float exit
+    s = np.spacing(abs(at))
+    lp = mr.LossPair(
+        L=lambda t, x: 3.0 * (np.asarray(x, dtype=float) - at - 1.0) - 1.2 * s,
+        R=lambda t, x: 3.0 * (np.asarray(x, dtype=float) - at) - 1.2 * s,
+        c=3.0 * declared[0],
+        C=3.0 * declared[1],
+        gap=3.0,
+    )
+    bp = boundary_from_losses(mr.build_grid(1.0, 1), lp)
+    xtol = 1e-12 / bp.C
+    assert s > 2.0 * xtol and 1.2 * s > bp.c * xtol
+    edges = dict(zip(("lower_edge", "upper_edge"), bp.band_edges()))
+    for which, side in _sides(bp):
+        root = _bisect(lambda x: side(0, x))
+        for hint in (0.0, root + 0.37, root - 1e3):
+            for edge in (edges[which][0], invert_boundary(bp, 0, which, hint=hint)):
+                assert abs(edge - root) <= s
+                assert abs(side(0, edge)) <= bp.C * s
+
+
+@given(st.floats(0.02, 0.99), st.floats(-5.0, 5.0), st.floats(-1e3, 1e3))
+def test_overstated_slope_is_bracketed_by_the_widening_walk(slope, at, hint):
+    # both sides declare c = C = 1 but rise with a smaller slope, so the first
+    # bracket falls short and has to be widened; 2**6 doublings cover 1/0.02
+    lp = mr.LossPair(
+        L=lambda t, x: slope * (np.asarray(x, dtype=float) - at - 1.0),
+        R=lambda t, x: slope * (np.asarray(x, dtype=float) - at),
+        c=1.0,
+        C=1.0,
+        gap=slope,
+    )
+    bp = boundary_from_losses(mr.build_grid(1.0, 1), lp)
+    xtol = 1e-12
+    for which, side in _sides(bp):
+        edge = invert_boundary(bp, 0, which, hint=hint)
+        root = _bisect(lambda x: side(0, x))
+        # |f| <= c * xtol only certifies |x - root| <= xtol scaled by c / slope
+        assert abs(edge - root) <= xtol / slope + 4.0 * np.spacing(abs(root))
+        assert abs(side(0, edge)) <= 1e-12
+
+
+def test_slope_beyond_the_widening_walk_is_a_numerical_failure():
+    # declared c = 1 against a true slope of 1e-19: the hint's value 1e-11 is
+    # above c * xtol, and 60 doublings of it reach about 1e7 of the 1e8 to go
+    lp = mr.LossPair(
+        L=lambda t, x: 1e-19 * (np.asarray(x, dtype=float) - 1.0),
+        R=lambda t, x: 1e-19 * np.asarray(x, dtype=float),
+        c=1.0,
+        C=1.0,
+        gap=1e-19,
+    )
+    bp = boundary_from_losses(mr.build_grid(1.0, 1), lp)
+    for which in ("lower_edge", "upper_edge"):
+        with pytest.raises(NumericalFailureError, match="failed to close"):
+            invert_boundary(bp, 0, which, hint=1e8)
 
 
 def test_mean_boundary_leaves_an_f_ordered_ensemble_intact():
