@@ -512,7 +512,9 @@ def cmd_sweep_penalty(
     threads: int = 1,
     levels_arg: str | None = None,
 ) -> int:
-    """Run the penalization sweep and write sweep.csv + diagnostics.json."""
+    """Run the penalty sweep into sweep.csv + diagnostics.json; ``threads`` >= 1 goes unused."""
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
     cfg = load_config(config_path)
     resolved = resolve_seed(seed, cfg)
     sc = build_scenario(cfg, resolved)
@@ -531,7 +533,7 @@ def cmd_sweep_penalty(
         levels = list(_array(penalty, "levels", "penalty"))
     t0 = time.perf_counter()
     try:
-        sweep = penalty_sweep(sc, levels, threads=threads)
+        sweep = penalty_sweep(sc, levels)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
@@ -623,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--levels", default=None, help="comma-separated penalty levels (overrides config)"
     )
     p_sweep.add_argument(
-        "--threads", type=int, default=1, help="threads the penalty levels fan out over"
+        "--threads", type=int, default=1, help="at least 1; the sweep runs one regression pass"
     )
     p_verify = sub.add_parser("verify", help="run a randomized verification suite")
     p_verify.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")

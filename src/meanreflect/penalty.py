@@ -12,6 +12,11 @@ obstacles — within each affine span the dynamics alternate between a free
 regime and exponential relaxation toward a moving obstacle, both in closed
 form, with crossings located analytically — so stiffness from large ``n``
 costs accuracy nothing ("implicit in the mean, explicit in the noise").
+
+The convergence sweep admits only state-free generators.  There the push is
+the same shift for every particle and the regression carries it through, so
+one plain regression pass serves every level: each level's mean path is the
+plain one plus a scalar backward recursion of the same exact pushes.
 """
 
 from __future__ import annotations
@@ -96,39 +101,31 @@ def _events_affine(
         drift_l = cbar + ll
         drift_r = cbar + lr
 
-        if p_l < 0.0 or (p_l == 0.0 and drift_l < 0.0):
-            # Relaxing upward toward the lower obstacle.
-            big_g = drift_l / n
-            big_d = p_l - big_g
-            if big_g > 0.0 and big_d < 0.0 and -big_g / big_d < 1.0:
+        below = p_l < 0.0 or (p_l == 0.0 and drift_l < 0.0)
+        if below or p_r > 0.0 or (p_r == 0.0 and drift_r > 0.0):
+            # Relaxing toward the obstacle the mean is beyond: upward toward
+            # the lower one (sign 1) or downward toward the upper one (sign -1).
+            sign, a, slope, gap, drift = (
+                (1.0, al, ll, p_l, drift_l) if below else (-1.0, ar, lr, p_r, drift_r)
+            )
+            big_g = drift / n
+            big_d = gap - big_g
+            if sign * big_g > 0.0 and sign * big_d < 0.0 and -big_g / big_d < 1.0:
                 tau = math.log(-big_d / big_g) / n
             else:
                 tau = math.inf
             te = min(tau, remaining)
             decay = -math.expm1(-n * te)  # 1 - exp(-n te)
-            up += max(0.0, -(big_d * decay + n * big_g * te))
+            force = big_d * decay + n * big_g * te
+            if below:
+                up += max(0.0, -force)
+            else:
+                dn += max(0.0, force)
             if tau <= remaining:
-                u = al - ll * (h0 + tau)  # lands exactly on the obstacle
+                u = a - slope * (h0 + tau)  # lands exactly on the obstacle
                 remaining -= tau
             else:
-                u = big_d * math.exp(-n * te) + big_g + (al - ll * (h0 + te))
-                remaining = 0.0
-        elif p_r > 0.0 or (p_r == 0.0 and drift_r > 0.0):
-            # Relaxing downward toward the upper obstacle.
-            big_g = drift_r / n
-            big_d = p_r - big_g
-            if big_g < 0.0 and big_d > 0.0 and -big_g / big_d < 1.0:
-                tau = math.log(-big_d / big_g) / n
-            else:
-                tau = math.inf
-            te = min(tau, remaining)
-            decay = -math.expm1(-n * te)
-            dn += max(0.0, big_d * decay + n * big_g * te)
-            if tau <= remaining:
-                u = ar - lr * (h0 + tau)
-                remaining -= tau
-            else:
-                u = big_d * math.exp(-n * te) + big_g + (ar - lr * (h0 + te))
+                u = big_d * math.exp(-n * te) + big_g + (a - slope * (h0 + te))
                 remaining = 0.0
         else:
             # Free drift between the obstacles.
@@ -147,6 +144,28 @@ def _events_affine(
 # ---------------------------------------------------------------------------
 # the penalized solver
 # ---------------------------------------------------------------------------
+
+
+def _mean_push(k, u, cbar, n, nodes, lo, hi) -> tuple[float, float]:
+    """Exact pushes ``(up, down)`` across step ``k`` from the mean ``u`` at node ``k+1``.
+
+    ``cbar`` is the step's driver mean; the step is one affine obstacle span.
+    """
+    dt = float(nodes[k + 1] - nodes[k])
+    ll, lr = float(lo[k + 1] - lo[k]) / dt, float(hi[k + 1] - hi[k]) / dt
+    _, up, dn = _events_affine(u, cbar, n, dt, float(lo[k + 1]), ll, float(hi[k + 1]), lr)
+    return up, dn
+
+
+def _check_terminal_mean(sc: Scenario, xi, lo, hi) -> None:
+    """Raise :class:`InfeasibleTerminalError` unless ``E[xi]`` lies in the terminal band."""
+    a = float(pairwise_mean(xi))
+    stat = stat_tol(xi, sc.tol.stat_tol_mult) + sc.tol.root_tol
+    if a < lo[-1] - stat or a > hi[-1] + stat:
+        raise InfeasibleTerminalError(
+            f"terminal mean {a:.6g} lies outside the obstacle band "
+            f"[{lo[-1]:.6g}, {hi[-1]:.6g}] beyond tolerance {stat:.3g}"
+        )
 
 
 def solve_penalized(
@@ -170,33 +189,15 @@ def solve_penalized(
         bm = sc.simulate(grid)
     lo, hi = sc.obstacles.sample(grid)
     xi = sc.terminal_values(bm)
-    a = float(pairwise_mean(xi))
-    stat = stat_tol(xi, sc.tol.stat_tol_mult) + sc.tol.root_tol
-    if a < lo[-1] - stat or a > hi[-1] + stat:
-        raise InfeasibleTerminalError(
-            f"terminal mean {a:.6g} lies outside the obstacle band "
-            f"[{lo[-1]:.6g}, {hi[-1]:.6g}] beyond tolerance {stat:.3g}"
-        )
+    _check_terminal_mean(sc, xi, lo, hi)
 
     nodes = grid.nodes
-    d_up = np.zeros(grid.n_steps)
-    d_dn = np.zeros(grid.n_steps)
+    d_up, d_dn = np.zeros(grid.n_steps), np.zeros(grid.n_steps)
 
     def push(k: int, y_next: NDArray[np.floating], fval: NDArray[np.floating]) -> float:
-        dt = float(nodes[k + 1] - nodes[k])
-        _, up_inc, dn_inc = _events_affine(
-            float(pairwise_mean(y_next)),
-            float(pairwise_mean(fval)),
-            float(n),
-            dt,
-            float(lo[k + 1]),
-            float(lo[k + 1] - lo[k]) / dt,
-            float(hi[k + 1]),
-            float(hi[k + 1] - hi[k]) / dt,
-        )
-        d_up[k] = up_inc
-        d_dn[k] = dn_inc
-        return up_inc - dn_inc
+        u, cbar = float(pairwise_mean(y_next)), float(pairwise_mean(fval))
+        d_up[k], d_dn[k] = _mean_push(k, u, cbar, float(n), nodes, lo, hi)
+        return d_up[k] - d_dn[k]
 
     sol = _backward_pass(xi, sc.generator, bm, sc.regression, None, nodes, push)
     pu = np.concatenate([[0.0], np.cumsum(d_up)])
@@ -212,28 +213,8 @@ def solve_penalized(
 
 
 # ---------------------------------------------------------------------------
-# limit reference and the convergence sweep
+# the convergence sweep
 # ---------------------------------------------------------------------------
-
-
-def _reference_mean(
-    sc: Scenario, bm: Ensemble, lo: NDArray[np.floating], hi: NDArray[np.floating]
-) -> NDArray[np.floating]:
-    """Mean path of the exact reflected limit, by direct band clamping.
-
-    Freezes the driver on zero ensembles (exact for the state-free
-    generators :func:`penalty_sweep` admits), accumulates the mean drift
-    path, and solves the terminal-anchored clamp against the obstacle band
-    itself — no root-finding, and a pinched band (``l_0 = r_0``) is allowed.
-    """
-    grid = bm.grid
-    xi = sc.terminal_values(bm)
-    zeros = Ensemble(grid, np.zeros_like(bm.values))
-    driver = constant_driver_path(sc.generator, zeros, zeros)
-    plain = solve_bsde(xi, None, bm, sc.regression, driver=driver)
-    means = ensemble_means(plain.y)
-    x, _, _ = _reversed_clamp(means[0] - means, means[-1], lo, hi, band_min=0.0)
-    return x
 
 
 @dataclass(frozen=True)
@@ -258,23 +239,45 @@ class PenaltySweep:
     reference_mean: NDArray[np.floating]
 
 
-def penalty_sweep(
-    sc: Scenario, ns: list[float] | tuple[float, ...], *, threads: int = 1
-) -> PenaltySweep:
-    """Run the penalized solver across increasing levels and tabulate.
+def _level_means(n, plain, fbar, nodes, lo, hi):
+    """Mean path, ``push_up`` and ``push_down`` at level ``n`` by the scalar recursion.
 
-    All levels share one Brownian ensemble, so differences between rows are
-    purely the penalty dynamics (the Monte Carlo noise cancels against the
-    shared reference).  ``threads > 1`` fans the independent levels out over
-    a thread pool; each level's solve is a pure function of ``(sc, n, bm)``
-    and rows are tabulated in level order, so the result is identical for
-    any thread count.  The generator must be state-free (``ValueError``
-    otherwise): the reference freezes the driver at zero.
+    ``M_k = m0_k + sum_{j>=k} (up_j - down_j)``, each step's pushes taken
+    from ``M_{k+1}``; a non-finite mean or push is a numerical failure.
+    """
+    d_up, d_dn = np.zeros(nodes.size - 1), np.zeros(nodes.size - 1)
+    mean = plain.copy()
+    shift = 0.0
+    for k in range(nodes.size - 2, -1, -1):
+        u, cbar = float(mean[k + 1]), float(fbar[k])
+        d_up[k], d_dn[k] = _mean_push(k, u, cbar, n, nodes, lo, hi)
+        shift += d_up[k] - d_dn[k]
+        mean[k] += shift
+        if not all(map(math.isfinite, (mean[k], d_up[k], d_dn[k]))):
+            raise NumericalFailureError(
+                f"penalized mean went non-finite at level {n:g}, node {k} (t = {nodes[k]:.6g})"
+            )
+    return mean, np.append(0.0, np.cumsum(d_up)), np.append(0.0, np.cumsum(d_dn))
+
+
+def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltySweep:
+    """Tabulate the penalized mean dynamics across increasing levels.
+
+    The generator must be state-free (``ValueError`` otherwise), so every
+    push shifts all particles alike and the regression, whose basis holds
+    the constants, carries it through up to ridge and rounding.  One plain
+    pass with the driver frozen on zero ensembles thus gives the mean path
+    ``m0`` and the driver means, and each level runs :func:`_level_means` on
+    scalars.  The reference is the exact reflected limit, ``m0`` clamped
+    against the obstacle band itself (a pinched band is allowed).  All rows
+    share one Brownian ensemble, so the Monte Carlo noise cancels.
     """
     levels = [float(v) for v in ns]
     increasing = all(b > a for a, b in zip(levels, levels[1:]))
-    if not levels or not increasing or not all(map(math.isfinite, levels)):
-        raise ValueError(f"penalty levels must be finite and strictly increasing: {levels}")
+    if not levels or not increasing or not all(0.0 < v < math.inf for v in levels):
+        raise ValueError(
+            f"penalty levels must be positive, finite and strictly increasing: {levels}"
+        )
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
     if not _state_free(sc.generator):
@@ -283,33 +286,26 @@ def penalty_sweep(
             "the penalty sweep needs a state-free generator (lipschitz mode, "
             f"lam = 0); got {gen.mode} mode, lam = {gen.lam:g}"
         )
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     grid = sc.make_grid()
     bm = sc.simulate(grid)
     lo, hi = sc.obstacles.sample(grid)
-    ref = _reference_mean(sc, bm, lo, hi)
+    xi = sc.terminal_values(bm)
+    _check_terminal_mean(sc, xi, lo, hi)
+    zeros = Ensemble(grid, np.zeros_like(bm.values))
+    driver = constant_driver_path(sc.generator, zeros, zeros)
+    plain = ensemble_means(solve_bsde(xi, None, bm, sc.regression, driver=driver).y)
+    fbar = pairwise_mean(driver, axis=0)
+    ref, _, _ = _reversed_clamp(plain[0] - plain, plain[-1], lo, hi, band_min=0.0)
+
+    nodes = grid.nodes
     dt = grid.step_sizes
-
-    def level_result(n: float) -> tuple[NDArray[np.floating], SamplePath, SamplePath]:
-        # only what the table reads: no level's particles outlive its solve
-        sol = solve_penalized(sc, n, bm=bm)
-        return ensemble_means(sol.y), sol.push_up, sol.push_down
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(level_result, levels))
-    else:
-        results = [level_result(level) for level in levels]
-
     errs, tvs, v_up, v_dn, b_up, b_dn = [], [], [], [], [], []
-    for level, (mean, push_up, push_down) in zip(levels, results):
+    for level in levels:
+        mean, push_up, push_down = _level_means(level, plain, fbar, nodes, lo, hi)
         over = np.maximum(mean - hi, 0.0)
         under = np.maximum(lo - mean, 0.0)
         errs.append(float(np.max(np.abs(mean - ref))))
-        tvs.append(float(push_up.values[-1] + push_down.values[-1]))
+        tvs.append(float(push_up[-1] + push_down[-1]))
         v_up.append(float(np.max(over)))
         v_dn.append(float(np.max(under)))
         # n * overshoot stays O(1) where n**2 alone would overflow a float

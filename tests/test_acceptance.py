@@ -326,8 +326,8 @@ def test_criterion_09_quadratic_force_variation_guard(capsys):
 
 
 def test_criterion_10_thread_count_determinism(tmp_path, capsys):
-    # threads fan out only the independent sweep levels; a run is one solve,
-    # so its gate is that a rerun repeats the bytes
+    # the sweep is one regression pass whatever --threads says, and a run is
+    # one solve, so the gates are that thread counts and reruns repeat the bytes
     cfg = {
         "schema_version": 1,
         "horizon": 1.0,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meanreflect as mr
-from meanreflect import cli
+from meanreflect import cli, penalty
 from meanreflect.verify import SUITE_NAMES
 
 
@@ -699,10 +699,35 @@ def test_sweep_error_paths(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
     cfg = _write(tmp_path, "s4.json", _sweep_config())
-    for flag in (["--levels", "4,inf"], ["--levels", "4,nan"], ["--threads", "0"]):
+    bad_flags = (["--levels", "4,inf"], ["--levels", "4,nan"], ["--levels=0,8"], ["--levels=-4,8"])
+    for flag in (*bad_flags, ["--threads", "0"]):
         assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "o4"), *flag]) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
     assert not (tmp_path / "o4").exists()
+
+
+def test_sweep_infeasible_terminal_exits_two(tmp_path, capsys):
+    # E[B_T + 9] = 9 against the terminal band [-2, 2]
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(terminal={"kind": "brownian", "shift": 9.0}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "infeasible-terminal"
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_non_finite_level_mean_exits_one(tmp_path, capsys, monkeypatch):
+    events = penalty._events_affine
+
+    def poisoned(u, cbar, n, *rest):
+        return (math.nan, math.nan, math.nan) if n == 64.0 else events(u, cbar, n, *rest)
+
+    monkeypatch.setattr(penalty, "_events_affine", poisoned)
+    cfg = _write(tmp_path, "sweep.json", _sweep_config())
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NumericalFailureError" and "level 64" in err["message"]
+    assert not (out / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import meanreflect as mr
-from meanreflect.errors import InfeasibleTerminalError
+from meanreflect import bsde, penalty
+from meanreflect.errors import InfeasibleTerminalError, NumericalFailureError
 from oracles import radau_penalized_mean
 
 
@@ -102,6 +103,8 @@ def test_infeasible_terminal_mean_rejected():
     )
     with pytest.raises(InfeasibleTerminalError):
         mr.solve_penalized(sc, 8.0)
+    with pytest.raises(InfeasibleTerminalError):
+        mr.penalty_sweep(sc, [8.0, 64.0])
 
 
 def test_solution_invariants():
@@ -177,11 +180,12 @@ def test_sweep_argument_validation():
         mr.penalty_sweep(sc, [64.0, 8.0])
     with pytest.raises(ValueError):
         mr.penalty_sweep(sc, [])
-    with pytest.raises(ValueError):
-        mr.penalty_sweep(sc, [8.0, 64.0], threads=0)
     for bad in (math.inf, math.nan):  # nan compares false, so never "decreasing"
         with pytest.raises(ValueError, match="finite"):
             mr.penalty_sweep(sc, [4.0, bad])
+    for levels in ([0.0, 8.0], [-4.0, 8.0]):  # a zero level would divide by zero
+        with pytest.raises(ValueError, match="positive"):
+            mr.penalty_sweep(sc, levels)
 
 
 @pytest.mark.parametrize(
@@ -256,15 +260,64 @@ def test_inactive_sweep_sits_at_the_noise_floor():
     assert math.isnan(sw.slope) or abs(sw.slope) < 0.5
 
 
-def test_sweep_is_thread_count_invariant():
-    ns = [8.0, 32.0, 128.0]
-    sc = _ode_scenario(particles=4_000)
-    one = mr.penalty_sweep(sc, ns, threads=1)
-    three = mr.penalty_sweep(sc, ns, threads=3)
-    assert one.sup_errors == three.sup_errors
-    assert one.variations == three.variations
-    assert one.upper_bound_column == three.upper_bound_column
-    assert_array_equal(one.reference_mean, three.reference_mean)
+@pytest.mark.parametrize(
+    "regression, tol",
+    [(mr.RegressionConfig(ridge=0.0), 1e-12), (mr.RegressionConfig(), 1e-8)],
+    ids=["ridge-0", "default-ridge"],
+)
+def test_sweep_rows_match_per_level_particle_solves(monkeypatch, regression, tol):
+    # the sweep's scalar recursion against the particle solver on the same
+    # ensemble: without a ridge the regression carries the push through up
+    # to rounding (observed 2.7e-15 scaled); the default ridge damps each
+    # step's carried push by about ridge/(1 + ridge) (observed 2.6e-9)
+    sc = dataclasses.replace(_ode_scenario(), regression=regression)
+    ns = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
+    rows = []
+    level_means = penalty._level_means
+
+    def spy(*args):
+        rows.append(level_means(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(penalty, "_level_means", spy)
+    sw = mr.penalty_sweep(sc, ns)
+    assert len(rows) == len(ns)
+    bm = sc.simulate(sc.make_grid())
+    for n, (mean, push_up, push_down), err in zip(ns, rows, sw.sup_errors):
+        sol = mr.solve_penalized(sc, n, bm=bm)
+        full = mr.ensemble_means(sol.y)
+        scale = 1.0 + float(np.max(np.abs(full)))
+        assert np.max(np.abs(mean - full)) <= tol * scale
+        assert np.max(np.abs(push_up - sol.push_up.values)) <= tol * scale
+        assert np.max(np.abs(push_down - sol.push_down.values)) <= tol * scale
+        assert abs(err - np.max(np.abs(full - sw.reference_mean))) <= tol * scale
+
+
+@pytest.mark.parametrize("ns", [[16.0], [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]])
+def test_sweep_runs_one_regression_pass(monkeypatch, ns):
+    calls = []
+    backward_pass = bsde._backward_pass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return backward_pass(*args, **kwargs)
+
+    # both names: the sweep goes through solve_bsde, solve_penalized calls its own import
+    monkeypatch.setattr(bsde, "_backward_pass", counting)
+    monkeypatch.setattr(penalty, "_backward_pass", counting)
+    mr.penalty_sweep(_ode_scenario(particles=2_000), ns)
+    assert len(calls) == 1
+
+
+def test_non_finite_level_mean_is_a_numerical_failure(monkeypatch):
+    events = penalty._events_affine
+
+    def poisoned(u, cbar, n, *rest):
+        return (math.nan, math.nan, math.nan) if n == 16.0 else events(u, cbar, n, *rest)
+
+    monkeypatch.setattr(penalty, "_events_affine", poisoned)
+    with pytest.raises(NumericalFailureError, match="level 16, node 19"):
+        mr.penalty_sweep(_ode_scenario(particles=2_000), [4.0, 16.0, 64.0])
 
 
 def test_sweep_keeps_no_level_particles_alive():
