@@ -54,7 +54,6 @@ class Generator:
     f: DriverFn
     lam: float
     gamma: float = 0.0
-    alpha: Callable[[float], float] | None = None
     depends_on_z_law: bool = False
 
     def __post_init__(self):
@@ -296,7 +295,6 @@ def quadratic_z_generator(gamma: float) -> Generator:
         lambda t, y, my, z, mz: 0.5 * g * np.asarray(z) ** 2,
         lam=0.0,
         gamma=g,
-        alpha=lambda t: 0.0,
     )
 
 

@@ -625,7 +625,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--levels", default=None, help="comma-separated penalty levels (overrides config)"
     )
     p_sweep.add_argument(
-        "--threads", type=int, default=1, help="at least 1; the sweep runs one regression pass"
+        "--threads",
+        type=int,
+        default=1,
+        help="at least 1; the sweep is scalar work, so no count changes it",
     )
     p_verify = sub.add_parser("verify", help="run a randomized verification suite")
     p_verify.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")

@@ -217,6 +217,10 @@ class PicardTrace:
     variation and the variation of the reflected input path — the raw
     material of the force-variation guard; ``envelope_terms`` additionally
     holds the envelope band-edge variation when the scenario declared one.
+    These fields describe the returned (or failed) attempt; ``attempts``
+    holds ``(segments, iterations, split_ratio)`` for every attempt in
+    order, ``split_ratio`` being the quotient that exceeded the contraction
+    margin (NaN when the attempt converged or ran out of iterations).
     """
 
     y_distances: tuple[float, ...]
@@ -229,6 +233,7 @@ class PicardTrace:
     k_variations: tuple[float, ...] = ()
     s_variations: tuple[float, ...] = ()
     envelope_terms: tuple[float, ...] | None = None
+    attempts: tuple[tuple[int, int, float], ...] = ()
 
     @property
     def combined_distances(self) -> tuple[float, ...]:
@@ -317,9 +322,13 @@ def _construct(
     return _SegmentSolution(plain, bsp, y, s)
 
 
-def _state_free(gen: Generator) -> bool:
-    """Whether ``gen`` reads neither the state nor its law, so zero ensembles evaluate it."""
-    return gen.mode == "lipschitz" and gen.lam == 0.0
+def _require_state_free(gen: Generator, route: str) -> None:
+    """Raise ``ValueError`` unless ``gen`` reads neither the state nor its law."""
+    if not (gen.mode == "lipschitz" and gen.lam == 0.0):
+        raise ValueError(
+            f"{route} needs a state-free generator (lipschitz mode, lam = 0); "
+            f"got {gen.mode} mode, lam = {gen.lam:g}"
+        )
 
 
 def solve_constant_driver(
@@ -339,21 +348,14 @@ def solve_constant_driver(
     if sc.losses is None:
         raise ValueError("scenario carries no loss pair")
     gen = sc.generator
-    if driver is None and not _state_free(gen):
-        raise ValueError(
-            "the constant-driver route needs a state-free generator (lipschitz "
-            f"mode, lam = 0) or a driver path; got {gen.mode} mode, lam = {gen.lam:g}"
-        )
+    if driver is None:
+        _require_state_free(gen, "the constant-driver route without a driver path")
     grid = bm.grid if bm is not None else sc.make_grid()
     if bm is None:
         bm = sc.simulate(grid)
     xi = sc.terminal_values(bm)
     term_tol = require_feasible_terminal(
-        sc.losses,
-        sc.horizon,
-        xi,
-        stat_tol_mult=sc.tol.stat_tol_mult,
-        root_tol=sc.tol.root_tol,
+        sc.losses, sc.horizon, xi, stat_tol_mult=sc.tol.stat_tol_mult, root_tol=sc.tol.root_tol
     )
     if driver is None:
         zeros = Ensemble(grid, np.zeros_like(bm.values))
@@ -379,60 +381,6 @@ def solve_constant_driver(
 # ---------------------------------------------------------------------------
 
 
-class _SplitNeeded(Exception):
-    """Internal: the current segmentation failed to contract."""
-
-
-class _TraceBuilder:
-    def __init__(self) -> None:
-        self.y_distances: list[float] = []
-        self.k_distances: list[float] = []
-        self.ratios: list[float] = []
-        self.k_variations: list[float] = []
-        self.s_variations: list[float] = []
-        self.envelope_terms: list[float] = []
-        self.segment_iterations: list[int] = []
-        self._segment_converged: list[bool] = []
-        self._prev_combined: float | None = None
-
-    def start_segment(self) -> None:
-        self.segment_iterations.append(0)
-        self._segment_converged.append(False)
-        self._prev_combined = None
-
-    def record(
-        self, d_y: float, d_k: float, k_var: float, s_var: float, env_term: float | None
-    ) -> None:
-        combined = d_y + d_k
-        self.y_distances.append(d_y)
-        self.k_distances.append(d_k)
-        self.k_variations.append(k_var)
-        self.s_variations.append(s_var)
-        if env_term is not None:
-            self.envelope_terms.append(env_term)
-        if self._prev_combined is not None and self._prev_combined > 0.0:
-            self.ratios.append(combined / self._prev_combined)
-        self._prev_combined = combined
-        self.segment_iterations[-1] += 1
-
-    def mark_converged(self) -> None:
-        self._segment_converged[-1] = True
-
-    def freeze(self) -> PicardTrace:
-        return PicardTrace(
-            y_distances=tuple(self.y_distances),
-            k_distances=tuple(self.k_distances),
-            ratios=tuple(self.ratios),
-            iterations=len(self.y_distances),
-            converged=bool(self._segment_converged) and all(self._segment_converged),
-            segment_count=len(self.segment_iterations),
-            segment_iterations=tuple(self.segment_iterations),
-            k_variations=tuple(self.k_variations),
-            s_variations=tuple(self.s_variations),
-            envelope_terms=tuple(self.envelope_terms) if self.envelope_terms else None,
-        )
-
-
 def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
     """Largest per-node RMS gap, one node at a time: no full-size temporary."""
     gaps = [pairwise_mean((a[:, k] - b[:, k]) ** 2) for k in range(a.shape[1])]
@@ -445,53 +393,73 @@ def _picard_segment(
     times: NDArray[np.floating],
     xi: NDArray[np.floating],
     init: str,
-    builder: _TraceBuilder,
-) -> _SegmentSolution:
+    records: list[tuple],
+) -> _SegmentSolution | None:
     """Iterate the frozen-driver construction on one segment to tolerance.
 
-    Raises :class:`_SplitNeeded` when a measured contraction ratio exceeds
-    the margin or the iteration cap runs out — the caller reacts by
-    splitting the horizon further.
+    Appends one ``(d_y, d_k, K variation, s variation, ratio)`` record per
+    iteration to ``records``, where ``ratio`` is the combined-distance
+    quotient against the previous iteration (``None`` on the first); the
+    split test and the trace read that one value.  Returns ``None`` when the
+    quotient exceeds the margin or the iteration cap runs out — the caller
+    reacts by splitting the horizon further.
     """
     gen, lp, tol, cfg = sc.generator, sc.losses, sc.tol, sc.regression
-    grid = bm_seg.grid
-    n, m = bm_seg.values.shape
     term_tol = require_feasible_terminal(
         lp, float(times[-1]), xi, stat_tol_mult=tol.stat_tol_mult, root_tol=tol.root_tol
     )
-    env_term = sc.envelope.tv_bound_terms(times) if sc.envelope is not None else None
-
     if init == "zero":
-        u = Ensemble(grid, np.zeros((n, m), order="F"))
-        v = Ensemble(grid, np.zeros((n, m), order="F"))
+        u = v = Ensemble(bm_seg.grid, np.zeros_like(bm_seg.values))  # F-ordered, like bm
     else:
         p0 = solve_bsde(xi, gen, bm_seg, cfg, times=times)
         u, v = p0.y, p0.z
-    k_prev = np.zeros(m)
-
-    builder.start_segment()
-    prev_d: float | None = None
+    k_prev = np.zeros(times.size)
+    prev_d = 0.0
     for _ in range(tol.max_iterations):
         driver = constant_driver_path(gen, u, v, times=times)
         seg = _construct(xi, bm_seg, times, lp, driver, cfg, tol, term_tol)
         d_y = _max_rms_gap(seg.y.values, u.values)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
-        builder.record(
-            d_y, d_k, seg.bsp.variation, total_variation(seg.s), env_term
-        )
         d = d_y + d_k
-        u, v, k_prev = seg.y, seg.plain.z, seg.bsp.K.values
+        ratio = d / prev_d if prev_d > 0.0 else None
+        records.append((d_y, d_k, seg.bsp.variation, total_variation(seg.s), ratio))
         if d <= tol.picard_tol:
-            builder.mark_converged()
             return seg
-        if prev_d is not None and prev_d > 0.0 and d / prev_d > tol.contraction_margin:
-            raise _SplitNeeded
-        prev_d = d
-    raise _SplitNeeded
+        if ratio is not None and ratio > tol.contraction_margin:
+            return None
+        u, v, k_prev, prev_d = seg.y, seg.plain.z, seg.bsp.K.values, d
+    return None
 
 
-def _segment_bounds(steps: int, n_segments: int) -> list[int]:
-    return [int(round(j * steps / n_segments)) for j in range(n_segments + 1)]
+def _trace(
+    records: list[tuple[NDArray[np.floating], list[tuple]]],
+    converged: bool,
+    envelope: LinearEnvelope | None,
+    attempts: list[tuple[int, int, float]],
+) -> PicardTrace:
+    """Every trace field from one attempt's records, one entry per started segment.
+
+    Each entry pairs the segment's node times (its envelope clock) with the
+    records :func:`_picard_segment` appended.
+    """
+    flat = [r for _, rows in records for r in rows]
+    d_y, d_k, k_var, s_var, ratios = map(tuple, zip(*flat))
+    env = None if envelope is None else tuple(
+        term for times, rows in records for term in [envelope.tv_bound_terms(times)] * len(rows)
+    )
+    return PicardTrace(
+        y_distances=d_y,
+        k_distances=d_k,
+        ratios=tuple(r for r in ratios if r is not None),
+        iterations=len(flat),
+        converged=converged,
+        segment_count=len(records),
+        segment_iterations=tuple(len(rows) for _, rows in records),
+        k_variations=k_var,
+        s_variations=s_var,
+        envelope_terms=env,
+        attempts=tuple(attempts),
+    )
 
 
 def _stitch(
@@ -542,31 +510,6 @@ def _stitch(
     )
 
 
-def _picard_attempt(
-    sc: Scenario,
-    bm: Ensemble,
-    xi: NDArray[np.floating],
-    n_segments: int,
-    init: str,
-    builder: _TraceBuilder,
-) -> MRSolution:
-    grid = bm.grid
-    nodes = grid.nodes
-    bounds = _segment_bounds(grid.n_steps, n_segments)
-    solved: list[tuple[int, int, _SegmentSolution]] = []
-    xi_seg = xi
-    for j in reversed(range(n_segments)):
-        a, b = bounds[j], bounds[j + 1]
-        sub_nodes = nodes[a : b + 1] - nodes[a]
-        sub_grid = TimeGrid(float(nodes[b] - nodes[a]), sub_nodes)
-        bm_seg = Ensemble(sub_grid, bm.values[:, a : b + 1])
-        seg = _picard_segment(sc, bm_seg, nodes[a : b + 1], xi_seg, init, builder)
-        solved.append((a, b, seg))
-        xi_seg = seg.y.values[:, 0].copy()
-    solved.reverse()
-    return _stitch(solved, grid, builder.freeze())
-
-
 def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     """Fixed-point solve of the mean-field reflected problem.
 
@@ -579,7 +522,9 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     If a measured contraction ratio exceeds the configured margin (or the
     iteration cap is hit), the horizon is split into twice as many segments
     and the solve restarts, stitching segment solutions backward from the
-    terminal; each stitched terminal is re-validated for feasibility.
+    terminal; each segment's terminal, the horizon's first, is validated for
+    feasibility.  The trace describes the last attempt; its ``attempts``
+    lists every one.
 
     ``init`` selects the initial iterate: ``"zero"`` or ``"unreflected"``
     (the plain self-consistent backward solve).
@@ -600,13 +545,6 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     grid = sc.make_grid()
     bm = sc.simulate(grid)
     xi = sc.terminal_values(bm)
-    require_feasible_terminal(
-        sc.losses,
-        sc.horizon,
-        xi,
-        stat_tol_mult=sc.tol.stat_tol_mult,
-        root_tol=sc.tol.root_tol,
-    )
     ratio_cc = sc.losses.C / sc.losses.c
     logger.debug(
         "picard horizon %.4g: smallness products %.3g (lipschitz), %.3g (quadratic)",
@@ -615,22 +553,43 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         (32.0 + 192.0 * ratio_cc) * gen.lam * sc.horizon,
     )
 
+    nodes = grid.nodes
     max_segments = max(1, grid.n_steps // 2)
     n_segments = 1
+    attempts: list[tuple[int, int, float]] = []
     while True:
-        builder = _TraceBuilder()
-        try:
-            return _picard_attempt(sc, bm, xi, n_segments, init, builder)
-        except _SplitNeeded:
-            nxt = min(2 * n_segments, max_segments)
-            if nxt == n_segments:
-                raise NonConvergenceError(
-                    f"fixed-point iteration failed to contract with {n_segments} "
-                    f"segment(s) of >= 2 steps; refine the grid or shorten the horizon",
-                    trace=builder.freeze(),
-                ) from None
-            logger.debug("splitting horizon: %d -> %d segments", n_segments, nxt)
-            n_segments = nxt
+        bounds = [int(round(j * grid.n_steps / n_segments)) for j in range(n_segments + 1)]
+        records: list[tuple[NDArray[np.floating], list[tuple]]] = []
+        solved: list[tuple[int, int, _SegmentSolution]] = []
+        xi_seg = xi
+        for j in reversed(range(n_segments)):
+            a, b = bounds[j], bounds[j + 1]
+            times = nodes[a : b + 1]
+            sub_grid = TimeGrid(float(times[-1] - times[0]), times - times[0])
+            records.append((times, []))
+            bm_seg = Ensemble(sub_grid, bm.values[:, a : b + 1])
+            seg = _picard_segment(sc, bm_seg, times, xi_seg, init, records[-1][1])
+            if seg is None:
+                break
+            solved.append((a, b, seg))
+            xi_seg = seg.y.values[:, 0].copy()
+        converged = len(solved) == n_segments
+        *_, ratio = records[-1][1][-1]  # the attempt's last quotient
+        split = not converged and ratio is not None and ratio > sc.tol.contraction_margin
+        iterations = sum(len(rows) for _, rows in records)
+        attempts.append((n_segments, iterations, ratio if split else math.nan))
+        trace = _trace(records, converged, sc.envelope, attempts)
+        if converged:
+            return _stitch(solved[::-1], grid, trace)
+        nxt = min(2 * n_segments, max_segments)
+        if nxt == n_segments:
+            raise NonConvergenceError(
+                f"fixed-point iteration failed to contract with {n_segments} "
+                f"segment(s) of >= 2 steps; refine the grid or shorten the horizon",
+                trace=trace,
+            )
+        logger.debug("splitting horizon: %d -> %d segments", n_segments, nxt)
+        n_segments = nxt
 
 
 # ---------------------------------------------------------------------------

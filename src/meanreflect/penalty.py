@@ -14,9 +14,10 @@ form, with crossings located analytically — so stiffness from large ``n``
 costs accuracy nothing ("implicit in the mean, explicit in the noise").
 
 The convergence sweep admits only state-free generators.  There the push is
-the same shift for every particle and the regression carries it through, so
-one plain regression pass serves every level: each level's mean path is the
-plain one plus a scalar backward recursion of the same exact pushes.
+the same shift for every particle and the regression, whose basis holds the
+constants, keeps the mean, so the sweep needs no particle pass at all: the
+plain mean path follows from ``E[xi]`` and the driver means in closed form,
+and each level adds a scalar backward recursion of the same exact pushes.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bsde import _backward_pass, constant_driver_path, solve_bsde
-from .core import Ensemble, SamplePath, ensemble_means, pairwise_mean, stat_tol
+from .bsde import _backward_pass
+from .core import Ensemble, SamplePath, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
-from .mrbsde import Scenario, _state_free
+from .mrbsde import Scenario, _require_state_free
 from .skorokhod import _reversed_clamp
 
 __all__ = [
@@ -265,12 +266,13 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
 
     The generator must be state-free (``ValueError`` otherwise), so every
     push shifts all particles alike and the regression, whose basis holds
-    the constants, carries it through up to ridge and rounding.  One plain
-    pass with the driver frozen on zero ensembles thus gives the mean path
-    ``m0`` and the driver means, and each level runs :func:`_level_means` on
+    the constants, keeps the mean up to ridge and rounding.  The plain mean
+    path thus needs no particle pass: ``m0_T = E[xi]`` and ``m0_k = m0_{k+1}
+    + fbar_k dt_k``, with ``fbar_k`` the mean of the generator on a zero
+    cross-section at ``t_k``; each level runs :func:`_level_means` on
     scalars.  The reference is the exact reflected limit, ``m0`` clamped
     against the obstacle band itself (a pinched band is allowed).  All rows
-    share one Brownian ensemble, so the Monte Carlo noise cancels.
+    share one terminal draw, so its Monte Carlo noise cancels.
     """
     levels = [float(v) for v in ns]
     increasing = all(b > a for a, b in zip(levels, levels[1:]))
@@ -280,25 +282,27 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
         )
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
-    if not _state_free(sc.generator):
-        gen = sc.generator
-        raise ValueError(
-            "the penalty sweep needs a state-free generator (lipschitz mode, "
-            f"lam = 0); got {gen.mode} mode, lam = {gen.lam:g}"
-        )
+    _require_state_free(sc.generator, "the penalty sweep")
     grid = sc.make_grid()
     bm = sc.simulate(grid)
     lo, hi = sc.obstacles.sample(grid)
     xi = sc.terminal_values(bm)
     _check_terminal_mean(sc, xi, lo, hi)
-    zeros = Ensemble(grid, np.zeros_like(bm.values))
-    driver = constant_driver_path(sc.generator, zeros, zeros)
-    plain = ensemble_means(solve_bsde(xi, None, bm, sc.regression, driver=driver).y)
-    fbar = pairwise_mean(driver, axis=0)
+    nodes, dt = grid.nodes, grid.step_sizes
+    # the driver mean on one zero cross-section per node: the same bits as
+    # the node means of a driver frozen on zero ensembles
+    zero = np.zeros(sc.particles)
+    f = sc.generator.f
+    fbar = [
+        float(pairwise_mean(np.broadcast_to(f(float(t), zero, zero, zero, zero), zero.shape)))
+        for t in nodes[:-1]
+    ]
+    plain = np.empty(nodes.size)
+    plain[-1] = pairwise_mean(xi)
+    for k in range(nodes.size - 2, -1, -1):
+        plain[k] = plain[k + 1] + fbar[k] * dt[k]
     ref, _, _ = _reversed_clamp(plain[0] - plain, plain[-1], lo, hi, band_min=0.0)
 
-    nodes = grid.nodes
-    dt = grid.step_sizes
     errs, tvs, v_up, v_dn, b_up, b_dn = [], [], [], [], [], []
     for level in levels:
         mean, push_up, push_down = _level_means(level, plain, fbar, nodes, lo, hi)

@@ -326,7 +326,7 @@ def test_criterion_09_quadratic_force_variation_guard(capsys):
 
 
 def test_criterion_10_thread_count_determinism(tmp_path, capsys):
-    # the sweep is one regression pass whatever --threads says, and a run is
+    # the sweep is scalar work whatever --threads says, and a run is
     # one solve, so the gates are that thread counts and reruns repeat the bytes
     cfg = {
         "schema_version": 1,

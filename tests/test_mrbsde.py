@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
+from meanreflect import mrbsde
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from meanreflect.mrbsde import _max_rms_gap
 from oracles import cole_hopf_value
@@ -277,8 +278,84 @@ def test_exhausted_iteration_budget_raises_with_trace():
     )
     with pytest.raises(NonConvergenceError) as exc:
         mr.picard_solve(sc)
-    assert exc.value.trace is not None
-    assert not exc.value.trace.converged
+    tr = exc.value.trace
+    assert tr is not None
+    assert not tr.converged
+    # one segment, then two (the cap of steps // 2); each runs out of its
+    # one iteration, so neither names a split ratio
+    assert [a[:2] for a in tr.attempts] == [(1, 1), (2, 1)]
+    assert all(math.isnan(a[2]) for a in tr.attempts)
+
+
+def _split_scenario():
+    # y-coupling too strong for one contraction: 8 stitched segments
+    return _scenario(
+        mr.affine_mix_generator(a_y=5.0), particles=2_000, steps=16, seed=41,
+        losses=mr.linear_band(-60.0, 60.0),
+    )
+
+
+def test_split_solve_reports_every_attempt(monkeypatch):
+    # the trace fields describe the returned attempt only; attempts must
+    # account for every iteration run, discarded restarts included
+    calls = []
+    construct = mrbsde._construct
+
+    def counting(*args):
+        calls.append(1)
+        return construct(*args)
+
+    monkeypatch.setattr(mrbsde, "_construct", counting)
+    tr = mr.picard_solve(_split_scenario()).trace
+    assert sum(a[1] for a in tr.attempts) == len(calls) == 145 > tr.iterations == 139
+    assert [a[0] for a in tr.attempts] == [1, 2, 4, 8]
+    assert tr.attempts[-1][:2] == (tr.segment_count, tr.iterations)
+    assert math.isnan(tr.attempts[-1][2])
+    margin = mr.Tolerances().contraction_margin
+    assert all(a[2] > margin for a in tr.attempts[:-1])
+
+
+@pytest.mark.parametrize("case", ["single", "split", "envelope"])
+def test_trace_fields_agree(case):
+    if case == "single":
+        sc = _scenario(mr.affine_mix_generator(a_y=1.0), particles=4_000, steps=10, horizon=0.1)
+    elif case == "split":
+        sc = _split_scenario()
+    else:
+        sc = mr.Scenario(
+            horizon=1.0,
+            steps=20,
+            particles=5_000,
+            rng=mr.RngSpec(7),
+            terminal=lambda b: 1.5 * np.sin(b) + 2.8,
+            generator=mr.quadratic_z_generator(1.0),
+            losses=mr.linear_band(1.0, 3.0),
+            envelope=mr.LinearEnvelope.constants(1.0, 3.0, 1.0),
+        )
+    tr = mr.picard_solve(sc).trace
+    assert tr.converged and (tr.segment_count > 1) == (case == "split")
+    lengths = {
+        sum(tr.segment_iterations),
+        tr.iterations,
+        len(tr.y_distances),
+        len(tr.k_distances),
+        len(tr.k_variations),
+        len(tr.s_variations),
+    }
+    assert lengths == {tr.iterations} and len(tr.segment_iterations) == tr.segment_count
+    assert (tr.envelope_terms is None) == (sc.envelope is None)
+    if sc.envelope is not None:
+        assert len(tr.envelope_terms) == tr.iterations
+    # ratios: consecutive combined distances within each segment, in order
+    d = tr.combined_distances
+    starts = np.cumsum((0,) + tr.segment_iterations[:-1])
+    expected = [
+        d[i] / d[i - 1]
+        for s, n in zip(starts, tr.segment_iterations)
+        for i in range(s + 1, s + n)
+        if d[i - 1] > 0.0
+    ]
+    assert list(tr.ratios) == expected and len(expected) == tr.iterations - tr.segment_count
 
 
 def test_quadratic_mode_requires_an_envelope():
@@ -383,11 +460,7 @@ def test_every_returned_ensemble_is_f_contiguous():
     single = mr.picard_solve(sc)
     assert single.trace.segment_count == 1
     assert_f(single.y, single.z, single.inner)
-    split_sc = _scenario(
-        mr.affine_mix_generator(a_y=5.0), particles=2_000, steps=16, seed=41,
-        losses=mr.linear_band(-60.0, 60.0),
-    )
-    split = mr.picard_solve(split_sc)
+    split = mr.picard_solve(_split_scenario())
     assert split.trace.segment_count > 1
     assert_f(split.y, split.z, split.inner)
     pen_sc = _scenario(
