@@ -6,6 +6,9 @@ projection onto a small polynomial basis (the classic regression Monte Carlo
 device), which yields both the predictor for the next value and the
 martingale-coefficient estimate ``z = E[y dB] / dt``.  Generators may depend
 on the empirical laws of the solution through the same-step cross-sections.
+Every solver runs this one loop and differs only in its per-step drift hook
+``drift(k, pred, zk)``: the generator at the predictor, the generator frozen
+at a previous iterate's node-``k`` columns, or a given path's column ``k``.
 
 Every reduction over the particle axis is numpy's pairwise sum over one
 contiguous row (:func:`meanreflect.core.pairwise_mean`), so solves are
@@ -39,6 +42,8 @@ __all__ = [
 
 # f(t, y, law_y, z, law_z) -> per-particle drift, vectorized over particles.
 DriverFn = Callable[..., NDArray[np.floating]]
+# drift(k, pred, zk) -> step k's drift: the backward loop's one per-step hook.
+DriftFn = Callable[..., NDArray[np.floating]]
 
 
 @dataclass(frozen=True)
@@ -172,36 +177,48 @@ def solve_bsde(
         raise ValueError("terminal must provide one value per particle")
     if gen is None and driver is None:
         raise ValueError("need a generator or a driver path")
-    if driver is not None:
-        driver = np.asarray(driver, dtype=float)
-        if driver.shape not in ((n, m), (n, m - 1)):
-            raise ValueError("driver path must be (particles, nodes) aligned")
+    times = bm.grid.nodes if times is None else np.asarray(times, dtype=float)
+    if times.shape != (m,):
+        raise ValueError("times must provide one entry per node")
+    drift = _plain_drift(gen, times) if driver is None else _column_drift(driver, n, m)
+    return _backward_pass(xi, bm, cfg, drift, times)
 
-    if times is None:
-        times = bm.grid.nodes
-    else:
-        times = np.asarray(times, dtype=float)
-        if times.shape != (m,):
-            raise ValueError("times must provide one entry per node")
-    return _backward_pass(xi, gen, bm, cfg, driver, times)
+
+def _plain_drift(gen: Generator, times: NDArray) -> DriftFn:
+    """The explicit scheme's hook: ``f(t_k, pred, law(pred), z_k, law(z_k))``."""
+    return lambda k, pred, zk: gen.f(float(times[k]), pred, pred, zk, zk)
+
+
+def _frozen_drift(gen: Generator, u: NDArray, v: NDArray, times: NDArray) -> DriftFn:
+    """The hook of ``f`` frozen at a (particles, nodes) pair; reads node ``k``'s columns only."""
+    return lambda k, *_: gen.f(float(times[k]), u[:, k], u[:, k], v[:, k], v[:, k])
+
+
+def _column_drift(driver: NDArray, n: int, m: int) -> DriftFn:
+    """The hook reading column ``k`` of a caller's (particles, nodes) drift path."""
+    driver = np.asarray(driver, dtype=float)
+    if driver.shape not in ((n, m), (n, m - 1)):
+        raise ValueError("driver path must be (particles, nodes) aligned")
+    return lambda k, *_: driver[:, k]
 
 
 def _backward_pass(
     xi: NDArray[np.floating],
-    gen: Generator | None,
     bm: Ensemble,
     cfg: RegressionConfig,
-    driver: NDArray[np.floating] | None,
+    drift: DriftFn,
     times: NDArray[np.floating],
     mean_shift: Callable[..., float] | None = None,
 ) -> BSDESolution:
     """The regression backward recursion of :func:`solve_bsde`, on checked inputs.
 
+    ``drift(k, pred, zk)`` is the one per-step drift hook of every solver.
     ``mean_shift(k, y_next, fval)``, when given, returns a deterministic
     increment added to every particle at step ``k`` after the drift (the
     penalized scheme's mean push).  Without it nothing is added, so a
     ``-0.0`` particle value stays ``-0.0``.  A step that leaves a non-finite
-    value raises :class:`NumericalFailureError` naming the node.
+    value raises :class:`NumericalFailureError` naming the node and its clock
+    time ``times[k]``.
     """
     grid = bm.grid
     n, m = bm.values.shape
@@ -221,11 +238,7 @@ def _backward_pass(
         else:
             (pred,) = _condexp(state, [y_next], cfg.degree, cfg.ridge)
             zk = z[:, k]
-        if driver is not None:
-            fval = driver[:, k]
-        else:
-            fval = np.asarray(gen.f(float(times[k]), pred, pred, zk, zk), dtype=float)
-            fval = np.broadcast_to(fval, pred.shape)
+        fval = np.broadcast_to(np.asarray(drift(k, pred, zk), dtype=float), pred.shape)
         y[:, k] = pred + fval * dt[k]
         if mean_shift is not None:
             y[:, k] += mean_shift(k, y_next, fval)
@@ -248,23 +261,18 @@ def constant_driver_path(
 ) -> NDArray[np.floating]:
     """Evaluate the generator along a frozen pair of ensembles.
 
-    Returns the per-particle drift path obtained by feeding each node's
-    cross-sections of the frozen ensembles into ``f`` — the state-independent
-    driver used by the fixed-point construction.  ``times`` overrides the
-    clock values for shifted sub-interval grids.
+    Returns the (particles, nodes) drift path obtained by feeding each node's
+    cross-sections of the frozen ensembles into ``f``: the values the
+    fixed-point loop reads node by node, without building this matrix.
+    ``times`` overrides the clock values for shifted sub-interval grids.
     """
     if frozen_y.values.shape != frozen_z.values.shape:
         raise ValueError("frozen ensembles must be aligned")
-    grid = frozen_y.grid
-    n, m = frozen_y.values.shape
-    if times is None:
-        times = grid.nodes
-    out = np.empty((n, m), order="F")
-    for k in range(m):
-        uk = frozen_y.values[:, k]
-        vk = frozen_z.values[:, k]
-        vals = np.asarray(gen.f(float(times[k]), uk, uk, vk, vk), dtype=float)
-        out[:, k] = np.broadcast_to(vals, (n,))
+    times = frozen_y.grid.nodes if times is None else times
+    drift = _frozen_drift(gen, frozen_y.values, frozen_z.values, times)
+    out = np.empty(frozen_y.values.shape, order="F")
+    for k in range(out.shape[1]):
+        out[:, k] = drift(k)
     return out
 
 

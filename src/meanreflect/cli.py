@@ -516,6 +516,8 @@ def cmd_sweep_penalty(
     if threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {threads}")
     cfg = load_config(config_path)
+    if isinstance(cfg.get("solver"), dict):  # no regression or Picard setting reaches the sweep
+        _only(cfg["solver"], ("stat_tol_mult", "root_tol"), "sweep-penalty solver")
     resolved = resolve_seed(seed, cfg)
     sc = build_scenario(cfg, resolved)
     if levels_arg is not None:

@@ -5,9 +5,9 @@ drivers directly: solve the plain backward equation, reflect its *mean* into
 the admissible band with the terminal-anchored Skorokhod map, then shift
 every particle by the deterministic force ``K_T - K_t``.  :func:`picard_solve`
 reduces the general mean-field case to a sequence of such solves by freezing
-the generator's arguments at the previous iterate; on horizons too long for
-one contraction it splits the interval adaptively and stitches the segment
-solutions together backward in time.
+the generator at the previous iterate (read node by node in the backward
+loop); on horizons too long for one contraction it splits the interval
+adaptively and stitches the segment solutions together backward in time.
 
 The force ``K`` is always a single deterministic function — particles share
 it — and its monotone parts are charged only while the corresponding mean
@@ -26,9 +26,12 @@ from numpy.typing import NDArray
 
 from .bsde import (
     BSDESolution,
+    DriftFn,
     Generator,
     RegressionConfig,
-    constant_driver_path,
+    _backward_pass,
+    _column_drift,
+    _frozen_drift,
     solve_bsde,
 )
 from .constraints import (
@@ -292,29 +295,28 @@ def _construct(
     xi: NDArray[np.floating],
     bm: Ensemble,
     times: NDArray[np.floating],
-    losses: LossPair,
-    driver: NDArray[np.floating],
-    cfg: RegressionConfig,
-    tol: Tolerances,
+    drift: DriftFn,
+    sc: Scenario,
     terminal_tol: float,
 ) -> _SegmentSolution:
     """Reflect a frozen-driver solve: plain solution, mean reflection, shift.
 
-    The reflected input is the accumulated mean drift ``s_t = E[y_t0 - y_t]``
-    anchored at ``a = E[xi]``; the boundary pair averages the losses over the
-    recentred plain cross-sections, so the reflected mean satisfies the
-    original mean constraints by construction.
+    The plain solution runs the backward loop on the state-independent hook
+    ``drift`` (clock ``times``).  The reflected input is the accumulated mean
+    drift ``s_t = E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair
+    averages the losses over the recentred plain cross-sections, so the
+    reflected mean satisfies the original mean constraints by construction.
     """
-    plain = solve_bsde(xi, None, bm, cfg, driver=driver)
+    plain = _backward_pass(xi, bm, sc.regression, drift, times)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
     # The boundary pair goes in inline, so its offsets are freed before y is allocated.
     bsp = solve_bsp(
         s,
         float(means[-1]),
-        make_mean_boundary(plain.y, losses, times=times),
-        root_tol=tol.root_tol,
-        band_min=tol.band_min,
+        make_mean_boundary(plain.y, sc.losses, times=times),
+        root_tol=sc.tol.root_tol,
+        band_min=sc.tol.band_min,
         terminal_tol=terminal_tol,
     )
     shift = bsp.K.values[-1] - bsp.K.values
@@ -340,40 +342,27 @@ def solve_constant_driver(
     """Solve the reflected problem for a state-independent driver.
 
     ``driver`` is a per-particle drift path ``(particles, nodes)``; omitted,
-    it is the generator evaluated on zero ensembles, which is right only for
+    it is the generator frozen at zero, which is right only for
     a generator declared state-free (``lipschitz`` mode, ``lam == 0``); any
     other generator raises ``ValueError``.  ``bm`` lets callers reuse a
     simulated Brownian ensemble.
     """
     if sc.losses is None:
         raise ValueError("scenario carries no loss pair")
-    gen = sc.generator
     if driver is None:
-        _require_state_free(gen, "the constant-driver route without a driver path")
-    grid = bm.grid if bm is not None else sc.make_grid()
-    if bm is None:
-        bm = sc.simulate(grid)
+        _require_state_free(sc.generator, "the constant-driver route without a driver path")
+    bm = bm if bm is not None else sc.simulate()
     xi = sc.terminal_values(bm)
     term_tol = require_feasible_terminal(
         sc.losses, sc.horizon, xi, stat_tol_mult=sc.tol.stat_tol_mult, root_tol=sc.tol.root_tol
     )
     if driver is None:
-        zeros = Ensemble(grid, np.zeros_like(bm.values))
-        driver = constant_driver_path(gen, zeros, zeros)
-    seg = _construct(
-        xi, bm, grid.nodes, sc.losses, driver, sc.regression, sc.tol, term_tol
-    )
-    return MRSolution(
-        y=seg.y,
-        z=seg.plain.z,
-        inner=seg.plain.y,
-        K=seg.bsp.K,
-        push_up=seg.bsp.push_up,
-        push_down=seg.bsp.push_down,
-        flat_residual_up=seg.bsp.flat_residual_up,
-        flat_residual_down=seg.bsp.flat_residual_down,
-        s_sup=float(np.max(np.abs(seg.s.values))),
-    )
+        zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
+        drift = _frozen_drift(sc.generator, zero, zero, bm.grid.nodes)
+    else:
+        drift = _column_drift(driver, *bm.values.shape)
+    seg = _construct(xi, bm, bm.grid.nodes, drift, sc, term_tol)
+    return _stitch([(0, bm.grid.n_steps, seg)], bm.grid, None)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +391,24 @@ def _picard_segment(
     quotient against the previous iteration (``None`` on the first); the
     split test and the trace read that one value.  Returns ``None`` when the
     quotient exceeds the margin or the iteration cap runs out — the caller
-    reacts by splitting the horizon further.
+    reacts by splitting the horizon further.  An iteration keeps only the
+    frozen pair ``(u, v)`` and the force of the last one.
     """
-    gen, lp, tol, cfg = sc.generator, sc.losses, sc.tol, sc.regression
+    gen, tol = sc.generator, sc.tol
     term_tol = require_feasible_terminal(
-        lp, float(times[-1]), xi, stat_tol_mult=tol.stat_tol_mult, root_tol=tol.root_tol
+        sc.losses, float(times[-1]), xi, stat_tol_mult=tol.stat_tol_mult, root_tol=tol.root_tol
     )
     if init == "zero":
-        u = v = Ensemble(bm_seg.grid, np.zeros_like(bm_seg.values))  # F-ordered, like bm
+        u = v = np.broadcast_to(0.0, bm_seg.values.shape)  # read-only: allocates nothing
     else:
-        p0 = solve_bsde(xi, gen, bm_seg, cfg, times=times)
-        u, v = p0.y, p0.z
+        plain = solve_bsde(xi, gen, bm_seg, sc.regression, times=times)
+        u, v = plain.y.values, plain.z.values
+        del plain  # freed, like each previous segment, before _construct allocates
     k_prev = np.zeros(times.size)
     prev_d = 0.0
     for _ in range(tol.max_iterations):
-        driver = constant_driver_path(gen, u, v, times=times)
-        seg = _construct(xi, bm_seg, times, lp, driver, cfg, tol, term_tol)
-        d_y = _max_rms_gap(seg.y.values, u.values)
+        seg = _construct(xi, bm_seg, times, _frozen_drift(gen, u, v, times), sc, term_tol)
+        d_y = _max_rms_gap(seg.y.values, u)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k
         ratio = d / prev_d if prev_d > 0.0 else None
@@ -427,7 +417,8 @@ def _picard_segment(
             return seg
         if ratio is not None and ratio > tol.contraction_margin:
             return None
-        u, v, k_prev, prev_d = seg.y, seg.plain.z, seg.bsp.K.values, d
+        u, v, k_prev, prev_d = seg.y.values, seg.plain.z.values, seg.bsp.K.values, d
+        del seg
     return None
 
 
@@ -467,35 +458,35 @@ def _stitch(
     grid: TimeGrid,
     trace: PicardTrace | None,
 ) -> MRSolution:
-    """Concatenate segment solutions into one full-horizon solution.
+    """Assemble the full-horizon solution from segment solutions, in node order.
 
-    Monotone force parts accumulate across segments; the stitched inner
-    ensemble is re-based so the particle-wise representation
-    ``y = inner + (K_T - K_t)`` holds against the *global* force.
+    The one place an :class:`MRSolution` is built.  Monotone force parts
+    accumulate across segments; the stitched inner ensemble is re-based so
+    the particle-wise representation ``y = inner + (K_T - K_t)`` holds
+    against the *global* force; for a single segment that offset is
+    ``K_T - K_T = 0``, so its arrays are used as they are.
     """
-    n = segs[0][2].y.values.shape[0]
     m = grid.n_nodes
-    yv = np.empty((n, m), order="F")
-    zv = np.empty((n, m), order="F")
-    pu = np.empty(m)
-    pd = np.empty(m)
-    base_up = base_dn = 0.0
-    fr_up = fr_dn = 0.0
-    s_sup = 0.0
+    pu, pd = np.empty(m), np.empty(m)
+    base_up = base_dn = fr_up = fr_dn = s_sup = 0.0
     for a, b, seg in segs:
-        yv[:, a : b + 1] = seg.y.values
-        zv[:, a : b + 1] = seg.plain.z.values
         pu[a : b + 1] = base_up + seg.bsp.push_up.values
         pd[a : b + 1] = base_dn + seg.bsp.push_down.values
-        base_up = float(pu[b])
-        base_dn = float(pd[b])
+        base_up, base_dn = float(pu[b]), float(pd[b])
         fr_up += seg.bsp.flat_residual_up
         fr_dn += seg.bsp.flat_residual_down
         s_sup = max(s_sup, float(np.max(np.abs(seg.s.values))))
     kv = pu - pd
-    inner = np.empty((n, m), order="F")
-    for a, b, seg in segs:
-        inner[:, a : b + 1] = seg.plain.y.values - (kv[-1] - kv[b])
+    if len(segs) == 1:  # spans the grid: re-wrapped, not copied
+        seg = segs[0][2]
+        yv, zv, inner = seg.y.values, seg.plain.z.values, seg.plain.y.values
+    else:
+        n = segs[0][2].y.values.shape[0]
+        yv, zv, inner = (np.empty((n, m), order="F") for _ in range(3))
+        for a, b, seg in segs:
+            yv[:, a : b + 1] = seg.y.values
+            zv[:, a : b + 1] = seg.plain.z.values
+            inner[:, a : b + 1] = seg.plain.y.values - (kv[-1] - kv[b])
     return MRSolution(
         y=Ensemble(grid, yv),
         z=Ensemble(grid, zv),

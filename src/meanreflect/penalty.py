@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bsde import _backward_pass
+from .bsde import _backward_pass, _frozen_drift, _plain_drift
 from .core import Ensemble, SamplePath, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
@@ -185,9 +185,8 @@ def solve_penalized(
         raise ValueError("scenario carries no linear obstacles")
     if not 0.0 < n < math.inf:
         raise ValueError(f"penalty level must be positive and finite, got {n}")
-    grid = bm.grid if bm is not None else sc.make_grid()
-    if bm is None:
-        bm = sc.simulate(grid)
+    bm = bm if bm is not None else sc.simulate()
+    grid = bm.grid
     lo, hi = sc.obstacles.sample(grid)
     xi = sc.terminal_values(bm)
     _check_terminal_mean(sc, xi, lo, hi)
@@ -200,7 +199,7 @@ def solve_penalized(
         d_up[k], d_dn[k] = _mean_push(k, u, cbar, float(n), nodes, lo, hi)
         return d_up[k] - d_dn[k]
 
-    sol = _backward_pass(xi, sc.generator, bm, sc.regression, None, nodes, push)
+    sol = _backward_pass(xi, bm, sc.regression, _plain_drift(sc.generator, nodes), nodes, push)
     pu = np.concatenate([[0.0], np.cumsum(d_up)])
     pd = np.concatenate([[0.0], np.cumsum(d_dn)])
     return PenaltySolution(
@@ -289,14 +288,10 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
     xi = sc.terminal_values(bm)
     _check_terminal_mean(sc, xi, lo, hi)
     nodes, dt = grid.nodes, grid.step_sizes
-    # the driver mean on one zero cross-section per node: the same bits as
-    # the node means of a driver frozen on zero ensembles
-    zero = np.zeros(sc.particles)
-    f = sc.generator.f
-    fbar = [
-        float(pairwise_mean(np.broadcast_to(f(float(t), zero, zero, zero, zero), zero.shape)))
-        for t in nodes[:-1]
-    ]
+    # the node means of the driver frozen at zero, as the constant-driver route reads it
+    zero = np.broadcast_to(0.0, bm.values.shape)
+    drift = _frozen_drift(sc.generator, zero, zero, nodes)
+    fbar = [float(pairwise_mean(np.broadcast_to(drift(k), xi.shape))) for k in range(grid.n_steps)]
     plain = np.empty(nodes.size)
     plain[-1] = pairwise_mean(xi)
     for k in range(nodes.size - 2, -1, -1):

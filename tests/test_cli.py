@@ -314,6 +314,34 @@ def test_unknown_penalty_field_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("degree", 7),
+        ("ridge", 0.5),
+        ("z_mode", "none"),
+        ("picard_tol", 1e-3),
+        ("max_iterations", 3),
+        ("contraction_margin", 0.5),
+        ("band_min", 1e-9),
+    ],
+)
+def test_sweep_rejects_solver_fields_it_does_not_read(tmp_path, capsys, field, value):
+    # the sweep solves no particles and runs no fixed point: only its two
+    # tolerances are read, so any other solver field would be silently ignored
+    solver = {"stat_tol_mult": 3.0, "root_tol": 1e-11, field: value}
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(solver=solver))
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--threads", "2"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and field in err["message"]
+    assert "stat_tol_mult" not in err["message"] and "root_tol" not in err["message"]
+    assert not out.exists()
+    del solver[field]
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(solver=solver))
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--threads", "2"]) == 0
+
+
 _SOLVER_NUMBERS = [
     "degree",
     "ridge",

@@ -4,13 +4,14 @@ fixed-point driver."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
-from meanreflect import mrbsde
+from meanreflect import bsde, mrbsde
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from meanreflect.mrbsde import _max_rms_gap
 from oracles import cole_hopf_value
@@ -470,3 +471,89 @@ def test_every_returned_ensemble_is_f_contiguous():
     )
     pen = mr.solve_penalized(pen_sc, 8.0)
     assert_f(pen.y, pen.z)
+
+
+def _saturating(gen, *, steps, particles, seed):
+    return mr.Scenario(
+        horizon=1.0,
+        steps=steps,
+        particles=particles,
+        rng=mr.RngSpec(seed),
+        terminal=lambda b: 1.5 * np.sin(b) + 0.5,
+        generator=gen,
+        losses=mr.saturating_band(-1.0, 2.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "route,bound",
+    [("zero", 6.5), ("unreflected", 6.5), ("constant-driver", 4.5)],
+)
+def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, bound):
+    # in (particles, nodes) arrays of 4000 x 41 doubles: an iteration holds bm,
+    # the frozen pair (u, v) and the new plain y, z and shifted y; the
+    # constant-driver route has no frozen pair to hold
+    array = 4000 * 41 * 8
+    if route == "constant-driver":
+        gen = mr.constant_generator(4.0)
+    else:
+        gen = mr.affine_mix_generator(a_y=0.5, a_mean_z=0.25, const=3.0)
+    sc = _saturating(gen, steps=40, particles=4000, seed=5)
+    tracemalloc.start()
+    try:
+        if route == "constant-driver":
+            sol = mr.solve_constant_driver(sc)
+        else:
+            sol = mr.picard_solve(sc, init=route)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.trace is None or sol.trace.segment_count == 1
+    assert peak <= bound * array, peak / array
+
+
+@pytest.mark.parametrize("case", ["constant-at-zero", "affine-mix-frozen"])
+def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
+    # the backward loop reads the frozen generator one node at a time; the
+    # public drift matrix of the same frozen pair must give the same bits
+    if case == "constant-at-zero":
+        sc = _saturating(mr.constant_generator(4.0), steps=20, particles=4000, seed=3)
+        bm = sc.simulate()
+        zero = mr.Ensemble(bm.grid, np.zeros_like(bm.values))
+        hooked = mr.solve_constant_driver(sc, bm=bm)
+        driver = mr.constant_driver_path(sc.generator, zero, zero)
+    else:
+        gen = mr.affine_mix_generator(a_y=0.5, a_mean_y=0.3, a_z=0.2, a_mean_z=0.25, const=1.0)
+        sc = _saturating(gen, steps=20, particles=4000, seed=3)
+        bm = sc.simulate()
+        xi = sc.terminal_values(bm)
+        frozen = mr.solve_bsde(xi, gen, bm)  # a non-zero pair, both laws read
+        nodes = bm.grid.nodes
+        drift = bsde._frozen_drift(gen, frozen.y.values, frozen.z.values, nodes)
+        term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
+        seg = mrbsde._construct(xi, bm, nodes, drift, sc, term_tol)
+        hooked = mrbsde._stitch([(0, sc.steps, seg)], bm.grid, None)
+        driver = mr.constant_driver_path(gen, frozen.y, frozen.z)
+    matrix = mr.solve_constant_driver(sc, driver, bm=bm)
+    for name in ("y", "z", "inner"):
+        assert getattr(hooked, name).values.tobytes() == getattr(matrix, name).values.tobytes()
+    assert hooked.K.values.tobytes() == matrix.K.values.tobytes()
+    assert np.any(hooked.K.values != 0.0)  # the band binds: the reflection is exercised
+
+
+def test_non_finite_step_names_the_clock_time():
+    # f is infinite before clock time 5.6; a segment's grid starts at 0, but
+    # the failing step is named on the clock the generator was evaluated on
+    def f(t, y, my, z, mz):
+        return np.full(np.shape(y), np.inf if t < 5.6 else 0.0)
+
+    gen = mr.Generator("lipschitz", f, lam=0.0)
+    sc = _scenario(gen, steps=4, particles=500)
+    bm = sc.simulate()
+    xi = sc.terminal_values(bm)
+    clock = bm.grid.nodes + 5.0
+    with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
+        mr.solve_bsde(xi, gen, bm, times=clock)
+    drift = bsde._frozen_drift(gen, bm.values, bm.values, clock)
+    with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
+        mrbsde._construct(xi, bm, clock, drift, sc, 1.0)
