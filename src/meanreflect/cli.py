@@ -112,11 +112,13 @@ def _emit_error(reason: str, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-# every top-level field that some command reads
-_TOP_FIELDS = (
+# the top-level fields each command reads; a scenario may hold either set
+_COMMON_FIELDS = (
     "schema_version", "seed", "horizon", "steps", "particles", "terminal", "generator",
-    "losses", "envelope", "obstacles", "solver", "penalty", "method", "init",
+    "losses", "solver",
 )
+_RUN_FIELDS = (*_COMMON_FIELDS, "envelope", "method", "init")
+_SWEEP_FIELDS = (*_COMMON_FIELDS, "obstacles", "penalty")
 
 
 def _only(node: dict, allowed: Iterable[str], what: str) -> None:
@@ -347,7 +349,7 @@ def load_config(path: str | Path) -> dict:
 
 def build_scenario(cfg: dict, seed: int) -> Scenario:
     """Assemble a Scenario from a parsed config and a resolved seed."""
-    _only(cfg, _TOP_FIELDS, "config")
+    _only(cfg, (*_RUN_FIELDS, *_SWEEP_FIELDS), "config")
     for key in ("horizon", "steps", "particles", "terminal", "generator"):
         if key not in cfg:
             raise ConfigError(f"config requires field '{key}'")
@@ -476,6 +478,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None) -> int:
     The emitted bytes depend only on config and seed.
     """
     cfg = load_config(config_path)
+    _only(cfg, _RUN_FIELDS, "run config")
     resolved = resolve_seed(seed, cfg)
     sc = build_scenario(cfg, resolved)
     if sc.losses is None:
@@ -516,6 +519,7 @@ def cmd_sweep_penalty(
     if threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {threads}")
     cfg = load_config(config_path)
+    _only(cfg, _SWEEP_FIELDS, "sweep-penalty config")
     if isinstance(cfg.get("solver"), dict):  # no regression or Picard setting reaches the sweep
         _only(cfg["solver"], ("stat_tol_mult", "root_tol"), "sweep-penalty solver")
     resolved = resolve_seed(seed, cfg)

@@ -58,9 +58,9 @@ class LossPair:
     be strictly increasing in ``x`` with slopes in ``[c, C]``, and satisfy
     ``R - L >= gap > 0`` everywhere.  ``time_invariant`` marks pairs whose
     values do not depend on ``t``, which lets boundary code reuse band edges
-    across nodes.  ``affine`` marks pairs affine in ``x``: averaging an
-    affine loss over mean-zero offsets reproduces the loss itself, so
-    boundary construction can drop the offsets entirely.
+    and boundary values across nodes.  ``affine`` marks pairs affine in
+    ``x``: averaging an affine loss over mean-zero offsets reproduces the
+    loss itself, so boundary construction can drop the offsets entirely.
     """
 
     L: Callable[[float, NDArray[np.floating]], NDArray[np.floating]]
@@ -138,7 +138,10 @@ def validate_loss(
 ) -> LossValidation:
     """Spot-check monotonicity, the (c, C) slope range and the R - L gap.
 
-    Report-only: a failed check sets ``passed`` to False but raises nothing.
+    A pair declared ``time_invariant`` must also give the same ``L`` and
+    ``R`` values at every t sample, bit for bit: boundary code evaluates such
+    a pair once for all nodes.  Report-only: a failed check sets ``passed``
+    to False but raises nothing.
     """
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
     xs = np.sort(np.atleast_1d(np.asarray(x_samples, dtype=float)))
@@ -149,17 +152,18 @@ def validate_loss(
     slope_min, slope_max = np.inf, -np.inf
     min_gap = np.inf
     dx = np.diff(xs)
+    first = None
+    time_varies = False
     for t in ts:
-        for f in (lp.L, lp.R):
-            vals = np.asarray(f(float(t), xs), dtype=float)
-            slopes = np.diff(vals) / dx
+        vals = [np.asarray(f(float(t), xs), dtype=float) for f in (lp.L, lp.R)]
+        for v in vals:
+            slopes = np.diff(v) / dx
             violations += int(np.count_nonzero(slopes <= 0.0))
             slope_min = min(slope_min, float(np.min(slopes)))
             slope_max = max(slope_max, float(np.max(slopes)))
-        gap_vals = np.asarray(lp.R(float(t), xs), dtype=float) - np.asarray(
-            lp.L(float(t), xs), dtype=float
-        )
-        min_gap = min(min_gap, float(np.min(gap_vals)))
+        min_gap = min(min_gap, float(np.min(vals[1] - vals[0])))
+        first = vals if first is None else first
+        time_varies |= not all(map(np.array_equal, vals, first))
 
     slope_tol = 1e-9
     passed = (
@@ -167,6 +171,7 @@ def validate_loss(
         and slope_min >= lp.c - slope_tol
         and slope_max <= lp.C + slope_tol
         and min_gap >= lp.gap - slope_tol
+        and not (lp.time_invariant and time_varies)
     )
     return LossValidation(violations, slope_min, slope_max, min_gap, passed)
 
@@ -178,7 +183,7 @@ def validate_loss(
 
 @dataclass(frozen=True)
 class BoundaryPair:
-    """Deterministic boundaries on the mean level, vectorized in ``x`` at one node.
+    """Deterministic boundaries on the mean level, vectorized in ``x`` and the node.
 
     ``l``/``r`` at node ``k`` are the loss functions averaged over a recentred
     ensemble cross-section: ``l(k, x) = mean_i L(times[k], x + off[k, i])``.
@@ -187,9 +192,10 @@ class BoundaryPair:
     node ``k``.  The band edges are computed once, last node first, and serve
     both the forward and the terminal-anchored reflection.
 
-    ``lower(k, x)`` and ``upper(k, x)`` take a scalar or an array ``x`` and
-    return values of the same shape; each entry has the bits of the scalar
-    call at that point.
+    ``lower(k, x)`` and ``upper(k, x)`` take one node ``k`` with a scalar or
+    array ``x``, or a 1-D numpy array of nodes ``k`` paired row-wise with
+    ``x`` of shape ``(len(k),)`` or ``(len(k), p)``.  They return values
+    shaped like ``x``, each entry with the bits of the scalar call there.
     """
 
     grid: TimeGrid
@@ -211,24 +217,32 @@ class BoundaryPair:
 
     # -- evaluation ---------------------------------------------------------
 
-    def lower(self, node: int, x: ArrayLike) -> float | NDArray[np.floating]:
+    def lower(self, node: int | NDArray[np.integer], x: ArrayLike) -> float | NDArray[np.floating]:
         """l(t_node, x): averaged lower loss; <= 0 is the admissible side."""
         return self._eval(self.losses.L, node, x)
 
-    def upper(self, node: int, x: ArrayLike) -> float | NDArray[np.floating]:
+    def upper(self, node: int | NDArray[np.integer], x: ArrayLike) -> float | NDArray[np.floating]:
         """r(t_node, x): averaged upper loss; >= 0 is the admissible side."""
         return self._eval(self.losses.R, node, x)
 
-    def _eval(self, f, node: int, x: ArrayLike) -> float | NDArray[np.floating]:
-        """The one boundary evaluator: ``f`` at node ``node``, shaped like ``x``.
+    def _eval(self, f, node, x: ArrayLike) -> float | NDArray[np.floating]:
+        """The one boundary evaluator: ``f`` at ``node`` (one, or one per row), shaped like ``x``.
 
         An averaged pair evaluates ``f`` on the (x, particles) outer sum and
         reduces each row along its last, contiguous axis, so every entry has
-        the reduction order of a scalar call.
+        the reduction order of a scalar call.  Over a node array, a bare
+        ``time_invariant`` pair takes one call of ``f``, others go row by row.
         """
+        x = np.asarray(x, dtype=float)
+        if isinstance(node, np.ndarray) and node.ndim:
+            if x.shape[:1] != node.shape:
+                raise ValueError("a node array needs one row of x per node")
+            if self.offsets is not None or not self.losses.time_invariant:
+                return np.array([self._eval(f, k, r) for k, r in zip(node, x)]).reshape(x.shape)
+            node = 0
         t = float(self.times[node])
         if self.offsets is None:
-            vals = f(t, np.asarray(x, dtype=float))
+            vals = f(t, x)
         else:
             vals = pairwise_mean(f(t, np.add.outer(x, self.offsets[node])))
         return np.asarray(vals, dtype=float)[()]

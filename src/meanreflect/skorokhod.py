@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constraints import BAND_MIN_DEFAULT, ROOT_TOL_DEFAULT, BoundaryPair, LinearEnvelope
-from .core import SamplePath
+from .core import SamplePath, TimeGrid
 from .errors import DegenerateConstraintsError, InfeasibleTerminalError
 
 __all__ = [
@@ -127,6 +127,12 @@ def _clamp_recursion(
     return np.array(xs), np.array(ups), np.array(dns)
 
 
+def _require_one_grid(*grids: TimeGrid) -> None:
+    """Raise ``ValueError`` unless the grids are one: the same object or the same nodes."""
+    if any(g is not grids[0] and not np.array_equal(g.nodes, grids[0].nodes) for g in grids):
+        raise ValueError("paths, solutions and boundary pairs must share the grid")
+
+
 def _solution(cls, grid, x, push_up, push_down, residuals, **extra):
     """Wrap node arrays as a reflection solution with ``K = push_up - push_down``."""
     K = SamplePath(grid, push_up - push_down)
@@ -154,8 +160,7 @@ def solve_sp(
     DegenerateConstraintsError
         If the band width drops below ``band_min`` at any node.
     """
-    if s.grid is not bp.grid and not np.array_equal(s.grid.nodes, bp.grid.nodes):
-        raise ValueError("input path and boundary pair must share the grid")
+    _require_one_grid(s.grid, bp.grid)
     rho, lam = bp.band_edges(root_tol)
     x, up, dn = _clamp_recursion(s.values, rho, lam, band_min)
     residuals = flatness_residuals_raw(x, up, dn, bp)
@@ -204,8 +209,7 @@ def solve_bsp(
     small initial force of the reversed problem.
     """
     grid = s.grid
-    if grid is not bp.grid and not np.array_equal(grid.nodes, bp.grid.nodes):
-        raise ValueError("input path and boundary pair must share the grid")
+    _require_one_grid(grid, bp.grid)
     if not np.allclose(grid.nodes, grid.reversed_nodes(), rtol=0.0, atol=1e-12):
         raise ValueError("backward reflection needs a reversal-symmetric grid")
     last = grid.n_nodes - 1
@@ -243,17 +247,19 @@ def flatness_residuals_raw(
     position ``k`` is node ``len(x_vals) - 1 - k``.  ``x_vals`` is in node
     order either way.
     """
-    nodes = range(len(x_vals))[::-1] if reverse else range(len(x_vals))
-    d_up = np.diff(push_up_vals, prepend=0.0)
-    d_dn = np.diff(push_down_vals, prepend=0.0)
-    up = dn = 0.0
-    for k in np.nonzero(d_up > 0.0)[0]:
-        j = nodes[k]
-        up += max(bp.upper(j, float(x_vals[j])), 0.0) * float(d_up[k])
-    for k in np.nonzero(d_dn > 0.0)[0]:
-        j = nodes[k]
-        dn += max(-bp.lower(j, float(x_vals[j])), 0.0) * float(d_dn[k])
-    return float(up), float(dn)
+
+    def residual(push, slack) -> float:
+        d = push - np.concatenate(([0.0], push[:-1]))  # np.diff(push, prepend=0.0), cheaper
+        k = np.flatnonzero(d > 0.0)
+        if not k.size:
+            return 0.0
+        terms = np.maximum(slack(len(x_vals) - 1 - k if reverse else k), 0.0) * d[k]
+        # A left fold from 0.0 in increment order, as the per-increment sum made it.
+        return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+    up = residual(push_up_vals, lambda j: bp.upper(j, x_vals[j]))
+    dn = residual(push_down_vals, lambda j: -bp.lower(j, x_vals[j]))
+    return up, dn
 
 
 def flatness_residuals(sol: ReflectionSolution, bp: BoundaryPair) -> tuple[float, float]:
@@ -332,14 +338,19 @@ class ContinuityReport:
     passed: bool
 
 
+def _node_rows(bp: BoundaryPair, x_samples) -> tuple[NDArray[np.integer], NDArray[np.floating]]:
+    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
+    return np.arange(bp.grid.n_nodes), np.broadcast_to(xs, (bp.grid.n_nodes, xs.size))
+
+
 def _boundary_discrepancy(
     bp1: BoundaryPair, bp2: BoundaryPair, x_samples: NDArray[np.floating]
 ) -> tuple[float, float]:
     """sup over nodes and x-samples of |l1 - l2| and |r1 - r2|; NaN gaps are skipped."""
-    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
+    nodes, rows = _node_rows(bp1, x_samples)
 
     def sup_gap(f1, f2) -> float:
-        gap = np.abs([f1(k, xs) - f2(k, xs) for k in range(bp1.grid.n_nodes)])
+        gap = np.abs(f1(nodes, rows) - f2(nodes, rows))
         return float(np.fmax.reduce(gap, axis=None, initial=0.0))
 
     return sup_gap(bp1.lower, bp2.lower), sup_gap(bp1.upper, bp2.upper)
@@ -369,8 +380,10 @@ def check_continuity_bound(
 
     where Lbar/Rbar are the sup-discrepancies of the boundary values
     (estimated over the node times and the declared x-sample set) and (c, C)
-    are Lipschitz constants valid for both pairs.
+    are Lipschitz constants valid for both pairs.  Raises ``ValueError``
+    unless the paths, solutions and pairs share one grid.
     """
+    _require_one_grid(sol1.K.grid, sol2.K.grid, s1.grid, s2.grid, bp1.grid, bp2.grid)
     c = min(bp1.c, bp2.c)
     C = max(bp1.C, bp2.C)
     sup_ds = float(np.max(np.abs(s1.values - s2.values)))
@@ -409,18 +422,17 @@ def check_comparison(
 ) -> ComparisonReport:
     """Narrower bands force more: both monotone parts must dominate nodewise.
 
-    The premise (wide boundary below/above the narrow one in the required
-    order) is verified on the sample set first; the check then runs both
-    solves on the same input and compares the cumulative parts at every node.
+    Both solves run on the same input and their cumulative parts are
+    compared at every node; the premise (wide boundary below/above the
+    narrow one in the required order) is verified on the sample set.
     """
-    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    premise_ok = not any(
-        np.any(bp_wide.lower(k, xs) > bp_narrow.lower(k, xs) + 1e-12)
-        or np.any(bp_wide.upper(k, xs) < bp_narrow.upper(k, xs) - 1e-12)
-        for k in range(bp_wide.grid.n_nodes)
-    )
     sol_w = solve_sp(s, bp_wide, root_tol=root_tol, band_min=band_min)
     sol_n = solve_sp(s, bp_narrow, root_tol=root_tol, band_min=band_min)
+    nodes, rows = _node_rows(bp_wide, x_samples)
+    premise_ok = not (
+        np.any(bp_wide.lower(nodes, rows) > bp_narrow.lower(nodes, rows) + 1e-12)
+        or np.any(bp_wide.upper(nodes, rows) < bp_narrow.upper(nodes, rows) - 1e-12)
+    )
     viol_up = float(np.max(sol_w.push_up.values - sol_n.push_up.values))
     viol_dn = float(np.max(sol_w.push_down.values - sol_n.push_down.values))
     passed = premise_ok and viol_up <= check_tol and viol_dn <= check_tol

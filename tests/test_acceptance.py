@@ -343,7 +343,8 @@ def test_criterion_10_thread_count_determinism(tmp_path, capsys):
     sweep_path = tmp_path / "sweep.json"
     sweep_path.write_text(json.dumps(cfg))
     run_path = tmp_path / "run.json"
-    run_path.write_text(json.dumps(dict(cfg, method="constant-driver")))
+    run_cfg = {k: v for k, v in cfg.items() if k not in ("obstacles", "penalty")}
+    run_path.write_text(json.dumps(dict(run_cfg, method="constant-driver")))
     sweeps, runs = [], []
     for threads in (1, 4, 8):
         out = tmp_path / f"threads{threads}"

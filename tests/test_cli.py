@@ -299,9 +299,41 @@ def test_unknown_fields_are_config_errors(tmp_path, capsys, where):
     _MISSPELT[where](cfg)
     path = _write(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
-    assert cli.main(["run", path, "--out", str(out)]) == 1
+    command = "sweep-penalty" if "obstacles" in where else "run"  # the command reading the block
+    assert cli.main([command, path, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "config" and "unknown field" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["penalty", "obstacles"])
+def test_run_rejects_sweep_only_fields(tmp_path, capsys, field):
+    # neither the Picard nor the constant-driver route reads these, so a run
+    # used to ignore them
+    cfg = _write(tmp_path, "run.json", _clamp_config(**{field: _sweep_config()[field]}))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and field in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("method", "picard"),
+        ("init", "unreflected"),
+        ("envelope", {"kind": "affine-envelope", "p": 40.0, "q": -40.0}),
+    ],
+)
+def test_sweep_rejects_run_only_fields(tmp_path, capsys, field, value):
+    # the sweep runs no Picard iteration and no envelope guard, so it used to
+    # ignore these
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(**{field: value}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and field in err["message"]
     assert not out.exists()
 
 
@@ -839,14 +871,10 @@ _FIELDS = [
 def _cli_cases(draw):
     command = draw(st.sampled_from(["run", "sweep-penalty"]))
     base = _flat_config if command == "run" else _sweep_config
-    cfg = base(
-        steps=draw(st.integers(1, 8)),
-        particles=draw(st.integers(2, 500)),
-        solver={},
-        obstacles={"kind": "linear-rates", "lower_rate": -2.0, "upper_rate": 2.0},
-        penalty={"levels": [8.0, 64.0]},
-    )
-    for path, key, values in draw(st.lists(st.sampled_from(_FIELDS), max_size=3)):
+    cfg = base(steps=draw(st.integers(1, 8)), particles=draw(st.integers(2, 500)), solver={})
+    # only the blocks the command reads: any other block is rejected whole
+    fields = [f for f in _FIELDS if not f[0] or f[0][0] in cfg]
+    for path, key, values in draw(st.lists(st.sampled_from(fields), max_size=3)):
         node = cfg
         for part in path:
             node = node[part]

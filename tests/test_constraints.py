@@ -76,6 +76,26 @@ def test_validate_flags_overstated_gap():
     assert not validate_loss(lp, _TS, _XS).passed
 
 
+def _drifting_band(time_invariant: bool) -> mr.LossPair:
+    # L = x - 3 - t, R = x + 1 - t: a valid pair whose values move with t
+    return mr.LossPair(
+        L=lambda t, x: np.asarray(x, dtype=float) - 3.0 - t,
+        R=lambda t, x: np.asarray(x, dtype=float) + 1.0 - t,
+        c=1.0,
+        C=1.0,
+        gap=4.0,
+        time_invariant=time_invariant,
+    )
+
+
+def test_validate_flags_a_false_time_invariance_claim():
+    # boundary code evaluates a time-invariant bare pair once for all nodes,
+    # so a pair that moves with t must not pass while claiming invariance
+    assert validate_loss(_drifting_band(False), _TS, _XS).passed
+    assert not validate_loss(_drifting_band(True), _TS, _XS).passed
+    assert validate_loss(_drifting_band(True), _TS[:1], _XS).passed
+
+
 # ---------------------------------------------------------------------------
 # mean-level boundaries
 # ---------------------------------------------------------------------------
@@ -146,6 +166,52 @@ def test_array_evaluation_matches_scalar_calls_bitwise(losses, averaged):
             scalar = np.array([side(node, float(x)) for x in xs])
             assert vec.tobytes() == scalar.tobytes()
             assert side(node, xs.reshape(3, 4)).tobytes() == vec.tobytes()
+
+
+def _node_array_pairs() -> dict[str, mr.BoundaryPair]:
+    g = mr.build_grid(1.0, 6)
+    vals = np.random.default_rng(11).normal(0.0, 1.5, (33, g.n_nodes))
+    return {
+        "bare saturating": boundary_from_losses(g, mr.saturating_band(-1.5, 2.0)),
+        "bare linear": boundary_from_losses(g, mr.linear_band(-1.5, 2.0)),
+        "bare t-dependent": boundary_from_losses(g, _drifting_band(False)),
+        "averaged": make_mean_boundary(mr.Ensemble(g, vals), mr.saturating_band(-1.5, 2.0)),
+    }
+
+
+_NODE_ARRAY_PAIRS = _node_array_pairs()
+_SPECIAL_X = np.array([0.0, -0.0, 1e-300, -2.0, 3.5, 1e6])
+
+
+@given(
+    st.sampled_from(sorted(_NODE_ARRAY_PAIRS)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 9),
+    st.sampled_from([None, 1, 4]),
+)
+def test_node_array_evaluation_matches_per_node_scalar_calls(kind, seed, rows, width):
+    bp = _NODE_ARRAY_PAIRS[kind]
+    rng = np.random.default_rng(seed)
+    nodes = rng.integers(0, bp.grid.n_nodes, rows)  # any order, repeats allowed
+    shape = (rows,) if width is None else (rows, width)
+    special = rng.uniform(size=shape) < 0.3
+    x = np.where(special, rng.choice(_SPECIAL_X, shape), rng.normal(0.0, 4.0, shape))
+    for side in (bp.lower, bp.upper):
+        batched = side(nodes, x)
+        assert batched.shape == x.shape and batched.dtype == np.float64
+        if width is None:
+            ref = np.array([side(int(k), float(v)) for k, v in zip(nodes, x)])
+        else:
+            ref = np.array([[side(int(k), float(v)) for v in row] for k, row in zip(nodes, x)])
+        assert batched.tobytes() == ref.reshape(shape).tobytes()
+
+
+def test_node_array_needs_one_row_per_node():
+    bp = _NODE_ARRAY_PAIRS["bare linear"]
+    with pytest.raises(ValueError):
+        bp.lower(np.arange(3), np.zeros(4))
+    with pytest.raises(ValueError):
+        bp.upper(np.arange(3), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
 from meanreflect.errors import DegenerateConstraintsError, InfeasibleTerminalError
-from meanreflect.skorokhod import _boundary_discrepancy
+from meanreflect import skorokhod
+from meanreflect.skorokhod import _boundary_discrepancy, flatness_residuals_raw
 from oracles import double_barrier_batch
 
 _XS = np.linspace(-6.0, 6.0, 25)
@@ -314,6 +315,43 @@ def test_flatness_detects_fabricated_force():
     assert up == 0.0
 
 
+def _flatness_loop(x, push_up, push_down, bp, reverse):
+    # reference: one scalar boundary call per push increment, summed left to right
+    nodes = list(range(len(x)))[::-1] if reverse else list(range(len(x)))
+    d_up, d_dn = np.diff(push_up, prepend=0.0), np.diff(push_down, prepend=0.0)
+    up = dn = 0.0
+    for k, j in enumerate(nodes):
+        if d_up[k] > 0.0:
+            up += max(bp.upper(j, float(x[j])), 0.0) * float(d_up[k])
+        if d_dn[k] > 0.0:
+            dn += max(-bp.lower(j, float(x[j])), 0.0) * float(d_dn[k])
+    return up, dn
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("kind", ["linear", "saturating", "averaged"])
+def test_flatness_matches_the_per_increment_loop(kind, reverse):
+    rng = np.random.default_rng(17)
+    g = mr.build_grid(1.0, 24)
+    lp = mr.linear_band(-1.0, 1.0) if kind == "linear" else mr.saturating_band(-1.0, 1.0)
+    off = rng.normal(0.0, 0.7, (g.n_nodes, 9)) if kind == "averaged" else None
+    bp = mr.BoundaryPair(g, lp, g.nodes.copy(), off)
+    # fabricated force: random increments, some zero, on a path that sits
+    # exactly on the upper edge at some down-push, where -l is -0.0
+    x = rng.normal(0.0, 1.5, g.n_nodes)
+    steps = rng.uniform(0.0, 0.2, (2, g.n_nodes))
+    push_up, push_down = np.cumsum(np.where(steps < 0.1, 0.0, steps), axis=1)
+    pos = int(np.flatnonzero(np.diff(push_down, prepend=0.0) > 0.0)[0])
+    on_edge = g.n_nodes - 1 - pos if reverse else pos
+    x[on_edge] = 1.0
+    if kind == "linear":
+        assert str(max(-bp.lower(on_edge, 1.0), 0.0)) == "-0.0"
+    got = flatness_residuals_raw(x, push_up, push_down, bp, reverse=reverse)
+    ref = _flatness_loop(x, push_up, push_down, bp, reverse)
+    assert [v.hex() for v in got] == [v.hex() for v in ref]
+    assert min(got) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # continuity and comparison estimates
 # ---------------------------------------------------------------------------
@@ -371,6 +409,63 @@ def test_boundary_discrepancy_matches_the_pointwise_loop():
             ref[1] = max(ref[1], abs(bp1.upper(k, x) - bp2.upper(k, x)))
     assert _boundary_discrepancy(bp1, bp2, xs) == tuple(ref)
     assert min(ref) > 0.0
+
+
+def test_continuity_needs_one_grid():
+    g = mr.build_grid(1.0, 16)
+    s = _ramp(g, 2.0)
+    bp = _band(-1.0, 1.0, g)
+    sol = mr.solve_sp(s, bp)
+    for steps in (8, 32):
+        # a finer bp2 used to be compared on bp1's nodes only, a coarser one
+        # to fail with an IndexError
+        other = mr.build_grid(1.0, steps)
+        bp_o, s_o = _band(-1.0, 1.0, other), _ramp(other, 2.0)
+        sol_o = mr.solve_sp(s_o, bp_o)
+        for args in (
+            (sol, sol, s, s, bp, bp_o),
+            (sol, sol, s, s_o, bp, bp),
+            (sol, sol_o, s, s, bp, bp),
+        ):
+            with pytest.raises(ValueError, match="share the grid"):
+                mr.check_continuity_bound(*args, _XS)
+    # an equal grid need not be the same object
+    mr.check_continuity_bound(sol, sol, s, s, bp, _band(-1.0, 1.0, mr.build_grid(1.0, 16)), _XS)
+
+
+def _counted(lp: mr.LossPair) -> tuple[mr.LossPair, dict[str, int]]:
+    calls = {"L": 0, "R": 0}
+
+    def counting(name, f):
+        def g(t, x):
+            calls[name] += 1
+            return f(t, x)
+
+        return g
+
+    return dataclasses.replace(lp, L=counting("L", lp.L), R=counting("R", lp.R)), calls
+
+
+@pytest.mark.parametrize("make", [mr.linear_band, mr.saturating_band])
+def test_bare_invariant_pairs_take_one_loss_call_per_estimate(monkeypatch, make):
+    # every node of a bare time-invariant pair gives the same bits, so each
+    # estimate evaluates each loss once over all nodes and x-samples
+    g = mr.build_grid(1.0, 16)
+    s = _ramp(g, 2.0)
+    (lp1, calls1), (lp2, calls2) = _counted(make(-1.0, 1.0)), _counted(make(-2.0, 2.0))
+    bp1, bp2 = mr.boundary_from_losses(g, lp1), mr.boundary_from_losses(g, lp2)
+    sols = {id(bp): mr.solve_sp(s, bp) for bp in (bp1, bp2)}
+    for calls in (calls1, calls2):
+        calls.update(L=0, R=0)
+    mr.check_continuity_bound(sols[id(bp1)], sols[id(bp2)], s, s, bp1, bp2, _XS)
+    assert calls1 == calls2 == {"L": 1, "R": 1}
+    # the comparison premise alone: its two solves are served ready-made
+    monkeypatch.setattr(skorokhod, "solve_sp", lambda s, bp, **kw: sols[id(bp)])
+    for calls in (calls1, calls2):
+        calls.update(L=0, R=0)
+    rep = mr.check_comparison(s, bp2, bp1, _XS)
+    assert rep.premise_ok
+    assert calls1 == calls2 == {"L": 1, "R": 1}
 
 
 def test_backward_continuity_uses_doubled_constants():
