@@ -10,16 +10,23 @@ Every solver runs this one loop and differs only in its per-step drift hook
 ``drift(k, pred, zk)``: the generator at the predictor, the generator frozen
 at a previous iterate's node-``k`` columns, or a given path's column ``k``.
 
+The regression's target-free half, per node the state's scale and the
+ridged Gram matrix, is a :class:`RegressionPlan` built once per Brownian
+ensemble; a Picard solve slices its horizon's plan per segment, so no
+iteration or split restart rebuilds it.
+
 Every reduction over the particle axis is numpy's pairwise sum over one
-contiguous row (:func:`meanreflect.core.pairwise_mean`), so solves are
-bit-stable under threading; regression predictions are evaluated by Horner's
-rule rather than a BLAS matmul for the same reason.
+contiguous row (:func:`meanreflect.core.pairwise_mean`, or a row of one
+C-contiguous block: the same bits), so solves are bit-stable under
+threading; fits are evaluated elementwise by Horner's rule rather than a
+BLAS matmul for the same reason.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -79,7 +86,9 @@ class RegressionConfig:
     z_mode: str = "regression"
 
     def __post_init__(self):
-        if not self.degree >= 0:  # NaN fails
+        if isinstance(self.degree, bool) or not isinstance(self.degree, Integral):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be nonnegative and finite")
@@ -98,47 +107,83 @@ class BSDESolution:
 # ---------------------------------------------------------------------------
 
 
-def _horner(coefs: NDArray[np.floating], u: NDArray[np.floating]) -> NDArray[np.floating]:
-    out = np.full_like(u, float(coefs[-1]))
-    for c in coefs[-2::-1]:
-        out = out * u + float(c)
-    return out
+@dataclass(frozen=True)
+class RegressionPlan:
+    """The least-squares projection onto polynomials of one ensemble's state.
 
-
-def _condexp(
-    state: NDArray[np.floating],
-    targets: list[NDArray[np.floating]],
-    degree: int,
-    ridge: float,
-) -> list[NDArray[np.floating]]:
-    """Least-squares projection of each target onto polynomials of ``state``.
-
-    The state is standardized before building the monomial basis; the normal
-    matrix is a Hankel form of standardized moments, assembled with
-    deterministic reductions and solved with a small ridge on the diagonal.
+    Entry ``k`` belongs to backward step ``k``, whose state is node ``k``:
+    the standardizing scale of the state (``None`` where it is degenerate,
+    e.g. node 0 where every path is at 0, and the projection is the plain
+    mean) and the normal matrix, a Hankel form of standardized moments
+    assembled with deterministic reductions, with the ridge on its diagonal.
+    Nothing with a particle axis is kept, so one plan serves every solve on
+    the ensemble; :meth:`steps` cuts out a sub-interval's plan and
+    :meth:`project` does a step's target-dependent half.
     """
-    scale = float(np.sqrt(pairwise_mean(state * state)))
-    if scale < 1e-300:
-        # Degenerate state (e.g. the initial node where every path is at 0):
-        # the projection is the plain mean.
-        return [np.full_like(state, float(pairwise_mean(t))) for t in targets]
-    u = state / scale
-    powers = [np.ones_like(u)]
-    for _ in range(2 * degree):
-        powers.append(powers[-1] * u)
-    moments = np.array([float(pairwise_mean(p)) for p in powers])
-    G = np.empty((degree + 1, degree + 1))
-    for i in range(degree + 1):
-        G[i, :] = moments[i : i + degree + 1]
-    G[np.diag_indices_from(G)] += ridge
-    rhs = np.column_stack(
-        [[float(pairwise_mean(powers[i] * t)) for i in range(degree + 1)] for t in targets]
-    )
-    try:
-        coefs = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - needs ridge=0 + ties
-        raise NumericalFailureError(f"regression normal system is singular: {exc}")
-    return [_horner(coefs[:, j], u) for j in range(len(targets))]
+
+    cfg: RegressionConfig
+    scales: tuple[float | None, ...]
+    grams: tuple[NDArray[np.floating] | None, ...]
+
+    @classmethod
+    def build(cls, bm: Ensemble, cfg: RegressionConfig) -> RegressionPlan:
+        """The plan of the Brownian ensemble ``bm``, one entry per backward step."""
+        d = cfg.degree
+        scales, grams = [], []
+        for k in range(bm.grid.n_steps):
+            state = bm.values[:, k]
+            scale = float(np.sqrt(pairwise_mean(state * state)))
+            if scale < 1e-300:
+                scales.append(None)
+                grams.append(None)
+                continue
+            u = state / scale
+            power = np.ones_like(u)
+            moments = [1.0]  # the mean of the ones
+            for _ in range(2 * d):
+                power = power * u
+                moments.append(float(pairwise_mean(power)))
+            G = np.array([moments[i : i + d + 1] for i in range(d + 1)])
+            G[np.diag_indices_from(G)] += cfg.ridge
+            scales.append(scale)
+            grams.append(G)
+        return cls(cfg, tuple(scales), tuple(grams))
+
+    def steps(self, a: int, b: int) -> RegressionPlan:
+        """The plan of the sub-ensemble on nodes ``a..b``: steps ``a..b-1``."""
+        return RegressionPlan(self.cfg, self.scales[a:b], self.grams[a:b])
+
+    def project(
+        self, k: int, state: NDArray, block: NDArray, powers: NDArray, fit: NDArray
+    ) -> None:
+        """Fill row ``j`` of ``fit`` with the step-``k`` projection of target ``j``.
+
+        Target ``j`` sits in row ``j * (degree + 1)`` of ``block``; the rows
+        after it receive its products with ``u^1..u^degree`` (``u`` the
+        standardized state, its powers built in ``powers``), and one
+        row-wise pairwise reduction of ``block`` gives every right-hand
+        side.  The fits are evaluated by Horner's rule in place.
+        """
+        d = self.cfg.degree
+        width = d + 1
+        if self.scales[k] is None:  # degenerate state: the projection is the plain mean
+            for j in range(fit.shape[0]):
+                fit[j] = pairwise_mean(block[j * width])
+            return
+        u = np.divide(state, self.scales[k], out=powers[0]) if d else None
+        for i in range(1, d):
+            np.multiply(powers[i - 1], u, out=powers[i])
+        for j in range(fit.shape[0]):
+            np.multiply(powers, block[j * width], out=block[j * width + 1 : (j + 1) * width])
+        rhs = np.add.reduce(block, axis=1) / block.shape[1]
+        try:
+            coefs = np.linalg.solve(self.grams[k], rhs.reshape(-1, width).T)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - needs ridge=0 + ties
+            raise NumericalFailureError(f"regression normal system is singular: {exc}")
+        fit[:] = coefs[d][:, None]
+        for i in range(d - 1, -1, -1):
+            fit *= u
+            fit += coefs[i][:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +226,7 @@ def solve_bsde(
     if times.shape != (m,):
         raise ValueError("times must provide one entry per node")
     drift = _plain_drift(gen, times) if driver is None else _column_drift(driver, n, m)
-    return _backward_pass(xi, bm, cfg, drift, times)
+    return _backward_pass(xi, bm, RegressionPlan.build(bm, cfg), drift, times)
 
 
 def _plain_drift(gen: Generator, times: NDArray) -> DriftFn:
@@ -205,39 +250,47 @@ def _column_drift(driver: NDArray, n: int, m: int) -> DriftFn:
 def _backward_pass(
     xi: NDArray[np.floating],
     bm: Ensemble,
-    cfg: RegressionConfig,
+    plan: RegressionPlan,
     drift: DriftFn,
     times: NDArray[np.floating],
     mean_shift: Callable[..., float] | None = None,
 ) -> BSDESolution:
     """The regression backward recursion of :func:`solve_bsde`, on checked inputs.
 
-    ``drift(k, pred, zk)`` is the one per-step drift hook of every solver.
-    ``mean_shift(k, y_next, fval)``, when given, returns a deterministic
-    increment added to every particle at step ``k`` after the drift (the
-    penalized scheme's mean push).  Without it nothing is added, so a
-    ``-0.0`` particle value stays ``-0.0``.  A step that leaves a non-finite
-    value raises :class:`NumericalFailureError` naming the node and its clock
-    time ``times[k]``.
+    ``plan`` is the regression plan of ``bm`` (or the node slice of a larger
+    ensemble's plan that ``bm`` is cut from).  ``drift(k, pred, zk)`` is the
+    one per-step drift hook of every solver.  ``mean_shift(k, y_next,
+    fval)``, when given, returns a deterministic increment added to every
+    particle at step ``k`` after the drift (the penalized scheme's mean
+    push).  Without it nothing is added, so a ``-0.0`` particle value stays
+    ``-0.0``.  A step that leaves a non-finite value raises
+    :class:`NumericalFailureError` naming the node and its clock time
+    ``times[k]``.
     """
     grid = bm.grid
     n, m = bm.values.shape
+    if len(plan.scales) != m - 1:
+        raise ValueError("regression plan does not match the ensemble's steps")
     dt = grid.step_sizes
     y = np.empty((n, m), order="F")
     z = np.zeros((n, m), order="F")
     y[:, -1] = xi
-    with_z = cfg.z_mode == "regression"
+    with_z = plan.cfg.z_mode == "regression"
+    width = plan.cfg.degree + 1
+    # per-pass scratch, reused at every node: targets with their products, powers, fits
+    block = np.empty(((1 + with_z) * width, n))
+    powers = np.empty((width - 1, n))
+    fit = np.empty((1 + with_z, n))
 
     for k in range(m - 2, -1, -1):
         state = bm.values[:, k]
         y_next = y[:, k + 1]
+        block[0] = y_next
         if with_z:
-            db = bm.values[:, k + 1] - state
-            pred, zk_raw = _condexp(state, [y_next, y_next * db], cfg.degree, cfg.ridge)
-            zk = zk_raw / dt[k]
-        else:
-            (pred,) = _condexp(state, [y_next], cfg.degree, cfg.ridge)
-            zk = z[:, k]
+            np.multiply(y_next, bm.values[:, k + 1] - state, out=block[width])
+        plan.project(k, state, block, powers, fit)
+        pred = fit[0]
+        zk = fit[1] / dt[k] if with_z else z[:, k]
         fval = np.broadcast_to(np.asarray(drift(k, pred, zk), dtype=float), pred.shape)
         y[:, k] = pred + fval * dt[k]
         if mean_shift is not None:

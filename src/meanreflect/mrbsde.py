@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -29,10 +30,11 @@ from .bsde import (
     DriftFn,
     Generator,
     RegressionConfig,
+    RegressionPlan,
     _backward_pass,
     _column_drift,
     _frozen_drift,
-    solve_bsde,
+    _plain_drift,
 )
 from .constraints import (
     BAND_MIN_DEFAULT,
@@ -99,8 +101,11 @@ class Tolerances:
 
     def __post_init__(self):
         # written as "not in range" so that NaN fails every check
-        if not (0.0 < self.picard_tol < math.inf and self.max_iterations >= 1):
-            raise ValueError("picard_tol must be positive and finite, max_iterations >= 1")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise ValueError("picard_tol must be positive and finite")
+        n_max = self.max_iterations
+        if isinstance(n_max, bool) or not isinstance(n_max, Integral) or n_max < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n_max!r}")
         if not 0.0 < self.contraction_margin < 1.0:
             raise ValueError("contraction_margin must lie in (0, 1)")
         for name in ("root_tol", "band_min", "stat_tol_mult"):
@@ -298,16 +303,18 @@ def _construct(
     drift: DriftFn,
     sc: Scenario,
     terminal_tol: float,
+    plan: RegressionPlan,
 ) -> _SegmentSolution:
     """Reflect a frozen-driver solve: plain solution, mean reflection, shift.
 
     The plain solution runs the backward loop on the state-independent hook
-    ``drift`` (clock ``times``).  The reflected input is the accumulated mean
-    drift ``s_t = E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair
-    averages the losses over the recentred plain cross-sections, so the
-    reflected mean satisfies the original mean constraints by construction.
+    ``drift`` (clock ``times``) with ``bm``'s regression plan.  The reflected
+    input is the accumulated mean drift ``s_t = E[y_t0 - y_t]`` anchored at
+    ``a = E[xi]``; the boundary pair averages the losses over the recentred
+    plain cross-sections, so the reflected mean satisfies the original mean
+    constraints by construction.
     """
-    plain = _backward_pass(xi, bm, sc.regression, drift, times)
+    plain = _backward_pass(xi, bm, plan, drift, times)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
     # The boundary pair goes in inline, so its offsets are freed before y is allocated.
@@ -361,7 +368,8 @@ def solve_constant_driver(
         drift = _frozen_drift(sc.generator, zero, zero, bm.grid.nodes)
     else:
         drift = _column_drift(driver, *bm.values.shape)
-    seg = _construct(xi, bm, bm.grid.nodes, drift, sc, term_tol)
+    plan = RegressionPlan.build(bm, sc.regression)
+    seg = _construct(xi, bm, bm.grid.nodes, drift, sc, term_tol, plan)
     return _stitch([(0, bm.grid.n_steps, seg)], bm.grid, None)
 
 
@@ -383,8 +391,12 @@ def _picard_segment(
     xi: NDArray[np.floating],
     init: str,
     records: list[tuple],
+    plan: RegressionPlan,
 ) -> _SegmentSolution | None:
     """Iterate the frozen-driver construction on one segment to tolerance.
+
+    ``plan`` is the segment's slice of the horizon's regression plan; the
+    ``"unreflected"`` initial solve and every iteration reuse it.
 
     Appends one ``(d_y, d_k, K variation, s variation, ratio)`` record per
     iteration to ``records``, where ``ratio`` is the combined-distance
@@ -401,13 +413,13 @@ def _picard_segment(
     if init == "zero":
         u = v = np.broadcast_to(0.0, bm_seg.values.shape)  # read-only: allocates nothing
     else:
-        plain = solve_bsde(xi, gen, bm_seg, sc.regression, times=times)
+        plain = _backward_pass(xi, bm_seg, plan, _plain_drift(gen, times), times)
         u, v = plain.y.values, plain.z.values
         del plain  # freed, like each previous segment, before _construct allocates
     k_prev = np.zeros(times.size)
     prev_d = 0.0
     for _ in range(tol.max_iterations):
-        seg = _construct(xi, bm_seg, times, _frozen_drift(gen, u, v, times), sc, term_tol)
+        seg = _construct(xi, bm_seg, times, _frozen_drift(gen, u, v, times), sc, term_tol, plan)
         d_y = _max_rms_gap(seg.y.values, u)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k
@@ -536,6 +548,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     grid = sc.make_grid()
     bm = sc.simulate(grid)
     xi = sc.terminal_values(bm)
+    plan = RegressionPlan.build(bm, sc.regression)  # shared by every attempt
     ratio_cc = sc.losses.C / sc.losses.c
     logger.debug(
         "picard horizon %.4g: smallness products %.3g (lipschitz), %.3g (quadratic)",
@@ -559,7 +572,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
             sub_grid = TimeGrid(float(times[-1] - times[0]), times - times[0])
             records.append((times, []))
             bm_seg = Ensemble(sub_grid, bm.values[:, a : b + 1])
-            seg = _picard_segment(sc, bm_seg, times, xi_seg, init, records[-1][1])
+            seg = _picard_segment(sc, bm_seg, times, xi_seg, init, records[-1][1], plan.steps(a, b))
             if seg is None:
                 break
             solved.append((a, b, seg))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bsde import _backward_pass, _frozen_drift, _plain_drift
+from .bsde import RegressionPlan, _backward_pass, _frozen_drift, _plain_drift
 from .core import Ensemble, SamplePath, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
@@ -199,7 +199,8 @@ def solve_penalized(
         d_up[k], d_dn[k] = _mean_push(k, u, cbar, float(n), nodes, lo, hi)
         return d_up[k] - d_dn[k]
 
-    sol = _backward_pass(xi, bm, sc.regression, _plain_drift(sc.generator, nodes), nodes, push)
+    plan = RegressionPlan.build(bm, sc.regression)
+    sol = _backward_pass(xi, bm, plan, _plain_drift(sc.generator, nodes), nodes, push)
     pu = np.concatenate([[0.0], np.cumsum(d_up)])
     pd = np.concatenate([[0.0], np.cumsum(d_dn)])
     return PenaltySolution(

@@ -310,10 +310,12 @@ def check_tv_bound(
     the solution's own boundary pair or from an affine envelope enclosing it
     (the enclosed problem accumulates no more force than the envelope, so
     the envelope's bound still dominates).  Assumes the input starts inside
-    the band — an initial jump is force the root paths cannot see.
+    the band — an initial jump is force the root paths cannot see.  ``sol``,
+    ``s`` and ``bp`` must share one grid (``ValueError`` otherwise).
     """
     if (bp is None) == (envelope is None):
         raise ValueError("provide exactly one of bp or envelope")
+    _require_one_grid(sol.K.grid, s.grid, *([] if bp is None else [bp.grid]))
     if bp is not None:
         rho, lam = bp.band_edges(root_tol)
     else:

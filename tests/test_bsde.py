@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
+from meanreflect import bsde
 from meanreflect.errors import NumericalFailureError
 from oracles import cole_hopf_value
 
@@ -52,6 +54,14 @@ def test_regression_config_validated():
         mr.RegressionConfig(ridge=-1e-3)
     with pytest.raises(ValueError):
         mr.RegressionConfig(z_mode="maybe")
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", None])
+def test_regression_degree_must_be_an_integer(bad):
+    # range() would otherwise fail deep inside the solve with a TypeError
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        mr.RegressionConfig(degree=bad)
+    assert mr.RegressionConfig(degree=np.int64(3)).degree == 3
 
 
 def test_solver_input_alignment_checked():
@@ -156,6 +166,122 @@ def test_solver_is_deterministic():
     b = mr.solve_bsde(xi, mr.linear_generator(0.3), bm)
     assert_array_equal(a.y.values, b.y.values)
     assert_array_equal(a.z.values, b.z.values)
+
+
+# ---------------------------------------------------------------------------
+# the regression plan
+# ---------------------------------------------------------------------------
+
+
+def _reference_projection(state, targets, degree, ridge):
+    """One self-contained least-squares projection per call.
+
+    Standardize the state, build the monomials, solve the ridged Hankel
+    normal system and evaluate each fit by Horner's rule; every mean is one
+    pairwise ``add.reduce`` over a contiguous row.
+    """
+    n = state.size
+
+    def mean(a):
+        return np.add.reduce(a) / n
+
+    scale = float(np.sqrt(mean(state * state)))
+    if scale < 1e-300:
+        return [np.full(n, float(mean(t))) for t in targets]
+    u = state / scale
+    powers = [np.ones(n)]
+    for _ in range(2 * degree):
+        powers.append(powers[-1] * u)
+    moments = [float(mean(p)) for p in powers]
+    gram = np.array([moments[i : i + degree + 1] for i in range(degree + 1)])
+    gram[np.diag_indices_from(gram)] += ridge
+    rhs = np.array([[float(mean(powers[i] * t)) for t in targets] for i in range(degree + 1)])
+    coefs = np.linalg.solve(gram, rhs)
+    fits = []
+    for j in range(len(targets)):
+        fit = np.full(n, coefs[degree, j])
+        for i in range(degree - 1, -1, -1):
+            fit = fit * u + coefs[i, j]
+        fits.append(fit)
+    return fits
+
+
+def _reference_pass(xi, bm, cfg, drift):
+    """The backward recursion with one reference projection per node."""
+    values, dt = bm.values, bm.grid.step_sizes
+    n, m = values.shape
+    y = np.empty((n, m), order="F")
+    z = np.zeros((n, m), order="F")
+    y[:, -1] = xi
+    for k in range(m - 2, -1, -1):
+        state, y_next = values[:, k], y[:, k + 1]
+        if cfg.z_mode == "regression":
+            db = values[:, k + 1] - state
+            pred, z_raw = _reference_projection(state, [y_next, y_next * db], cfg.degree, cfg.ridge)
+            zk = z_raw / dt[k]
+        else:
+            (pred,) = _reference_projection(state, [y_next], cfg.degree, cfg.ridge)
+            zk = z[:, k]
+        y[:, k] = pred + drift(k, pred, zk) * dt[k]
+        z[:, k] = zk
+    if cfg.z_mode == "regression":
+        z[:, -1] = z[:, -2]
+    return y, z
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    degree=st.integers(0, 5),
+    z_mode=st.sampled_from(["regression", "none"]),
+    ridge=st.sampled_from([1e-10, 1e-3]),
+    particles=st.one_of(st.integers(2, 40), st.integers(41, 3_000)),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_plan_driven_pass_matches_the_per_call_projection_bitwise(
+    degree, z_mode, ridge, particles, steps, seed, data
+):
+    # the plan caches only the state's scale and Gram matrix per node; the
+    # pass must reproduce the per-call projection bit for bit, on the full
+    # grid (node 0 is degenerate) and on a node slice of the same plan
+    cfg = mr.RegressionConfig(degree=degree, ridge=ridge, z_mode=z_mode)
+    bm = mr.simulate_brownian(mr.build_grid(1.0, steps), particles, mr.RngSpec(seed))
+    plan = bsde.RegressionPlan.build(bm, cfg)
+    assert plan.scales[0] is None
+    a = data.draw(st.integers(0, steps - 1), label="a")
+    b = data.draw(st.integers(a + 1, steps), label="b")
+    nodes = bm.grid.nodes
+    sub_grid = mr.TimeGrid(float(nodes[b] - nodes[a]), nodes[a : b + 1] - nodes[a])
+    sub = mr.Ensemble(sub_grid, bm.values[:, a : b + 1])
+
+    def drift(k, pred, zk):
+        return 0.5 * pred + 0.25 * zk + 1.0
+
+    cases = [
+        (bm, plan, np.sin(3.0 * bm.values[:, -1])),
+        (sub, plan.steps(a, b), np.cos(2.0 * bm.values[:, b])),
+    ]
+    for ens, p, xi in cases:
+        try:
+            ref = _reference_pass(xi, ens, cfg, drift)
+        except np.linalg.LinAlgError:
+            ref = None
+        if ref is None or not all(np.isfinite(r).all() for r in ref):
+            with pytest.raises(NumericalFailureError):
+                bsde._backward_pass(xi, ens, p, drift, ens.grid.nodes)
+            continue
+        sol = bsde._backward_pass(xi, ens, p, drift, ens.grid.nodes)
+        assert sol.y.values.tobytes() == ref[0].tobytes()
+        assert sol.z.values.tobytes() == ref[1].tobytes()
+
+
+def test_plan_must_match_the_ensemble():
+    bm = _brownian(steps=6, n=64)
+    plan = bsde.RegressionPlan.build(bm, mr.RegressionConfig())
+    assert len(plan.scales) == len(plan.grams) == 6
+    with pytest.raises(ValueError, match="plan"):
+        bsde._backward_pass(bm.values[:, -1], bm, plan.steps(0, 4), lambda *_: 0.0, bm.grid.nodes)
 
 
 # ---------------------------------------------------------------------------

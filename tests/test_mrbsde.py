@@ -239,6 +239,16 @@ def test_two_initializations_land_on_the_same_point():
     assert gap <= 2.0 * sc.tol.picard_tol
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+def test_max_iterations_must_be_an_integer(bad):
+    # range() would otherwise fail inside the solve with a TypeError
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        mr.Tolerances(max_iterations=bad)
+    with pytest.raises(ValueError, match="max_iterations"):
+        mr.Tolerances(max_iterations=0)
+    assert mr.Tolerances(max_iterations=np.int64(7)).max_iterations == 7
+
+
 def test_unknown_initialization_rejected():
     sc = _scenario(mr.constant_generator(0.0), particles=512, steps=4)
     with pytest.raises(ValueError):
@@ -512,6 +522,63 @@ def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, bound):
     assert peak <= bound * array, peak / array
 
 
+def _count_plans(monkeypatch) -> list:
+    """Record every regression plan built from an ensemble."""
+    plans = []
+    build = bsde.RegressionPlan.build.__func__
+
+    def counting(cls, bm, cfg):
+        plans.append(build(cls, bm, cfg))
+        return plans[-1]
+
+    monkeypatch.setattr(bsde.RegressionPlan, "build", classmethod(counting))
+    return plans
+
+
+def _assert_no_particle_axis(plan, particles):
+    # per step: a scale (None when degenerate) and a (degree + 1)^2 Gram matrix
+    width = plan.cfg.degree + 1
+    assert all(s is None or isinstance(s, float) for s in plan.scales)
+    assert all(g is None or g.shape == (width, width) for g in plan.grams)
+    values = [x for v in vars(plan).values() for x in (v if isinstance(v, tuple) else (v,))]
+    arrays = [x for x in values if isinstance(x, np.ndarray)]
+    assert arrays and all(particles not in a.shape for a in arrays)
+
+
+@pytest.mark.parametrize("init", ["zero", "unreflected"])
+def test_picard_builds_one_regression_plan(monkeypatch, init):
+    # every iteration, every split restart and the unreflected initial solve
+    # reuse the one plan of the horizon's ensemble
+    sc = _scenario(
+        mr.affine_mix_generator(a_y=5.0), particles=6_000, steps=16, seed=41,
+        losses=mr.linear_band(-60.0, 60.0),
+    )
+    plans = _count_plans(monkeypatch)
+    tr = mr.picard_solve(sc, init=init).trace
+    assert tr.segment_count > 1 and len(tr.attempts) > 1
+    assert len(plans) == 1
+    assert len(plans[0].scales) == sc.steps
+    _assert_no_particle_axis(plans[0], sc.particles)
+
+
+@pytest.mark.parametrize("route", ["solve_bsde", "constant-driver", "penalized"])
+def test_other_solves_build_one_regression_plan_each(monkeypatch, route):
+    sc = _scenario(
+        mr.constant_generator(0.5), particles=3_000, steps=12,
+        obstacles=mr.LinearObstacles.constants(-1.0, 2.0),
+    )
+    bm = sc.simulate()
+    plans = _count_plans(monkeypatch)
+    if route == "solve_bsde":
+        mr.solve_bsde(sc.terminal_values(bm), sc.generator, bm)
+    elif route == "constant-driver":
+        mr.solve_constant_driver(sc, bm=bm)
+    else:
+        mr.solve_penalized(sc, 16.0, bm=bm)
+    assert len(plans) == 1
+    _assert_no_particle_axis(plans[0], sc.particles)
+
+
 @pytest.mark.parametrize("case", ["constant-at-zero", "affine-mix-frozen"])
 def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
     # the backward loop reads the frozen generator one node at a time; the
@@ -531,7 +598,8 @@ def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
         nodes = bm.grid.nodes
         drift = bsde._frozen_drift(gen, frozen.y.values, frozen.z.values, nodes)
         term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
-        seg = mrbsde._construct(xi, bm, nodes, drift, sc, term_tol)
+        plan = bsde.RegressionPlan.build(bm, sc.regression)
+        seg = mrbsde._construct(xi, bm, nodes, drift, sc, term_tol, plan)
         hooked = mrbsde._stitch([(0, sc.steps, seg)], bm.grid, None)
         driver = mr.constant_driver_path(gen, frozen.y, frozen.z)
     matrix = mr.solve_constant_driver(sc, driver, bm=bm)
@@ -555,5 +623,6 @@ def test_non_finite_step_names_the_clock_time():
     with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
         mr.solve_bsde(xi, gen, bm, times=clock)
     drift = bsde._frozen_drift(gen, bm.values, bm.values, clock)
+    plan = bsde.RegressionPlan.build(bm, sc.regression)
     with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
-        mrbsde._construct(xi, bm, clock, drift, sc, 1.0)
+        mrbsde._construct(xi, bm, clock, drift, sc, 1.0, plan)

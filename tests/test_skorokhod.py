@@ -284,6 +284,24 @@ def test_tv_bound_needs_exactly_one_edge_source():
         mr.check_tv_bound(sol, s, bp=bp, envelope=env)
 
 
+def test_tv_bound_needs_one_grid():
+    g = mr.build_grid(1.0, 16)
+    s = _ramp(g, 2.0)
+    sol = mr.solve_sp(s, _band(-1.0, 1.0, g))
+    # a bp on another horizon used to pass from its own edges, a coarser one
+    # to fail with numpy's broadcast error
+    for other in (mr.build_grid(2.0, 16), mr.build_grid(1.0, 8)):
+        with pytest.raises(ValueError, match="share the grid"):
+            mr.check_tv_bound(sol, s, bp=_band(-1.0, 1.0, other))
+        with pytest.raises(ValueError, match="share the grid"):
+            mr.check_tv_bound(sol, _ramp(other, 2.0), bp=_band(-1.0, 1.0, g))
+    env = mr.LinearEnvelope.constants(1.0, 1.0, -1.0)
+    with pytest.raises(ValueError, match="share the grid"):
+        mr.check_tv_bound(sol, _ramp(mr.build_grid(1.0, 8), 2.0), envelope=env)
+    # an equal grid need not be the same object
+    assert mr.check_tv_bound(sol, s, bp=_band(-1.0, 1.0, mr.build_grid(1.0, 16))).passed
+
+
 def test_flatness_zero_without_force():
     g = mr.build_grid(1.0, 8)
     bp = _band(-1.0, 1.0, g)
