@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import Ensemble, pairwise_mean
+from .core import Ensemble, TimeGrid, _require_int, pairwise_mean
 from .errors import NumericalFailureError
 
 __all__ = [
@@ -86,10 +85,7 @@ class RegressionConfig:
     z_mode: str = "regression"
 
     def __post_init__(self):
-        if isinstance(self.degree, bool) or not isinstance(self.degree, Integral):
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        _require_int(self.degree, "degree", 0)
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be nonnegative and finite")
         if self.z_mode not in ("regression", "none"):
@@ -197,7 +193,6 @@ def solve_bsde(
     bm: Ensemble,
     cfg: RegressionConfig = RegressionConfig(),
     driver: NDArray[np.floating] | None = None,
-    times: NDArray[np.floating] | None = None,
 ) -> BSDESolution:
     """Solve the backward equation particle-wise on the Brownian ensemble.
 
@@ -208,11 +203,10 @@ def solve_bsde(
         y_k = predictor + f(t_k, predictor, law(predictor), z_k, law(z_k)) dt
 
     (explicit scheme: the predictor itself feeds the driver, and the law
-    arguments are the same-step cross-sections).  When ``driver`` is given it
+    arguments are the same-step cross-sections).  ``t_k`` is node ``k`` of
+    ``bm``'s grid, which carries the clock.  When ``driver`` is given it
     overrides the generator with a precomputed per-particle drift path,
-    node-aligned with the grid.  ``times`` substitutes the clock values fed
-    to the generator (used when ``bm`` lives on a sub-interval whose grid was
-    shifted to start at 0); defaults to the grid nodes.
+    node-aligned with the grid.
 
     The terminal cross-section of ``y`` equals ``terminal`` bitwise.
     """
@@ -222,21 +216,18 @@ def solve_bsde(
         raise ValueError("terminal must provide one value per particle")
     if gen is None and driver is None:
         raise ValueError("need a generator or a driver path")
-    times = bm.grid.nodes if times is None else np.asarray(times, dtype=float)
-    if times.shape != (m,):
-        raise ValueError("times must provide one entry per node")
-    drift = _plain_drift(gen, times) if driver is None else _column_drift(driver, n, m)
-    return _backward_pass(xi, bm, RegressionPlan.build(bm, cfg), drift, times)
+    drift = _plain_drift(gen, bm.grid) if driver is None else _column_drift(driver, n, m)
+    return _backward_pass(xi, bm, RegressionPlan.build(bm, cfg), drift)
 
 
-def _plain_drift(gen: Generator, times: NDArray) -> DriftFn:
+def _plain_drift(gen: Generator, grid: TimeGrid) -> DriftFn:
     """The explicit scheme's hook: ``f(t_k, pred, law(pred), z_k, law(z_k))``."""
-    return lambda k, pred, zk: gen.f(float(times[k]), pred, pred, zk, zk)
+    return lambda k, pred, zk: gen.f(float(grid.nodes[k]), pred, pred, zk, zk)
 
 
-def _frozen_drift(gen: Generator, u: NDArray, v: NDArray, times: NDArray) -> DriftFn:
+def _frozen_drift(gen: Generator, u: NDArray, v: NDArray, grid: TimeGrid) -> DriftFn:
     """The hook of ``f`` frozen at a (particles, nodes) pair; reads node ``k``'s columns only."""
-    return lambda k, *_: gen.f(float(times[k]), u[:, k], u[:, k], v[:, k], v[:, k])
+    return lambda k, *_: gen.f(float(grid.nodes[k]), u[:, k], u[:, k], v[:, k], v[:, k])
 
 
 def _column_drift(driver: NDArray, n: int, m: int) -> DriftFn:
@@ -252,7 +243,6 @@ def _backward_pass(
     bm: Ensemble,
     plan: RegressionPlan,
     drift: DriftFn,
-    times: NDArray[np.floating],
     mean_shift: Callable[..., float] | None = None,
 ) -> BSDESolution:
     """The regression backward recursion of :func:`solve_bsde`, on checked inputs.
@@ -264,8 +254,7 @@ def _backward_pass(
     particle at step ``k`` after the drift (the penalized scheme's mean
     push).  Without it nothing is added, so a ``-0.0`` particle value stays
     ``-0.0``.  A step that leaves a non-finite value raises
-    :class:`NumericalFailureError` naming the node and its clock time
-    ``times[k]``.
+    :class:`NumericalFailureError` naming the node and its time on the grid.
     """
     grid = bm.grid
     n, m = bm.values.shape
@@ -297,7 +286,7 @@ def _backward_pass(
             y[:, k] += mean_shift(k, y_next, fval)
         if not np.isfinite(y[:, k]).all():
             raise NumericalFailureError(
-                f"backward step left non-finite values at node {k} (t = {times[k]:.6g})"
+                f"backward step left non-finite values at node {k} (t = {grid.nodes[k]:.6g})"
             )
         z[:, k] = zk
 
@@ -310,19 +299,17 @@ def constant_driver_path(
     gen: Generator,
     frozen_y: Ensemble,
     frozen_z: Ensemble,
-    times: NDArray[np.floating] | None = None,
 ) -> NDArray[np.floating]:
     """Evaluate the generator along a frozen pair of ensembles.
 
     Returns the (particles, nodes) drift path obtained by feeding each node's
-    cross-sections of the frozen ensembles into ``f``: the values the
-    fixed-point loop reads node by node, without building this matrix.
-    ``times`` overrides the clock values for shifted sub-interval grids.
+    cross-sections of the frozen ensembles into ``f`` at the node times of
+    ``frozen_y``'s grid: the values the fixed-point loop reads node by node,
+    without building this matrix.
     """
     if frozen_y.values.shape != frozen_z.values.shape:
         raise ValueError("frozen ensembles must be aligned")
-    times = frozen_y.grid.nodes if times is None else times
-    drift = _frozen_drift(gen, frozen_y.values, frozen_z.values, times)
+    drift = _frozen_drift(gen, frozen_y.values, frozen_z.values, frozen_y.grid)
     out = np.empty(frozen_y.values.shape, order="F")
     for k in range(out.shape[1]):
         out[:, k] = drift(k)

@@ -186,10 +186,10 @@ class BoundaryPair:
     """Deterministic boundaries on the mean level, vectorized in ``x`` and the node.
 
     ``l``/``r`` at node ``k`` are the loss functions averaged over a recentred
-    ensemble cross-section: ``l(k, x) = mean_i L(times[k], x + off[k, i])``.
-    With ``offsets is None`` the boundary is the bare loss pair (equivalent to
-    a single centred particle).  ``times[k]`` is the loss-evaluation time for
-    node ``k``.  The band edges are computed once, last node first, and serve
+    ensemble cross-section: ``l(k, x) = mean_i L(t_k, x + off[k, i])``, with
+    ``t_k`` node ``k`` of ``grid``, the one clock.  With ``offsets is None``
+    the boundary is the bare loss pair (equivalent to a single centred
+    particle).  The band edges are computed once, last node first, and serve
     both the forward and the terminal-anchored reflection.
 
     ``lower(k, x)`` and ``upper(k, x)`` take one node ``k`` with a scalar or
@@ -200,15 +200,10 @@ class BoundaryPair:
 
     grid: TimeGrid
     losses: LossPair
-    times: NDArray[np.floating]
     offsets: NDArray[np.floating] | None = None
     _edge_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        if times.shape != (self.grid.n_nodes,):
-            raise ValueError("times must provide one entry per node")
         if self.offsets is not None:
             off = np.asarray(self.offsets, dtype=float)
             object.__setattr__(self, "offsets", off)
@@ -240,7 +235,7 @@ class BoundaryPair:
             if self.offsets is not None or not self.losses.time_invariant:
                 return np.array([self._eval(f, k, r) for k, r in zip(node, x)]).reshape(x.shape)
             node = 0
-        t = float(self.times[node])
+        t = float(self.grid.nodes[node])
         if self.offsets is None:
             vals = f(t, x)
         else:
@@ -288,29 +283,25 @@ class BoundaryPair:
         return rho, lam
 
 
-def make_mean_boundary(
-    e: Ensemble, lp: LossPair, times: NDArray[np.floating] | None = None
-) -> BoundaryPair:
+def make_mean_boundary(e: Ensemble, lp: LossPair) -> BoundaryPair:
     """Average a loss pair over the recentred cross-sections of an ensemble.
 
     At node ``k`` with cross-section ``y`` and mean ``ybar``:
-    ``l(k, x) = mean_i L(t_k, y_i - ybar + x)`` and likewise for ``r``.  For
-    affine losses the recentring cancels exactly, so the boundary is built
-    without offsets.  ``times`` overrides the loss-evaluation clock for
-    shifted sub-interval grids; defaults to the grid nodes.
+    ``l(k, x) = mean_i L(t_k, y_i - ybar + x)`` and likewise for ``r``, with
+    ``t_k`` node ``k`` of the ensemble's grid.  For affine losses the
+    recentring cancels exactly, so the boundary is built without offsets.
     """
-    times = np.array(e.grid.nodes if times is None else times, dtype=float)
     if lp.affine:
-        return BoundaryPair(e.grid, lp, times, None)
+        return BoundaryPair(e.grid, lp)
     # The transpose of the F-ordered values is a C-ordered view: copy it before -=.
     offsets = e.values.T.copy()
     offsets -= pairwise_mean(offsets)[:, None]
-    return BoundaryPair(e.grid, lp, times, offsets)
+    return BoundaryPair(e.grid, lp, offsets)
 
 
 def boundary_from_losses(grid: TimeGrid, lp: LossPair) -> BoundaryPair:
     """Boundary pair that is just the loss pair itself (no ensemble averaging)."""
-    return BoundaryPair(grid, lp, grid.nodes.copy(), None)
+    return BoundaryPair(grid, lp)
 
 
 def invert_boundary(

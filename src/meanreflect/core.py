@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,6 +63,17 @@ def pairwise_mean(values: NDArray[np.floating], axis: int = -1) -> NDArray[np.fl
     return pairwise_sum(a, axis=axis) / a.shape[axis]
 
 
+def _require_int(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer >= ``minimum``.
+
+    bools and floats are refused, even integral ones: a count must not be
+    truncated or read from a flag.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
@@ -69,10 +81,12 @@ def pairwise_mean(values: NDArray[np.floating], axis: int = -1) -> NDArray[np.fl
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ascending time axis on [0, horizon].
+    """Ascending time axis ending at ``horizon``; its nodes are the clock.
 
-    ``nodes`` must start at 0, end at ``horizon`` and be strictly increasing;
-    paths are interpreted piecewise-linearly between nodes.
+    ``nodes`` must be finite, strictly increasing and end at ``horizon``;
+    they may start anywhere, so a segment of a longer grid keeps its own node
+    times.  Generators and losses are evaluated at these times, and paths are
+    interpreted piecewise-linearly between nodes.
     """
 
     horizon: float
@@ -85,8 +99,8 @@ class TimeGrid:
             raise ValueError("horizon must be positive")
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least 2 nodes")
-        if nodes[0] != 0.0:
-            raise ValueError("grid must start at 0")
+        if not np.isfinite(nodes).all():
+            raise ValueError("grid nodes must be finite")
         if nodes[-1] != self.horizon:
             raise ValueError("last node must equal the horizon")
         if np.any(np.diff(nodes) <= 0.0):
@@ -105,8 +119,8 @@ class TimeGrid:
         return np.diff(self.nodes)
 
     def reversed_nodes(self) -> NDArray[np.floating]:
-        """Node times of the time-reversed grid t -> horizon - t (ascending)."""
-        return self.horizon - self.nodes[::-1]
+        """Node times of the grid mirrored onto itself, t -> t_0 + horizon - t (ascending)."""
+        return self.nodes[0] + self.horizon - self.nodes[::-1]
 
 
 @dataclass(frozen=True)
@@ -171,8 +185,9 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        if not _require_int(self.seed, "seed", 0) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _require_int(self.stream, "stream", 0)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
@@ -196,9 +211,7 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    if int(steps) < 1 or steps != int(steps):
-        raise ValueError("steps must be a positive integer")
-    nodes = np.linspace(0.0, float(horizon), int(steps) + 1)
+    nodes = np.linspace(0.0, float(horizon), _require_int(steps, "steps", 1) + 1)
     nodes[-1] = float(horizon)  # guard against linspace rounding at the end
     return TimeGrid(float(horizon), nodes)
 
@@ -208,12 +221,11 @@ def simulate_brownian(grid: TimeGrid, n: int, rng: RngSpec) -> Ensemble:
 
     Increments are independent N(0, dt) per step; every path starts at 0.
     """
-    if n < 2:
-        raise ValueError("need at least 2 particles")
+    n = _require_int(n, "particle count", 2)
     gen = rng.generator()
     dt = grid.step_sizes
-    increments = gen.standard_normal((int(n), grid.n_steps)) * np.sqrt(dt)
-    values = np.empty((int(n), grid.n_nodes), order="F")
+    increments = gen.standard_normal((n, grid.n_steps)) * np.sqrt(dt)
+    values = np.empty((n, grid.n_nodes), order="F")
     values[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=values[:, 1:])
     return Ensemble(grid, values)

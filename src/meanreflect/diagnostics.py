@@ -37,34 +37,31 @@ __all__ = [
 
 
 def mean_loss_paths(
-    y: Ensemble, lp: LossPair, times: NDArray[np.floating] | None = None
+    y: Ensemble, lp: LossPair
 ) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
     """Per-node empirical means of both losses along an ensemble.
 
-    Returns ``(E[L(t_k, Y_k)], E[R(t_k, Y_k)])`` as node arrays.
+    Returns ``(E[L(t_k, Y_k)], E[R(t_k, Y_k)])`` as node arrays, ``t_k`` the
+    node times of the ensemble's grid.
     """
-    if times is None:
-        times = y.grid.nodes
     m = y.grid.n_nodes
     e_l = np.empty(m)
     e_r = np.empty(m)
     for k in range(m):
         cross = y.values[:, k]
-        t = float(times[k])
+        t = float(y.grid.nodes[k])
         e_l[k] = float(pairwise_mean(np.asarray(lp.L(t, cross), dtype=float)))
         e_r[k] = float(pairwise_mean(np.asarray(lp.R(t, cross), dtype=float)))
     return e_l, e_r
 
 
-def constraint_violation(
-    y: Ensemble, lp: LossPair, times: NDArray[np.floating] | None = None
-) -> tuple[float, float]:
+def constraint_violation(y: Ensemble, lp: LossPair) -> tuple[float, float]:
     """Worst-node overshoot of each mean constraint.
 
     Returns ``(max_k (E[L])^+, max_k (-E[R])^+)`` — both zero for a solution
     that keeps ``E[L] <= 0 <= E[R]`` everywhere.
     """
-    e_l, e_r = mean_loss_paths(y, lp, times)
+    e_l, e_r = mean_loss_paths(y, lp)
     return float(np.max(np.maximum(e_l, 0.0))), float(np.max(np.maximum(-e_r, 0.0)))
 
 

@@ -8,6 +8,8 @@ reduces the general mean-field case to a sequence of such solves by freezing
 the generator at the previous iterate (read node by node in the backward
 loop); on horizons too long for one contraction it splits the interval
 adaptively and stitches the segment solutions together backward in time.
+A segment's grid is a slice of the horizon's grid and keeps its node times,
+so the generator and the losses are always evaluated on the true clock.
 
 The force ``K`` is always a single deterministic function — particles share
 it — and its monotone parts are charged only while the corresponding mean
@@ -19,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,7 @@ from .core import (
     RngSpec,
     SamplePath,
     TimeGrid,
+    _require_int,
     build_grid,
     ensemble_means,
     pairwise_mean,
@@ -103,9 +105,7 @@ class Tolerances:
         # written as "not in range" so that NaN fails every check
         if not 0.0 < self.picard_tol < math.inf:
             raise ValueError("picard_tol must be positive and finite")
-        n_max = self.max_iterations
-        if isinstance(n_max, bool) or not isinstance(n_max, Integral) or n_max < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {n_max!r}")
+        _require_int(self.max_iterations, "max_iterations", 1)
         if not 0.0 < self.contraction_margin < 1.0:
             raise ValueError("contraction_margin must lie in (0, 1)")
         for name in ("root_tol", "band_min", "stat_tol_mult"):
@@ -139,10 +139,8 @@ class Scenario:
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        if self.steps < 1:
-            raise ValueError("need at least one time step")
-        if self.particles < 2:
-            raise ValueError("need at least two particles")
+        _require_int(self.steps, "steps", 1)
+        _require_int(self.particles, "particles", 2)
 
     def make_grid(self) -> TimeGrid:
         return build_grid(self.horizon, self.steps)
@@ -299,7 +297,6 @@ class _SegmentSolution:
 def _construct(
     xi: NDArray[np.floating],
     bm: Ensemble,
-    times: NDArray[np.floating],
     drift: DriftFn,
     sc: Scenario,
     terminal_tol: float,
@@ -308,20 +305,20 @@ def _construct(
     """Reflect a frozen-driver solve: plain solution, mean reflection, shift.
 
     The plain solution runs the backward loop on the state-independent hook
-    ``drift`` (clock ``times``) with ``bm``'s regression plan.  The reflected
+    ``drift`` with ``bm``'s regression plan.  The reflected
     input is the accumulated mean drift ``s_t = E[y_t0 - y_t]`` anchored at
     ``a = E[xi]``; the boundary pair averages the losses over the recentred
     plain cross-sections, so the reflected mean satisfies the original mean
     constraints by construction.
     """
-    plain = _backward_pass(xi, bm, plan, drift, times)
+    plain = _backward_pass(xi, bm, plan, drift)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
     # The boundary pair goes in inline, so its offsets are freed before y is allocated.
     bsp = solve_bsp(
         s,
         float(means[-1]),
-        make_mean_boundary(plain.y, sc.losses, times=times),
+        make_mean_boundary(plain.y, sc.losses),
         root_tol=sc.tol.root_tol,
         band_min=sc.tol.band_min,
         terminal_tol=terminal_tol,
@@ -365,11 +362,11 @@ def solve_constant_driver(
     )
     if driver is None:
         zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
-        drift = _frozen_drift(sc.generator, zero, zero, bm.grid.nodes)
+        drift = _frozen_drift(sc.generator, zero, zero, bm.grid)
     else:
         drift = _column_drift(driver, *bm.values.shape)
     plan = RegressionPlan.build(bm, sc.regression)
-    seg = _construct(xi, bm, bm.grid.nodes, drift, sc, term_tol, plan)
+    seg = _construct(xi, bm, drift, sc, term_tol, plan)
     return _stitch([(0, bm.grid.n_steps, seg)], bm.grid, None)
 
 
@@ -387,7 +384,6 @@ def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
 def _picard_segment(
     sc: Scenario,
     bm_seg: Ensemble,
-    times: NDArray[np.floating],
     xi: NDArray[np.floating],
     init: str,
     records: list[tuple],
@@ -406,20 +402,20 @@ def _picard_segment(
     reacts by splitting the horizon further.  An iteration keeps only the
     frozen pair ``(u, v)`` and the force of the last one.
     """
-    gen, tol = sc.generator, sc.tol
+    gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
     term_tol = require_feasible_terminal(
-        sc.losses, float(times[-1]), xi, stat_tol_mult=tol.stat_tol_mult, root_tol=tol.root_tol
+        sc.losses, grid.horizon, xi, stat_tol_mult=tol.stat_tol_mult, root_tol=tol.root_tol
     )
     if init == "zero":
         u = v = np.broadcast_to(0.0, bm_seg.values.shape)  # read-only: allocates nothing
     else:
-        plain = _backward_pass(xi, bm_seg, plan, _plain_drift(gen, times), times)
+        plain = _backward_pass(xi, bm_seg, plan, _plain_drift(gen, grid))
         u, v = plain.y.values, plain.z.values
         del plain  # freed, like each previous segment, before _construct allocates
-    k_prev = np.zeros(times.size)
+    k_prev = np.zeros(grid.n_nodes)
     prev_d = 0.0
     for _ in range(tol.max_iterations):
-        seg = _construct(xi, bm_seg, times, _frozen_drift(gen, u, v, times), sc, term_tol, plan)
+        seg = _construct(xi, bm_seg, _frozen_drift(gen, u, v, grid), sc, term_tol, plan)
         d_y = _max_rms_gap(seg.y.values, u)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k
@@ -448,7 +444,7 @@ def _trace(
     flat = [r for _, rows in records for r in rows]
     d_y, d_k, k_var, s_var, ratios = map(tuple, zip(*flat))
     env = None if envelope is None else tuple(
-        term for times, rows in records for term in [envelope.tv_bound_terms(times)] * len(rows)
+        term for nodes, rows in records for term in [envelope.tv_bound_terms(nodes)] * len(rows)
     )
     return PicardTrace(
         y_distances=d_y,
@@ -568,11 +564,9 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         xi_seg = xi
         for j in reversed(range(n_segments)):
             a, b = bounds[j], bounds[j + 1]
-            times = nodes[a : b + 1]
-            sub_grid = TimeGrid(float(times[-1] - times[0]), times - times[0])
-            records.append((times, []))
-            bm_seg = Ensemble(sub_grid, bm.values[:, a : b + 1])
-            seg = _picard_segment(sc, bm_seg, times, xi_seg, init, records[-1][1], plan.steps(a, b))
+            bm_seg = Ensemble(TimeGrid(float(nodes[b]), nodes[a : b + 1]), bm.values[:, a : b + 1])
+            records.append((bm_seg.grid.nodes, []))
+            seg = _picard_segment(sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b))
             if seg is None:
                 break
             solved.append((a, b, seg))

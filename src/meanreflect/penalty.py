@@ -200,7 +200,7 @@ def solve_penalized(
         return d_up[k] - d_dn[k]
 
     plan = RegressionPlan.build(bm, sc.regression)
-    sol = _backward_pass(xi, bm, plan, _plain_drift(sc.generator, nodes), nodes, push)
+    sol = _backward_pass(xi, bm, plan, _plain_drift(sc.generator, grid), push)
     pu = np.concatenate([[0.0], np.cumsum(d_up)])
     pd = np.concatenate([[0.0], np.cumsum(d_dn)])
     return PenaltySolution(
@@ -291,7 +291,7 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
     nodes, dt = grid.nodes, grid.step_sizes
     # the node means of the driver frozen at zero, as the constant-driver route reads it
     zero = np.broadcast_to(0.0, bm.values.shape)
-    drift = _frozen_drift(sc.generator, zero, zero, nodes)
+    drift = _frozen_drift(sc.generator, zero, zero, grid)
     fbar = [float(pairwise_mean(np.broadcast_to(drift(k), xi.shape))) for k in range(grid.n_steps)]
     plain = np.empty(nodes.size)
     plain[-1] = pairwise_mean(xi)

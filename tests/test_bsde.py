@@ -252,8 +252,8 @@ def test_plan_driven_pass_matches_the_per_call_projection_bitwise(
     a = data.draw(st.integers(0, steps - 1), label="a")
     b = data.draw(st.integers(a + 1, steps), label="b")
     nodes = bm.grid.nodes
-    sub_grid = mr.TimeGrid(float(nodes[b] - nodes[a]), nodes[a : b + 1] - nodes[a])
-    sub = mr.Ensemble(sub_grid, bm.values[:, a : b + 1])
+    # the segment grid keeps its own node times, as picard_solve cuts it
+    sub = mr.Ensemble(mr.TimeGrid(float(nodes[b]), nodes[a : b + 1]), bm.values[:, a : b + 1])
 
     def drift(k, pred, zk):
         return 0.5 * pred + 0.25 * zk + 1.0
@@ -269,9 +269,9 @@ def test_plan_driven_pass_matches_the_per_call_projection_bitwise(
             ref = None
         if ref is None or not all(np.isfinite(r).all() for r in ref):
             with pytest.raises(NumericalFailureError):
-                bsde._backward_pass(xi, ens, p, drift, ens.grid.nodes)
+                bsde._backward_pass(xi, ens, p, drift)
             continue
-        sol = bsde._backward_pass(xi, ens, p, drift, ens.grid.nodes)
+        sol = bsde._backward_pass(xi, ens, p, drift)
         assert sol.y.values.tobytes() == ref[0].tobytes()
         assert sol.z.values.tobytes() == ref[1].tobytes()
 
@@ -281,7 +281,7 @@ def test_plan_must_match_the_ensemble():
     plan = bsde.RegressionPlan.build(bm, mr.RegressionConfig())
     assert len(plan.scales) == len(plan.grams) == 6
     with pytest.raises(ValueError, match="plan"):
-        bsde._backward_pass(bm.values[:, -1], bm, plan.steps(0, 4), lambda *_: 0.0, bm.grid.nodes)
+        bsde._backward_pass(bm.values[:, -1], bm, plan.steps(0, 4), lambda *_: 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +314,10 @@ def test_constant_driver_path_mixes_value_and_mean():
 
 
 def test_constant_driver_path_respects_shifted_clock():
-    # driver f(t) = t evaluated with an explicit clock offset
-    g = mr.build_grid(1.0, 2)
+    # driver f(t) = t on a grid whose clock starts at 5: the nodes are the times
+    g = mr.TimeGrid(6.0, np.array([5.0, 5.5, 6.0]))
     u = mr.Ensemble(g, np.zeros((2, 3)))
     gen = mr.Generator("lipschitz", lambda t, y, my, z, mz: np.full_like(np.asarray(y), t), lam=0.0)
-    vals = mr.constant_driver_path(gen, u, u, times=np.array([5.0, 5.5, 6.0]))
+    vals = mr.constant_driver_path(gen, u, u)
     assert_array_equal(vals[:, 0], 5.0)
     assert_array_equal(vals[:, 2], 6.0)

@@ -156,7 +156,7 @@ def test_array_evaluation_matches_scalar_calls_bitwise(losses, averaged):
     # an odd particle count exercises the carried tail of the pairwise tree;
     # the pair is built directly so the affine band keeps its offsets too
     off = rng.normal(0.0, 1.3, (g.n_nodes, 257)) if averaged else None
-    bp = mr.BoundaryPair(g, losses, g.nodes.copy(), off)
+    bp = mr.BoundaryPair(g, losses, off)
     xs = np.concatenate([rng.normal(0.0, 4.0, 9), [0.0, -0.0, 1e-300]])
     for node in range(g.n_nodes):
         for side in (bp.lower, bp.upper):
@@ -344,7 +344,7 @@ def _boundary_cases(draw):
         seed = draw(st.integers(0, 2**32 - 1))
         off = np.random.default_rng(seed).normal(0.0, draw(st.floats(0.1, 3.0)), (g.n_nodes, n))
     root_tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
-    return mr.BoundaryPair(g, lp, g.nodes.copy(), off), root_tol
+    return mr.BoundaryPair(g, lp, off), root_tol
 
 
 def _sides(bp):

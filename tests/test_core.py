@@ -48,6 +48,76 @@ def test_grid_reversed_nodes_is_ascending_mirror():
     assert_allclose(rev, 2.0 - g.nodes[::-1], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize(
+    "horizon,nodes",
+    [(1.0, [0.0, math.nan, 1.0]), (math.inf, [0.0, 1.0, math.inf]), (1.0, [-math.inf, 0.5, 1.0])],
+    ids=["nan-inside", "inf-end", "minus-inf-start"],
+)
+def test_grid_rejects_non_finite_nodes(horizon, nodes):
+    # a NaN node used to pass every check, and simulate_brownian on it drew NaN paths
+    with pytest.raises(ValueError, match="finite"):
+        mr.TimeGrid(horizon, np.array(nodes))
+
+
+def test_grid_may_start_anywhere_and_mirrors_onto_itself():
+    g = mr.TimeGrid(1.0, np.array([0.5, 0.625, 0.75, 1.0]))
+    assert g.n_steps == 3
+    assert_array_equal(g.step_sizes, [0.125, 0.125, 0.25])
+    rev = g.reversed_nodes()
+    assert_array_equal(rev, [0.5, 0.75, 0.875, 1.0])  # t -> 0.5 + 1.0 - t, ascending
+    uniform = mr.TimeGrid(1.0, np.linspace(0.5, 1.0, 17))
+    assert_allclose(uniform.reversed_nodes(), uniform.nodes, rtol=0.0, atol=1e-15)
+
+
+def _scenario_with(**kw):
+    base = dict(
+        horizon=1.0, steps=4, particles=64, rng=mr.RngSpec(1), terminal=lambda b: b,
+        generator=mr.constant_generator(0.0),
+    )
+    return mr.Scenario(**dict(base, **kw))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _scenario_with(particles=100.5),
+        lambda: _scenario_with(particles=100.0),
+        lambda: _scenario_with(particles=True),
+        lambda: _scenario_with(steps=True),
+        lambda: _scenario_with(steps=2.5),
+        lambda: _scenario_with(steps=0),
+        lambda: mr.simulate_brownian(mr.build_grid(1.0, 4), 100.5, mr.RngSpec(0)),
+        lambda: mr.simulate_brownian(mr.build_grid(1.0, 4), 1, mr.RngSpec(0)),
+        lambda: mr.build_grid(1.0, True),
+        lambda: mr.build_grid(1.0, 4.0),
+        lambda: mr.RngSpec(seed=1.5),
+        lambda: mr.RngSpec(seed=True),
+        lambda: mr.RngSpec(seed=-1),
+        lambda: mr.RngSpec(seed=3, stream=0.5),
+        lambda: mr.RegressionConfig(degree=2.0),
+        lambda: mr.Tolerances(max_iterations=True),
+    ],
+    ids=[
+        "scenario-particles-100.5", "scenario-particles-100.0", "scenario-particles-True",
+        "scenario-steps-True", "scenario-steps-2.5", "scenario-steps-0", "brownian-n-100.5",
+        "brownian-n-1", "grid-steps-True", "grid-steps-4.0", "seed-1.5", "seed-True", "seed--1",
+        "stream-0.5", "degree-2.0", "max_iterations-True",
+    ],
+)
+def test_counts_must_be_integers(build):
+    # a count is never truncated or read from a flag: particles=100.5 used to
+    # solve with 100 particles and steps=True on a one-step grid
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    sc = _scenario_with(steps=np.int64(4), particles=np.int32(64), rng=mr.RngSpec(np.uint64(1)))
+    e = mr.simulate_brownian(mr.build_grid(1.0, np.int64(4)), np.int64(64), mr.RngSpec(1))
+    assert_array_equal(sc.simulate().values, e.values)
+    assert type(mr.RngSpec(np.uint64(2**64 - 1)).generator()) is np.random.Generator
+
+
 def test_sample_path_length_checked():
     g = mr.build_grid(1.0, 4)
     with pytest.raises(ValueError):

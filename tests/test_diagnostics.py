@@ -74,7 +74,9 @@ def test_violation_meter_honours_shifted_clock():
     y = _ensemble(np.ones((2, 5)))
     v_l, _ = mr.constraint_violation(y, lp)
     assert v_l == 1.0  # worst node is t = 0
-    v_l_shifted, _ = mr.constraint_violation(y, lp, times=y.grid.nodes + 1.0)
+    # the same values on a grid whose clock runs over [1, 2]
+    shifted = mr.Ensemble(mr.TimeGrid(2.0, y.grid.nodes + 1.0), y.values)
+    v_l_shifted, _ = mr.constraint_violation(shifted, lp)
     assert v_l_shifted == 0.0
 
 

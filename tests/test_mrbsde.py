@@ -326,6 +326,31 @@ def test_split_solve_reports_every_attempt(monkeypatch):
     assert all(a[2] > margin for a in tr.attempts[:-1])
 
 
+@pytest.mark.parametrize("init", ["zero", "unreflected"])
+def test_split_segments_run_on_the_true_clock(init):
+    # a band moving in time, [t - 1, t + 3], held at its lower edge: a segment
+    # that evaluated the losses on a clock restarted at 0 would hold the mean
+    # at t - t_a - 1, below the true edge by the segment's start time t_a
+    lp = mr.LossPair(
+        L=lambda t, x: np.asarray(x, dtype=float) - 3.0 - t,
+        R=lambda t, x: np.asarray(x, dtype=float) + 1.0 - t,
+        c=1.0, C=1.0, gap=4.0, affine=True,
+    )
+    sc = mr.Scenario(
+        horizon=1.0, steps=16, particles=6_000, rng=mr.RngSpec(41),
+        terminal=lambda b: b + 0.1,
+        generator=mr.affine_mix_generator(a_y=5.0, const=-10.0),
+        losses=lp,
+    )
+    sol = mr.picard_solve(sc, init=init)
+    assert sol.trace.converged and sol.trace.segment_count > 1
+    assert sol.push_up.values[-1] > 1.0  # the lower edge binds
+    assert mr.audit_solution(sol, lp).passed
+    # the reflected mean is exact, so the full-horizon clock sees no overshoot
+    e_l, e_r = mr.mean_loss_paths(sol.y, lp)
+    assert np.max(e_l) <= 1e-9 and np.min(e_r) >= -1e-9
+
+
 @pytest.mark.parametrize("case", ["single", "split", "envelope"])
 def test_trace_fields_agree(case):
     if case == "single":
@@ -595,11 +620,10 @@ def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
         bm = sc.simulate()
         xi = sc.terminal_values(bm)
         frozen = mr.solve_bsde(xi, gen, bm)  # a non-zero pair, both laws read
-        nodes = bm.grid.nodes
-        drift = bsde._frozen_drift(gen, frozen.y.values, frozen.z.values, nodes)
+        drift = bsde._frozen_drift(gen, frozen.y.values, frozen.z.values, bm.grid)
         term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
         plan = bsde.RegressionPlan.build(bm, sc.regression)
-        seg = mrbsde._construct(xi, bm, nodes, drift, sc, term_tol, plan)
+        seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
         hooked = mrbsde._stitch([(0, sc.steps, seg)], bm.grid, None)
         driver = mr.constant_driver_path(gen, frozen.y, frozen.z)
     matrix = mr.solve_constant_driver(sc, driver, bm=bm)
@@ -610,8 +634,8 @@ def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
 
 
 def test_non_finite_step_names_the_clock_time():
-    # f is infinite before clock time 5.6; a segment's grid starts at 0, but
-    # the failing step is named on the clock the generator was evaluated on
+    # f is infinite before clock time 5.6; on a grid whose clock runs over
+    # [5, 6] the failing step is named by the time the generator saw
     def f(t, y, my, z, mz):
         return np.full(np.shape(y), np.inf if t < 5.6 else 0.0)
 
@@ -619,10 +643,10 @@ def test_non_finite_step_names_the_clock_time():
     sc = _scenario(gen, steps=4, particles=500)
     bm = sc.simulate()
     xi = sc.terminal_values(bm)
-    clock = bm.grid.nodes + 5.0
+    bm = mr.Ensemble(mr.TimeGrid(6.0, bm.grid.nodes + 5.0), bm.values)
     with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
-        mr.solve_bsde(xi, gen, bm, times=clock)
-    drift = bsde._frozen_drift(gen, bm.values, bm.values, clock)
+        mr.solve_bsde(xi, gen, bm)
+    drift = bsde._frozen_drift(gen, bm.values, bm.values, bm.grid)
     plan = bsde.RegressionPlan.build(bm, sc.regression)
     with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
-        mrbsde._construct(xi, bm, clock, drift, sc, 1.0, plan)
+        mrbsde._construct(xi, bm, drift, sc, 1.0, plan)

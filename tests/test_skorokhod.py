@@ -198,13 +198,15 @@ def _round_trip_gaps(s: mr.SamplePath, a: float, bp: mr.BoundaryPair) -> tuple[f
     """sup-gaps in K and x between solve_bsp and its definition.
 
     The definition reflects the reversed input forward against the
-    index-flipped pair, then maps the force back.
+    index-flipped pair, then maps the force back.  Only the offsets are
+    flipped, so the losses must not depend on the time.
     """
+    assert bp.losses.time_invariant
     sol = mr.solve_bsp(s, a, bp)
     assert sol.variation > 0.0
     g = s.grid
     offsets = None if bp.offsets is None else bp.offsets[::-1]
-    reversed_bp = mr.BoundaryPair(g, bp.losses, bp.times[::-1], offsets)
+    reversed_bp = mr.BoundaryPair(g, bp.losses, offsets)
     sv = s.values
     fwd = mr.solve_sp(mr.SamplePath(g, a + sv[-1] - sv[::-1]), reversed_bp)
     k_back = fwd.K.values[-1] - fwd.K.values[::-1]
@@ -222,6 +224,13 @@ def _walk(grid: mr.TimeGrid, rng: np.random.Generator) -> mr.SamplePath:
 def test_backward_is_reversed_forward():
     # matches the definitional round trip to machine precision
     g = mr.build_grid(1.0, 32)
+    gaps = _round_trip_gaps(_walk(g, np.random.default_rng(5)), 0.3, _band(-1.2, 0.9, g))
+    assert max(gaps) <= 1e-15
+
+
+def test_backward_is_reversed_forward_on_a_grid_that_starts_late():
+    # a segment's grid keeps its own clock; it mirrors onto [0.5, 1.0]
+    g = mr.TimeGrid(1.0, np.linspace(0.5, 1.0, 33))
     gaps = _round_trip_gaps(_walk(g, np.random.default_rng(5)), 0.3, _band(-1.2, 0.9, g))
     assert max(gaps) <= 1e-15
 
@@ -353,7 +362,7 @@ def test_flatness_matches_the_per_increment_loop(kind, reverse):
     g = mr.build_grid(1.0, 24)
     lp = mr.linear_band(-1.0, 1.0) if kind == "linear" else mr.saturating_band(-1.0, 1.0)
     off = rng.normal(0.0, 0.7, (g.n_nodes, 9)) if kind == "averaged" else None
-    bp = mr.BoundaryPair(g, lp, g.nodes.copy(), off)
+    bp = mr.BoundaryPair(g, lp, off)
     # fabricated force: random increments, some zero, on a path that sits
     # exactly on the upper edge at some down-push, where -l is -0.0
     x = rng.normal(0.0, 1.5, g.n_nodes)
@@ -417,8 +426,8 @@ def test_boundary_discrepancy_matches_the_pointwise_loop():
     rng = np.random.default_rng(3)
     g = mr.build_grid(1.0, 5)
     off1, off2 = rng.normal(0.0, 1.0, (2, g.n_nodes, 33))
-    bp1 = mr.BoundaryPair(g, mr.saturating_band(-1.0, 2.0), g.nodes.copy(), off1)
-    bp2 = mr.BoundaryPair(g, mr.saturating_band(-1.2, 2.1), g.nodes.copy(), off2)
+    bp1 = mr.BoundaryPair(g, mr.saturating_band(-1.0, 2.0), off1)
+    bp2 = mr.BoundaryPair(g, mr.saturating_band(-1.2, 2.1), off2)
     xs = np.array([-3.0, np.nan, 0.5, 4.0])
     ref = [0.0, 0.0]
     for k in range(g.n_nodes):

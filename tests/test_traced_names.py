@@ -1,12 +1,20 @@
-"""The benchmark tracer wraps package callables by name; every name must resolve."""
+"""The benchmark reaches the package by name; every name it uses must resolve.
+
+The tracer wraps callables named in string lists, and the workloads call
+``mr.<name>`` attributes of the package.  A name dropped from the package
+fails here, not in a benchmark run.
+"""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _tracer_lists():
@@ -36,4 +44,39 @@ def test_every_traced_name_resolves():
             assert callable(_resolve(module, attr))
         except (AttributeError, AssertionError):
             missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def _workload_names() -> set[str]:
+    """Every dotted ``mr.<name>...`` chain in the workloads, prefixes included."""
+    chains = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "mr" and parts:
+            chains.add(".".join(reversed(parts)))
+    return chains
+
+
+def _resolve_package(chain: str):
+    obj = importlib.import_module("meanreflect")
+    for part in chain.split("."):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:  # a submodule not imported yet, e.g. mr.cli
+            obj = importlib.import_module(f"{obj.__name__}.{part}")
+    return obj
+
+
+def test_every_name_the_workloads_call_resolves():
+    names = _workload_names()
+    assert {"picard_solve", "cli.main", "run_suite", "LinearEnvelope.constants"} <= names
+    missing = []
+    for chain in sorted(names):
+        try:
+            _resolve_package(chain)
+        except (AttributeError, ImportError):
+            missing.append(f"mr.{chain}")
     assert missing == []
