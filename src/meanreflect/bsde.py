@@ -64,32 +64,28 @@ class Generator:
     mode: str
     f: DriverFn
     lam: float
-    gamma: float = 0.0
     depends_on_z_law: bool = False
 
     def __post_init__(self):
         if self.mode not in ("lipschitz", "quadratic"):
             raise ValueError(f"unknown generator mode {self.mode!r}")
-        if self.lam < 0.0 or self.gamma < 0.0:
-            raise ValueError("growth constants must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:  # "not in range", so NaN fails too
+            raise ValueError("lam must be nonnegative and finite")
         if self.mode == "quadratic" and self.depends_on_z_law:
             raise ValueError("quadratic-mode generators must not depend on the z law")
 
 
 @dataclass(frozen=True)
 class RegressionConfig:
-    """Conditional-expectation estimator settings."""
+    """Conditional-expectation estimator settings; ``z`` is always estimated."""
 
     degree: int = 3
     ridge: float = 1e-10
-    z_mode: str = "regression"
 
     def __post_init__(self):
         _require_int(self.degree, "degree", 0)
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError("ridge must be nonnegative and finite")
-        if self.z_mode not in ("regression", "none"):
-            raise ValueError("z_mode must be 'regression' or 'none'")
 
 
 @dataclass(frozen=True)
@@ -262,24 +258,22 @@ def _backward_pass(
         raise ValueError("regression plan does not match the ensemble's steps")
     dt = grid.step_sizes
     y = np.empty((n, m), order="F")
-    z = np.zeros((n, m), order="F")
+    z = np.empty((n, m), order="F")
     y[:, -1] = xi
-    with_z = plan.cfg.z_mode == "regression"
     width = plan.cfg.degree + 1
     # per-pass scratch, reused at every node: targets with their products, powers, fits
-    block = np.empty(((1 + with_z) * width, n))
+    block = np.empty((2 * width, n))
     powers = np.empty((width - 1, n))
-    fit = np.empty((1 + with_z, n))
+    fit = np.empty((2, n))
 
     for k in range(m - 2, -1, -1):
         state = bm.values[:, k]
         y_next = y[:, k + 1]
         block[0] = y_next
-        if with_z:
-            np.multiply(y_next, bm.values[:, k + 1] - state, out=block[width])
+        np.multiply(y_next, bm.values[:, k + 1] - state, out=block[width])
         plan.project(k, state, block, powers, fit)
         pred = fit[0]
-        zk = fit[1] / dt[k] if with_z else z[:, k]
+        zk = fit[1] / dt[k]
         fval = np.broadcast_to(np.asarray(drift(k, pred, zk), dtype=float), pred.shape)
         y[:, k] = pred + fval * dt[k]
         if mean_shift is not None:
@@ -290,8 +284,7 @@ def _backward_pass(
             )
         z[:, k] = zk
 
-    if with_z and m >= 2:
-        z[:, -1] = z[:, -2]
+    z[:, -1] = z[:, -2]
     return BSDESolution(Ensemble(grid, y), Ensemble(grid, z))
 
 
@@ -336,14 +329,9 @@ def linear_generator(a: float) -> Generator:
 def quadratic_z_generator(gamma: float) -> Generator:
     """f = (gamma / 2) z^2 — convex quadratic growth in z, no law dependence."""
     g = float(gamma)
-    if g <= 0.0:
-        raise ValueError("gamma must be positive")
-    return Generator(
-        "quadratic",
-        lambda t, y, my, z, mz: 0.5 * g * np.asarray(z) ** 2,
-        lam=0.0,
-        gamma=g,
-    )
+    if not 0.0 < g < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    return Generator("quadratic", lambda t, y, my, z, mz: 0.5 * g * np.asarray(z) ** 2, lam=0.0)
 
 
 def affine_mix_generator(

@@ -314,9 +314,7 @@ def _parse_solver(node: Any) -> tuple[RegressionConfig, Tolerances]:
     def read(defaults: dict) -> dict:
         out = {}
         for key, default in defaults.items():
-            if isinstance(default, str):
-                out[key] = str(node.get(key, default))
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 out[key] = _int(node, key, "solver", default)
             else:
                 out[key] = _num(node, key, "solver", default)

@@ -72,10 +72,11 @@ class LossPair:
     affine: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.c <= self.C:
-            raise ValueError("need 0 < c <= C")
-        if self.gap <= 0.0:
-            raise ValueError("gap between R and L must be positive")
+        # written as "not in range" so that NaN fails every check
+        if not 0.0 < self.c <= self.C < math.inf:
+            raise ValueError("need 0 < c <= C, both finite")
+        if not 0.0 < self.gap < math.inf:
+            raise ValueError("gap between R and L must be positive and finite")
 
 
 def linear_band(lower: float, upper: float) -> LossPair:
@@ -407,10 +408,10 @@ class LinearEnvelope:
 
     @classmethod
     def constants(cls, b: float, p: float, q: float) -> "LinearEnvelope":
-        if b <= 0.0:
-            raise ValueError("b must be positive")
-        if not p > q:
-            raise ValueError("need p > q")
+        if not 0.0 < b < math.inf:
+            raise ValueError("b must be positive and finite")
+        if not -math.inf < q < p < math.inf:
+            raise ValueError("need finite p > q")
         return cls(b=lambda t: float(b), p=lambda t: float(p), q=lambda t: float(q))
 
     def ratio_paths(
@@ -418,12 +419,12 @@ class LinearEnvelope:
     ) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
         """(p/b, q/b) at the node times; a segment's clock need not start at 0."""
         bs = np.array([float(self.b(float(t))) for t in nodes])
-        if np.any(bs <= 0.0):
-            raise ValueError("envelope slope b must stay positive")
+        if not np.all((0.0 < bs) & (bs < math.inf)):
+            raise ValueError("envelope slope b must stay positive and finite")
         ps = np.array([float(self.p(float(t))) for t in nodes])
         qs = np.array([float(self.q(float(t))) for t in nodes])
-        if np.min(ps - qs) <= 0.0:
-            raise ValueError("envelope gap p - q must stay positive")
+        if not np.all((-math.inf < qs) & (qs < ps) & (ps < math.inf)):
+            raise ValueError("envelope gap p - q must stay positive, with p and q finite")
         return ps / bs, qs / bs
 
     def tv_bound_terms(self, nodes: NDArray[np.floating]) -> float:
@@ -487,7 +488,13 @@ class LinearObstacles:
         )
 
     def sample(self, grid: TimeGrid) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
-        """Obstacle paths (lower, upper) on the grid nodes, by trapezoid rule."""
+        """Obstacle paths (lower, upper) on the grid nodes, by trapezoid rule.
+
+        The rates are integrated from ``t = 0``, so the grid must start there
+        (``ValueError`` otherwise).
+        """
+        if grid.nodes[0] != 0.0:
+            raise ValueError(f"obstacles integrate from t = 0; grid starts at {grid.nodes[0]:g}")
         lo_rate = np.array([float(self.lower_rate(t)) for t in grid.nodes])
         hi_rate = np.array([float(self.upper_rate(t)) for t in grid.nodes])
         dt = grid.step_sizes

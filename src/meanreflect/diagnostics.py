@@ -97,22 +97,16 @@ class MRAudit:
     passed: bool
 
 
-def audit_solution(
-    sol: MRSolution,
-    lp: LossPair,
-    *,
-    mult: float = 4.0,
-    flat_scale: float = 1e-10,
-) -> MRAudit:
+def audit_solution(sol: MRSolution, lp: LossPair, *, mult: float = 4.0) -> MRAudit:
     """Check a reflected solution's two soft contracts at once.
 
     Constraint satisfaction is statistical — overshoots of the mean losses
     must stay within ``mult * sigma / sqrt(N)`` — while flat residuals are
-    near-exact, allowed ``flat_scale * (1 + sup|s|) * (1 + TV(K))``.
+    near-exact, allowed ``1e-10 * (1 + sup|s|) * (1 + TV(K))``.
     """
     v_l, v_r = constraint_violation(sol.y, lp)
     v_tol = solution_stat_tol(sol.y, lp, mult)
-    f_tol = flat_scale * (1.0 + sol.s_sup) * (1.0 + sol.variation)
+    f_tol = 1e-10 * (1.0 + sol.s_sup) * (1.0 + sol.variation)
     passed = (
         v_l <= v_tol
         and v_r <= v_tol

@@ -137,8 +137,8 @@ class Scenario:
     tol: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         _require_int(self.steps, "steps", 1)
         _require_int(self.particles, "particles", 2)
 
@@ -605,17 +605,16 @@ class KtVariationReport:
     passed: bool
 
 
-def kt_variation_guard(
-    trace: PicardTrace, envelope: LinearEnvelope, *, tv_tol: float = 1e-6
-) -> KtVariationReport:
+def kt_variation_guard(trace: PicardTrace, envelope: LinearEnvelope) -> KtVariationReport:
     """Check every recorded iterate's force variation against the envelope.
 
     The bound per iterate is ``Var(p/b) + Var(q/b) + 2 Var(s)`` — the
     envelope band-edge variation plus twice the variation of that iterate's
     reflected input path.  Both ingredients are recorded at solve time
     (where the segment clocks are known), so the trace must come from a
-    scenario that declared the envelope.  Report-only: never raises on a
-    violated bound.
+    scenario that declared the envelope.  An iterate passes when its slack
+    ``bound + 1e-6 - variation`` is nonnegative.  Report-only: never raises
+    on a violated bound.
     """
     if envelope is None:
         raise ValueError("an envelope is required")
@@ -628,7 +627,7 @@ def kt_variation_guard(
         term + 2.0 * s_var
         for term, s_var in zip(trace.envelope_terms, trace.s_variations)
     )
-    slacks = tuple(b + tv_tol - v for b, v in zip(bounds, trace.k_variations))
+    slacks = tuple(b + 1e-6 - v for b, v in zip(bounds, trace.k_variations))
     return KtVariationReport(
         variations=trace.k_variations,
         bounds=bounds,

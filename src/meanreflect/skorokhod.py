@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .constraints import BAND_MIN_DEFAULT, ROOT_TOL_DEFAULT, BoundaryPair, LinearEnvelope
+from .constraints import BAND_MIN_DEFAULT, ROOT_TOL_DEFAULT, BoundaryPair
 from .core import SamplePath, TimeGrid
 from .errors import DegenerateConstraintsError, InfeasibleTerminalError
 
@@ -41,6 +41,9 @@ __all__ = [
     "ContinuityReport",
     "ComparisonReport",
 ]
+
+# Round-off allowance of the executable estimates: a report passes iff its slack >= 0.
+_CHECK_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +143,7 @@ def _solution(cls, grid, x, push_up, push_down, residuals, **extra):
     return cls(SamplePath(grid, x), K, up, dn, *residuals, **extra)
 
 
-def solve_sp(
-    s: SamplePath,
-    bp: BoundaryPair,
-    *,
-    root_tol: float = ROOT_TOL_DEFAULT,
-    band_min: float = BAND_MIN_DEFAULT,
-) -> ReflectionSolution:
+def solve_sp(s: SamplePath, bp: BoundaryPair) -> ReflectionSolution:
     """Solve the two-sided reflection problem for input ``s``.
 
     At each node the admissible band ``[rho_k, lam_k]`` is found by root
@@ -158,11 +155,11 @@ def solve_sp(
     Raises
     ------
     DegenerateConstraintsError
-        If the band width drops below ``band_min`` at any node.
+        If the band width drops below ``BAND_MIN_DEFAULT`` at any node.
     """
     _require_one_grid(s.grid, bp.grid)
-    rho, lam = bp.band_edges(root_tol)
-    x, up, dn = _clamp_recursion(s.values, rho, lam, band_min)
+    rho, lam = bp.band_edges()
+    x, up, dn = _clamp_recursion(s.values, rho, lam, BAND_MIN_DEFAULT)
     residuals = flatness_residuals_raw(x, up, dn, bp)
     return _solution(ReflectionSolution, s.grid, x, up, dn, residuals)
 
@@ -293,40 +290,25 @@ class TVBoundReport:
     passed: bool
 
 
-def check_tv_bound(
-    sol: ReflectionSolution,
-    s: SamplePath,
-    bp: BoundaryPair | None = None,
-    envelope: LinearEnvelope | None = None,
-    *,
-    tv_tol: float = 1e-9,
-    root_tol: float = ROOT_TOL_DEFAULT,
-) -> TVBoundReport:
-    """Check ``push_up_T + push_down_T <= Var(phi) + Var(psi) + tv_tol``.
+def check_tv_bound(sol: ReflectionSolution, s: SamplePath, bp: BoundaryPair) -> TVBoundReport:
+    """Check ``push_up_T + push_down_T <= Var(phi) + Var(psi) + 1e-9``.
 
     ``phi = lam - s`` and ``psi = rho - s`` are the root paths of the band
-    edges relative to the input: the force can only grow while riding an
-    edge, so its variation is dominated by theirs.  The band may come from
-    the solution's own boundary pair or from an affine envelope enclosing it
-    (the enclosed problem accumulates no more force than the envelope, so
-    the envelope's bound still dominates).  Assumes the input starts inside
-    the band — an initial jump is force the root paths cannot see.  ``sol``,
-    ``s`` and ``bp`` must share one grid (``ValueError`` otherwise).
+    edges of ``bp`` relative to the input: the force can only grow while
+    riding an edge, so its variation is dominated by theirs.  (The bound
+    through an affine envelope is :meth:`LinearEnvelope.tv_bound_terms`.)
+    Assumes the input starts inside the band — an initial jump is force the
+    root paths cannot see.  ``sol``, ``s`` and ``bp`` must share one grid
+    (``ValueError`` otherwise).
     """
-    if (bp is None) == (envelope is None):
-        raise ValueError("provide exactly one of bp or envelope")
-    _require_one_grid(sol.K.grid, s.grid, *([] if bp is None else [bp.grid]))
-    if bp is not None:
-        rho, lam = bp.band_edges(root_tol)
-    else:
-        pb, qb = envelope.ratio_paths(s.grid.nodes)
-        lam, rho = pb, qb  # upper edge from the lower envelope, lower from the upper
+    _require_one_grid(sol.K.grid, s.grid, bp.grid)
+    rho, lam = bp.band_edges()
     phi = lam - s.values
     psi = rho - s.values
     var_phi = float(np.sum(np.abs(np.diff(phi))))
     var_psi = float(np.sum(np.abs(np.diff(psi))))
     tv = sol.variation
-    slack = var_phi + var_psi + tv_tol - tv
+    slack = var_phi + var_psi + _CHECK_TOL - tv
     return TVBoundReport(tv, var_phi, var_psi, slack, slack >= 0.0)
 
 
@@ -366,8 +348,6 @@ def check_continuity_bound(
     bp1: BoundaryPair,
     bp2: BoundaryPair,
     x_samples: NDArray[np.floating],
-    *,
-    check_tol: float = 1e-9,
 ) -> ContinuityReport:
     """Input-stability of the force under data perturbation.
 
@@ -400,7 +380,7 @@ def check_continuity_bound(
         rhs = 2.0 * (C / c) * da + 4.0 * (C / c) * sup_ds + (2.0 / c) * gap
     else:
         rhs = (C / c) * sup_ds + (1.0 / c) * gap
-    slack = rhs + check_tol - lhs
+    slack = rhs + _CHECK_TOL - lhs
     return ContinuityReport(lhs, rhs, slack, sup_ds, gap, slack >= 0.0)
 
 
@@ -409,6 +389,7 @@ class ComparisonReport:
     premise_ok: bool
     max_violation_up: float
     max_violation_down: float
+    slack: float
     passed: bool
 
 
@@ -417,19 +398,16 @@ def check_comparison(
     bp_wide: BoundaryPair,
     bp_narrow: BoundaryPair,
     x_samples: NDArray[np.floating],
-    *,
-    check_tol: float = 1e-9,
-    root_tol: float = ROOT_TOL_DEFAULT,
-    band_min: float = BAND_MIN_DEFAULT,
 ) -> ComparisonReport:
     """Narrower bands force more: both monotone parts must dominate nodewise.
 
     Both solves run on the same input and their cumulative parts are
     compared at every node; the premise (wide boundary below/above the
-    narrow one in the required order) is verified on the sample set.
+    narrow one in the required order) is verified on the sample set.  The
+    slack is ``1e-9`` less the larger violation, NaN if either is NaN.
     """
-    sol_w = solve_sp(s, bp_wide, root_tol=root_tol, band_min=band_min)
-    sol_n = solve_sp(s, bp_narrow, root_tol=root_tol, band_min=band_min)
+    sol_w = solve_sp(s, bp_wide)
+    sol_n = solve_sp(s, bp_narrow)
     nodes, rows = _node_rows(bp_wide, x_samples)
     premise_ok = not (
         np.any(bp_wide.lower(nodes, rows) > bp_narrow.lower(nodes, rows) + 1e-12)
@@ -437,5 +415,5 @@ def check_comparison(
     )
     viol_up = float(np.max(sol_w.push_up.values - sol_n.push_up.values))
     viol_dn = float(np.max(sol_w.push_down.values - sol_n.push_down.values))
-    passed = premise_ok and viol_up <= check_tol and viol_dn <= check_tol
-    return ComparisonReport(premise_ok, viol_up, viol_dn, passed)
+    slack = _CHECK_TOL - float(np.maximum(viol_up, viol_dn))  # np.maximum keeps a NaN
+    return ComparisonReport(premise_ok, viol_up, viol_dn, slack, premise_ok and slack >= 0.0)

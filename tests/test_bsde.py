@@ -39,7 +39,6 @@ def test_quadratic_mode_rejects_z_law_dependence():
             "quadratic",
             lambda t, y, my, z, mz: 0.5 * np.asarray(z) ** 2,
             lam=0.0,
-            gamma=1.0,
             depends_on_z_law=True,
         )
     # the lipschitz factory may depend on the z law, and must say so
@@ -52,8 +51,9 @@ def test_regression_config_validated():
         mr.RegressionConfig(degree=-1)
     with pytest.raises(ValueError):
         mr.RegressionConfig(ridge=-1e-3)
-    with pytest.raises(ValueError):
-        mr.RegressionConfig(z_mode="maybe")
+    # z is always estimated: there is no switch to turn it off
+    with pytest.raises(TypeError):
+        mr.RegressionConfig(z_mode="none")
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", None])
@@ -152,13 +152,6 @@ def test_single_step_grid_reduces_to_plain_average():
     assert_allclose(sol.y.values[:, 0], 4.0, rtol=0, atol=1e-12)
 
 
-def test_z_mode_none_skips_the_estimate():
-    bm = _brownian(steps=4, n=64)
-    xi = bm.values[:, -1].copy()
-    sol = mr.solve_bsde(xi, mr.constant_generator(0.0), bm, mr.RegressionConfig(z_mode="none"))
-    assert_array_equal(sol.z.values, 0.0)
-
-
 def test_solver_is_deterministic():
     bm = _brownian(steps=10, n=4_000)
     xi = np.sin(bm.values[:, -1])
@@ -215,24 +208,18 @@ def _reference_pass(xi, bm, cfg, drift):
     y[:, -1] = xi
     for k in range(m - 2, -1, -1):
         state, y_next = values[:, k], y[:, k + 1]
-        if cfg.z_mode == "regression":
-            db = values[:, k + 1] - state
-            pred, z_raw = _reference_projection(state, [y_next, y_next * db], cfg.degree, cfg.ridge)
-            zk = z_raw / dt[k]
-        else:
-            (pred,) = _reference_projection(state, [y_next], cfg.degree, cfg.ridge)
-            zk = z[:, k]
+        db = values[:, k + 1] - state
+        pred, z_raw = _reference_projection(state, [y_next, y_next * db], cfg.degree, cfg.ridge)
+        zk = z_raw / dt[k]
         y[:, k] = pred + drift(k, pred, zk) * dt[k]
         z[:, k] = zk
-    if cfg.z_mode == "regression":
-        z[:, -1] = z[:, -2]
+    z[:, -1] = z[:, -2]
     return y, z
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     degree=st.integers(0, 5),
-    z_mode=st.sampled_from(["regression", "none"]),
     ridge=st.sampled_from([1e-10, 1e-3]),
     particles=st.one_of(st.integers(2, 40), st.integers(41, 3_000)),
     steps=st.integers(1, 6),
@@ -240,12 +227,12 @@ def _reference_pass(xi, bm, cfg, drift):
     data=st.data(),
 )
 def test_plan_driven_pass_matches_the_per_call_projection_bitwise(
-    degree, z_mode, ridge, particles, steps, seed, data
+    degree, ridge, particles, steps, seed, data
 ):
     # the plan caches only the state's scale and Gram matrix per node; the
     # pass must reproduce the per-call projection bit for bit, on the full
     # grid (node 0 is degenerate) and on a node slice of the same plan
-    cfg = mr.RegressionConfig(degree=degree, ridge=ridge, z_mode=z_mode)
+    cfg = mr.RegressionConfig(degree=degree, ridge=ridge)
     bm = mr.simulate_brownian(mr.build_grid(1.0, steps), particles, mr.RngSpec(seed))
     plan = bsde.RegressionPlan.build(bm, cfg)
     assert plan.scales[0] is None

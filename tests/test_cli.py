@@ -427,12 +427,23 @@ def test_non_finite_literals_are_config_errors(tmp_path, capsys):
 
 
 def test_solver_block():
-    reg, tol = cli._parse_solver({"degree": 5, "z_mode": "none", "picard_tol": 1e-5})
-    assert reg.degree == 5 and reg.z_mode == "none" and tol.picard_tol == 1e-5
-    with pytest.raises(cli.ConfigError):
-        cli._parse_solver({"z_mode": "psychic"})
+    reg, tol = cli._parse_solver({"degree": 5, "picard_tol": 1e-5})
+    assert reg.degree == 5 and tol.picard_tol == 1e-5
+    with pytest.raises(cli.ConfigError, match="z_mode"):
+        cli._parse_solver({"z_mode": "regression"})
     with pytest.raises(cli.ConfigError):
         cli._parse_solver("fast")
+
+
+@pytest.mark.parametrize("value", ["regression", "none"])
+def test_run_rejects_a_z_mode_setting(tmp_path, capsys, value):
+    # z is always estimated; "none" used to solve a different equation with z = 0
+    cfg = _write(tmp_path, "cfg.json", _flat_config(solver={"z_mode": value}))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "z_mode" in err["message"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +568,21 @@ def test_non_finite_terminal_exits_one(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_band_edge_is_a_numerical_failure(tmp_path, capsys):
-    # finite bounds pass the config check, but the boundary overflows to NaN
-    # while the band edge is bracketed: that is no config mistake
-    huge = {"kind": "saturating-band", "lower": -1e308, "upper": 1e308}
+    # finite bounds with a finite gap pass the config check, but the boundary
+    # overflows to NaN while the band edge is bracketed: no config mistake
+    huge = {"kind": "saturating-band", "lower": -1e308, "upper": 1e307}
     cfg = _write(tmp_path, "huge.json", _flat_config(particles=500, steps=8, losses=huge))
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "NumericalFailureError" and "band edge" in err["message"]
+    assert not (out / "result.csv").exists()
+    # a band as wide as the doubles declares an infinite gap, which LossPair refuses
+    huge["upper"] = 1e308
+    cfg = _write(tmp_path, "huge.json", _flat_config(particles=500, steps=8, losses=huge))
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "gap" in err["message"] and "finite" in err["message"]
     assert not (out / "result.csv").exists()
 
 

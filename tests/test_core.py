@@ -111,6 +111,51 @@ def test_counts_must_be_integers(build):
         build()
 
 
+def _loss_pair(c=1.0, C=1.0, gap=1.0):
+    return mr.LossPair(L=lambda t, x: x - 1.0, R=lambda t, x: x, c=c, C=C, gap=gap)
+
+
+def _envelope_paths(b=1.0, p=3.0, q=1.0):
+    env = mr.LinearEnvelope(b=lambda t: b, p=lambda t: p, q=lambda t: q)
+    return env.ratio_paths(np.array([0.0, 0.5, 1.0]))
+
+
+_NAN, _INF = math.nan, math.inf
+_NON_FINITE = {
+    "generator-lam-nan": lambda: mr.Generator("lipschitz", lambda *a: 0.0, lam=_NAN),
+    "generator-lam-inf": lambda: mr.Generator("lipschitz", lambda *a: 0.0, lam=_INF),
+    "quadratic-gamma-nan": lambda: mr.quadratic_z_generator(_NAN),
+    "quadratic-gamma-inf": lambda: mr.quadratic_z_generator(_INF),
+    "losses-c-nan": lambda: _loss_pair(c=_NAN),
+    "losses-C-nan": lambda: _loss_pair(C=_NAN),
+    "losses-C-inf": lambda: _loss_pair(C=_INF),
+    "losses-gap-nan": lambda: _loss_pair(gap=_NAN),
+    "losses-gap-inf": lambda: _loss_pair(gap=_INF),
+    "envelope-b-nan": lambda: mr.LinearEnvelope.constants(_NAN, 3.0, 1.0),
+    "envelope-b-inf": lambda: mr.LinearEnvelope.constants(_INF, 3.0, 1.0),
+    "envelope-p-nan": lambda: mr.LinearEnvelope.constants(1.0, _NAN, 1.0),
+    "envelope-p-inf": lambda: mr.LinearEnvelope.constants(1.0, _INF, 1.0),
+    "envelope-q-nan": lambda: mr.LinearEnvelope.constants(1.0, 3.0, _NAN),
+    "envelope-q--inf": lambda: mr.LinearEnvelope.constants(1.0, 3.0, -_INF),
+    "ratio-paths-b-nan": lambda: _envelope_paths(b=_NAN),
+    "ratio-paths-b-inf": lambda: _envelope_paths(b=_INF),
+    "ratio-paths-p-nan": lambda: _envelope_paths(p=_NAN),
+    "ratio-paths-p-inf": lambda: _envelope_paths(p=_INF),
+    "ratio-paths-q-nan": lambda: _envelope_paths(q=_NAN),
+    "ratio-paths-q--inf": lambda: _envelope_paths(q=-_INF),
+    "scenario-horizon-nan": lambda: _scenario_with(horizon=_NAN),
+    "scenario-horizon-inf": lambda: _scenario_with(horizon=_INF),
+}
+
+
+@pytest.mark.parametrize("build", list(_NON_FINITE.values()), ids=list(_NON_FINITE))
+def test_constructors_refuse_non_finite_values(build):
+    # each check is written "not in range"; a NaN used to pass every one of
+    # them, e.g. LinearEnvelope.constants(nan, 3, 1) reached picard_solve
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_numpy_integer_counts_are_accepted():
     sc = _scenario_with(steps=np.int64(4), particles=np.int32(64), rng=mr.RngSpec(np.uint64(1)))
     e = mr.simulate_brownian(mr.build_grid(1.0, np.int64(4)), np.int64(64), mr.RngSpec(1))

@@ -71,6 +71,19 @@ def test_crossing_obstacles_rejected_at_sampling():
         mr.LinearObstacles.constants(1.0, -1.0).sample(grid)
 
 
+def test_obstacles_refuse_a_grid_that_starts_after_zero():
+    # the rates are integrated from t = 0; on a grid starting at 0.5 they
+    # used to be integrated from 0.5, giving l_1 = -1 where l_1 = -2
+    obstacles = mr.LinearObstacles.constants(-2.0, 2.0)
+    late = mr.TimeGrid(1.0, np.array([0.5, 0.75, 1.0]))
+    with pytest.raises(ValueError, match="starts at 0.5"):
+        obstacles.sample(late)
+    sc = dataclasses.replace(_ode_scenario(particles=64), obstacles=obstacles)
+    bm = sc.simulate(mr.build_grid(1.0, 2))
+    with pytest.raises(ValueError, match="starts at 0.5"):
+        mr.solve_penalized(sc, 4.0, bm=mr.Ensemble(late, bm.values))
+
+
 # ---------------------------------------------------------------------------
 # single-level solves
 # ---------------------------------------------------------------------------
@@ -120,15 +133,11 @@ def test_solution_invariants():
     assert_array_equal(sol.y.values[:, -1], xi)
 
 
-@pytest.mark.parametrize("z_mode", ["regression", "none"])
-def test_wide_obstacles_reduce_to_the_plain_solve_bitwise(z_mode):
+def test_wide_obstacles_reduce_to_the_plain_solve_bitwise():
     # the penalty increments must be *exactly* zero when the band is never
     # approached, making the penalized recursion bit-identical to the
     # unpenalized one at every level
-    sc = dataclasses.replace(
-        _wide_scenario(mr.affine_mix_generator(a_y=0.7, a_z=0.3)),
-        regression=mr.RegressionConfig(z_mode=z_mode),
-    )
+    sc = _wide_scenario(mr.affine_mix_generator(a_y=0.7, a_z=0.3))
     grid = sc.make_grid()
     bm = sc.simulate(grid)
     xi = sc.terminal_values(bm)

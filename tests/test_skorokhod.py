@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -281,18 +282,6 @@ def test_tv_bound_on_the_ramp():
     assert rep.slack >= 2.9
 
 
-def test_tv_bound_needs_exactly_one_edge_source():
-    g = mr.build_grid(1.0, 4)
-    s = _ramp(g, 1.0)
-    bp = _band(-1.0, 1.0, g)
-    sol = mr.solve_sp(s, bp)
-    env = mr.LinearEnvelope.constants(1.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        mr.check_tv_bound(sol, s)
-    with pytest.raises(ValueError):
-        mr.check_tv_bound(sol, s, bp=bp, envelope=env)
-
-
 def test_tv_bound_needs_one_grid():
     g = mr.build_grid(1.0, 16)
     s = _ramp(g, 2.0)
@@ -304,9 +293,6 @@ def test_tv_bound_needs_one_grid():
             mr.check_tv_bound(sol, s, bp=_band(-1.0, 1.0, other))
         with pytest.raises(ValueError, match="share the grid"):
             mr.check_tv_bound(sol, _ramp(other, 2.0), bp=_band(-1.0, 1.0, g))
-    env = mr.LinearEnvelope.constants(1.0, 1.0, -1.0)
-    with pytest.raises(ValueError, match="share the grid"):
-        mr.check_tv_bound(sol, _ramp(mr.build_grid(1.0, 8), 2.0), envelope=env)
     # an equal grid need not be the same object
     assert mr.check_tv_bound(sol, s, bp=_band(-1.0, 1.0, mr.build_grid(1.0, 16))).passed
 
@@ -515,6 +501,7 @@ def test_comparison_narrower_band_pushes_harder():
     narrow = _band(-1.0, 1.0, g)
     rep = mr.check_comparison(s, wide, narrow, _XS)
     assert rep.premise_ok and rep.passed
+    assert rep.slack == 1e-9 - max(rep.max_violation_up, rep.max_violation_down)
     sol_w, sol_n = mr.solve_sp(s, wide), mr.solve_sp(s, narrow)
     assert sol_n.push_down.values[-1] > sol_w.push_down.values[-1]
 
@@ -525,6 +512,27 @@ def test_comparison_flat_path_all_zero():
     rep = mr.check_comparison(s, _band(-2.0, 2.0, g), _band(-1.0, 1.0, g), _XS)
     assert rep.premise_ok and rep.passed
     assert rep.max_violation_up == 0.0 and rep.max_violation_down == 0.0
+
+
+@pytest.mark.parametrize("part", ["push_up", "push_down"])
+def test_comparison_fails_on_a_nan_violation(monkeypatch, part):
+    # a NaN in either monotone part of the wide solve is no domination
+    g = mr.build_grid(1.0, 8)
+    s = _ramp(g, 2.0)
+    wide, narrow = _band(-2.0, 2.0, g), _band(-1.0, 1.0, g)
+    real = skorokhod.solve_sp
+
+    def poisoned(s, bp):
+        sol = real(s, bp)
+        if bp is not wide:
+            return sol
+        vals = getattr(sol, part).values.copy()
+        vals[3] = math.nan
+        return dataclasses.replace(sol, **{part: mr.SamplePath(g, vals)})
+
+    monkeypatch.setattr(skorokhod, "solve_sp", poisoned)
+    rep = mr.check_comparison(s, wide, narrow, _XS)
+    assert rep.premise_ok and math.isnan(rep.slack) and not rep.passed
 
 
 def test_comparison_flags_misordered_premise():
