@@ -429,7 +429,7 @@ def _run_result(
     cfg: dict, sc: Scenario, sol: MRSolution, seed: int, dt_wall: float
 ) -> tuple[np.ndarray, dict]:
     """The per-node table of ``result.csv`` and the ``diagnostics.json`` payload."""
-    grid = sc.make_grid()
+    grid = sol.K.grid
     mean_y = sol.mean_path
     e_l, e_r = mean_loss_paths(sol.y, sc.losses)
     table = np.column_stack(

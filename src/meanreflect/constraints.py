@@ -35,7 +35,6 @@ __all__ = [
     "saturating_band",
     "validate_loss",
     "make_mean_boundary",
-    "boundary_from_losses",
     "invert_boundary",
     "check_envelope_order",
 ]
@@ -137,7 +136,7 @@ def validate_loss(
     t_samples: NDArray[np.floating],
     x_samples: NDArray[np.floating],
 ) -> LossValidation:
-    """Spot-check monotonicity, the (c, C) slope range and the R - L gap.
+    """Spot-check finiteness, monotonicity, the (c, C) slope range and the R - L gap.
 
     A pair declared ``time_invariant`` must also give the same ``L`` and
     ``R`` values at every t sample, bit for bit: boundary code evaluates such
@@ -154,24 +153,28 @@ def validate_loss(
     min_gap = np.inf
     dx = np.diff(xs)
     first = None
+    finite = True
     time_varies = False
     for t in ts:
         vals = [np.asarray(f(float(t), xs), dtype=float) for f in (lp.L, lp.R)]
+        finite &= bool(np.isfinite(vals).all())
         for v in vals:
             slopes = np.diff(v) / dx
-            violations += int(np.count_nonzero(slopes <= 0.0))
-            slope_min = min(slope_min, float(np.min(slopes)))
-            slope_max = max(slope_max, float(np.max(slopes)))
-        min_gap = min(min_gap, float(np.min(vals[1] - vals[0])))
+            violations += int(np.count_nonzero(~(slopes > 0.0)))  # NaN counts
+            # np.minimum/np.maximum carry a NaN through; Python's min/max drop it.
+            slope_min = float(np.minimum(slope_min, np.min(slopes)))
+            slope_max = float(np.maximum(slope_max, np.max(slopes)))
+        min_gap = float(np.minimum(min_gap, np.min(vals[1] - vals[0])))
         first = vals if first is None else first
         time_varies |= not all(map(np.array_equal, vals, first))
 
     slope_tol = 1e-9
     passed = (
-        violations == 0
-        and slope_min >= lp.c - slope_tol
+        finite
+        and violations == 0
+        and lp.c - slope_tol <= slope_min
         and slope_max <= lp.C + slope_tol
-        and min_gap >= lp.gap - slope_tol
+        and lp.gap - slope_tol <= min_gap
         and not (lp.time_invariant and time_varies)
     )
     return LossValidation(violations, slope_min, slope_max, min_gap, passed)
@@ -298,11 +301,6 @@ def make_mean_boundary(e: Ensemble, lp: LossPair) -> BoundaryPair:
     offsets = e.values.T.copy()
     offsets -= pairwise_mean(offsets)[:, None]
     return BoundaryPair(e.grid, lp, offsets)
-
-
-def boundary_from_losses(grid: TimeGrid, lp: LossPair) -> BoundaryPair:
-    """Boundary pair that is just the loss pair itself (no ensemble averaging)."""
-    return BoundaryPair(grid, lp)
 
 
 def invert_boundary(
@@ -439,16 +437,19 @@ def check_envelope_order(
     t_samples: NDArray[np.floating],
     x_samples: NDArray[np.floating],
 ) -> bool:
-    """True iff L <= L' and R >= R' on the given sample points."""
+    """True iff L <= L' and R >= R' on the given sample points, with L and R finite."""
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
     xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
     for t in ts:
         bx = float(env.b(float(t))) * xs
         lo_env = bx - float(env.p(float(t)))
         up_env = bx - float(env.q(float(t)))
-        if np.any(np.asarray(lp.L(float(t), xs), dtype=float) > lo_env + 1e-12):
+        L = np.asarray(lp.L(float(t), xs), dtype=float)
+        R = np.asarray(lp.R(float(t), xs), dtype=float)
+        # "not in range" fails on NaN, where "out of range" would pass it
+        if not np.all((-np.inf < L) & (L <= lo_env + 1e-12)):
             return False
-        if np.any(np.asarray(lp.R(float(t), xs), dtype=float) < up_env - 1e-12):
+        if not np.all((up_env - 1e-12 <= R) & (R < np.inf)):
             return False
     return True
 

@@ -118,10 +118,6 @@ class TimeGrid:
     def step_sizes(self) -> NDArray[np.floating]:
         return np.diff(self.nodes)
 
-    def reversed_nodes(self) -> NDArray[np.floating]:
-        """Node times of the grid mirrored onto itself, t -> t_0 + horizon - t (ascending)."""
-        return self.nodes[0] + self.horizon - self.nodes[::-1]
-
 
 @dataclass(frozen=True)
 class SamplePath:

@@ -20,7 +20,6 @@ from .mrbsde import MRSolution, PicardTrace
 __all__ = [
     "mean_loss_paths",
     "constraint_violation",
-    "stat_tol",
     "solution_stat_tol",
     "MRAudit",
     "audit_solution",

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MeanReflectError",
+    "DegenerateConstraintsError",
+    "InfeasibleTerminalError",
+    "NonConvergenceError",
+    "NumericalFailureError",
+]
+
 
 class MeanReflectError(Exception):
     """Base class for solver failures (as opposed to caller mistakes)."""

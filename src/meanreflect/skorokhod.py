@@ -207,8 +207,6 @@ def solve_bsp(
     """
     grid = s.grid
     _require_one_grid(grid, bp.grid)
-    if not np.allclose(grid.nodes, grid.reversed_nodes(), rtol=0.0, atol=1e-12):
-        raise ValueError("backward reflection needs a reversal-symmetric grid")
     last = grid.n_nodes - 1
     tol = float(terminal_tol) + root_tol
     if not (bp.lower(last, a) <= tol and bp.upper(last, a) >= -tol):

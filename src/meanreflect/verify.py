@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import BoundaryPair, LossPair, boundary_from_losses, linear_band, saturating_band
+from .constraints import BoundaryPair, LossPair, linear_band, saturating_band
 from .core import SamplePath, TimeGrid, build_grid
 from .skorokhod import (
     check_comparison,
@@ -25,16 +25,7 @@ from .skorokhod import (
     solve_sp,
 )
 
-__all__ = [
-    "SuiteResult",
-    "SUITE_NAMES",
-    "run_reversal_suite",
-    "run_continuity_suite",
-    "run_backward_continuity_suite",
-    "run_comparison_suite",
-    "run_variation_suite",
-    "run_suite",
-]
+__all__ = ["SuiteResult", "run_suite"]
 
 SUITE_NAMES = (
     "reversal",
@@ -133,7 +124,7 @@ def _run_instances(name: str, instances: int, seed: int, check: _Check) -> Suite
 
 def _reversal_check(rng: np.random.Generator) -> tuple[float, bool, str]:
     grid = _grid(rng)
-    bp = boundary_from_losses(grid, _make(*_band_pair(rng)))
+    bp = BoundaryPair(grid, _make(*_band_pair(rng)))
     s = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
     fwd = solve_sp(s, bp)
     resid = float(np.max(np.abs(fwd.x.values - s.values - fwd.K.values)))
@@ -158,8 +149,8 @@ def _continuity_check(
     grid = _grid(rng)
     lo, hi, saturating = _band_pair(rng)
     d_lo, d_hi = rng.uniform(-0.1, 0.1, size=2)
-    bp1 = boundary_from_losses(grid, _make(lo, hi, saturating))
-    bp2 = boundary_from_losses(grid, _make(lo + float(d_lo), hi + float(d_hi), saturating))
+    bp1 = BoundaryPair(grid, _make(lo, hi, saturating))
+    bp2 = BoundaryPair(grid, _make(lo + float(d_lo), hi + float(d_hi), saturating))
     s1 = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
     bump = _walk(rng, grid, scale=0.1, start=float(rng.normal(0.0, 0.05)))
     s2 = SamplePath(grid, s1.values + bump.values)
@@ -182,8 +173,8 @@ def _comparison_check(rng: np.random.Generator) -> tuple[float, bool, str]:
     lo, hi, saturating = _band_pair(rng)
     widen_lo = float(rng.uniform(0.0, 1.0))
     widen_hi = float(rng.uniform(0.0, 1.0))
-    bp_narrow = boundary_from_losses(grid, _make(lo, hi, saturating))
-    bp_wide = boundary_from_losses(grid, _make(lo - widen_lo, hi + widen_hi, saturating))
+    bp_narrow = BoundaryPair(grid, _make(lo, hi, saturating))
+    bp_wide = BoundaryPair(grid, _make(lo - widen_lo, hi + widen_hi, saturating))
     s = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
     rep = check_comparison(s, bp_wide, bp_narrow, _X_SAMPLES)
     return rep.slack, rep.passed, (
@@ -194,7 +185,7 @@ def _comparison_check(rng: np.random.Generator) -> tuple[float, bool, str]:
 
 def _variation_check(rng: np.random.Generator) -> tuple[float, bool, str]:
     grid = _grid(rng)
-    bp = boundary_from_losses(grid, _make(*_band_pair(rng)))
+    bp = BoundaryPair(grid, _make(*_band_pair(rng)))
     rho, lam = bp.band_edges()
     start = float(rng.uniform(rho[0] + 0.02, lam[0] - 0.02))
     s = _walk(rng, grid, scale=1.0, start=start)

@@ -15,7 +15,6 @@ import numpy as np
 
 import meanreflect as mr
 from meanreflect import cli
-from meanreflect.constraints import boundary_from_losses
 from meanreflect.verify import (
     run_backward_continuity_suite,
     run_comparison_suite,
@@ -50,7 +49,7 @@ def test_criterion_01_reflection_map_matches_double_barrier_formula(capsys):
         hi = float(rng.uniform(0.5, 3.0))
         walks = _random_walks(rng, grid, 50)
         ref_x, ref_k = double_barrier_batch(walks, lo, hi)
-        bp = boundary_from_losses(grid, mr.linear_band(lo, hi))
+        bp = mr.BoundaryPair(grid, mr.linear_band(lo, hi))
         for i in range(walks.shape[0]):
             sol = mr.solve_sp(mr.SamplePath(grid, walks[i]), bp)
             gap = max(
@@ -78,7 +77,7 @@ def test_criterion_02_flat_residuals_within_scaled_tolerance(capsys):
         lo = float(rng.uniform(-3.0, -0.5))
         hi = float(rng.uniform(0.5, 3.0))
         lp = mr.saturating_band(lo, hi) if i % 2 else mr.linear_band(lo, hi)
-        bp = boundary_from_losses(grid, lp)
+        bp = mr.BoundaryPair(grid, lp)
         s = mr.SamplePath(grid, _random_walks(rng, grid, 1)[0])
         tol = mr.flat_tolerance(s)
         if i % 2:

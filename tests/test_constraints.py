@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import meanreflect as mr
 from meanreflect.constraints import (
-    boundary_from_losses,
+    BoundaryPair,
     check_envelope_order,
     invert_boundary,
     make_mean_boundary,
@@ -96,6 +96,26 @@ def test_validate_flags_a_false_time_invariance_claim():
     assert validate_loss(_drifting_band(True), _TS[:1], _XS).passed
 
 
+def _nan_band(everywhere: bool) -> mr.LossPair:
+    # linear_band(-1, 4) with NaN values everywhere, or only at the sample x = 0
+    def nan_at(f):
+        return lambda t, x: np.where(everywhere | (np.asarray(x) == 0.0), np.nan, f(t, x))
+
+    lp = mr.linear_band(-1.0, 4.0)
+    return mr.LossPair(L=nan_at(lp.L), R=nan_at(lp.R), c=1.0, C=1.0, gap=5.0)
+
+
+@pytest.mark.parametrize("everywhere", [True, False], ids=["all-nan", "one-nan"])
+def test_validate_and_envelope_order_fail_on_nan_losses(everywhere):
+    # NaN fails every comparison, so each check must ask "in range?", not "out of range?"
+    lp = _nan_band(everywhere)
+    assert 0.0 in _XS
+    assert not validate_loss(lp, _TS, _XS).passed
+    env = mr.LinearEnvelope.constants(1.0, 3.0, 1.0)
+    assert check_envelope_order(mr.linear_band(-1.0, 4.0), env, _TS, _XS)
+    assert not check_envelope_order(lp, env, _TS, _XS)
+
+
 # ---------------------------------------------------------------------------
 # mean-level boundaries
 # ---------------------------------------------------------------------------
@@ -172,9 +192,9 @@ def _node_array_pairs() -> dict[str, mr.BoundaryPair]:
     g = mr.build_grid(1.0, 6)
     vals = np.random.default_rng(11).normal(0.0, 1.5, (33, g.n_nodes))
     return {
-        "bare saturating": boundary_from_losses(g, mr.saturating_band(-1.5, 2.0)),
-        "bare linear": boundary_from_losses(g, mr.linear_band(-1.5, 2.0)),
-        "bare t-dependent": boundary_from_losses(g, _drifting_band(False)),
+        "bare saturating": BoundaryPair(g, mr.saturating_band(-1.5, 2.0)),
+        "bare linear": BoundaryPair(g, mr.linear_band(-1.5, 2.0)),
+        "bare t-dependent": BoundaryPair(g, _drifting_band(False)),
         "averaged": make_mean_boundary(mr.Ensemble(g, vals), mr.saturating_band(-1.5, 2.0)),
     }
 
@@ -235,7 +255,7 @@ def test_root_finding_leaves_no_cycle_holding_the_boundary():
 
 
 def test_affine_roots_exact():
-    bp = boundary_from_losses(mr.build_grid(1.0, 2), mr.linear_band(-1.0, 4.0))
+    bp = BoundaryPair(mr.build_grid(1.0, 2), mr.linear_band(-1.0, 4.0))
     assert_allclose(invert_boundary(bp, 0, "upper_edge"), 4.0, rtol=0, atol=1e-12)
     assert_allclose(invert_boundary(bp, 0, "lower_edge"), -1.0, rtol=0, atol=1e-12)
 
@@ -244,7 +264,7 @@ def test_bent_roots_closed_form():
     # upper edge: x - x^2/(2(1+x)) = 4 on x > 0 reduces to x^2 - 6x - 8 = 0,
     # root 3 + sqrt(17); lower edge: x + x^2/(2(1-x)) = -1 on x < 0 reduces
     # to x^2 = 2, root -sqrt(2)
-    bp = boundary_from_losses(mr.build_grid(1.0, 2), mr.saturating_band(-1.0, 4.0))
+    bp = BoundaryPair(mr.build_grid(1.0, 2), mr.saturating_band(-1.0, 4.0))
     up = invert_boundary(bp, 0, "upper_edge")
     lo = invert_boundary(bp, 0, "lower_edge")
     assert_allclose(up, 3.0 + math.sqrt(17.0), rtol=0, atol=1e-10)
@@ -255,7 +275,7 @@ def test_bent_roots_closed_form():
 
 
 def test_invert_boundary_rejects_unknown_edge():
-    bp = boundary_from_losses(mr.build_grid(1.0, 2), mr.linear_band(-1.0, 4.0))
+    bp = BoundaryPair(mr.build_grid(1.0, 2), mr.linear_band(-1.0, 4.0))
     with pytest.raises(ValueError):
         invert_boundary(bp, 0, "sideways")
 
@@ -379,7 +399,7 @@ def test_band_edges_far_from_zero_stop_at_adjacent_floats(at, declared):
         C=3.0 * declared[1],
         gap=3.0,
     )
-    bp = boundary_from_losses(mr.build_grid(1.0, 1), lp)
+    bp = BoundaryPair(mr.build_grid(1.0, 1), lp)
     xtol = 1e-12 / bp.C
     assert s > 2.0 * xtol and 1.2 * s > bp.c * xtol
     edges = dict(zip(("lower_edge", "upper_edge"), bp.band_edges()))
@@ -402,7 +422,7 @@ def test_overstated_slope_is_bracketed_by_the_widening_walk(slope, at, hint):
         C=1.0,
         gap=slope,
     )
-    bp = boundary_from_losses(mr.build_grid(1.0, 1), lp)
+    bp = BoundaryPair(mr.build_grid(1.0, 1), lp)
     xtol = 1e-12
     for which, side in _sides(bp):
         edge = invert_boundary(bp, 0, which, hint=hint)
@@ -422,7 +442,7 @@ def test_slope_beyond_the_widening_walk_is_a_numerical_failure():
         C=1.0,
         gap=1e-19,
     )
-    bp = boundary_from_losses(mr.build_grid(1.0, 1), lp)
+    bp = BoundaryPair(mr.build_grid(1.0, 1), lp)
     for which in ("lower_edge", "upper_edge"):
         with pytest.raises(NumericalFailureError, match="failed to close"):
             invert_boundary(bp, 0, which, hint=1e8)
@@ -441,7 +461,7 @@ def test_mean_boundary_leaves_an_f_ordered_ensemble_intact():
 
 
 def test_band_edges_cached_and_consistent():
-    bp = boundary_from_losses(mr.build_grid(1.0, 8), mr.saturating_band(-1.0, 4.0))
+    bp = BoundaryPair(mr.build_grid(1.0, 8), mr.saturating_band(-1.0, 4.0))
     rho1, lam1 = bp.band_edges()
     rho2, lam2 = bp.band_edges()
     assert rho1 is rho2 and lam1 is lam2  # cache hit returns the same arrays

@@ -41,13 +41,6 @@ def test_build_grid_rejects_bad_arguments(horizon, steps):
         mr.build_grid(horizon, steps)
 
 
-def test_grid_reversed_nodes_is_ascending_mirror():
-    g = mr.build_grid(2.0, 5)
-    rev = g.reversed_nodes()
-    assert rev[0] == 0.0 and rev[-1] == 2.0
-    assert_allclose(rev, 2.0 - g.nodes[::-1], rtol=0, atol=0)
-
-
 @pytest.mark.parametrize(
     "horizon,nodes",
     [(1.0, [0.0, math.nan, 1.0]), (math.inf, [0.0, 1.0, math.inf]), (1.0, [-math.inf, 0.5, 1.0])],
@@ -59,14 +52,10 @@ def test_grid_rejects_non_finite_nodes(horizon, nodes):
         mr.TimeGrid(horizon, np.array(nodes))
 
 
-def test_grid_may_start_anywhere_and_mirrors_onto_itself():
+def test_grid_may_start_anywhere():
     g = mr.TimeGrid(1.0, np.array([0.5, 0.625, 0.75, 1.0]))
     assert g.n_steps == 3
     assert_array_equal(g.step_sizes, [0.125, 0.125, 0.25])
-    rev = g.reversed_nodes()
-    assert_array_equal(rev, [0.5, 0.75, 0.875, 1.0])  # t -> 0.5 + 1.0 - t, ascending
-    uniform = mr.TimeGrid(1.0, np.linspace(0.5, 1.0, 17))
-    assert_allclose(uniform.reversed_nodes(), uniform.nodes, rtol=0.0, atol=1e-15)
 
 
 def _scenario_with(**kw):

@@ -1,0 +1,59 @@
+"""Each public name is declared once, in the ``__all__`` of the module that defines it.
+
+The package re-exports those lists; it spells out no name of its own but
+``__version__``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import meanreflect as mr
+
+# The command-line entry point is reached as ``meanreflect.cli``, not re-exported.
+_MODULES = [
+    importlib.import_module(f"meanreflect.{info.name}")
+    for info in pkgutil.iter_modules(mr.__path__)
+    if info.name != "cli"
+]
+
+
+def _top_level_definitions(module) -> set[str]:
+    """Names a module binds itself: by def, class or assignment, never by import."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_package_list_is_version_plus_the_module_lists():
+    assert len(mr.__all__) == len(set(mr.__all__))
+    declared = [name for module in _MODULES for name in module.__all__]
+    assert mr.__all__[0] == "__version__"
+    assert sorted(mr.__all__[1:]) == sorted(declared)
+
+
+@pytest.mark.parametrize("module", _MODULES, ids=lambda m: m.__name__)
+def test_a_module_lists_only_what_it_defines(module):
+    assert set(module.__all__) <= _top_level_definitions(module)
+    for name in module.__all__:
+        assert getattr(mr, name) is getattr(module, name)
+
+
+def test_the_package_spells_out_no_public_name_but_its_version():
+    tree = ast.parse(Path(mr.__file__).read_text())
+    spelled = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in mr.__all__
+    }
+    assert spelled == {"__version__"}

@@ -401,6 +401,21 @@ def test_quadratic_mode_requires_an_envelope():
         mr.picard_solve(sc)
 
 
+def test_quadratic_mode_rejects_nan_losses_before_solving():
+    # a NaN loss used to pass the envelope check and fail later as an infeasible terminal
+    nan = mr.LossPair(
+        L=lambda t, x: np.full_like(x, np.nan),
+        R=lambda t, x: np.full_like(x, np.nan),
+        c=1.0,
+        C=1.0,
+        gap=5.0,
+    )
+    sc = _scenario(mr.quadratic_z_generator(1.0), particles=512, steps=4, losses=nan,
+                   envelope=mr.LinearEnvelope.constants(1.0, 3.0, 1.0))
+    with pytest.raises(ValueError, match="envelope does not enclose the losses"):
+        mr.picard_solve(sc)
+
+
 def test_quadratic_wide_constraints_match_exponential_transform():
     # constraints chosen inactive: the reflected solve must collapse to the
     # plain quadratic solution, with the initial value pinned by the

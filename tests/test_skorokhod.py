@@ -20,7 +20,7 @@ _XS = np.linspace(-6.0, 6.0, 25)
 
 
 def _band(lo: float, hi: float, grid: mr.TimeGrid) -> mr.BoundaryPair:
-    return mr.boundary_from_losses(grid, mr.linear_band(lo, hi))
+    return mr.BoundaryPair(grid, mr.linear_band(lo, hi))
 
 
 def _ramp(grid: mr.TimeGrid, rate: float, start: float = 0.0) -> mr.SamplePath:
@@ -149,7 +149,7 @@ def test_halving_the_step_moves_the_solution_by_order_dt():
     for m in (32, 64, 128, 256, 512):
         g = mr.build_grid(1.0, m)
         s = mr.SamplePath(g, 2.0 * np.sin(2 * np.pi * g.nodes + 0.7))
-        sols[m] = mr.solve_sp(s, mr.boundary_from_losses(g, lp))
+        sols[m] = mr.solve_sp(s, mr.BoundaryPair(g, lp))
     for m in (32, 64, 128, 256):
         dx = np.max(np.abs(sols[m].x.values - sols[2 * m].x.values[::2]))
         dk = np.max(np.abs(sols[m].K.values - sols[2 * m].K.values[::2]))
@@ -246,6 +246,21 @@ def test_backward_is_reversed_forward_on_an_averaged_pair():
     spread = rng.normal(0.0, 1.0, (64, g.n_nodes)) * np.sqrt(g.nodes)
     bp = mr.make_mean_boundary(mr.Ensemble(g, spread), mr.saturating_band(-0.5, 0.5))
     assert max(_round_trip_gaps(s, 0.0, bp)) <= 1e-11
+
+
+def test_backward_map_runs_on_a_grid_that_is_not_its_own_mirror():
+    # the map only reverses arrays, so uneven steps need no symmetric grid
+    g = mr.TimeGrid(1.0, np.array([0.0, 0.05, 0.3, 0.31, 0.7, 1.0]))
+    bp = mr.BoundaryPair(g, mr.saturating_band(-1.0, 2.0))
+    s = mr.SamplePath(g, np.array([0.0, 1.5, -2.0, 0.4, 3.0, 0.5]))
+    sol = mr.solve_bsp(s, 0.5, bp)
+    sv, kv, xv = s.values, sol.K.values, sol.x.values
+    assert sol.variation > 0.0
+    assert np.max(np.abs(xv - (0.5 + sv[-1] - sv + kv[-1] - kv))) <= 1e-15
+    assert xv[-1] == 0.5
+    rho, lam = bp.band_edges()
+    assert np.all((rho - 1e-12 <= xv) & (xv <= lam + 1e-12))
+    assert (sol.flat_residual_up, sol.flat_residual_down) == (0.0, 0.0)
 
 
 def test_backward_rejects_infeasible_anchor():
@@ -466,7 +481,7 @@ def test_bare_invariant_pairs_take_one_loss_call_per_estimate(monkeypatch, make)
     g = mr.build_grid(1.0, 16)
     s = _ramp(g, 2.0)
     (lp1, calls1), (lp2, calls2) = _counted(make(-1.0, 1.0)), _counted(make(-2.0, 2.0))
-    bp1, bp2 = mr.boundary_from_losses(g, lp1), mr.boundary_from_losses(g, lp2)
+    bp1, bp2 = mr.BoundaryPair(g, lp1), mr.BoundaryPair(g, lp2)
     sols = {id(bp): mr.solve_sp(s, bp) for bp in (bp1, bp2)}
     for calls in (calls1, calls2):
         calls.update(L=0, R=0)
