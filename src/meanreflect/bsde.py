@@ -7,8 +7,8 @@ device), which yields both the predictor for the next value and the
 martingale-coefficient estimate ``z = E[y dB] / dt``.  Generators may depend
 on the empirical laws of the solution through the same-step cross-sections.
 Every solver runs this one loop and differs only in its per-step drift hook
-``drift(k, pred, zk)``: the generator at the predictor, the generator frozen
-at a previous iterate's node-``k`` columns, or a given path's column ``k``.
+``drift(k, pred, zk)``: the generator at the predictor, or the generator
+frozen at a previous iterate's node-``k`` columns.
 
 The regression's target-free half, per node the state's scale and the
 ridged Gram matrix, is a :class:`RegressionPlan` built once per Brownian
@@ -185,10 +185,9 @@ class RegressionPlan:
 
 def solve_bsde(
     terminal: NDArray[np.floating],
-    gen: Generator | None,
+    gen: Generator,
     bm: Ensemble,
     cfg: RegressionConfig = RegressionConfig(),
-    driver: NDArray[np.floating] | None = None,
 ) -> BSDESolution:
     """Solve the backward equation particle-wise on the Brownian ensemble.
 
@@ -200,20 +199,14 @@ def solve_bsde(
 
     (explicit scheme: the predictor itself feeds the driver, and the law
     arguments are the same-step cross-sections).  ``t_k`` is node ``k`` of
-    ``bm``'s grid, which carries the clock.  When ``driver`` is given it
-    overrides the generator with a precomputed per-particle drift path,
-    node-aligned with the grid.
+    ``bm``'s grid, which carries the clock.
 
     The terminal cross-section of ``y`` equals ``terminal`` bitwise.
     """
     xi = np.asarray(terminal, dtype=float)
-    n, m = bm.values.shape
-    if xi.shape != (n,):
+    if xi.shape != (bm.particle_count,):
         raise ValueError("terminal must provide one value per particle")
-    if gen is None and driver is None:
-        raise ValueError("need a generator or a driver path")
-    drift = _plain_drift(gen, bm.grid) if driver is None else _column_drift(driver, n, m)
-    return _backward_pass(xi, bm, RegressionPlan.build(bm, cfg), drift)
+    return _backward_pass(xi, bm, RegressionPlan.build(bm, cfg), _plain_drift(gen, bm.grid))
 
 
 def _plain_drift(gen: Generator, grid: TimeGrid) -> DriftFn:
@@ -224,14 +217,6 @@ def _plain_drift(gen: Generator, grid: TimeGrid) -> DriftFn:
 def _frozen_drift(gen: Generator, u: NDArray, v: NDArray, grid: TimeGrid) -> DriftFn:
     """The hook of ``f`` frozen at a (particles, nodes) pair; reads node ``k``'s columns only."""
     return lambda k, *_: gen.f(float(grid.nodes[k]), u[:, k], u[:, k], v[:, k], v[:, k])
-
-
-def _column_drift(driver: NDArray, n: int, m: int) -> DriftFn:
-    """The hook reading column ``k`` of a caller's (particles, nodes) drift path."""
-    driver = np.asarray(driver, dtype=float)
-    if driver.shape not in ((n, m), (n, m - 1)):
-        raise ValueError("driver path must be (particles, nodes) aligned")
-    return lambda k, *_: driver[:, k]
 
 
 def _backward_pass(

@@ -82,24 +82,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonable(obj: Any) -> Any:
+def _json_default(obj: Any) -> Any:
+    """``json.dumps`` hook for the values it cannot encode itself."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     path.write_text(text + "\n")
 
 

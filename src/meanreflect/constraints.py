@@ -140,7 +140,9 @@ def validate_loss(
 
     A pair declared ``time_invariant`` must also give the same ``L`` and
     ``R`` values at every t sample, bit for bit: boundary code evaluates such
-    a pair once for all nodes.  Report-only: a failed check sets ``passed``
+    a pair once for all nodes.  A pair declared ``affine`` must have one
+    slope per loss and t sample, up to the relative slope tolerance: boundary
+    code drops its offsets.  Report-only: a failed check sets ``passed``
     to False but raises nothing.
     """
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
@@ -154,13 +156,15 @@ def validate_loss(
     dx = np.diff(xs)
     first = None
     finite = True
-    time_varies = False
+    time_varies = bent = False
+    slope_tol = 1e-9
     for t in ts:
         vals = [np.asarray(f(float(t), xs), dtype=float) for f in (lp.L, lp.R)]
         finite &= bool(np.isfinite(vals).all())
         for v in vals:
             slopes = np.diff(v) / dx
             violations += int(np.count_nonzero(~(slopes > 0.0)))  # NaN counts
+            bent |= not np.ptp(slopes) <= slope_tol * np.max(np.abs(slopes))
             # np.minimum/np.maximum carry a NaN through; Python's min/max drop it.
             slope_min = float(np.minimum(slope_min, np.min(slopes)))
             slope_max = float(np.maximum(slope_max, np.max(slopes)))
@@ -168,7 +172,6 @@ def validate_loss(
         first = vals if first is None else first
         time_varies |= not all(map(np.array_equal, vals, first))
 
-    slope_tol = 1e-9
     passed = (
         finite
         and violations == 0
@@ -176,6 +179,7 @@ def validate_loss(
         and slope_max <= lp.C + slope_tol
         and lp.gap - slope_tol <= min_gap
         and not (lp.time_invariant and time_varies)
+        and not (lp.affine and bent)
     )
     return LossValidation(violations, slope_min, slope_max, min_gap, passed)
 

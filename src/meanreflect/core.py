@@ -168,25 +168,21 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Reproducible randomness: a 64-bit seed plus a consumer stream id.
+    """Reproducible randomness: a 64-bit seed.
 
-    Particles are rows of the stream's draw, which stays row-major whatever
-    the ensemble's storage order, so a given (seed, stream, grid, N) always
-    reproduces the same ensemble bit for bit.  Distinct ``stream`` values give
-    statistically independent draws for independent consumers (e.g. a
-    validation re-run).
+    Particles are rows of the seed's draw, which stays row-major whatever
+    the ensemble's storage order, so a given (seed, grid, N) always
+    reproduces the same ensemble bit for bit.
     """
 
     seed: int
-    stream: int = 0
 
     def __post_init__(self):
         if not _require_int(self.seed, "seed", 0) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        _require_int(self.stream, "stream", 0)
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
+        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(0,))
         return np.random.Generator(np.random.PCG64(ss))
 
 

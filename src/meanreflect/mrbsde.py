@@ -33,7 +33,6 @@ from .bsde import (
     RegressionConfig,
     RegressionPlan,
     _backward_pass,
-    _column_drift,
     _frozen_drift,
     _plain_drift,
 )
@@ -145,10 +144,9 @@ class Scenario:
     def make_grid(self) -> TimeGrid:
         return build_grid(self.horizon, self.steps)
 
-    def simulate(self, grid: TimeGrid | None = None) -> Ensemble:
-        return simulate_brownian(
-            grid if grid is not None else self.make_grid(), self.particles, self.rng
-        )
+    def simulate(self) -> Ensemble:
+        """The seeded Brownian ensemble on :meth:`make_grid` that every solve runs on."""
+        return simulate_brownian(self.make_grid(), self.particles, self.rng)
 
     def terminal_values(self, bm: Ensemble) -> NDArray[np.floating]:
         xi = np.asarray(self.terminal(bm.values[:, -1]), dtype=float)
@@ -337,34 +335,23 @@ def _require_state_free(gen: Generator, route: str) -> None:
         )
 
 
-def solve_constant_driver(
-    sc: Scenario,
-    driver: NDArray[np.floating] | None = None,
-    *,
-    bm: Ensemble | None = None,
-) -> MRSolution:
+def solve_constant_driver(sc: Scenario) -> MRSolution:
     """Solve the reflected problem for a state-independent driver.
 
-    ``driver`` is a per-particle drift path ``(particles, nodes)``; omitted,
-    it is the generator frozen at zero, which is right only for
-    a generator declared state-free (``lipschitz`` mode, ``lam == 0``); any
-    other generator raises ``ValueError``.  ``bm`` lets callers reuse a
-    simulated Brownian ensemble.
+    The driver is the generator frozen at zero, which is right only for a
+    generator declared state-free (``lipschitz`` mode, ``lam == 0``); any
+    other generator raises ``ValueError``.
     """
     if sc.losses is None:
         raise ValueError("scenario carries no loss pair")
-    if driver is None:
-        _require_state_free(sc.generator, "the constant-driver route without a driver path")
-    bm = bm if bm is not None else sc.simulate()
+    _require_state_free(sc.generator, "the constant-driver route")
+    bm = sc.simulate()
     xi = sc.terminal_values(bm)
     term_tol = require_feasible_terminal(
         sc.losses, sc.horizon, xi, stat_tol_mult=sc.tol.stat_tol_mult, root_tol=sc.tol.root_tol
     )
-    if driver is None:
-        zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
-        drift = _frozen_drift(sc.generator, zero, zero, bm.grid)
-    else:
-        drift = _column_drift(driver, *bm.values.shape)
+    zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
+    drift = _frozen_drift(sc.generator, zero, zero, bm.grid)
     plan = RegressionPlan.build(bm, sc.regression)
     seg = _construct(xi, bm, drift, sc, term_tol, plan)
     return _stitch([(0, bm.grid.n_steps, seg)], bm.grid, None)
@@ -541,8 +528,10 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         if not check_envelope_order(sc.losses, sc.envelope, ts, xs):
             raise ValueError("declared envelope does not enclose the losses")
 
-    grid = sc.make_grid()
-    bm = sc.simulate(grid)
+    bm = sc.simulate()
+    grid = bm.grid
+    if sc.envelope is not None:  # an envelope bad at some node fails before any solve
+        sc.envelope.ratio_paths(grid.nodes)
     xi = sc.terminal_values(bm)
     plan = RegressionPlan.build(bm, sc.regression)  # shared by every attempt
     ratio_cc = sc.losses.C / sc.losses.c

@@ -169,9 +169,7 @@ def _check_terminal_mean(sc: Scenario, xi, lo, hi) -> None:
         )
 
 
-def solve_penalized(
-    sc: Scenario, n: float, *, bm: Ensemble | None = None
-) -> PenaltySolution:
+def solve_penalized(sc: Scenario, n: float) -> PenaltySolution:
     """Solve the penalized problem at penalty level ``n``.
 
     The particle recursion is the plain regression scheme plus the
@@ -185,7 +183,7 @@ def solve_penalized(
         raise ValueError("scenario carries no linear obstacles")
     if not 0.0 < n < math.inf:
         raise ValueError(f"penalty level must be positive and finite, got {n}")
-    bm = bm if bm is not None else sc.simulate()
+    bm = sc.simulate()
     grid = bm.grid
     lo, hi = sc.obstacles.sample(grid)
     xi = sc.terminal_values(bm)
@@ -283,8 +281,8 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
     _require_state_free(sc.generator, "the penalty sweep")
-    grid = sc.make_grid()
-    bm = sc.simulate(grid)
+    bm = sc.simulate()
+    grid = bm.grid
     lo, hi = sc.obstacles.sample(grid)
     xi = sc.terminal_values(bm)
     _check_terminal_mean(sc, xi, lo, hi)

@@ -251,12 +251,11 @@ def test_criterion_08_penalization_oracle_and_rate(capsys):
         obstacles=mr.LinearObstacles.constants(-2.0, 2.0),
     )
     grid = sc.make_grid()
-    bm = sc.simulate(grid)
-    m_terminal = float(mr.pairwise_mean(sc.terminal_values(bm)))
+    m_terminal = float(mr.pairwise_mean(sc.terminal_values(sc.simulate())))
     ns = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
     worst = 0.0
     for n in ns:
-        sol = mr.solve_penalized(sc, n, bm=bm)
+        sol = mr.solve_penalized(sc, n)
         means = np.array(
             [mr.pairwise_mean(sol.y.values[:, k]) for k in range(grid.n_nodes)]
         )

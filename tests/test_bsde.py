@@ -68,8 +68,6 @@ def test_solver_input_alignment_checked():
     bm = _brownian(steps=4, n=16)
     with pytest.raises(ValueError):
         mr.solve_bsde(np.zeros(15), mr.constant_generator(0.0), bm)
-    with pytest.raises(ValueError):
-        mr.solve_bsde(np.zeros(16), None, bm)  # neither generator nor driver
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -94,6 +95,15 @@ def test_validate_flags_a_false_time_invariance_claim():
     assert validate_loss(_drifting_band(False), _TS, _XS).passed
     assert not validate_loss(_drifting_band(True), _TS, _XS).passed
     assert validate_loss(_drifting_band(True), _TS[:1], _XS).passed
+
+
+def test_validate_flags_a_false_affine_claim():
+    # boundary code drops the offsets of an affine pair, so a bent pair must
+    # not pass while claiming to be affine
+    bent = mr.saturating_band(-1.0, 2.0)
+    assert validate_loss(bent, _TS, _XS).passed
+    assert not validate_loss(dataclasses.replace(bent, affine=True), _TS, _XS).passed
+    assert validate_loss(mr.linear_band(-1.0, 2.0), _TS, _XS).passed
 
 
 def _nan_band(everywhere: bool) -> mr.LossPair:

@@ -82,7 +82,6 @@ def _scenario_with(**kw):
         lambda: mr.RngSpec(seed=1.5),
         lambda: mr.RngSpec(seed=True),
         lambda: mr.RngSpec(seed=-1),
-        lambda: mr.RngSpec(seed=3, stream=0.5),
         lambda: mr.RegressionConfig(degree=2.0),
         lambda: mr.Tolerances(max_iterations=True),
     ],
@@ -90,7 +89,7 @@ def _scenario_with(**kw):
         "scenario-particles-100.5", "scenario-particles-100.0", "scenario-particles-True",
         "scenario-steps-True", "scenario-steps-2.5", "scenario-steps-0", "brownian-n-100.5",
         "brownian-n-1", "grid-steps-True", "grid-steps-4.0", "seed-1.5", "seed-True", "seed--1",
-        "stream-0.5", "degree-2.0", "max_iterations-True",
+        "degree-2.0", "max_iterations-True",
     ],
 )
 def test_counts_must_be_integers(build):
@@ -196,8 +195,8 @@ def test_brownian_starts_at_zero_and_matches_law():
 
 def test_brownian_reproducible_bitwise():
     g = mr.build_grid(1.0, 8)
-    a = mr.simulate_brownian(g, 257, mr.RngSpec(99, stream=2))
-    b = mr.simulate_brownian(g, 257, mr.RngSpec(99, stream=2))
+    a = mr.simulate_brownian(g, 257, mr.RngSpec(99))
+    b = mr.simulate_brownian(g, 257, mr.RngSpec(99))
     assert_array_equal(a.values, b.values)
 
 
@@ -205,17 +204,10 @@ def test_brownian_reproducible_bitwise():
 def test_brownian_bytes_match_a_row_major_reference(n, steps):
     # the draw stays row-major: each particle keeps its own row of draws
     g = mr.build_grid(0.7, steps)
-    rng = mr.RngSpec(99, stream=2)
+    rng = mr.RngSpec(99)
     inc = rng.generator().standard_normal((n, steps)) * np.sqrt(g.step_sizes)
     ref = np.hstack([np.zeros((n, 1)), np.cumsum(inc, axis=1)])
     assert mr.simulate_brownian(g, n, rng).values.tobytes(order="C") == ref.tobytes()
-
-
-def test_brownian_streams_differ():
-    g = mr.build_grid(1.0, 8)
-    a = mr.simulate_brownian(g, 64, mr.RngSpec(99, stream=0))
-    b = mr.simulate_brownian(g, 64, mr.RngSpec(99, stream=1))
-    assert not np.array_equal(a.values, b.values)
 
 
 def test_brownian_rejects_single_particle():

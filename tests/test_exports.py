@@ -7,7 +7,9 @@ The package re-exports those lists; it spells out no name of its own but
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -57,3 +59,20 @@ def test_the_package_spells_out_no_public_name_but_its_version():
         if isinstance(node, ast.Constant) and node.value in mr.__all__
     }
     assert spelled == {"__version__"}
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [mr.solve_constant_driver, mr.solve_penalized, mr.picard_solve, mr.penalty_sweep,
+     mr.Scenario.simulate],
+    ids=lambda f: f.__qualname__,
+)
+def test_a_solve_takes_its_draw_drift_and_grid_only_from_its_scenario(solve):
+    # an ensemble, drift path or grid from elsewhere would solve another problem
+    for p in inspect.signature(solve).parameters.values():
+        assert p.name not in ("bm", "driver", "grid"), p
+        assert not any(t in str(p.annotation) for t in ("Ensemble", "NDArray", "TimeGrid")), p
+
+
+def test_the_randomness_is_the_seed_alone():
+    assert [f.name for f in dataclasses.fields(mr.RngSpec)] == ["seed"]

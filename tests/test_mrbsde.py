@@ -118,9 +118,6 @@ def test_constant_driver_route_needs_a_state_free_generator(gen):
     sc = _scenario(gen, steps=4, particles=64)
     with pytest.raises(ValueError, match="state-free"):
         mr.solve_constant_driver(sc)
-    # an explicit driver path is the caller's frozen driver: accepted
-    sol = mr.solve_constant_driver(sc, np.zeros((64, 5)))
-    assert np.all(np.isfinite(sol.y.values))
 
 
 def test_terminal_feasibility_helpers():
@@ -416,6 +413,30 @@ def test_quadratic_mode_rejects_nan_losses_before_solving():
         mr.picard_solve(sc)
 
 
+@pytest.mark.parametrize("mean", [2.0, 9.0], ids=["feasible", "infeasible"])
+def test_bad_envelope_fails_before_any_solve(monkeypatch, mean):
+    # q overtakes p = 3 on (1/4, 3/4): the envelope is refused before the
+    # first reflected solve, and before an infeasible terminal is reported
+    def solve(*args):
+        raise AssertionError("a reflected solve ran")
+
+    monkeypatch.setattr(mrbsde, "_construct", solve)
+    sc = mr.Scenario(
+        horizon=1.0,
+        steps=8,
+        particles=512,
+        rng=mr.RngSpec(3),
+        terminal=lambda b: mean + 0.5 * np.sin(b),
+        generator=mr.quadratic_z_generator(1.0),
+        losses=mr.linear_band(1.0, 3.0),
+        envelope=mr.LinearEnvelope(
+            b=lambda t: 1.0, p=lambda t: 3.0, q=lambda t: 1.0 + 16.0 * t * (1.0 - t) / 1.5
+        ),
+    )
+    with pytest.raises(ValueError, match="envelope gap"):
+        mr.picard_solve(sc)
+
+
 def test_quadratic_wide_constraints_match_exponential_transform():
     # constraints chosen inactive: the reflected solve must collapse to the
     # plain quadratic solution, with the initial value pinned by the
@@ -612,9 +633,9 @@ def test_other_solves_build_one_regression_plan_each(monkeypatch, route):
     if route == "solve_bsde":
         mr.solve_bsde(sc.terminal_values(bm), sc.generator, bm)
     elif route == "constant-driver":
-        mr.solve_constant_driver(sc, bm=bm)
+        mr.solve_constant_driver(sc)
     else:
-        mr.solve_penalized(sc, 16.0, bm=bm)
+        mr.solve_penalized(sc, 16.0)
     assert len(plans) == 1
     _assert_no_particle_axis(plans[0], sc.particles)
 
@@ -623,25 +644,28 @@ def test_other_solves_build_one_regression_plan_each(monkeypatch, route):
 def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
     # the backward loop reads the frozen generator one node at a time; the
     # public drift matrix of the same frozen pair must give the same bits
+    def construct(drift):
+        seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
+        return mrbsde._stitch([(0, sc.steps, seg)], bm.grid, None)
+
     if case == "constant-at-zero":
-        sc = _saturating(mr.constant_generator(4.0), steps=20, particles=4000, seed=3)
-        bm = sc.simulate()
-        zero = mr.Ensemble(bm.grid, np.zeros_like(bm.values))
-        hooked = mr.solve_constant_driver(sc, bm=bm)
-        driver = mr.constant_driver_path(sc.generator, zero, zero)
+        gen = mr.constant_generator(4.0)
     else:
         gen = mr.affine_mix_generator(a_y=0.5, a_mean_y=0.3, a_z=0.2, a_mean_z=0.25, const=1.0)
-        sc = _saturating(gen, steps=20, particles=4000, seed=3)
-        bm = sc.simulate()
-        xi = sc.terminal_values(bm)
+    sc = _saturating(gen, steps=20, particles=4000, seed=3)
+    bm = sc.simulate()
+    xi = sc.terminal_values(bm)
+    term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
+    plan = bsde.RegressionPlan.build(bm, sc.regression)
+    if case == "constant-at-zero":
+        zero = mr.Ensemble(bm.grid, np.zeros_like(bm.values))
+        hooked = mr.solve_constant_driver(sc)
+        driver = mr.constant_driver_path(gen, zero, zero)
+    else:
         frozen = mr.solve_bsde(xi, gen, bm)  # a non-zero pair, both laws read
-        drift = bsde._frozen_drift(gen, frozen.y.values, frozen.z.values, bm.grid)
-        term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
-        plan = bsde.RegressionPlan.build(bm, sc.regression)
-        seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
-        hooked = mrbsde._stitch([(0, sc.steps, seg)], bm.grid, None)
+        hooked = construct(bsde._frozen_drift(gen, frozen.y.values, frozen.z.values, bm.grid))
         driver = mr.constant_driver_path(gen, frozen.y, frozen.z)
-    matrix = mr.solve_constant_driver(sc, driver, bm=bm)
+    matrix = construct(lambda k, *_: driver[:, k])
     for name in ("y", "z", "inner"):
         assert getattr(hooked, name).values.tobytes() == getattr(matrix, name).values.tobytes()
     assert hooked.K.values.tobytes() == matrix.K.values.tobytes()

@@ -78,10 +78,6 @@ def test_obstacles_refuse_a_grid_that_starts_after_zero():
     late = mr.TimeGrid(1.0, np.array([0.5, 0.75, 1.0]))
     with pytest.raises(ValueError, match="starts at 0.5"):
         obstacles.sample(late)
-    sc = dataclasses.replace(_ode_scenario(particles=64), obstacles=obstacles)
-    bm = sc.simulate(mr.build_grid(1.0, 2))
-    with pytest.raises(ValueError, match="starts at 0.5"):
-        mr.solve_penalized(sc, 4.0, bm=mr.Ensemble(late, bm.values))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +125,7 @@ def test_solution_invariants():
     assert np.all(np.diff(sol.push_up.values) >= 0.0)
     assert np.all(np.diff(sol.push_down.values) >= 0.0)
     assert_array_equal(sol.K.values, sol.push_up.values - sol.push_down.values)
-    xi = sc.terminal_values(sc.simulate(grid))
+    xi = sc.terminal_values(sc.simulate())
     assert_array_equal(sol.y.values[:, -1], xi)
 
 
@@ -138,12 +134,11 @@ def test_wide_obstacles_reduce_to_the_plain_solve_bitwise():
     # approached, making the penalized recursion bit-identical to the
     # unpenalized one at every level
     sc = _wide_scenario(mr.affine_mix_generator(a_y=0.7, a_z=0.3))
-    grid = sc.make_grid()
-    bm = sc.simulate(grid)
+    bm = sc.simulate()
     xi = sc.terminal_values(bm)
     plain = mr.solve_bsde(xi, sc.generator, bm, sc.regression)
     for n in (4.0, 512.0):
-        pen = mr.solve_penalized(sc, n, bm=bm)
+        pen = mr.solve_penalized(sc, n)
         assert_array_equal(pen.y.values, plain.y.values)
         assert_array_equal(pen.z.values, plain.z.values)
         assert_array_equal(pen.K.values, 0.0)
@@ -157,10 +152,9 @@ def test_mean_dynamics_match_stiff_integrator():
     # so n dt runs from 0.4 to 3277 without losing accuracy
     sc = _ode_scenario()
     grid = sc.make_grid()
-    bm = sc.simulate(grid)
-    xi = sc.terminal_values(bm)
+    xi = sc.terminal_values(sc.simulate())
     for n in (8.0, 64.0, 512.0, 4096.0, 65536.0):
-        sol = mr.solve_penalized(sc, n, bm=bm)
+        sol = mr.solve_penalized(sc, n)
         means = np.array(
             [mr.pairwise_mean(sol.y.values[:, k]) for k in range(grid.n_nodes)]
         )
@@ -291,9 +285,8 @@ def test_sweep_rows_match_per_level_particle_solves(monkeypatch, regression, tol
     monkeypatch.setattr(penalty, "_level_means", spy)
     sw = mr.penalty_sweep(sc, ns)
     assert len(rows) == len(ns)
-    bm = sc.simulate(sc.make_grid())
     for n, (mean, push_up, push_down), err in zip(ns, rows, sw.sup_errors):
-        sol = mr.solve_penalized(sc, n, bm=bm)
+        sol = mr.solve_penalized(sc, n)
         full = mr.ensemble_means(sol.y)
         scale = 1.0 + float(np.max(np.abs(full)))
         assert np.max(np.abs(mean - full)) <= tol * scale
