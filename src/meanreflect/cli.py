@@ -107,10 +107,9 @@ def _emit_error(reason: str, message: str) -> None:
 
 # the top-level fields each command reads; a scenario may hold either set
 _COMMON_FIELDS = (
-    "schema_version", "seed", "horizon", "steps", "particles", "terminal", "generator",
-    "losses", "solver",
+    "schema_version", "seed", "horizon", "steps", "particles", "terminal", "generator", "losses",
 )
-_RUN_FIELDS = (*_COMMON_FIELDS, "envelope", "method", "init")
+_RUN_FIELDS = (*_COMMON_FIELDS, "solver", "envelope", "method", "init")
 _SWEEP_FIELDS = (*_COMMON_FIELDS, "obstacles", "penalty")
 
 
@@ -436,7 +435,7 @@ def _run_result(
             sol.push_down.values,
         ]
     )
-    audit = audit_solution(sol, sc.losses, mult=sc.tol.stat_tol_mult)
+    audit = audit_solution(sol, sc.losses)
     diag: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -511,8 +510,6 @@ def cmd_sweep_penalty(
         raise ConfigError(f"--threads must be at least 1, got {threads}")
     cfg = load_config(config_path)
     _only(cfg, _SWEEP_FIELDS, "sweep-penalty config")
-    if isinstance(cfg.get("solver"), dict):  # no regression or Picard setting reaches the sweep
-        _only(cfg["solver"], ("stat_tol_mult", "root_tol"), "sweep-penalty solver")
     resolved = resolve_seed(seed, cfg)
     sc = build_scenario(cfg, resolved)
     if levels_arg is not None:

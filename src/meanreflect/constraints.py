@@ -209,7 +209,7 @@ class BoundaryPair:
     grid: TimeGrid
     losses: LossPair
     offsets: NDArray[np.floating] | None = None
-    _edge_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offsets is not None:
@@ -260,34 +260,30 @@ class BoundaryPair:
 
     # -- band edges ---------------------------------------------------------
 
-    def band_edges(
-        self, root_tol: float = ROOT_TOL_DEFAULT
-    ) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
+    def band_edges(self) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
         """Per-node admissible band [rho_k, lam_k] for the mean level.
 
         ``rho`` is the root of the upper boundary r (below it, r < 0) and
-        ``lam`` the root of the lower boundary l (above it, l > 0).  Results
-        are cached per tolerance.
+        ``lam`` the root of the lower boundary l (above it, l > 0), each to
+        ``ROOT_TOL_DEFAULT``.  The pair is computed once and cached.
         """
-        key = float(root_tol)
-        cached = self._edge_cache.get(key)
-        if cached is not None:
-            return cached
+        if self._edges is not None:
+            return self._edges
         m = self.grid.n_nodes
         rho = np.empty(m)
         lam = np.empty(m)
         if self.offsets is None and self.losses.time_invariant:
-            rho[:] = invert_boundary(self, 0, "lower_edge", root_tol)
-            lam[:] = invert_boundary(self, 0, "upper_edge", root_tol)
+            rho[:] = invert_boundary(self, 0, "lower_edge")
+            lam[:] = invert_boundary(self, 0, "upper_edge")
         else:
             hint_r = hint_l = 0.0
             # Last node down, the backward map's clock: this hint chain fixes the edge bits.
             for k in range(m - 1, -1, -1):
-                hint_r = invert_boundary(self, k, "lower_edge", root_tol, hint=hint_r)
-                hint_l = invert_boundary(self, k, "upper_edge", root_tol, hint=hint_l)
+                hint_r = invert_boundary(self, k, "lower_edge", hint=hint_r)
+                hint_l = invert_boundary(self, k, "upper_edge", hint=hint_l)
                 rho[k] = hint_r
                 lam[k] = hint_l
-        self._edge_cache[key] = (rho, lam)
+        object.__setattr__(self, "_edges", (rho, lam))
         return rho, lam
 
 

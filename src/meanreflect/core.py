@@ -159,12 +159,6 @@ class Ensemble:
     def particle_count(self) -> int:
         return int(self.values.shape[0])
 
-    def cross_section(self, node: int) -> NDArray[np.floating]:
-        """The empirical law at one node (a view, do not mutate)."""
-        if not 0 <= node < self.grid.n_nodes:
-            raise ValueError(f"node {node} out of range [0, {self.grid.n_nodes})")
-        return self.values[:, node]
-
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -236,10 +230,14 @@ def empirical_std(values: NDArray[np.floating]) -> float:
     return float(np.sqrt(var))
 
 
-def stat_tol(values: NDArray[np.floating], mult: float = 4.0) -> float:
-    """Statistical tolerance ``mult * sigma / sqrt(N)`` for a cross-section."""
+# Sigmas of the Monte Carlo test wherever an expectation meets a hard constraint.
+STAT_TOL_MULT = 4.0
+
+
+def stat_tol(values: NDArray[np.floating]) -> float:
+    """Statistical tolerance ``STAT_TOL_MULT * sigma / sqrt(N)`` for a cross-section."""
     values = np.asarray(values, dtype=float)
-    return float(mult) * empirical_std(values) / math.sqrt(values.size)
+    return STAT_TOL_MULT * empirical_std(values) / math.sqrt(values.size)
 
 
 def ensemble_means(e: Ensemble) -> NDArray[np.floating]:

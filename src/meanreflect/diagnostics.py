@@ -64,7 +64,7 @@ def constraint_violation(y: Ensemble, lp: LossPair) -> tuple[float, float]:
     return float(np.max(np.maximum(e_l, 0.0))), float(np.max(np.maximum(-e_r, 0.0)))
 
 
-def solution_stat_tol(y: Ensemble, lp: LossPair, mult: float = 4.0) -> float:
+def solution_stat_tol(y: Ensemble, lp: LossPair) -> float:
     """Largest per-node statistical tolerance of either loss cross-section."""
     out = 0.0
     for k in range(y.grid.n_nodes):
@@ -72,8 +72,8 @@ def solution_stat_tol(y: Ensemble, lp: LossPair, mult: float = 4.0) -> float:
         t = float(y.grid.nodes[k])
         out = max(
             out,
-            stat_tol(np.asarray(lp.L(t, cross), dtype=float), mult),
-            stat_tol(np.asarray(lp.R(t, cross), dtype=float), mult),
+            stat_tol(np.asarray(lp.L(t, cross), dtype=float)),
+            stat_tol(np.asarray(lp.R(t, cross), dtype=float)),
         )
     return out
 
@@ -96,15 +96,15 @@ class MRAudit:
     passed: bool
 
 
-def audit_solution(sol: MRSolution, lp: LossPair, *, mult: float = 4.0) -> MRAudit:
+def audit_solution(sol: MRSolution, lp: LossPair) -> MRAudit:
     """Check a reflected solution's two soft contracts at once.
 
     Constraint satisfaction is statistical — overshoots of the mean losses
-    must stay within ``mult * sigma / sqrt(N)`` — while flat residuals are
-    near-exact, allowed ``1e-10 * (1 + sup|s|) * (1 + TV(K))``.
+    must stay within ``STAT_TOL_MULT * sigma / sqrt(N)`` — while flat
+    residuals are near-exact, allowed ``1e-10 * (1 + sup|s|) * (1 + TV(K))``.
     """
     v_l, v_r = constraint_violation(sol.y, lp)
-    v_tol = solution_stat_tol(sol.y, lp, mult)
+    v_tol = solution_stat_tol(sol.y, lp)
     f_tol = 1e-10 * (1.0 + sol.s_sup) * (1.0 + sol.variation)
     passed = (
         v_l <= v_tol

@@ -16,7 +16,7 @@ class MeanReflectError(Exception):
 
 
 class DegenerateConstraintsError(MeanReflectError):
-    """The admissible band between the two constraints collapsed below band_min."""
+    """The admissible band between the two constraints fell below ``BAND_MIN_DEFAULT`` (1e-9)."""
 
 
 class InfeasibleTerminalError(MeanReflectError):

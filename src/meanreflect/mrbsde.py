@@ -37,7 +37,6 @@ from .bsde import (
     _plain_drift,
 )
 from .constraints import (
-    BAND_MIN_DEFAULT,
     ROOT_TOL_DEFAULT,
     LinearEnvelope,
     LinearObstacles,
@@ -85,20 +84,19 @@ TerminalFn = Callable[[NDArray[np.floating]], NDArray[np.floating]]
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle shared by the reflected solvers.
+    """The Picard stopping rule, read only by :func:`picard_solve`.
 
-    ``stat_tol_mult`` scales the statistical tolerance ``mult * sigma /
-    sqrt(N)`` used wherever an expectation is checked against a hard
-    constraint; ``contraction_margin`` is the largest measured Picard ratio
-    tolerated before the horizon is split.
+    A segment converges once the combined move of the particles and the
+    force is at most ``picard_tol`` and gives up after ``max_iterations``;
+    ``contraction_margin`` is the largest measured Picard ratio tolerated
+    before the horizon is split.  The numerical floors are constants:
+    ``ROOT_TOL_DEFAULT`` and ``BAND_MIN_DEFAULT`` in ``constraints``,
+    ``STAT_TOL_MULT`` in ``core``.
     """
 
     picard_tol: float = 1e-6
     max_iterations: int = 50
     contraction_margin: float = 0.9
-    root_tol: float = ROOT_TOL_DEFAULT
-    band_min: float = BAND_MIN_DEFAULT
-    stat_tol_mult: float = 4.0
 
     def __post_init__(self):
         # written as "not in range" so that NaN fails every check
@@ -107,9 +105,6 @@ class Tolerances:
         _require_int(self.max_iterations, "max_iterations", 1)
         if not 0.0 < self.contraction_margin < 1.0:
             raise ValueError("contraction_margin must lie in (0, 1)")
-        for name in ("root_tol", "band_min", "stat_tol_mult"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -164,39 +159,31 @@ def terminal_feasibility(
     losses: LossPair,
     t_final: float,
     xi: NDArray[np.floating],
-    *,
-    stat_tol_mult: float = 4.0,
-    root_tol: float = ROOT_TOL_DEFAULT,
 ) -> tuple[float, float, float]:
     """(E[L(T, xi)], E[R(T, xi)], tolerance) for the anchor precondition.
 
-    The tolerance is statistical — ``mult * sigma / sqrt(N)`` with sigma the
-    larger loss-value spread — plus the root tolerance, so it degrades
-    gracefully to a deterministic check for spread-free terminals.
+    The tolerance is statistical — :func:`stat_tol` of the loss values with
+    the larger spread — plus ``ROOT_TOL_DEFAULT``, so it degrades gracefully
+    to a deterministic check for spread-free terminals.
     """
     xi = np.asarray(xi, dtype=float)
     lv = np.asarray(losses.L(float(t_final), xi), dtype=float)
     rv = np.asarray(losses.R(float(t_final), xi), dtype=float)
-    stat = max(stat_tol(lv, stat_tol_mult), stat_tol(rv, stat_tol_mult))
-    return float(pairwise_mean(lv)), float(pairwise_mean(rv)), stat + root_tol
+    stat = max(stat_tol(lv), stat_tol(rv))
+    return float(pairwise_mean(lv)), float(pairwise_mean(rv)), stat + ROOT_TOL_DEFAULT
 
 
 def require_feasible_terminal(
     losses: LossPair,
     t_final: float,
     xi: NDArray[np.floating],
-    *,
-    stat_tol_mult: float = 4.0,
-    root_tol: float = ROOT_TOL_DEFAULT,
 ) -> float:
     """Raise :class:`InfeasibleTerminalError` unless the anchor is admissible.
 
     Returns the tolerance that was applied (callers forward it to the
     backward reflection so both checks agree).
     """
-    e_l, e_r, tol = terminal_feasibility(
-        losses, t_final, xi, stat_tol_mult=stat_tol_mult, root_tol=root_tol
-    )
+    e_l, e_r, tol = terminal_feasibility(losses, t_final, xi)
     if not (e_l <= tol and e_r >= -tol):
         raise InfeasibleTerminalError(
             f"terminal values at t = {t_final:.6g} are infeasible: "
@@ -317,8 +304,6 @@ def _construct(
         s,
         float(means[-1]),
         make_mean_boundary(plain.y, sc.losses),
-        root_tol=sc.tol.root_tol,
-        band_min=sc.tol.band_min,
         terminal_tol=terminal_tol,
     )
     shift = bsp.K.values[-1] - bsp.K.values
@@ -347,9 +332,7 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
     _require_state_free(sc.generator, "the constant-driver route")
     bm = sc.simulate()
     xi = sc.terminal_values(bm)
-    term_tol = require_feasible_terminal(
-        sc.losses, sc.horizon, xi, stat_tol_mult=sc.tol.stat_tol_mult, root_tol=sc.tol.root_tol
-    )
+    term_tol = require_feasible_terminal(sc.losses, sc.horizon, xi)
     zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
     drift = _frozen_drift(sc.generator, zero, zero, bm.grid)
     plan = RegressionPlan.build(bm, sc.regression)
@@ -390,9 +373,7 @@ def _picard_segment(
     frozen pair ``(u, v)`` and the force of the last one.
     """
     gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
-    term_tol = require_feasible_terminal(
-        sc.losses, grid.horizon, xi, stat_tol_mult=tol.stat_tol_mult, root_tol=tol.root_tol
-    )
+    term_tol = require_feasible_terminal(sc.losses, grid.horizon, xi)
     if init == "zero":
         u = v = np.broadcast_to(0.0, bm_seg.values.shape)  # read-only: allocates nothing
     else:

@@ -29,6 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bsde import RegressionPlan, _backward_pass, _frozen_drift, _plain_drift
+from .constraints import ROOT_TOL_DEFAULT
 from .core import Ensemble, SamplePath, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
@@ -161,7 +162,7 @@ def _mean_push(k, u, cbar, n, nodes, lo, hi) -> tuple[float, float]:
 def _check_terminal_mean(sc: Scenario, xi, lo, hi) -> None:
     """Raise :class:`InfeasibleTerminalError` unless ``E[xi]`` lies in the terminal band."""
     a = float(pairwise_mean(xi))
-    stat = stat_tol(xi, sc.tol.stat_tol_mult) + sc.tol.root_tol
+    stat = stat_tol(xi) + ROOT_TOL_DEFAULT
     if a < lo[-1] - stat or a > hi[-1] + stat:
         raise InfeasibleTerminalError(
             f"terminal mean {a:.6g} lies outside the obstacle band "

@@ -32,7 +32,6 @@ __all__ = [
     "solve_sp",
     "solve_bsp",
     "total_variation",
-    "flatness_residuals",
     "flat_tolerance",
     "check_tv_bound",
     "check_continuity_bound",
@@ -192,8 +191,6 @@ def solve_bsp(
     a: float,
     bp: BoundaryPair,
     *,
-    root_tol: float = ROOT_TOL_DEFAULT,
-    band_min: float = BAND_MIN_DEFAULT,
     terminal_tol: float = 0.0,
 ) -> BackwardReflectionSolution:
     """Solve the terminal-anchored reflection problem.
@@ -202,19 +199,20 @@ def solve_bsp(
     ``r(T, a) >= -terminal_tol``.  The clamp recursion runs on the reversed
     clock — input ``a + s_T - s_{T-t}`` against the band edges of ``bp`` from
     the last node down — and the force is mapped back as ``K_t = Kbar_T -
-    Kbar_{T-t}``.  Anchor violations within the tolerance are absorbed as a
-    small initial force of the reversed problem.
+    Kbar_{T-t}``.  Anchor violations within ``terminal_tol +
+    ROOT_TOL_DEFAULT`` are absorbed as a small initial force of the reversed
+    problem.
     """
     grid = s.grid
     _require_one_grid(grid, bp.grid)
     last = grid.n_nodes - 1
-    tol = float(terminal_tol) + root_tol
+    tol = float(terminal_tol) + ROOT_TOL_DEFAULT
     if not (bp.lower(last, a) <= tol and bp.upper(last, a) >= -tol):
         raise InfeasibleTerminalError(
             f"anchor {a} violates the terminal constraint beyond tolerance {tol:.3e}"
         )
-    rho, lam = bp.band_edges(root_tol)
-    x, up, dn = _reversed_clamp(s.values, a, rho, lam, band_min)
+    rho, lam = bp.band_edges()
+    x, up, dn = _reversed_clamp(s.values, a, rho, lam, BAND_MIN_DEFAULT)
     residuals = flatness_residuals_raw(x, up, dn, bp, reverse=True)
     up, dn = up[-1] - up[::-1], dn[-1] - dn[::-1]
     return _solution(BackwardReflectionSolution, grid, x, up, dn, residuals, a=float(a))
@@ -255,13 +253,6 @@ def flatness_residuals_raw(
     up = residual(push_up_vals, lambda j: bp.upper(j, x_vals[j]))
     dn = residual(push_down_vals, lambda j: -bp.lower(j, x_vals[j]))
     return up, dn
-
-
-def flatness_residuals(sol: ReflectionSolution, bp: BoundaryPair) -> tuple[float, float]:
-    """(up, down) flat residuals of a forward solution against its boundaries."""
-    return flatness_residuals_raw(
-        sol.x.values, sol.push_up.values, sol.push_down.values, bp
-    )
 
 
 def flat_tolerance(s: SamplePath) -> float:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,10 @@ _MISSPELT = {
     "solver picard_tolerance": lambda c: c.update(solver={"picard_tolerance": 1e-3}),
     "solver max_iter": lambda c: c.update(solver={"max_iter": 2}),
     "solver stiff_max": lambda c: c.update(solver={"stiff_max": 0.5}),
+    # the numerical floors are constants now, so even their defaults are unknown
+    "solver root_tol": lambda c: c.update(solver={"root_tol": 1e-12}),
+    "solver band_min": lambda c: c.update(solver={"band_min": 1e-9}),
+    "solver stat_tol_mult": lambda c: c.update(solver={"stat_tol_mult": 4.0}),
 }
 
 
@@ -324,6 +329,7 @@ def test_run_rejects_sweep_only_fields(tmp_path, capsys, field):
         ("method", "picard"),
         ("init", "unreflected"),
         ("envelope", {"kind": "affine-envelope", "p": 40.0, "q": -40.0}),
+        ("solver", {}),
     ],
 )
 def test_sweep_rejects_run_only_fields(tmp_path, capsys, field, value):
@@ -346,6 +352,11 @@ def test_unknown_penalty_field_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# every field of the run's solver block, with its default
+_SOLVER_DEFAULTS = {**asdict(mr.RegressionConfig()), **asdict(mr.Tolerances())}
+_SOLVER_NUMBERS = list(_SOLVER_DEFAULTS)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -356,34 +367,19 @@ def test_unknown_penalty_field_is_a_config_error(tmp_path, capsys):
         ("max_iterations", 3),
         ("contraction_margin", 0.5),
         ("band_min", 1e-9),
+        ("stat_tol_mult", 4.0),
+        ("root_tol", 1e-12),
     ],
 )
 def test_sweep_rejects_solver_fields_it_does_not_read(tmp_path, capsys, field, value):
-    # the sweep solves no particles and runs no fixed point: only its two
-    # tolerances are read, so any other solver field would be silently ignored
-    solver = {"stat_tol_mult": 3.0, "root_tol": 1e-11, field: value}
-    cfg = _write(tmp_path, "sweep.json", _sweep_config(solver=solver))
+    # the sweep solves no particles and runs no fixed point, so it reads no
+    # solver field: any solver block is rejected whole, whatever it holds
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(solver={field: value}))
     out = tmp_path / "out"
     assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--threads", "2"]) == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "config" and field in err["message"]
-    assert "stat_tol_mult" not in err["message"] and "root_tol" not in err["message"]
+    assert err["error"] == "config" and "solver" in err["message"]
     assert not out.exists()
-    del solver[field]
-    cfg = _write(tmp_path, "sweep.json", _sweep_config(solver=solver))
-    assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--threads", "2"]) == 0
-
-
-_SOLVER_NUMBERS = [
-    "degree",
-    "ridge",
-    "picard_tol",
-    "max_iterations",
-    "contraction_margin",
-    "root_tol",
-    "band_min",
-    "stat_tol_mult",
-]
 
 
 @pytest.mark.parametrize(
@@ -395,7 +391,7 @@ def test_solver_fields_reject_non_finite_numbers(field, bad):
         cli._parse_solver({field: bad})
 
 
-@pytest.mark.parametrize("field", ["root_tol", "band_min", "stat_tol_mult", "ridge", "picard_tol"])
+@pytest.mark.parametrize("field", ["ridge", "picard_tol"])
 def test_tolerance_range_checks_fail_on_nan(field):
     # the library's own checks, behind the config parser
     make = mr.RegressionConfig if field == "ridge" else mr.Tolerances
@@ -409,7 +405,7 @@ def test_non_finite_literals_are_config_errors(tmp_path, capsys):
         _clamp_config(terminal={"kind": "constant", "value": float("nan")}),
         _clamp_config(horizon=float("inf")),
         _clamp_config(losses={"kind": "linear-band", "lower": float("-inf"), "upper": 2.0}),
-        _clamp_config(solver={"band_min": float("nan")}),
+        _clamp_config(solver={"picard_tol": float("nan")}),
         _clamp_config(particles=10**400),
     ]
     for i, case in enumerate(cases):
@@ -873,14 +869,10 @@ _FIELDS = [
     (("losses",), "upper", _FLOATS),
     (("obstacles",), "lower_rate", _FLOATS),
     (("obstacles",), "upper_start", _FLOATS),
-    (("solver",), "degree", _ints(0, 4)),
-    (("solver",), "max_iterations", _ints(1, 50)),
-    (("solver",), "ridge", _FLOATS),
-    (("solver",), "picard_tol", _FLOATS),
-    (("solver",), "contraction_margin", _FLOATS),
-    (("solver",), "root_tol", _FLOATS),
-    (("solver",), "band_min", _FLOATS),
-    (("solver",), "stat_tol_mult", _FLOATS),
+    *(
+        (("solver",), key, _ints(0, 2 * default) if isinstance(default, int) else _FLOATS)
+        for key, default in _SOLVER_DEFAULTS.items()
+    ),
     (("penalty",), "levels", st.lists(_FLOATS, min_size=1, max_size=3)),
 ]
 
@@ -889,7 +881,9 @@ _FIELDS = [
 def _cli_cases(draw):
     command = draw(st.sampled_from(["run", "sweep-penalty"]))
     base = _flat_config if command == "run" else _sweep_config
-    cfg = base(steps=draw(st.integers(1, 8)), particles=draw(st.integers(2, 500)), solver={})
+    cfg = base(steps=draw(st.integers(1, 8)), particles=draw(st.integers(2, 500)))
+    if command == "run":
+        cfg["solver"] = {}
     # only the blocks the command reads: any other block is rejected whole
     fields = [f for f in _FIELDS if not f[0] or f[0][0] in cfg]
     for path, key, values in draw(st.lists(st.sampled_from(fields), max_size=3)):

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import meanreflect as mr
 from meanreflect.constraints import (
+    ROOT_TOL_DEFAULT,
     BoundaryPair,
     check_envelope_order,
     invert_boundary,
@@ -383,16 +384,28 @@ def _sides(bp):
 
 @given(_boundary_cases(), st.floats(-50.0, 50.0))
 def test_band_edges_match_an_independent_bisection(case, hint):
+    # invert_boundary at the drawn accuracy, band_edges at ROOT_TOL_DEFAULT
     bp, root_tol = case
-    xtol = max(root_tol / max(bp.C, 1.0), 1e-15)
-    edges = dict(zip(("lower_edge", "upper_edge"), bp.band_edges(root_tol)))
+    edges = dict(zip(("lower_edge", "upper_edge"), bp.band_edges()))
     for which, side in _sides(bp):
         for k in range(bp.grid.n_nodes):
             root = _bisect(lambda x: side(k, x))
             slack = 4.0 * np.spacing(abs(root))  # the bisection's own rounding
-            for edge in (edges[which][k], invert_boundary(bp, k, which, root_tol, hint)):
-                assert abs(edge - root) <= xtol + slack
-                assert abs(side(k, edge)) <= root_tol
+            for edge, tol in (
+                (edges[which][k], ROOT_TOL_DEFAULT),
+                (invert_boundary(bp, k, which, root_tol, hint), root_tol),
+            ):
+                assert abs(edge - root) <= max(tol / max(bp.C, 1.0), 1e-15) + slack
+                assert abs(side(k, edge)) <= tol
+
+
+def test_a_replaced_pair_finds_its_own_band_edges():
+    # the cached edges belong to one pair: dataclasses.replace must not carry them over
+    bp = BoundaryPair(mr.build_grid(1.0, 4), mr.linear_band(-1.0, 2.0))
+    assert bp.band_edges()[1][0] == 2.0
+    wider = dataclasses.replace(bp, losses=mr.linear_band(-5.0, 5.0))
+    rho, lam = wider.band_edges()
+    assert (rho[0], lam[0]) == (-5.0, 5.0)
 
 
 @pytest.mark.parametrize("at", [10000.0, -25000.0, 12345.5])

@@ -185,7 +185,7 @@ def test_brownian_starts_at_zero_and_matches_law():
     g = mr.build_grid(1.0, 16)
     e = mr.simulate_brownian(g, 100_000, mr.RngSpec(314))
     assert_array_equal(e.values[:, 0], 0.0)
-    terminal = e.cross_section(g.n_steps)
+    terminal = e.values[:, g.n_steps]
     # CLT band for the mean of B_T: 4 * sqrt(T/n)
     assert abs(mr.pairwise_mean(terminal)) <= 4.0 * math.sqrt(1.0 / 100_000)
     # the 5% variance window is ~11 standard errors of the variance

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
+from meanreflect.core import STAT_TOL_MULT
 from meanreflect.mrbsde import PicardTrace
 
 
@@ -82,8 +83,8 @@ def test_violation_meter_honours_shifted_clock():
 
 def test_stat_tol_matches_hand_value():
     # std of {0, 2} is 1, four-sigma over sqrt(2)
+    assert STAT_TOL_MULT == 4.0
     assert_allclose(mr.stat_tol(np.array([0.0, 2.0])), 4.0 / math.sqrt(2.0), rtol=1e-15)
-    assert_allclose(mr.stat_tol(np.array([0.0, 2.0]), mult=2.0), math.sqrt(2.0), rtol=1e-15)
 
 
 def test_solution_stat_tol_takes_the_worst_node():

@@ -76,3 +76,34 @@ def test_a_solve_takes_its_draw_drift_and_grid_only_from_its_scenario(solve):
 
 def test_the_randomness_is_the_seed_alone():
     assert [f.name for f in dataclasses.fields(mr.RngSpec)] == ["seed"]
+
+
+def _public_signatures():
+    """(qualified name, signature) of every public callable, class methods included."""
+    for name in mr.__all__[1:]:
+        obj = getattr(mr, name)
+        members = [obj]
+        if inspect.isclass(obj):
+            members += [getattr(obj, a) for a in vars(obj) if not a.startswith("_")]
+        for f in filter(callable, members):
+            try:
+                yield getattr(f, "__qualname__", name), inspect.signature(f)
+            except ValueError:  # a builtin with no signature
+                continue
+
+
+def test_the_numerical_floors_are_constants():
+    # the root accuracy, band floor and Monte Carlo multiplier are module
+    # constants; only the root solver keeps its documented accuracy contract
+    knobs = {"root_tol", "band_min", "stat_tol_mult", "mult"}
+    found = sorted(
+        (qualname, p)
+        for qualname, sig in _public_signatures()
+        for p in knobs & set(sig.parameters)
+    )
+    assert found == [("invert_boundary", "root_tol")]
+
+
+def test_tolerances_are_the_picard_stopping_rule_alone():
+    fields = [f.name for f in dataclasses.fields(mr.Tolerances)]
+    assert fields == ["picard_tol", "max_iterations", "contraction_margin"]
