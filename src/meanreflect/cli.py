@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -214,7 +213,7 @@ def _parse_generator(node: Any) -> Generator:
 
 
 def _affine_loss_pair(node: dict) -> LossPair:
-    """Per-side affine losses ``L = sL x + bL``, ``R = sR x + bR``."""
+    """Per-side affine losses ``L = s x + bL``, ``R = s x + bR``, one slope ``s`` for both."""
     sides = []
     fields = ("slope", "intercept")
     for side in ("L", "R"):
@@ -228,15 +227,16 @@ def _affine_loss_pair(node: dict) -> LossPair:
             raise ConfigError(f"{what}.slope must be positive")
         sides.append((slope, intercept))
     (s_l, b_l), (s_r, b_r) = sides
-    gap = (-b_l / s_l) - (-b_r / s_r)
-    if not gap > 0.0:
+    if s_l != s_r:  # R - L would have a slope, so no gap holds everywhere
+        raise ConfigError("losses.L.slope and losses.R.slope must be equal")
+    if not b_l < b_r:
         raise ConfigError("losses admit no band: root of L must exceed root of R")
     return LossPair(
         L=lambda t, x: s_l * x + b_l,
         R=lambda t, x: s_r * x + b_r,
-        c=min(s_l, s_r),
-        C=max(s_l, s_r),
-        gap=gap,
+        c=s_l,
+        C=s_l,
+        gap=b_r - b_l,
         time_invariant=True,
         affine=True,
     )
@@ -365,7 +365,7 @@ def build_scenario(cfg: dict, seed: int) -> Scenario:
 
 
 def resolve_seed(cli_seed: int | None, cfg: dict | None) -> int:
-    """Precedence: --seed flag, then config 'seed', then MEANREFLECT_SEED, then 0."""
+    """Precedence: --seed flag, then config 'seed', then 0."""
     if cli_seed is not None:
         seed = int(cli_seed)
     elif cfg is not None and "seed" in cfg:
@@ -373,14 +373,7 @@ def resolve_seed(cli_seed: int | None, cfg: dict | None) -> int:
             raise ConfigError("config 'seed' must be an integer")
         seed = int(cfg["seed"])
     else:
-        env = os.environ.get("MEANREFLECT_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ConfigError("MEANREFLECT_SEED must be an integer") from exc
-        else:
-            seed = 0
+        seed = 0
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
     return seed

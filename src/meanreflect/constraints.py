@@ -41,6 +41,9 @@ __all__ = [
 
 ROOT_TOL_DEFAULT = 1e-12
 BAND_MIN_DEFAULT = 1e-9
+# The x window of every spot check: loss validation, envelope order, boundary gaps.
+X_WINDOW = np.linspace(-10.0, 10.0, 41)
+X_WINDOW.setflags(write=False)
 _ILLINOIS_STEPS = 200
 
 
@@ -122,66 +125,52 @@ def saturating_band(lower: float, upper: float) -> LossPair:
 
 @dataclass(frozen=True)
 class LossValidation:
-    """Report from spot-checking a loss pair on sample points."""
+    """Report from spot-checking a loss pair; ``failures`` names each failed check."""
 
     monotone_violations: int
     slope_min: float
     slope_max: float
     min_gap: float
-    passed: bool
+    failures: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
-def validate_loss(
-    lp: LossPair,
-    t_samples: NDArray[np.floating],
-    x_samples: NDArray[np.floating],
-) -> LossValidation:
+def validate_loss(lp: LossPair, grid: TimeGrid) -> LossValidation:
     """Spot-check finiteness, monotonicity, the (c, C) slope range and the R - L gap.
 
-    A pair declared ``time_invariant`` must also give the same ``L`` and
-    ``R`` values at every t sample, bit for bit: boundary code evaluates such
-    a pair once for all nodes.  A pair declared ``affine`` must have one
-    slope per loss and t sample, up to the relative slope tolerance: boundary
-    code drops its offsets.  Report-only: a failed check sets ``passed``
-    to False but raises nothing.
+    The pair is evaluated at the grid's node times, on the fixed x window
+    ``X_WINDOW``.  A pair declared ``time_invariant`` must also give the
+    same ``L`` and ``R`` values at every node, bit for bit: boundary code
+    evaluates such a pair once for all nodes.  A pair declared ``affine``
+    must have one slope per loss and node, up to the relative slope
+    tolerance: boundary code drops its offsets.  Report-only: a failed
+    check is named in ``failures`` but raises nothing.
     """
-    ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    xs = np.sort(np.atleast_1d(np.asarray(x_samples, dtype=float)))
-    if ts.size == 0 or xs.size < 2:
-        raise ValueError("need at least one t sample and two x samples")
-
-    violations = 0
-    slope_min, slope_max = np.inf, -np.inf
-    min_gap = np.inf
-    dx = np.diff(xs)
-    first = None
-    finite = True
-    time_varies = bent = False
     slope_tol = 1e-9
-    for t in ts:
-        vals = [np.asarray(f(float(t), xs), dtype=float) for f in (lp.L, lp.R)]
-        finite &= bool(np.isfinite(vals).all())
-        for v in vals:
-            slopes = np.diff(v) / dx
-            violations += int(np.count_nonzero(~(slopes > 0.0)))  # NaN counts
-            bent |= not np.ptp(slopes) <= slope_tol * np.max(np.abs(slopes))
-            # np.minimum/np.maximum carry a NaN through; Python's min/max drop it.
-            slope_min = float(np.minimum(slope_min, np.min(slopes)))
-            slope_max = float(np.maximum(slope_max, np.max(slopes)))
-        min_gap = float(np.minimum(min_gap, np.min(vals[1] - vals[0])))
-        first = vals if first is None else first
-        time_varies |= not all(map(np.array_equal, vals, first))
+    # (node, loss, x): every node's L and R values on the window
+    vals = np.array([[f(float(t), X_WINDOW) for f in (lp.L, lp.R)] for t in grid.nodes], float)
+    slopes = np.diff(vals, axis=-1) / np.diff(X_WINDOW)
+    violations = int(np.count_nonzero(~(slopes > 0.0)))  # NaN counts
+    # np.min/np.max carry a NaN through, so a NaN slope or gap fails its check.
+    slope_min, slope_max = float(np.min(slopes)), float(np.max(slopes))
+    min_gap = float(np.min(vals[:, 1] - vals[:, 0]))
+    bent = not np.all(np.ptp(slopes, axis=-1) <= slope_tol * np.max(np.abs(slopes), axis=-1))
+    time_varies = not np.all(vals == vals[0])  # bit for bit; NaN counts
+    finite = bool(np.isfinite(vals).all())
 
-    passed = (
-        finite
-        and violations == 0
-        and lp.c - slope_tol <= slope_min
-        and slope_max <= lp.C + slope_tol
-        and lp.gap - slope_tol <= min_gap
-        and not (lp.time_invariant and time_varies)
-        and not (lp.affine and bent)
-    )
-    return LossValidation(violations, slope_min, slope_max, min_gap, passed)
+    checks = {
+        "finiteness": finite,
+        "monotonicity": violations == 0,
+        "slope range [c, C]": lp.c - slope_tol <= slope_min and slope_max <= lp.C + slope_tol,
+        "gap": lp.gap - slope_tol <= min_gap,
+        "time_invariant claim": not (lp.time_invariant and time_varies),
+        "affine claim": not (lp.affine and bent),
+    }
+    failures = tuple(name for name, ok in checks.items() if not ok)
+    return LossValidation(violations, slope_min, slope_max, min_gap, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +420,20 @@ class LinearEnvelope:
         return float(np.sum(np.abs(np.diff(pb))) + np.sum(np.abs(np.diff(qb))))
 
 
-def check_envelope_order(
-    lp: LossPair,
-    env: LinearEnvelope,
-    t_samples: NDArray[np.floating],
-    x_samples: NDArray[np.floating],
-) -> bool:
-    """True iff L <= L' and R >= R' on the given sample points, with L and R finite."""
-    ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    for t in ts:
-        bx = float(env.b(float(t))) * xs
-        lo_env = bx - float(env.p(float(t)))
-        up_env = bx - float(env.q(float(t)))
-        L = np.asarray(lp.L(float(t), xs), dtype=float)
-        R = np.asarray(lp.R(float(t), xs), dtype=float)
+def check_envelope_order(lp: LossPair, env: LinearEnvelope, grid: TimeGrid) -> bool:
+    """True iff L <= L' and R >= R' with L and R finite.
+
+    Checked at the grid's node times, on the fixed x window ``X_WINDOW``.
+    """
+    for t in grid.nodes:
+        t = float(t)
+        bx = float(env.b(t)) * X_WINDOW
+        L = np.asarray(lp.L(t, X_WINDOW), dtype=float)
+        R = np.asarray(lp.R(t, X_WINDOW), dtype=float)
         # "not in range" fails on NaN, where "out of range" would pass it
-        if not np.all((-np.inf < L) & (L <= lo_env + 1e-12)):
+        if not np.all((-np.inf < L) & (L <= bx - float(env.p(t)) + 1e-12)):
             return False
-        if not np.all((up_env - 1e-12 <= R) & (R < np.inf)):
+        if not np.all((bx - float(env.q(t)) - 1e-12 <= R) & (R < np.inf)):
             return False
     return True
 

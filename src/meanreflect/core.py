@@ -81,30 +81,31 @@ def _require_int(value, name: str, minimum: int) -> int:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ascending time axis ending at ``horizon``; its nodes are the clock.
+    """Ascending time axis; its nodes are the clock, its last node the ``horizon``.
 
-    ``nodes`` must be finite, strictly increasing and end at ``horizon``;
-    they may start anywhere, so a segment of a longer grid keeps its own node
-    times.  Generators and losses are evaluated at these times, and paths are
-    interpreted piecewise-linearly between nodes.
+    ``nodes`` must be finite and strictly increasing, with a positive last
+    node; they may start anywhere, so a segment of a longer grid keeps its
+    own node times.  Generators and losses are evaluated at these times, and
+    paths are interpreted piecewise-linearly between nodes.
     """
 
-    horizon: float
     nodes: NDArray[np.floating]
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least 2 nodes")
         if not np.isfinite(nodes).all():
             raise ValueError("grid nodes must be finite")
-        if nodes[-1] != self.horizon:
-            raise ValueError("last node must equal the horizon")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
+        if not nodes[-1] > 0.0:
+            raise ValueError("horizon must be positive")
+
+    @property
+    def horizon(self) -> float:
+        return float(self.nodes[-1])
 
     @property
     def n_nodes(self) -> int:
@@ -199,7 +200,7 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
         raise ValueError("horizon must be positive")
     nodes = np.linspace(0.0, float(horizon), _require_int(steps, "steps", 1) + 1)
     nodes[-1] = float(horizon)  # guard against linspace rounding at the end
-    return TimeGrid(float(horizon), nodes)
+    return TimeGrid(nodes)
 
 
 def simulate_brownian(grid: TimeGrid, n: int, rng: RngSpec) -> Ensemble:

@@ -43,6 +43,7 @@ from .constraints import (
     LossPair,
     check_envelope_order,
     make_mean_boundary,
+    validate_loss,
 )
 from .core import (
     Ensemble,
@@ -113,9 +114,11 @@ class Scenario:
 
     ``terminal`` maps the terminal Brownian cross-section to terminal values
     (scalar results are broadcast; a non-finite value raises
-    :class:`NumericalFailureError`).  ``losses`` drives the mean reflection;
-    ``envelope`` is mandatory for quadratic-mode generators; ``obstacles``
-    is only consumed by the penalization scheme.
+    :class:`NumericalFailureError`).  ``losses`` drives the mean reflection
+    and must pass :func:`validate_loss` on :meth:`make_grid` (``ValueError``
+    naming the failed checks otherwise); ``envelope`` is mandatory for
+    quadratic-mode generators; ``obstacles`` is only consumed by the
+    penalization scheme.
     """
 
     horizon: float
@@ -135,6 +138,10 @@ class Scenario:
             raise ValueError("horizon must be positive and finite")
         _require_int(self.steps, "steps", 1)
         _require_int(self.particles, "particles", 2)
+        if self.losses is not None:  # boundary code relies on every declared property
+            failures = validate_loss(self.losses, self.make_grid()).failures
+            if failures:
+                raise ValueError(f"loss pair fails its checks: {', '.join(failures)}")
 
     def make_grid(self) -> TimeGrid:
         return build_grid(self.horizon, self.steps)
@@ -504,9 +511,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     if gen.mode == "quadratic":
         if sc.envelope is None:
             raise ValueError("quadratic-mode scenarios require a linear envelope")
-        ts = np.array([0.0, 0.5 * sc.horizon, sc.horizon])
-        xs = np.linspace(-10.0, 10.0, 41)
-        if not check_envelope_order(sc.losses, sc.envelope, ts, xs):
+        if not check_envelope_order(sc.losses, sc.envelope, sc.make_grid()):
             raise ValueError("declared envelope does not enclose the losses")
 
     bm = sc.simulate()
@@ -534,7 +539,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         xi_seg = xi
         for j in reversed(range(n_segments)):
             a, b = bounds[j], bounds[j + 1]
-            bm_seg = Ensemble(TimeGrid(float(nodes[b]), nodes[a : b + 1]), bm.values[:, a : b + 1])
+            bm_seg = Ensemble(TimeGrid(nodes[a : b + 1]), bm.values[:, a : b + 1])
             records.append((bm_seg.grid.nodes, []))
             seg = _picard_segment(sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b))
             if seg is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .constraints import BAND_MIN_DEFAULT, ROOT_TOL_DEFAULT, BoundaryPair
+from .constraints import BAND_MIN_DEFAULT, ROOT_TOL_DEFAULT, X_WINDOW, BoundaryPair
 from .core import SamplePath, TimeGrid
 from .errors import DegenerateConstraintsError, InfeasibleTerminalError
 
@@ -311,16 +311,15 @@ class ContinuityReport:
     passed: bool
 
 
-def _node_rows(bp: BoundaryPair, x_samples) -> tuple[NDArray[np.integer], NDArray[np.floating]]:
-    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    return np.arange(bp.grid.n_nodes), np.broadcast_to(xs, (bp.grid.n_nodes, xs.size))
+def _node_rows(bp: BoundaryPair) -> tuple[NDArray[np.integer], NDArray[np.floating]]:
+    """Every node of ``bp``'s grid, each with one row of the fixed x window."""
+    n = bp.grid.n_nodes
+    return np.arange(n), np.broadcast_to(X_WINDOW, (n, X_WINDOW.size))
 
 
-def _boundary_discrepancy(
-    bp1: BoundaryPair, bp2: BoundaryPair, x_samples: NDArray[np.floating]
-) -> tuple[float, float]:
-    """sup over nodes and x-samples of |l1 - l2| and |r1 - r2|; NaN gaps are skipped."""
-    nodes, rows = _node_rows(bp1, x_samples)
+def _boundary_discrepancy(bp1: BoundaryPair, bp2: BoundaryPair) -> tuple[float, float]:
+    """sup over nodes and the x window of |l1 - l2| and |r1 - r2|; NaN gaps are skipped."""
+    nodes, rows = _node_rows(bp1)
 
     def sup_gap(f1, f2) -> float:
         gap = np.abs(f1(nodes, rows) - f2(nodes, rows))
@@ -336,7 +335,6 @@ def check_continuity_bound(
     s2: SamplePath,
     bp1: BoundaryPair,
     bp2: BoundaryPair,
-    x_samples: NDArray[np.floating],
 ) -> ContinuityReport:
     """Input-stability of the force under data perturbation.
 
@@ -350,15 +348,15 @@ def check_continuity_bound(
                            + (2/c) max(Lbar, Rbar),
 
     where Lbar/Rbar are the sup-discrepancies of the boundary values
-    (estimated over the node times and the declared x-sample set) and (c, C)
-    are Lipschitz constants valid for both pairs.  Raises ``ValueError``
-    unless the paths, solutions and pairs share one grid.
+    (estimated at the grid's node times, on the fixed x window ``X_WINDOW``)
+    and (c, C) are Lipschitz constants valid for both pairs.  Raises
+    ``ValueError`` unless the paths, solutions and pairs share one grid.
     """
     _require_one_grid(sol1.K.grid, sol2.K.grid, s1.grid, s2.grid, bp1.grid, bp2.grid)
     c = min(bp1.c, bp2.c)
     C = max(bp1.C, bp2.C)
     sup_ds = float(np.max(np.abs(s1.values - s2.values)))
-    l_bar, r_bar = _boundary_discrepancy(bp1, bp2, x_samples)
+    l_bar, r_bar = _boundary_discrepancy(bp1, bp2)
     gap = max(l_bar, r_bar)
     lhs = float(np.max(np.abs(sol1.K.values - sol2.K.values)))
     backward = isinstance(sol1, BackwardReflectionSolution)
@@ -383,21 +381,19 @@ class ComparisonReport:
 
 
 def check_comparison(
-    s: SamplePath,
-    bp_wide: BoundaryPair,
-    bp_narrow: BoundaryPair,
-    x_samples: NDArray[np.floating],
+    s: SamplePath, bp_wide: BoundaryPair, bp_narrow: BoundaryPair
 ) -> ComparisonReport:
     """Narrower bands force more: both monotone parts must dominate nodewise.
 
     Both solves run on the same input and their cumulative parts are
     compared at every node; the premise (wide boundary below/above the
-    narrow one in the required order) is verified on the sample set.  The
-    slack is ``1e-9`` less the larger violation, NaN if either is NaN.
+    narrow one in the required order) is verified at the grid's node times,
+    on the fixed x window ``X_WINDOW``.  The slack is ``1e-9`` less the
+    larger violation, NaN if either is NaN.
     """
     sol_w = solve_sp(s, bp_wide)
     sol_n = solve_sp(s, bp_narrow)
-    nodes, rows = _node_rows(bp_wide, x_samples)
+    nodes, rows = _node_rows(bp_wide)
     premise_ok = not (
         np.any(bp_wide.lower(nodes, rows) > bp_narrow.lower(nodes, rows) + 1e-12)
         or np.any(bp_wide.upper(nodes, rows) < bp_narrow.upper(nodes, rows) - 1e-12)

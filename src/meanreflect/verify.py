@@ -37,8 +37,6 @@ SUITE_NAMES = (
     "all",
 )
 
-_X_SAMPLES = np.linspace(-8.0, 8.0, 17)
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -164,7 +162,7 @@ def _continuity_check(
         sol1, sol2 = solve_bsp(s1, a1, bp1), solve_bsp(s2, a2, bp2)
     else:
         sol1, sol2 = solve_sp(s1, bp1), solve_sp(s2, bp2)
-    rep = check_continuity_bound(sol1, sol2, s1, s2, bp1, bp2, _X_SAMPLES)
+    rep = check_continuity_bound(sol1, sol2, s1, s2, bp1, bp2)
     return rep.slack, rep.passed, f"lhs {rep.lhs:.3e} rhs {rep.rhs:.3e}"
 
 
@@ -176,7 +174,7 @@ def _comparison_check(rng: np.random.Generator) -> tuple[float, bool, str]:
     bp_narrow = BoundaryPair(grid, _make(lo, hi, saturating))
     bp_wide = BoundaryPair(grid, _make(lo - widen_lo, hi + widen_hi, saturating))
     s = _walk(rng, grid, scale=1.0, start=float(rng.normal(0.0, 1.0)))
-    rep = check_comparison(s, bp_wide, bp_narrow, _X_SAMPLES)
+    rep = check_comparison(s, bp_wide, bp_narrow)
     return rep.slack, rep.passed, (
         f"premise_ok {rep.premise_ok}, violations "
         f"{rep.max_violation_up:.3e}/{rep.max_violation_down:.3e}"

@@ -238,7 +238,7 @@ def test_plan_driven_pass_matches_the_per_call_projection_bitwise(
     b = data.draw(st.integers(a + 1, steps), label="b")
     nodes = bm.grid.nodes
     # the segment grid keeps its own node times, as picard_solve cuts it
-    sub = mr.Ensemble(mr.TimeGrid(float(nodes[b]), nodes[a : b + 1]), bm.values[:, a : b + 1])
+    sub = mr.Ensemble(mr.TimeGrid(nodes[a : b + 1]), bm.values[:, a : b + 1])
 
     def drift(k, pred, zk):
         return 0.5 * pred + 0.25 * zk + 1.0
@@ -300,7 +300,7 @@ def test_constant_driver_path_mixes_value_and_mean():
 
 def test_constant_driver_path_respects_shifted_clock():
     # driver f(t) = t on a grid whose clock starts at 5: the nodes are the times
-    g = mr.TimeGrid(6.0, np.array([5.0, 5.5, 6.0]))
+    g = mr.TimeGrid(np.array([5.0, 5.5, 6.0]))
     u = mr.Ensemble(g, np.zeros((2, 3)))
     gen = mr.Generator("lipschitz", lambda t, y, my, z, mz: np.full_like(np.asarray(y), t), lam=0.0)
     vals = mr.constant_driver_path(gen, u, u)

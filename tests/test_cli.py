@@ -87,28 +87,20 @@ def test_load_config_failures(tmp_path):
         cli.load_config(stale)
 
 
-def test_seed_precedence(monkeypatch):
-    monkeypatch.delenv("MEANREFLECT_SEED", raising=False)
+def test_seed_precedence():
     assert cli.resolve_seed(5, {"seed": 3}) == 5
     assert cli.resolve_seed(None, {"seed": 3}) == 3
     assert cli.resolve_seed(None, {}) == 0
-    monkeypatch.setenv("MEANREFLECT_SEED", "11")
-    assert cli.resolve_seed(None, {}) == 11
-    assert cli.resolve_seed(None, {"seed": 3}) == 3
     assert cli.resolve_seed(4, {}) == 4
 
 
-def test_seed_validation(monkeypatch):
-    monkeypatch.delenv("MEANREFLECT_SEED", raising=False)
+def test_seed_validation():
     with pytest.raises(cli.ConfigError):
         cli.resolve_seed(-1, {})
     with pytest.raises(cli.ConfigError):
         cli.resolve_seed(None, {"seed": True})
     with pytest.raises(cli.ConfigError):
         cli.resolve_seed(None, {"seed": 1.5})
-    monkeypatch.setenv("MEANREFLECT_SEED", "eleven")
-    with pytest.raises(cli.ConfigError):
-        cli.resolve_seed(None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +180,30 @@ def test_per_side_affine_losses():
                 "R": {"slope": 1.0, "intercept": -3.0},
             }
         )
+
+
+def test_linear_losses_need_one_slope(tmp_path, capsys):
+    # with slopes 2 and 1, R - L = 3 - x has a slope: no gap holds everywhere
+    unequal = {
+        "kind": "linear",
+        "L": {"slope": 2.0, "intercept": -2.0},
+        "R": {"slope": 1.0, "intercept": 1.0},
+    }
+    with pytest.raises(cli.ConfigError, match=r"losses\.L\.slope and losses\.R\.slope"):
+        cli._parse_losses(unequal)
+    cfg = _write(tmp_path, "slopes.json", _flat_config(losses=unequal))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "losses.R.slope" in err["message"]
+    assert not (out / "result.csv").exists()
+    # one slope below 1: the declared gap is R - L itself, so the pair passes its entry check
+    half = {
+        "kind": "linear",
+        "L": {"slope": 0.5, "intercept": -3.0},
+        "R": {"slope": 0.5, "intercept": -1.0},
+    }
+    assert cli.build_scenario(_flat_config(losses=half), 0).losses.gap == 2.0
 
 
 def test_envelope_nodes():
@@ -563,15 +579,15 @@ def test_non_finite_terminal_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_band_edge_is_a_numerical_failure(tmp_path, capsys):
-    # finite bounds with a finite gap pass the config check, but the boundary
-    # overflows to NaN while the band edge is bracketed: no config mistake
+def test_band_too_wide_for_doubles_is_refused_before_solving(tmp_path, capsys):
+    # finite bounds with a finite gap pass LossPair, but on the grid the
+    # losses' slopes round to 0: the entry check refuses the pair
     huge = {"kind": "saturating-band", "lower": -1e308, "upper": 1e307}
     cfg = _write(tmp_path, "huge.json", _flat_config(particles=500, steps=8, losses=huge))
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "NumericalFailureError" and "band edge" in err["message"]
+    assert err["error"] == "config" and "monotonicity" in err["message"]
     assert not (out / "result.csv").exists()
     # a band as wide as the doubles declares an infinite gap, which LossPair refuses
     huge["upper"] = 1e308
@@ -665,16 +681,6 @@ def test_run_seed_flag_overrides_config(tmp_path):
     assert cli.main(["run", cfg, "--out", str(out), "--seed", "41"]) == 0
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["seed"] == 41
-
-
-def test_run_env_seed_used_when_config_has_none(tmp_path, monkeypatch):
-    cfg_dict = _flat_config()
-    del cfg_dict["seed"]
-    cfg = _write(tmp_path, "flat.json", cfg_dict)
-    monkeypatch.setenv("MEANREFLECT_SEED", "13")
-    out = tmp_path / "out"
-    assert cli.main(["run", cfg, "--out", str(out)]) == 0
-    assert json.loads((out / "diagnostics.json").read_text())["seed"] == 13
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import meanreflect as mr
 from meanreflect.constraints import (
     ROOT_TOL_DEFAULT,
+    X_WINDOW,
     BoundaryPair,
     check_envelope_order,
     invert_boundary,
@@ -23,8 +24,7 @@ from meanreflect.constraints import (
 )
 from meanreflect.errors import NumericalFailureError
 
-_TS = np.linspace(0.0, 1.0, 5)
-_XS = np.linspace(-6.0, 8.0, 29)
+_GRID = mr.build_grid(1.0, 4)
 
 
 def _two_particle_ensemble(a: float, b: float, steps: int = 4) -> mr.Ensemble:
@@ -40,15 +40,15 @@ def _two_particle_ensemble(a: float, b: float, steps: int = 4) -> mr.Ensemble:
 
 def test_validate_affine_band():
     lp = mr.linear_band(-1.0, 4.0)  # L = x - 4, R = x + 1
-    rep = validate_loss(lp, _TS, _XS)
-    assert rep.passed
+    rep = validate_loss(lp, _GRID)
+    assert rep.passed and rep.failures == ()
     assert rep.monotone_violations == 0
     assert_allclose([rep.slope_min, rep.slope_max], [1.0, 1.0], rtol=0, atol=1e-9)
     assert_allclose(rep.min_gap, 5.0, rtol=0, atol=1e-12)
 
 
 def test_validate_bent_band():
-    rep = validate_loss(mr.saturating_band(-1.0, 4.0), _TS, _XS)
+    rep = validate_loss(mr.saturating_band(-1.0, 4.0), _GRID)
     assert rep.passed
     assert 0.5 - 1e-9 <= rep.slope_min and rep.slope_max <= 1.5 + 1e-9
     assert rep.min_gap >= 5.0 - 1e-9
@@ -62,7 +62,7 @@ def test_validate_flags_decreasing_loss():
         C=1.0,
         gap=1.0,
     )
-    rep = validate_loss(bad, _TS, _XS)
+    rep = validate_loss(bad, _GRID)
     assert rep.monotone_violations > 0
     assert not rep.passed
 
@@ -75,7 +75,7 @@ def test_validate_flags_overstated_gap():
         C=1.0,
         gap=7.0,  # claims more separation than the functions deliver
     )
-    assert not validate_loss(lp, _TS, _XS).passed
+    assert validate_loss(lp, _GRID).failures == ("gap",)
 
 
 def _drifting_band(time_invariant: bool) -> mr.LossPair:
@@ -93,18 +93,19 @@ def _drifting_band(time_invariant: bool) -> mr.LossPair:
 def test_validate_flags_a_false_time_invariance_claim():
     # boundary code evaluates a time-invariant bare pair once for all nodes,
     # so a pair that moves with t must not pass while claiming invariance
-    assert validate_loss(_drifting_band(False), _TS, _XS).passed
-    assert not validate_loss(_drifting_band(True), _TS, _XS).passed
-    assert validate_loss(_drifting_band(True), _TS[:1], _XS).passed
+    assert validate_loss(_drifting_band(False), _GRID).passed
+    rep = validate_loss(_drifting_band(True), _GRID)
+    assert rep.failures == ("time_invariant claim",) and not rep.passed
 
 
 def test_validate_flags_a_false_affine_claim():
     # boundary code drops the offsets of an affine pair, so a bent pair must
     # not pass while claiming to be affine
     bent = mr.saturating_band(-1.0, 2.0)
-    assert validate_loss(bent, _TS, _XS).passed
-    assert not validate_loss(dataclasses.replace(bent, affine=True), _TS, _XS).passed
-    assert validate_loss(mr.linear_band(-1.0, 2.0), _TS, _XS).passed
+    assert validate_loss(bent, _GRID).passed
+    rep = validate_loss(dataclasses.replace(bent, affine=True), _GRID)
+    assert rep.failures == ("affine claim",) and not rep.passed
+    assert validate_loss(mr.linear_band(-1.0, 2.0), _GRID).passed
 
 
 def _nan_band(everywhere: bool) -> mr.LossPair:
@@ -120,11 +121,11 @@ def _nan_band(everywhere: bool) -> mr.LossPair:
 def test_validate_and_envelope_order_fail_on_nan_losses(everywhere):
     # NaN fails every comparison, so each check must ask "in range?", not "out of range?"
     lp = _nan_band(everywhere)
-    assert 0.0 in _XS
-    assert not validate_loss(lp, _TS, _XS).passed
+    assert 0.0 in X_WINDOW
+    assert not validate_loss(lp, _GRID).passed
     env = mr.LinearEnvelope.constants(1.0, 3.0, 1.0)
-    assert check_envelope_order(mr.linear_band(-1.0, 4.0), env, _TS, _XS)
-    assert not check_envelope_order(lp, env, _TS, _XS)
+    assert check_envelope_order(mr.linear_band(-1.0, 4.0), env, _GRID)
+    assert not check_envelope_order(lp, env, _GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +472,15 @@ def test_slope_beyond_the_widening_walk_is_a_numerical_failure():
             invert_boundary(bp, 0, which, hint=1e8)
 
 
+def test_non_finite_boundary_is_a_numerical_failure():
+    # a band as wide as the doubles passes LossPair, but its boundary
+    # overflows while the band edge is bracketed
+    bp = BoundaryPair(mr.build_grid(1.0, 8), mr.saturating_band(-1e308, 1e307))
+    for which in ("lower_edge", "upper_edge"):
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="not finite"):
+            invert_boundary(bp, 8, which)
+
+
 def test_mean_boundary_leaves_an_f_ordered_ensemble_intact():
     # the offsets are recentred in place, which must not write through to
     # the ensemble, whatever its memory order
@@ -522,17 +532,18 @@ def test_envelope_tv_of_moving_edges():
 def test_envelope_order_holds_globally_for_bent_band():
     # L = x - sat(x) - 4 <= x - 3 iff -sat(x) <= 1: true everywhere since
     # sat >= 0; the mirrored check for R is sat >= -2.  So the ordering
-    # against the (1, 3, 1) envelope holds on any sample window.
+    # against the (1, 3, 1) envelope holds on any x window.
     env = mr.LinearEnvelope.constants(1.0, 3.0, 1.0)
     lp = mr.saturating_band(-1.0, 4.0)
     xs = np.linspace(-80.0, 80.0, 161)
-    assert check_envelope_order(lp, env, _TS, xs)
+    assert np.all(lp.L(0.0, xs) <= xs - 3.0) and np.all(lp.R(0.0, xs) >= xs - 1.0)
+    assert check_envelope_order(lp, env, _GRID)
 
 
 def test_envelope_order_rejects_narrower_band():
     # L = x - 2 lies above x - 3, so the order check must fail
     env = mr.LinearEnvelope.constants(1.0, 3.0, 1.0)
-    assert not check_envelope_order(mr.linear_band(0.0, 2.0), env, _TS, _XS)
+    assert not check_envelope_order(mr.linear_band(0.0, 2.0), env, _GRID)
 
 
 # ---------------------------------------------------------------------------

@@ -42,20 +42,22 @@ def test_build_grid_rejects_bad_arguments(horizon, steps):
 
 
 @pytest.mark.parametrize(
-    "horizon,nodes",
-    [(1.0, [0.0, math.nan, 1.0]), (math.inf, [0.0, 1.0, math.inf]), (1.0, [-math.inf, 0.5, 1.0])],
+    "nodes",
+    [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.5, 1.0]],
     ids=["nan-inside", "inf-end", "minus-inf-start"],
 )
-def test_grid_rejects_non_finite_nodes(horizon, nodes):
+def test_grid_rejects_non_finite_nodes(nodes):
     # a NaN node used to pass every check, and simulate_brownian on it drew NaN paths
     with pytest.raises(ValueError, match="finite"):
-        mr.TimeGrid(horizon, np.array(nodes))
+        mr.TimeGrid(np.array(nodes))
 
 
 def test_grid_may_start_anywhere():
-    g = mr.TimeGrid(1.0, np.array([0.5, 0.625, 0.75, 1.0]))
-    assert g.n_steps == 3
+    g = mr.TimeGrid(np.array([0.5, 0.625, 0.75, 1.0]))
+    assert g.n_steps == 3 and g.horizon == 1.0
     assert_array_equal(g.step_sizes, [0.125, 0.125, 0.25])
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        mr.TimeGrid(np.array([-1.0, -0.5, 0.0]))
 
 
 def _scenario_with(**kw):

@@ -76,7 +76,7 @@ def test_violation_meter_honours_shifted_clock():
     v_l, _ = mr.constraint_violation(y, lp)
     assert v_l == 1.0  # worst node is t = 0
     # the same values on a grid whose clock runs over [1, 2]
-    shifted = mr.Ensemble(mr.TimeGrid(2.0, y.grid.nodes + 1.0), y.values)
+    shifted = mr.Ensemble(mr.TimeGrid(y.grid.nodes + 1.0), y.values)
     v_l_shifted, _ = mr.constraint_violation(shifted, lp)
     assert v_l_shifted == 0.0
 

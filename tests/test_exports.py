@@ -107,3 +107,17 @@ def test_the_numerical_floors_are_constants():
 def test_tolerances_are_the_picard_stopping_rule_alone():
     fields = [f.name for f in dataclasses.fields(mr.Tolerances)]
     assert fields == ["picard_tol", "max_iterations", "contraction_margin"]
+
+
+def test_the_spot_checks_take_no_sample_arrays():
+    # they read the grid's node times and one fixed x window
+    found = sorted(
+        (qualname, p)
+        for qualname, sig in _public_signatures()
+        for p in {"t_samples", "x_samples"} & set(sig.parameters)
+    )
+    assert found == []
+
+
+def test_a_grid_is_its_nodes():
+    assert [f.name for f in dataclasses.fields(mr.TimeGrid)] == ["nodes"]

@@ -3,6 +3,7 @@ fixed-point driver."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -399,7 +400,8 @@ def test_quadratic_mode_requires_an_envelope():
 
 
 def test_quadratic_mode_rejects_nan_losses_before_solving():
-    # a NaN loss used to pass the envelope check and fail later as an infeasible terminal
+    # a NaN loss used to pass the envelope check and fail later as an
+    # infeasible terminal; the scenario now refuses it where it enters
     nan = mr.LossPair(
         L=lambda t, x: np.full_like(x, np.nan),
         R=lambda t, x: np.full_like(x, np.nan),
@@ -407,10 +409,45 @@ def test_quadratic_mode_rejects_nan_losses_before_solving():
         C=1.0,
         gap=5.0,
     )
-    sc = _scenario(mr.quadratic_z_generator(1.0), particles=512, steps=4, losses=nan,
-                   envelope=mr.LinearEnvelope.constants(1.0, 3.0, 1.0))
-    with pytest.raises(ValueError, match="envelope does not enclose the losses"):
-        mr.picard_solve(sc)
+    with pytest.raises(ValueError, match="finiteness"):
+        _scenario(mr.quadratic_z_generator(1.0), particles=512, steps=4, losses=nan,
+                  envelope=mr.LinearEnvelope.constants(1.0, 3.0, 1.0))
+
+
+def _drifting_band() -> mr.LossPair:
+    # linear_band(-1, 2) moving up with t, falsely declared time-invariant
+    return mr.LossPair(
+        L=lambda t, x: np.asarray(x, dtype=float) - 2.0 - t,
+        R=lambda t, x: np.asarray(x, dtype=float) + 1.0 - t,
+        c=1.0,
+        C=1.0,
+        gap=3.0,
+        time_invariant=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "losses,claim",
+    [
+        (dataclasses.replace(mr.saturating_band(-1.0, 2.0), affine=True), "affine claim"),
+        (_drifting_band(), "time_invariant claim"),
+    ],
+    ids=["affine", "time-invariant"],
+)
+def test_a_scenario_refuses_a_false_loss_claim(losses, claim):
+    # boundary code drops an affine pair's offsets and evaluates a
+    # time-invariant bare pair once: the bent band declared affine used to
+    # move this constant-driver mean path by 3.4e-3, with its audit passing
+    with pytest.raises(ValueError, match=claim):
+        mr.Scenario(
+            horizon=1.0,
+            steps=20,
+            particles=3000,
+            rng=mr.RngSpec(3),
+            terminal=lambda b: 1.5 * np.sin(b) + 0.5,
+            generator=mr.constant_generator(4.0),
+            losses=losses,
+        )
 
 
 @pytest.mark.parametrize("mean", [2.0, 9.0], ids=["feasible", "infeasible"])
@@ -682,7 +719,7 @@ def test_non_finite_step_names_the_clock_time():
     sc = _scenario(gen, steps=4, particles=500)
     bm = sc.simulate()
     xi = sc.terminal_values(bm)
-    bm = mr.Ensemble(mr.TimeGrid(6.0, bm.grid.nodes + 5.0), bm.values)
+    bm = mr.Ensemble(mr.TimeGrid(bm.grid.nodes + 5.0), bm.values)
     with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
         mr.solve_bsde(xi, gen, bm)
     drift = bsde._frozen_drift(gen, bm.values, bm.values, bm.grid)

@@ -75,7 +75,7 @@ def test_obstacles_refuse_a_grid_that_starts_after_zero():
     # the rates are integrated from t = 0; on a grid starting at 0.5 they
     # used to be integrated from 0.5, giving l_1 = -1 where l_1 = -2
     obstacles = mr.LinearObstacles.constants(-2.0, 2.0)
-    late = mr.TimeGrid(1.0, np.array([0.5, 0.75, 1.0]))
+    late = mr.TimeGrid(np.array([0.5, 0.75, 1.0]))
     with pytest.raises(ValueError, match="starts at 0.5"):
         obstacles.sample(late)
 

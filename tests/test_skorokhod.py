@@ -13,10 +13,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 import meanreflect as mr
 from meanreflect.errors import DegenerateConstraintsError, InfeasibleTerminalError
 from meanreflect import skorokhod
+from meanreflect.constraints import X_WINDOW
 from meanreflect.skorokhod import _boundary_discrepancy, flatness_residuals_raw
 from oracles import double_barrier_batch
-
-_XS = np.linspace(-6.0, 6.0, 25)
 
 
 def _band(lo: float, hi: float, grid: mr.TimeGrid) -> mr.BoundaryPair:
@@ -231,7 +230,7 @@ def test_backward_is_reversed_forward():
 
 def test_backward_is_reversed_forward_on_a_grid_that_starts_late():
     # a segment's grid keeps its own clock; it mirrors onto [0.5, 1.0]
-    g = mr.TimeGrid(1.0, np.linspace(0.5, 1.0, 33))
+    g = mr.TimeGrid(np.linspace(0.5, 1.0, 33))
     gaps = _round_trip_gaps(_walk(g, np.random.default_rng(5)), 0.3, _band(-1.2, 0.9, g))
     assert max(gaps) <= 1e-15
 
@@ -250,7 +249,7 @@ def test_backward_is_reversed_forward_on_an_averaged_pair():
 
 def test_backward_map_runs_on_a_grid_that_is_not_its_own_mirror():
     # the map only reverses arrays, so uneven steps need no symmetric grid
-    g = mr.TimeGrid(1.0, np.array([0.0, 0.05, 0.3, 0.31, 0.7, 1.0]))
+    g = mr.TimeGrid(np.array([0.0, 0.05, 0.3, 0.31, 0.7, 1.0]))
     bp = mr.BoundaryPair(g, mr.saturating_band(-1.0, 2.0))
     s = mr.SamplePath(g, np.array([0.0, 1.5, -2.0, 0.4, 3.0, 0.5]))
     sol = mr.solve_bsp(s, 0.5, bp)
@@ -394,7 +393,7 @@ def test_continuity_identical_inputs_is_tight():
     s = _ramp(g, 2.0)
     bp = _band(-1.0, 1.0, g)
     sol = mr.solve_sp(s, bp)
-    rep = mr.check_continuity_bound(sol, sol, s, s, bp, bp, _XS)
+    rep = mr.check_continuity_bound(sol, sol, s, s, bp, bp)
     assert rep.passed
     assert rep.lhs == 0.0 and rep.sup_ds == 0.0 and rep.boundary_gap == 0.0
 
@@ -405,7 +404,7 @@ def test_continuity_shifted_path():
     s2 = mr.SamplePath(g, s1.values + 0.25)
     bp = _band(-1.0, 1.0, g)
     sol1, sol2 = mr.solve_sp(s1, bp), mr.solve_sp(s2, bp)
-    rep = mr.check_continuity_bound(sol1, sol2, s1, s2, bp, bp, _XS)
+    rep = mr.check_continuity_bound(sol1, sol2, s1, s2, bp, bp)
     assert rep.passed
     # with C = c = 1 and identical boundaries the estimate collapses to
     # sup|K1 - K2| <= sup|s1 - s2|
@@ -419,27 +418,35 @@ def test_continuity_shifted_boundaries():
     bp1 = _band(-1.0, 1.0, g)
     bp2 = _band(-1.0 - eps, 1.0 + eps, g)
     sol1, sol2 = mr.solve_sp(s, bp1), mr.solve_sp(s, bp2)
-    rep = mr.check_continuity_bound(sol1, sol2, s, s, bp1, bp2, _XS)
+    rep = mr.check_continuity_bound(sol1, sol2, s, s, bp1, bp2)
     assert rep.passed
     assert rep.lhs <= eps + 1e-12  # forward constant is 1/c = 1
     assert rep.boundary_gap >= eps - 1e-12
 
 
 def test_boundary_discrepancy_matches_the_pointwise_loop():
-    # reference: a running Python max over nodes and samples, in which a NaN
-    # gap never wins a comparison and so is skipped
+    # reference: a running Python max over nodes and the x window, in which a
+    # NaN gap never wins a comparison and so is skipped
     rng = np.random.default_rng(3)
     g = mr.build_grid(1.0, 5)
     off1, off2 = rng.normal(0.0, 1.0, (2, g.n_nodes, 33))
-    bp1 = mr.BoundaryPair(g, mr.saturating_band(-1.0, 2.0), off1)
+    # bp1's losses are NaN at 0.5 and its first offset is 0: its boundaries
+    # are NaN at the window point x = 0.5 alone
+    off1[:, 0] = 0.0
+    lp = mr.saturating_band(-1.0, 2.0)
+
+    def nan_at_half(f):
+        return lambda t, x: np.where(np.asarray(x) == 0.5, np.nan, f(t, x))
+
+    bp1 = mr.BoundaryPair(g, dataclasses.replace(lp, L=nan_at_half(lp.L), R=nan_at_half(lp.R)), off1)
     bp2 = mr.BoundaryPair(g, mr.saturating_band(-1.2, 2.1), off2)
-    xs = np.array([-3.0, np.nan, 0.5, 4.0])
+    assert [x for x in X_WINDOW if np.isnan(bp1.lower(0, x))] == [0.5]
     ref = [0.0, 0.0]
     for k in range(g.n_nodes):
-        for x in xs:
+        for x in X_WINDOW:
             ref[0] = max(ref[0], abs(bp1.lower(k, x) - bp2.lower(k, x)))
             ref[1] = max(ref[1], abs(bp1.upper(k, x) - bp2.upper(k, x)))
-    assert _boundary_discrepancy(bp1, bp2, xs) == tuple(ref)
+    assert _boundary_discrepancy(bp1, bp2) == tuple(ref)
     assert min(ref) > 0.0
 
 
@@ -460,9 +467,9 @@ def test_continuity_needs_one_grid():
             (sol, sol_o, s, s, bp, bp),
         ):
             with pytest.raises(ValueError, match="share the grid"):
-                mr.check_continuity_bound(*args, _XS)
+                mr.check_continuity_bound(*args)
     # an equal grid need not be the same object
-    mr.check_continuity_bound(sol, sol, s, s, bp, _band(-1.0, 1.0, mr.build_grid(1.0, 16)), _XS)
+    mr.check_continuity_bound(sol, sol, s, s, bp, _band(-1.0, 1.0, mr.build_grid(1.0, 16)))
 
 
 def _counted(lp: mr.LossPair) -> tuple[mr.LossPair, dict[str, int]]:
@@ -481,7 +488,7 @@ def _counted(lp: mr.LossPair) -> tuple[mr.LossPair, dict[str, int]]:
 @pytest.mark.parametrize("make", [mr.linear_band, mr.saturating_band])
 def test_bare_invariant_pairs_take_one_loss_call_per_estimate(monkeypatch, make):
     # every node of a bare time-invariant pair gives the same bits, so each
-    # estimate evaluates each loss once over all nodes and x-samples
+    # estimate evaluates each loss once over all nodes and the x window
     g = mr.build_grid(1.0, 16)
     s = _ramp(g, 2.0)
     (lp1, calls1), (lp2, calls2) = _counted(make(-1.0, 1.0)), _counted(make(-2.0, 2.0))
@@ -489,13 +496,13 @@ def test_bare_invariant_pairs_take_one_loss_call_per_estimate(monkeypatch, make)
     sols = {id(bp): mr.solve_sp(s, bp) for bp in (bp1, bp2)}
     for calls in (calls1, calls2):
         calls.update(L=0, R=0)
-    mr.check_continuity_bound(sols[id(bp1)], sols[id(bp2)], s, s, bp1, bp2, _XS)
+    mr.check_continuity_bound(sols[id(bp1)], sols[id(bp2)], s, s, bp1, bp2)
     assert calls1 == calls2 == {"L": 1, "R": 1}
     # the comparison premise alone: its two solves are served ready-made
     monkeypatch.setattr(skorokhod, "solve_sp", lambda s, bp, **kw: sols[id(bp)])
     for calls in (calls1, calls2):
         calls.update(L=0, R=0)
-    rep = mr.check_comparison(s, bp2, bp1, _XS)
+    rep = mr.check_comparison(s, bp2, bp1)
     assert rep.premise_ok
     assert calls1 == calls2 == {"L": 1, "R": 1}
 
@@ -507,10 +514,10 @@ def test_backward_continuity_uses_doubled_constants():
     bp = _band(-1.0, 1.0, g)
     b1 = mr.solve_bsp(s1, 0.0, bp)
     b2 = mr.solve_bsp(s2, 0.5, bp)
-    rep = mr.check_continuity_bound(b1, b2, s1, s2, bp, bp, _XS)
+    rep = mr.check_continuity_bound(b1, b2, s1, s2, bp, bp)
     assert rep.passed
     with pytest.raises(ValueError):
-        mr.check_continuity_bound(b1, mr.solve_sp(s2, bp), s1, s2, bp, bp, _XS)
+        mr.check_continuity_bound(b1, mr.solve_sp(s2, bp), s1, s2, bp, bp)
 
 
 def test_comparison_narrower_band_pushes_harder():
@@ -518,7 +525,7 @@ def test_comparison_narrower_band_pushes_harder():
     s = _ramp(g, 2.0)
     wide = _band(-2.0, 2.0, g)
     narrow = _band(-1.0, 1.0, g)
-    rep = mr.check_comparison(s, wide, narrow, _XS)
+    rep = mr.check_comparison(s, wide, narrow)
     assert rep.premise_ok and rep.passed
     assert rep.slack == 1e-9 - max(rep.max_violation_up, rep.max_violation_down)
     sol_w, sol_n = mr.solve_sp(s, wide), mr.solve_sp(s, narrow)
@@ -528,7 +535,7 @@ def test_comparison_narrower_band_pushes_harder():
 def test_comparison_flat_path_all_zero():
     g = mr.build_grid(1.0, 8)
     s = _ramp(g, 0.0)
-    rep = mr.check_comparison(s, _band(-2.0, 2.0, g), _band(-1.0, 1.0, g), _XS)
+    rep = mr.check_comparison(s, _band(-2.0, 2.0, g), _band(-1.0, 1.0, g))
     assert rep.premise_ok and rep.passed
     assert rep.max_violation_up == 0.0 and rep.max_violation_down == 0.0
 
@@ -550,14 +557,14 @@ def test_comparison_fails_on_a_nan_violation(monkeypatch, part):
         return dataclasses.replace(sol, **{part: mr.SamplePath(g, vals)})
 
     monkeypatch.setattr(skorokhod, "solve_sp", poisoned)
-    rep = mr.check_comparison(s, wide, narrow, _XS)
+    rep = mr.check_comparison(s, wide, narrow)
     assert rep.premise_ok and math.isnan(rep.slack) and not rep.passed
 
 
 def test_comparison_flags_misordered_premise():
     g = mr.build_grid(1.0, 8)
     s = _ramp(g, 1.0)
-    rep = mr.check_comparison(s, _band(-1.0, 1.0, g), _band(-2.0, 2.0, g), _XS)
+    rep = mr.check_comparison(s, _band(-1.0, 1.0, g), _band(-2.0, 2.0, g))
     assert not rep.premise_ok
 
 
