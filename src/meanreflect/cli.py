@@ -448,7 +448,7 @@ def _run_result(
         "trace": _trace_block(sol),
         "scenario": cfg,
     }
-    if sc.envelope is not None and sol.trace is not None and sol.trace.envelope_terms:
+    if sc.envelope is not None and sol.trace is not None:
         diag["force_variation_guard"] = asdict(
             kt_variation_guard(sol.trace, sc.envelope)
         )

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .core import Ensemble, TimeGrid, pairwise_mean
+from .core import Ensemble, TimeGrid, pairwise_mean, stat_tol
 from .errors import NumericalFailureError
 
 __all__ = [
@@ -171,6 +171,17 @@ def validate_loss(lp: LossPair, grid: TimeGrid) -> LossValidation:
     }
     failures = tuple(name for name, ok in checks.items() if not ok)
     return LossValidation(violations, slope_min, slope_max, min_gap, failures)
+
+
+def _loss_stats(lp: LossPair, t: float, x: NDArray[np.floating]) -> tuple[float, float, float]:
+    """``(E[L(t, x)], E[R(t, x)], tol)`` over one cross-section ``x``, each loss evaluated once.
+
+    ``tol`` is the Monte Carlo tolerance of the mean constraint: :func:`stat_tol`
+    of the loss values with the larger spread.
+    """
+    lv = np.asarray(lp.L(float(t), x), dtype=float)
+    rv = np.asarray(lp.R(float(t), x), dtype=float)
+    return float(pairwise_mean(lv)), float(pairwise_mean(rv)), max(stat_tol(lv), stat_tol(rv))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +465,8 @@ class LinearObstacles:
     upper_start: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.lower_start <= 0.0 <= self.upper_start:
-            raise ValueError("obstacle offsets must straddle 0")
+        if not -math.inf < self.lower_start <= 0.0 <= self.upper_start < math.inf:
+            raise ValueError("obstacle offsets must be finite and straddle 0")
 
     @classmethod
     def constants(
@@ -475,8 +486,8 @@ class LinearObstacles:
     def sample(self, grid: TimeGrid) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
         """Obstacle paths (lower, upper) on the grid nodes, by trapezoid rule.
 
-        The rates are integrated from ``t = 0``, so the grid must start there
-        (``ValueError`` otherwise).
+        The rates are integrated from ``t = 0``, so the grid must start there,
+        and both paths must be finite (``ValueError`` otherwise).
         """
         if grid.nodes[0] != 0.0:
             raise ValueError(f"obstacles integrate from t = 0; grid starts at {grid.nodes[0]:g}")
@@ -489,6 +500,8 @@ class LinearObstacles:
         hi = self.upper_start + np.concatenate(
             [[0.0], np.cumsum(0.5 * (hi_rate[1:] + hi_rate[:-1]) * dt)]
         )
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("obstacle paths must be finite on the grid")
         if np.any(lo > hi + 1e-12):
             raise ValueError("lower obstacle exceeds upper obstacle on the grid")
         return lo, hi

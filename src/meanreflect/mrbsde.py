@@ -41,6 +41,7 @@ from .constraints import (
     LinearEnvelope,
     LinearObstacles,
     LossPair,
+    _loss_stats,
     check_envelope_order,
     make_mean_boundary,
     validate_loss,
@@ -55,7 +56,6 @@ from .core import (
     ensemble_means,
     pairwise_mean,
     simulate_brownian,
-    stat_tol,
 )
 from .errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from .skorokhod import BackwardReflectionSolution, solve_bsp, total_variation
@@ -69,7 +69,6 @@ __all__ = [
     "solve_constant_driver",
     "picard_solve",
     "kt_variation_guard",
-    "terminal_feasibility",
     "require_feasible_terminal",
 ]
 
@@ -162,24 +161,6 @@ class Scenario:
         return xi
 
 
-def terminal_feasibility(
-    losses: LossPair,
-    t_final: float,
-    xi: NDArray[np.floating],
-) -> tuple[float, float, float]:
-    """(E[L(T, xi)], E[R(T, xi)], tolerance) for the anchor precondition.
-
-    The tolerance is statistical — :func:`stat_tol` of the loss values with
-    the larger spread — plus ``ROOT_TOL_DEFAULT``, so it degrades gracefully
-    to a deterministic check for spread-free terminals.
-    """
-    xi = np.asarray(xi, dtype=float)
-    lv = np.asarray(losses.L(float(t_final), xi), dtype=float)
-    rv = np.asarray(losses.R(float(t_final), xi), dtype=float)
-    stat = max(stat_tol(lv), stat_tol(rv))
-    return float(pairwise_mean(lv)), float(pairwise_mean(rv)), stat + ROOT_TOL_DEFAULT
-
-
 def require_feasible_terminal(
     losses: LossPair,
     t_final: float,
@@ -187,15 +168,25 @@ def require_feasible_terminal(
 ) -> float:
     """Raise :class:`InfeasibleTerminalError` unless the anchor is admissible.
 
-    Returns the tolerance that was applied (callers forward it to the
-    backward reflection so both checks agree).
+    The tolerance, the Monte Carlo one of the two loss cross-sections plus
+    ``ROOT_TOL_DEFAULT``, is returned: callers forward it to the backward
+    reflection so both checks agree.  A pair declared ``affine`` must give
+    ``E[L] = L(T, E[xi])`` and likewise for ``R``, up to rounding
+    (``ValueError`` otherwise): boundary code drops its offsets.
     """
-    e_l, e_r, tol = terminal_feasibility(losses, t_final, xi)
+    t, xi = float(t_final), np.asarray(xi, dtype=float)
+    e_l, e_r, stat = _loss_stats(losses, t, xi)
+    tol = stat + ROOT_TOL_DEFAULT
     if not (e_l <= tol and e_r >= -tol):
         raise InfeasibleTerminalError(
-            f"terminal values at t = {t_final:.6g} are infeasible: "
+            f"terminal values at t = {t:.6g} are infeasible: "
             f"E[L(t, xi)] = {e_l:.6g}, E[R(t, xi)] = {e_r:.6g}, tolerance {tol:.3g}"
         )
+    if losses.affine:
+        xbar = np.asarray(pairwise_mean(xi))
+        gap = max(abs(e_l - float(losses.L(t, xbar))), abs(e_r - float(losses.R(t, xbar))))
+        if not gap <= 1e-9 * (1.0 + abs(e_l) + abs(e_r) + losses.C * float(np.ptp(xi))):
+            raise ValueError(f"declared affine pair is not affine at t = {t:.6g}: gap {gap:.3g}")
     return tol
 
 
@@ -213,8 +204,8 @@ class PicardTrace:
     holds consecutive combined-distance quotients within segments only.
     ``k_variations``/``s_variations`` hold, per iteration, the force's total
     variation and the variation of the reflected input path — the raw
-    material of the force-variation guard; ``envelope_terms`` additionally
-    holds the envelope band-edge variation when the scenario declared one.
+    material of the force-variation guard; ``segment_nodes`` holds each
+    started segment's node times, the clock of its envelope bound.
     These fields describe the returned (or failed) attempt; ``attempts``
     holds ``(segments, iterations, split_ratio)`` for every attempt in
     order, ``split_ratio`` being the quotient that exceeded the contraction
@@ -230,7 +221,7 @@ class PicardTrace:
     segment_iterations: tuple[int, ...] = ()
     k_variations: tuple[float, ...] = ()
     s_variations: tuple[float, ...] = ()
-    envelope_terms: tuple[float, ...] | None = None
+    segment_nodes: tuple[tuple[float, ...], ...] = ()
     attempts: tuple[tuple[int, int, float], ...] = ()
 
     @property
@@ -408,19 +399,15 @@ def _picard_segment(
 def _trace(
     records: list[tuple[NDArray[np.floating], list[tuple]]],
     converged: bool,
-    envelope: LinearEnvelope | None,
     attempts: list[tuple[int, int, float]],
 ) -> PicardTrace:
     """Every trace field from one attempt's records, one entry per started segment.
 
-    Each entry pairs the segment's node times (its envelope clock) with the
-    records :func:`_picard_segment` appended.
+    Each entry pairs the segment's node times with the records
+    :func:`_picard_segment` appended.
     """
     flat = [r for _, rows in records for r in rows]
     d_y, d_k, k_var, s_var, ratios = map(tuple, zip(*flat))
-    env = None if envelope is None else tuple(
-        term for nodes, rows in records for term in [envelope.tv_bound_terms(nodes)] * len(rows)
-    )
     return PicardTrace(
         y_distances=d_y,
         k_distances=d_k,
@@ -431,7 +418,7 @@ def _trace(
         segment_iterations=tuple(len(rows) for _, rows in records),
         k_variations=k_var,
         s_variations=s_var,
-        envelope_terms=env,
+        segment_nodes=tuple(tuple(nodes.tolist()) for nodes, _ in records),
         attempts=tuple(attempts),
     )
 
@@ -551,7 +538,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         split = not converged and ratio is not None and ratio > sc.tol.contraction_margin
         iterations = sum(len(rows) for _, rows in records)
         attempts.append((n_segments, iterations, ratio if split else math.nan))
-        trace = _trace(records, converged, sc.envelope, attempts)
+        trace = _trace(records, converged, attempts)
         if converged:
             return _stitch(solved[::-1], grid, trace)
         nxt = min(2 * n_segments, max_segments)
@@ -585,22 +572,21 @@ def kt_variation_guard(trace: PicardTrace, envelope: LinearEnvelope) -> KtVariat
 
     The bound per iterate is ``Var(p/b) + Var(q/b) + 2 Var(s)`` — the
     envelope band-edge variation plus twice the variation of that iterate's
-    reflected input path.  Both ingredients are recorded at solve time
-    (where the segment clocks are known), so the trace must come from a
-    scenario that declared the envelope.  An iterate passes when its slack
+    reflected input path.  The envelope term is taken over each segment's
+    node times, recorded in the trace, so any Picard trace can be checked
+    against any envelope.  An iterate passes when its slack
     ``bound + 1e-6 - variation`` is nonnegative.  Report-only: never raises
     on a violated bound.
     """
     if envelope is None:
         raise ValueError("an envelope is required")
-    if trace.envelope_terms is None:
-        raise ValueError(
-            "trace carries no envelope terms; solve with the envelope declared "
-            "on the scenario"
-        )
+    terms = [
+        term
+        for nodes, n in zip(trace.segment_nodes, trace.segment_iterations, strict=True)
+        for term in [envelope.tv_bound_terms(np.array(nodes))] * n
+    ]
     bounds = tuple(
-        term + 2.0 * s_var
-        for term, s_var in zip(trace.envelope_terms, trace.s_variations)
+        term + 2.0 * s_var for term, s_var in zip(terms, trace.s_variations, strict=True)
     )
     slacks = tuple(b + 1e-6 - v for b, v in zip(bounds, trace.k_variations))
     return KtVariationReport(

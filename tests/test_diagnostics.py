@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
+from meanreflect import cli
 from meanreflect.core import STAT_TOL_MULT
 from meanreflect.mrbsde import PicardTrace
 
@@ -47,19 +48,25 @@ def test_mean_loss_paths_on_a_known_band():
     assert_array_equal(e_r, [1.5, 1.5])
 
 
+def _violations(y, lp):
+    """Worst-node overshoot of each mean constraint, from the loss-mean paths."""
+    e_l, e_r = mr.mean_loss_paths(y, lp)
+    return float(np.max(np.maximum(e_l, 0.0))), float(np.max(np.maximum(-e_r, 0.0)))
+
+
 def test_violation_meter_zero_inside_the_band():
     y = _ensemble([[0.0, 1.0], [1.0, 0.0]])
-    v_l, v_r = mr.constraint_violation(y, mr.linear_band(-1.0, 2.0))
+    v_l, v_r = _violations(y, mr.linear_band(-1.0, 2.0))
     assert v_l == 0.0 and v_r == 0.0
 
 
 def test_violation_meter_detects_each_side():
     lp = mr.linear_band(-1.0, 2.0)
     high = _ensemble(np.full((4, 3), 5.0))
-    v_l, v_r = mr.constraint_violation(high, lp)
+    v_l, v_r = _violations(high, lp)
     assert v_l == 3.0 and v_r == 0.0  # E[L] = 5 - 2
     low = _ensemble(np.full((4, 3), -7.0))
-    v_l, v_r = mr.constraint_violation(low, lp)
+    v_l, v_r = _violations(low, lp)
     assert v_l == 0.0 and v_r == 6.0  # E[R] = -7 + 1
 
 
@@ -73,11 +80,11 @@ def test_violation_meter_honours_shifted_clock():
         gap=1.0,
     )
     y = _ensemble(np.ones((2, 5)))
-    v_l, _ = mr.constraint_violation(y, lp)
+    v_l, _ = _violations(y, lp)
     assert v_l == 1.0  # worst node is t = 0
     # the same values on a grid whose clock runs over [1, 2]
     shifted = mr.Ensemble(mr.TimeGrid(y.grid.nodes + 1.0), y.values)
-    v_l_shifted, _ = mr.constraint_violation(shifted, lp)
+    v_l_shifted, _ = _violations(shifted, lp)
     assert v_l_shifted == 0.0
 
 
@@ -98,6 +105,40 @@ def test_solution_stat_tol_takes_the_worst_node():
 # ---------------------------------------------------------------------------
 # audits
 # ---------------------------------------------------------------------------
+
+
+def _counting(lp):
+    """``lp`` with each loss counting its calls in the returned dict."""
+    calls = {"L": 0, "R": 0}
+
+    def counted(name, f):
+        def g(t, x):
+            calls[name] += 1
+            return f(t, x)
+
+        return g
+
+    return dataclasses.replace(lp, L=counted("L", lp.L), R=counted("R", lp.R)), calls
+
+
+def test_the_audit_and_the_run_result_meter_each_node_once_per_pass():
+    sc = mr.Scenario(
+        horizon=1.0,
+        steps=40,
+        particles=500,
+        rng=mr.RngSpec(5),
+        terminal=lambda b: b,
+        generator=mr.constant_generator(4.0),
+        losses=mr.saturating_band(-1.0, 2.0),
+    )
+    sol = mr.solve_constant_driver(sc)
+    lp, calls = _counting(sc.losses)
+    assert mr.audit_solution(sol, lp) == mr.audit_solution(sol, sc.losses)
+    assert calls == {"L": 41, "R": 41}  # one meter pass over the 41 nodes
+    counted = dataclasses.replace(sc, losses=lp)  # the entry check calls the losses too
+    calls.update(L=0, R=0)
+    cli._run_result({}, counted, sol, 5, 0.0)
+    assert calls == {"L": 82, "R": 82}  # the loss-mean columns, then the audit
 
 
 def test_audit_accepts_a_clean_clamp_and_rejects_a_corrupted_one():

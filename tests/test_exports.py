@@ -121,3 +121,9 @@ def test_the_spot_checks_take_no_sample_arrays():
 
 def test_a_grid_is_its_nodes():
     assert [f.name for f in dataclasses.fields(mr.TimeGrid)] == ["nodes"]
+
+
+def test_one_meter_for_a_mean_constraint():
+    # the terminal check, the loss meters and the audit read one per-node pass
+    assert {"terminal_feasibility", "constraint_violation"}.isdisjoint(mr.__all__)
+    assert "envelope_terms" not in {f.name for f in dataclasses.fields(mr.PicardTrace)}

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
 from meanreflect import bsde, mrbsde
+from meanreflect.constraints import ROOT_TOL_DEFAULT
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from meanreflect.mrbsde import _max_rms_gap
 from oracles import cole_hopf_value
@@ -123,16 +124,38 @@ def test_constant_driver_route_needs_a_state_free_generator(gen):
 
 def test_terminal_feasibility_helpers():
     lp = mr.linear_band(-1.0, 2.0)
-    ok = np.array([0.5, -0.5, 1.0, -1.0])
-    e_l, e_r, tol = mr.terminal_feasibility(lp, 1.0, ok)
-    assert e_l == -2.0 and e_r == 1.0  # mean 0 against edges L = x-2, R = x+1
-    assert e_l <= tol and e_r >= -tol
+    ok = np.array([0.5, -0.5, 1.0, -1.0])  # mean 0 against edges L = x-2, R = x+1
+    tol = max(mr.stat_tol(ok - 2.0), mr.stat_tol(ok + 1.0)) + ROOT_TOL_DEFAULT
     assert mr.require_feasible_terminal(lp, 1.0, ok) == tol
     with pytest.raises(InfeasibleTerminalError):
         mr.require_feasible_terminal(lp, 1.0, np.full(4, 9.0))
     # NaN means fail the check rather than slip through both comparisons
     with pytest.raises(InfeasibleTerminalError):
         mr.require_feasible_terminal(lp, 1.0, np.array([0.5, np.nan, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("solve", [mr.solve_constant_driver, mr.picard_solve])
+def test_a_false_affine_claim_is_refused_on_the_terminal_values(solve):
+    # bent only beyond x = 10, outside the x window of the entry check, but
+    # inside the range of the terminal values 3 sin(B_T) + 11.5
+    def bend(x):
+        x = np.maximum(np.asarray(x, dtype=float) - 10.0, 0.0)
+        return x * x / (2.0 * (1.0 + x))
+
+    honest = mr.LossPair(
+        L=lambda t, x: np.asarray(x, dtype=float) - bend(x) - 12.0,
+        R=lambda t, x: np.asarray(x, dtype=float) + bend(x) - 11.0,
+        c=0.5, C=1.5, gap=1.0,
+    )
+    sc = mr.Scenario(
+        horizon=1.0, steps=20, particles=3_000, rng=mr.RngSpec(3),
+        terminal=lambda b: 3.0 * np.sin(b) + 11.5,
+        generator=mr.constant_generator(4.0),
+        losses=honest,
+    )
+    assert mr.audit_solution(solve(sc), honest).passed
+    with pytest.raises(ValueError, match="declared affine"):
+        solve(dataclasses.replace(sc, losses=dataclasses.replace(honest, affine=True)))
 
 
 @pytest.mark.parametrize(
@@ -377,9 +400,7 @@ def test_trace_fields_agree(case):
         len(tr.s_variations),
     }
     assert lengths == {tr.iterations} and len(tr.segment_iterations) == tr.segment_count
-    assert (tr.envelope_terms is None) == (sc.envelope is None)
-    if sc.envelope is not None:
-        assert len(tr.envelope_terms) == tr.iterations
+    assert len(tr.segment_nodes) == tr.segment_count
     # ratios: consecutive combined distances within each segment, in order
     d = tr.combined_distances
     starts = np.cumsum((0,) + tr.segment_iterations[:-1])
@@ -514,11 +535,27 @@ def test_force_variation_guard_on_the_clamp():
     assert all(s >= 0.0 for s in rep.slacks)
 
 
-def test_force_variation_guard_needs_recorded_terms():
-    sc = _scenario(mr.constant_generator(4.0), particles=512, steps=4)
-    sol = mr.picard_solve(sc)  # no envelope in the scenario
-    with pytest.raises(ValueError):
-        mr.kt_variation_guard(sol.trace, mr.LinearEnvelope.constants(1.0, 3.0, -1.0))
+def test_force_variation_guard_reads_the_envelope_it_is_given():
+    # the scenario's own constant envelope adds nothing to the bound 2 Var(s) = 8;
+    # edges p = 3 + 50t, q = -1 - 50t add Var(p) + Var(q) = 100 to it
+    sc = mr.Scenario(
+        horizon=1.0, steps=10, particles=512, rng=mr.RngSpec(1),
+        terminal=lambda b: 1.0,
+        generator=mr.constant_generator(4.0),
+        losses=mr.linear_band(-1.0, 2.0),
+        envelope=mr.LinearEnvelope.constants(1.0, 3.0, -1.0),
+    )
+    trace = mr.picard_solve(sc).trace
+    steep = mr.LinearEnvelope(
+        b=lambda t: 1.0, p=lambda t: 3.0 + 50.0 * t, q=lambda t: -1.0 - 50.0 * t
+    )
+    own = mr.kt_variation_guard(trace, sc.envelope)
+    other = mr.kt_variation_guard(trace, steep)
+    assert_allclose(own.bounds[-1], 8.0, rtol=0, atol=1e-6)
+    assert_allclose(np.subtract(other.bounds, own.bounds), 100.0, rtol=1e-12)
+    # a trace from a scenario without an envelope is checked all the same
+    bare = mr.picard_solve(dataclasses.replace(sc, envelope=None)).trace
+    assert mr.kt_variation_guard(bare, steep).bounds == other.bounds
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +575,12 @@ def test_clamped_solution_passes_the_audit():
 def test_constraint_violation_meter():
     sc = _scenario(mr.constant_generator(0.0), particles=2_000, steps=10)
     sol = mr.solve_constant_driver(sc)
-    lo, hi = mr.constraint_violation(sol.y, sc.losses)
-    assert lo == 0.0 and hi == 0.0
+    audit = mr.audit_solution(sol, sc.losses)
+    assert audit.violation_lower == 0.0 and audit.violation_upper == 0.0
     # shift every particle above the band: the upper-loss meter must fire
-    shifted = mr.Ensemble(sol.y.grid, sol.y.values + 5.0)
-    lo, hi = mr.constraint_violation(shifted, sc.losses)
-    assert lo > 1.0 and hi == 0.0
+    shifted = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, sol.y.values + 5.0))
+    audit = mr.audit_solution(shifted, sc.losses)
+    assert audit.violation_lower > 1.0 and audit.violation_upper == 0.0
 
 
 @pytest.mark.parametrize("particles", [3, 101, 8193])

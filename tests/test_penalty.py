@@ -58,6 +58,21 @@ def test_obstacle_offsets_must_straddle_zero():
         mr.LinearObstacles.constants(0.0, 0.0, -1.0, -0.5)
 
 
+@pytest.mark.parametrize("start", [(-math.inf, 1.0), (-1.0, math.inf)], ids=["lower", "upper"])
+def test_obstacle_offsets_must_be_finite(start):
+    with pytest.raises(ValueError, match="finite"):
+        mr.LinearObstacles.constants(0.0, 0.0, *start)
+
+
+def test_obstacles_with_a_nan_rate_are_refused():
+    # a NaN lower path compares false against the upper one: it must not pass as absent
+    obs = mr.LinearObstacles(lambda t: math.nan if t > 0.5 else -2.0, lambda t: 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        obs.sample(mr.build_grid(1.0, 4))
+    with pytest.raises(ValueError, match="finite"):
+        mr.penalty_sweep(dataclasses.replace(_ode_scenario(2_000), obstacles=obs), [8.0, 64.0])
+
+
 def test_obstacle_offsets_shift_the_sampled_paths():
     grid = mr.build_grid(1.0, 4)
     lo, hi = mr.LinearObstacles.constants(-2.0, 2.0, -0.5, 1.5).sample(grid)
