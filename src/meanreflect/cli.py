@@ -458,7 +458,8 @@ def _run_result(
 def cmd_run(config_path: str, out_dir: str, seed: int | None = None) -> int:
     """Solve the configured scenario and write result.csv + diagnostics.json.
 
-    The emitted bytes depend only on config and seed.
+    The emitted bytes depend only on config and seed.  A solution that fails
+    its audit raises ``NumericalFailureError`` before anything is written.
     """
     cfg = load_config(config_path)
     _only(cfg, _RUN_FIELDS, "run config")
@@ -484,6 +485,10 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None) -> int:
     wall = time.perf_counter() - t0
 
     table, diag = _run_result(cfg, sc, sol, resolved, wall)
+    audit = diag["audit"]
+    if not audit["passed"]:
+        detail = ", ".join(f"{k} {v:.3g}" for k, v in audit.items() if k != "passed")
+        raise NumericalFailureError(f"the solution failed its audit: {detail}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "result.csv", CSV_HEADER, table)

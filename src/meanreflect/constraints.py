@@ -197,8 +197,10 @@ class BoundaryPair:
     ensemble cross-section: ``l(k, x) = mean_i L(t_k, x + off[k, i])``, with
     ``t_k`` node ``k`` of ``grid``, the one clock.  With ``offsets is None``
     the boundary is the bare loss pair (equivalent to a single centred
-    particle).  The band edges are computed once, last node first, and serve
-    both the forward and the terminal-anchored reflection.
+    particle).  :meth:`band_edges` inverts both edges at every node, once:
+    the forward reflection, the estimate checks and the terminal-anchored
+    reflection of a bare ``time_invariant`` pair read them.  The anchored
+    reflection of any other pair inverts an edge only where the clamp binds.
 
     ``lower(k, x)`` and ``upper(k, x)`` take one node ``k`` with a scalar or
     array ``x``, or a 1-D numpy array of nodes ``k`` paired row-wise with
@@ -286,6 +288,33 @@ class BoundaryPair:
         object.__setattr__(self, "_edges", (rho, lam))
         return rho, lam
 
+    def _edges_on_demand(self) -> bool:
+        """Whether the anchored clamp may invert an edge only where it binds.
+
+        Not for a bare ``time_invariant`` pair: one inversion per edge serves
+        every node.  Any other band is at least ``gap / C`` wide (``r - l >=
+        gap``, ``r`` rises at most ``C`` per unit), which settles the
+        degeneracy check unless it is below ``BAND_MIN_DEFAULT + 2 xtol``.
+        """
+        if self.offsets is None and self.losses.time_invariant:
+            return False
+        return self.losses.gap / self.C >= BAND_MIN_DEFAULT + 2.0 * _xtol(self.C, ROOT_TOL_DEFAULT)
+
+    def _edge_at(self, node: int, x: float) -> float:
+        """``x`` if it is in the band at ``node``, else the edge it crossed.
+
+        The edge is the root of :meth:`band_edges` to ``ROOT_TOL_DEFAULT``,
+        inverted from ``x`` and the boundary value this test took there.  A
+        value that is not finite goes to the inversion, which refuses it.
+        """
+        v = self.upper(node, x)
+        if not v >= 0.0:
+            return _invert_from(self, node, "lower_edge", ROOT_TOL_DEFAULT, x, v)
+        v = self.lower(node, x)
+        if not v <= 0.0:
+            return _invert_from(self, node, "upper_edge", ROOT_TOL_DEFAULT, x, v)
+        return x
+
 
 def make_mean_boundary(e: Ensemble, lp: LossPair) -> BoundaryPair:
     """Average a loss pair over the recentred cross-sections of an ensemble.
@@ -330,19 +359,34 @@ def invert_boundary(
     if which not in ("upper_edge", "lower_edge"):
         raise ValueError("which must be 'upper_edge' or 'lower_edge'")
     side = bp.lower if which == "upper_edge" else bp.upper
-    xtol = max(root_tol / max(bp.C, 1.0), 1e-15)
+    x0 = float(hint)
+    return _invert_from(bp, node, which, root_tol, x0, side(node, x0))
+
+
+def _xtol(C: float, root_tol: float) -> float:
+    """The inversion's accuracy in ``x`` for slopes up to ``C``."""
+    return max(root_tol / max(C, 1.0), 1e-15)
+
+
+def _invert_from(
+    bp: BoundaryPair, node: int, which: str, root_tol: float, x0: float, v0: float
+) -> float:
+    """:func:`invert_boundary` from ``x0``, whose boundary value ``v0`` is known."""
+    side = bp.lower if which == "upper_edge" else bp.upper
+    xtol = _xtol(bp.C, root_tol)
     ftol = bp.c * xtol
 
-    def f(x: float) -> float:
-        v = side(node, x)
+    def checked(x: float, v: float) -> float:
         if not (math.isfinite(x) and math.isfinite(v)):
             raise NumericalFailureError(
                 f"band edge {which!r} at node {node}: boundary not finite at x={x:.6g}"
             )
         return v
 
-    x0 = float(hint)
-    v0 = f(x0)
+    def f(x: float) -> float:
+        return checked(x, side(node, x))
+
+    checked(x0, v0)
     if abs(v0) <= ftol:
         return x0
     # Walk from the hint to x0 - v0/C, then x0 - v0/c, doubling the last step

@@ -296,7 +296,7 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
     plain[-1] = pairwise_mean(xi)
     for k in range(nodes.size - 2, -1, -1):
         plain[k] = plain[k + 1] + fbar[k] * dt[k]
-    ref, _, _ = _reversed_clamp(plain[0] - plain, plain[-1], lo, hi, band_min=0.0)
+    ref, _, _ = _reversed_clamp(plain[0] - plain, plain[-1], lo, hi)
 
     errs, tvs, v_up, v_dn, b_up, b_dn = [], [], [], [], [], []
     for level in levels:

@@ -8,7 +8,9 @@ lam_t`` whose edges are boundary roots; the recursion is then a clamp with
 the force increment charged to whichever edge was hit.
 
 The backward map anchors the path at a terminal value; it runs the same
-clamp on the reversed clock against the same band edges.
+clamp on the reversed clock.  For a bare ``time_invariant`` pair it reads
+the same precomputed band edges; for any other pair it inverts an edge only
+at the nodes where the free value leaves the band.
 
 The module also ships the quantitative estimates satisfied by these maps as
 executable report-style checks: input-stability of the force, ordering under
@@ -18,6 +20,7 @@ band nesting, and the total-variation bound through the band-edge root paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -88,45 +91,54 @@ class BackwardReflectionSolution(ReflectionSolution):
 
 def _clamp_recursion(
     s_vals: NDArray[np.floating],
-    rho: NDArray[np.floating],
-    lam: NDArray[np.floating],
-    band_min: float,
+    lo: NDArray[np.floating],
+    hi: NDArray[np.floating],
+    edge: Callable[[int, float], float] | None = None,
 ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
-    """Run the clamp recursion; returns (x, push_up, push_down) node arrays."""
-    width = lam - rho
-    if np.min(width) < band_min:
-        k = int(np.argmin(width))
-        raise DegenerateConstraintsError(
-            f"admissible band collapsed to {width[k]:.3e} at node {k}"
-        )
+    """Run the clamp recursion; returns (x, push_up, push_down) node arrays.
+
+    A free value inside ``[lo_k, hi_k]`` is kept.  Any other is clamped to
+    the nearer of ``lo_k`` and ``hi_k``, or, given a hook, to
+    ``edge(k, free)``; an empty band (``lo = +inf``, ``hi = -inf``) hands
+    every node to the hook.  The move to the clamped value is charged to
+    ``push_up`` if it goes up, to ``push_down`` if it goes down.
+    """
     s = s_vals.tolist()
-    lo = rho.tolist()
-    hi = lam.tolist()
-    x = s[0]
-    up = dn = 0.0
-    if x < lo[0]:
-        up = lo[0] - x
-        x = lo[0]
-    elif x > hi[0]:
-        dn = x - hi[0]
-        x = hi[0]
-    xs = [x]
-    ups = [up]
-    dns = [dn]
-    for k in range(1, len(s)):
-        free = x + (s[k] - s[k - 1])
-        if free < lo[k]:
-            up += lo[k] - free
-            x = lo[k]
-        elif free > hi[k]:
-            dn += free - hi[k]
-            x = hi[k]
-        else:
+    lo = lo.tolist()
+    hi = hi.tolist()
+    # From x = prev = 0, node 0's free value is s[0] (a -0.0 becomes 0.0).
+    x = prev = up = dn = 0.0
+    xs, ups, dns = [], [], []
+    for k in range(len(s)):
+        free = x + (s[k] - prev)
+        prev = s[k]
+        if lo[k] <= free <= hi[k]:
             x = free
+        else:
+            if edge is not None:
+                x = edge(k, free)
+            else:
+                x = lo[k] if free < lo[k] else hi[k] if free > hi[k] else free
+            if x > free:
+                up += x - free
+            elif x < free:
+                dn += free - x
         xs.append(x)
         ups.append(up)
         dns.append(dn)
     return np.array(xs), np.array(ups), np.array(dns)
+
+
+def _band_edges(bp: BoundaryPair) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """``bp.band_edges()``, or ``DegenerateConstraintsError`` if a band is below the floor."""
+    rho, lam = bp.band_edges()
+    width = lam - rho
+    if np.min(width) < BAND_MIN_DEFAULT:
+        k = int(np.argmin(width))
+        raise DegenerateConstraintsError(
+            f"admissible band collapsed to {width[k]:.3e} at node {k}"
+        )
+    return rho, lam
 
 
 def _require_one_grid(*grids: TimeGrid) -> None:
@@ -157,8 +169,8 @@ def solve_sp(s: SamplePath, bp: BoundaryPair) -> ReflectionSolution:
         If the band width drops below ``BAND_MIN_DEFAULT`` at any node.
     """
     _require_one_grid(s.grid, bp.grid)
-    rho, lam = bp.band_edges()
-    x, up, dn = _clamp_recursion(s.values, rho, lam, BAND_MIN_DEFAULT)
+    rho, lam = _band_edges(bp)
+    x, up, dn = _clamp_recursion(s.values, rho, lam)
     residuals = flatness_residuals_raw(x, up, dn, bp)
     return _solution(ReflectionSolution, s.grid, x, up, dn, residuals)
 
@@ -173,16 +185,19 @@ def _reversed_clamp(
     a: float,
     rho: NDArray[np.floating],
     lam: NDArray[np.floating],
-    band_min: float,
+    edge: Callable[[int, float], float] | None = None,
 ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
     """Clamp recursion of the terminal-anchored problem on the reversed clock.
 
     The input ``a + s_T - s_{T-t}`` is clamped into the band read from the
-    last node down.  Returns the path in natural node order and the
-    cumulative (push_up, push_down) on the reversed clock.
+    last node down; ``rho``, ``lam`` and ``edge`` take node indices.
+    Returns the path in natural node order and the cumulative (push_up,
+    push_down) on the reversed clock.
     """
     s_rev = float(a) + s_vals[-1] - s_vals[::-1]
-    x, up, dn = _clamp_recursion(s_rev, rho[::-1], lam[::-1], band_min)
+    last = len(s_vals) - 1
+    back = None if edge is None else (lambda k, free: edge(last - k, free))
+    x, up, dn = _clamp_recursion(s_rev, rho[::-1], lam[::-1], back)
     return x[::-1].copy(), up, dn
 
 
@@ -197,11 +212,20 @@ def solve_bsp(
 
     Requires the anchor to satisfy ``l(T, a) <= terminal_tol`` and
     ``r(T, a) >= -terminal_tol``.  The clamp recursion runs on the reversed
-    clock — input ``a + s_T - s_{T-t}`` against the band edges of ``bp`` from
+    clock — input ``a + s_T - s_{T-t}`` against the band of ``bp`` from
     the last node down — and the force is mapped back as ``K_t = Kbar_T -
     Kbar_{T-t}``.  Anchor violations within ``terminal_tol +
     ROOT_TOL_DEFAULT`` are absorbed as a small initial force of the reversed
     problem.
+
+    A bare ``time_invariant`` pair is clamped against
+    :meth:`BoundaryPair.band_edges`.  Any other pair inverts an edge only at a
+    node where the free value fails ``r >= 0`` or ``l <= 0``, starting from
+    that value; its ``gap / C`` width bound stands in for the degeneracy
+    check, unless the bound is too near ``BAND_MIN_DEFAULT`` to settle it.
+
+    Raises ``DegenerateConstraintsError`` if a band clamped against
+    ``band_edges`` is narrower than ``BAND_MIN_DEFAULT`` at some node.
     """
     grid = s.grid
     _require_one_grid(grid, bp.grid)
@@ -211,8 +235,12 @@ def solve_bsp(
         raise InfeasibleTerminalError(
             f"anchor {a} violates the terminal constraint beyond tolerance {tol:.3e}"
         )
-    rho, lam = bp.band_edges()
-    x, up, dn = _reversed_clamp(s.values, a, rho, lam, BAND_MIN_DEFAULT)
+    if bp._edges_on_demand():
+        empty = np.full(grid.n_nodes, np.inf)
+        x, up, dn = _reversed_clamp(s.values, a, empty, -empty, bp._edge_at)
+    else:
+        rho, lam = _band_edges(bp)
+        x, up, dn = _reversed_clamp(s.values, a, rho, lam)
     residuals = flatness_residuals_raw(x, up, dn, bp, reverse=True)
     up, dn = up[-1] - up[::-1], dn[-1] - dn[::-1]
     return _solution(BackwardReflectionSolution, grid, x, up, dn, residuals, a=float(a))

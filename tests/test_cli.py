@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meanreflect as mr
-from meanreflect import cli, penalty
+from meanreflect import cli, mrbsde, penalty
 from meanreflect.verify import SUITE_NAMES
 
 
@@ -576,6 +577,26 @@ def test_non_finite_terminal_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path, "sweep.json", _sweep_config(terminal=huge_terminal))
     assert cli.main(["sweep-penalty", cfg, "--out", str(tmp_path / "sweep")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericalFailureError"
+
+
+def test_a_failed_audit_fails_run(tmp_path, capsys, monkeypatch):
+    # A dropped K_T - K_t shift leaves Y the unreflected solution, whose mean
+    # leaves the band: the library returns it with a failed audit, run refuses it.
+    construct = mrbsde._construct
+
+    def unshifted(*args):
+        seg = construct(*args)
+        return dataclasses.replace(seg, y=seg.plain.y)
+
+    monkeypatch.setattr(mrbsde, "_construct", unshifted)
+    cfg = _clamp_config(particles=2_000)
+    sc = cli.build_scenario(cfg, 7)
+    assert not mr.audit_solution(mr.solve_constant_driver(sc), sc.losses).passed
+    out = tmp_path / "out"
+    assert cli.main(["run", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NumericalFailureError" and "failed its audit" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

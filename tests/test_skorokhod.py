@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import meanreflect as mr
 from meanreflect.errors import DegenerateConstraintsError, InfeasibleTerminalError
 from meanreflect import skorokhod
-from meanreflect.constraints import X_WINDOW
+from meanreflect.constraints import ROOT_TOL_DEFAULT, X_WINDOW
 from meanreflect.skorokhod import _boundary_discrepancy, flatness_residuals_raw
 from oracles import double_barrier_batch
 
@@ -260,6 +260,85 @@ def test_backward_map_runs_on_a_grid_that_is_not_its_own_mirror():
     rho, lam = bp.band_edges()
     assert np.all((rho - 1e-12 <= xv) & (xv <= lam + 1e-12))
     assert (sol.flat_residual_up, sol.flat_residual_down) == (0.0, 0.0)
+
+
+def _bent_pair(slope: float, bend: float, lo: float, hi: float, drift: float) -> mr.LossPair:
+    """``a (x -+ b sat(x)) - edge - d t``: slopes in ``a (1 -+ b / 2)``, ``R - L >= hi - lo``."""
+
+    def sat(x):
+        return x * x / (2.0 * (1.0 + np.abs(x)))
+
+    return mr.LossPair(
+        L=lambda t, x: slope * (x - bend * sat(x)) - hi - drift * t,
+        R=lambda t, x: slope * (x + bend * sat(x)) - lo - drift * t,
+        c=slope * (1.0 - bend / 2.0),
+        C=slope * (1.0 + bend / 2.0),
+        gap=hi - lo,
+    )
+
+
+_averaged_pairs = given(
+    slope=st.floats(0.25, 4.0),
+    bend=st.floats(0.0, 1.0),
+    lo=st.floats(-3.0, 0.0),
+    width=st.floats(0.05, 4.0),
+    drift=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _averaged(lp: mr.LossPair, seed: int) -> tuple[mr.BoundaryPair, mr.SamplePath]:
+    """``lp`` averaged over a spreading 64-particle cross-section, and a random input."""
+    rng = np.random.default_rng(seed)
+    steps = 24
+    g = mr.build_grid(1.0, steps)
+    spread = rng.normal(0.0, 1.0, (64, g.n_nodes)) * np.sqrt(g.nodes)
+    steps_s = rng.normal(0.0, 0.6, steps) + rng.uniform(-3.0, 3.0) / steps
+    s = mr.SamplePath(g, np.concatenate([[0.0], np.cumsum(steps_s)]))
+    return mr.make_mean_boundary(mr.Ensemble(g, spread), lp), s
+
+
+@_averaged_pairs
+def test_an_averaged_band_is_at_least_gap_over_C_wide(slope, bend, lo, width, drift, seed):
+    # the bound that lets solve_bsp skip the band widths: r - l >= gap and r
+    # rises at most C per unit, so edges found to xtol are gap/C - 2 xtol apart
+    lp = _bent_pair(slope, bend, lo, lo + width, drift)
+    bp, _ = _averaged(lp, seed)
+    rho, lam = bp.band_edges()
+    xtol = ROOT_TOL_DEFAULT / max(lp.C, 1.0)
+    assert np.all(lam - rho >= lp.gap / lp.C - 2.0 * xtol)
+
+
+@_averaged_pairs
+def test_on_demand_edges_match_the_clamp_against_band_edges(
+    slope, bend, lo, width, drift, seed
+):
+    lp = _bent_pair(slope, bend, lo, lo + width, drift)
+    bp, s = _averaged(lp, seed)
+    assert bp._edges_on_demand()
+    rho, lam = dataclasses.replace(bp).band_edges()  # a copy: bp itself caches no edges
+    a = 0.5 * (rho[-1] + lam[-1])
+    sol = mr.solve_bsp(s, a, bp)
+    assert bp._edges is None
+    x, up, dn = skorokhod._reversed_clamp(s.values, a, rho, lam)
+    k_ref = (up[-1] - up[::-1]) - (dn[-1] - dn[::-1])
+    # Each side's edges are within the root tolerance (plus a rounding) of
+    # the roots.  K_t = x_0 - x_t - (s_t - s_0) moves by two x gaps.
+    tol = 2.0 * ROOT_TOL_DEFAULT + 1e-14
+    assert np.max(np.abs(sol.x.values - x)) <= tol
+    assert np.max(np.abs(sol.K.values - k_ref)) <= 2.0 * tol
+    assert max(sol.flat_residual_up, sol.flat_residual_down) <= mr.flat_tolerance(s)
+
+
+def test_an_averaged_band_below_the_floor_is_still_degenerate():
+    # gap / C under BAND_MIN_DEFAULT: the width bound cannot settle the
+    # check, so solve_bsp falls back to the band widths and refuses the band
+    g = mr.build_grid(1.0, 6)
+    lp = _bent_pair(1.0, 0.5, -2.5e-10, 2.5e-10, 0.0)
+    bp = mr.BoundaryPair(g, lp, np.zeros((g.n_nodes, 4)))
+    assert not bp._edges_on_demand()
+    with pytest.raises(DegenerateConstraintsError):
+        mr.solve_bsp(_ramp(g, 1.0), 0.0, bp)
 
 
 def test_backward_rejects_infeasible_anchor():
