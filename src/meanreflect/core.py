@@ -11,11 +11,18 @@ ensemble statistics go through :func:`pairwise_sum`: numpy's pairwise
 ``add.reduce`` along a contiguous row.  Its order depends only on the row
 length, so for a given numpy build the bits never depend on layout or on how
 many worker threads the caller uses, unlike BLAS reductions.
+
+A seed's Brownian draw is one row-major ``standard_normal`` stream, one row
+per particle, consumed in blocks of rows through one reused buffer: into an
+F-ordered ensemble by :func:`simulate_brownian`, or into the terminal
+cross-section alone, with the same bits, for a caller that reads nothing
+else.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -166,8 +173,9 @@ class RngSpec:
     """Reproducible randomness: a 64-bit seed.
 
     Particles are rows of the seed's draw, which stays row-major whatever
-    the ensemble's storage order, so a given (seed, grid, N) always
-    reproduces the same ensemble bit for bit.
+    the ensemble's storage order and is consumed in row blocks of a fixed
+    size, so a given (seed, grid, N) always reproduces the same ensemble bit
+    for bit.
     """
 
     seed: int
@@ -203,19 +211,59 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(nodes)
 
 
+# Rows of the seed's draw held at once: one (block, steps) buffer is reused.
+_DRAW_BLOCK = 4096
+
+
+def _increment_blocks(
+    grid: TimeGrid, n: int, rng: RngSpec
+) -> Iterator[tuple[int, NDArray[np.floating]]]:
+    """Yield ``(start, increments)`` for consecutive blocks of the seed's draw.
+
+    ``increments`` holds rows ``start .. start + len(increments)`` of the
+    row-major (n, steps) ``standard_normal`` draw scaled by ``sqrt(dt)``, with
+    the bits of drawing and scaling it whole.  It is one reused buffer, valid
+    until the next block is drawn.
+    """
+    gen = rng.generator()
+    scale = np.sqrt(grid.step_sizes)
+    buf = np.empty((min(n, _DRAW_BLOCK), grid.n_steps))
+    for start in range(0, n, _DRAW_BLOCK):
+        blk = buf[: min(_DRAW_BLOCK, n - start)]
+        gen.standard_normal(out=blk)
+        blk *= scale
+        yield start, blk
+
+
 def simulate_brownian(grid: TimeGrid, n: int, rng: RngSpec) -> Ensemble:
     """Simulate ``n`` standard Brownian paths on ``grid``.
 
     Increments are independent N(0, dt) per step; every path starts at 0.
+    The row-major draw is consumed in row blocks, each summed along its rows
+    straight into the ensemble, so no full-size draw is ever held.
     """
     n = _require_int(n, "particle count", 2)
-    gen = rng.generator()
-    dt = grid.step_sizes
-    increments = gen.standard_normal((n, grid.n_steps)) * np.sqrt(dt)
     values = np.empty((n, grid.n_nodes), order="F")
     values[:, 0] = 0.0
-    np.cumsum(increments, axis=1, out=values[:, 1:])
+    for start, blk in _increment_blocks(grid, n, rng):
+        np.cumsum(blk, axis=1, out=values[start : start + len(blk), 1:])
     return Ensemble(grid, values)
+
+
+def _brownian_terminal(grid: TimeGrid, n: int, rng: RngSpec) -> NDArray[np.floating]:
+    """``B_T`` of :func:`simulate_brownian`'s paths, bit for bit, without the paths.
+
+    Each block's increments are added left to right, the order of the row
+    ``cumsum`` whose last entry is ``B_T``.
+    """
+    n = _require_int(n, "particle count", 2)
+    b_t = np.empty(n)
+    for start, blk in _increment_blocks(grid, n, rng):
+        acc = b_t[start : start + len(blk)]
+        acc[:] = blk[:, 0]
+        for j in range(1, blk.shape[1]):
+            acc += blk[:, j]
+    return b_t
 
 
 # ---------------------------------------------------------------------------

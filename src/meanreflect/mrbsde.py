@@ -150,10 +150,14 @@ class Scenario:
         return simulate_brownian(self.make_grid(), self.particles, self.rng)
 
     def terminal_values(self, bm: Ensemble) -> NDArray[np.floating]:
-        xi = np.asarray(self.terminal(bm.values[:, -1]), dtype=float)
+        return self._terminal_at(bm.values[:, -1])
+
+    def _terminal_at(self, b_t: NDArray[np.floating]) -> NDArray[np.floating]:
+        """``terminal`` on the cross-section ``b_t``, one finite value per particle."""
+        xi = np.asarray(self.terminal(b_t), dtype=float)
         if xi.ndim == 0:
-            xi = np.full(bm.particle_count, float(xi))
-        elif xi.shape != (bm.particle_count,):
+            xi = np.full(b_t.size, float(xi))
+        elif xi.shape != b_t.shape:
             raise ValueError("terminal function must return one value per particle")
         bad = int(np.count_nonzero(~np.isfinite(xi)))
         if bad:

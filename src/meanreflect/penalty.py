@@ -18,6 +18,8 @@ the same shift for every particle and the regression, whose basis holds the
 constants, keeps the mean, so the sweep needs no particle pass at all: the
 plain mean path follows from ``E[xi]`` and the driver means in closed form,
 and each level adds a scalar backward recursion of the same exact pushes.
+It reads no cross-section but the terminal one, so it draws ``B_T`` alone,
+from the same stream and with the same bits as the scenario's ensemble.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from numpy.typing import NDArray
 
 from .bsde import RegressionPlan, _backward_pass, _frozen_drift, _plain_drift
 from .constraints import ROOT_TOL_DEFAULT
-from .core import Ensemble, SamplePath, pairwise_mean, stat_tol
+from .core import Ensemble, SamplePath, _brownian_terminal, pairwise_mean, stat_tol
 from .diagnostics import rate_fit
 from .errors import InfeasibleTerminalError, NumericalFailureError
 from .mrbsde import Scenario, _require_state_free
@@ -159,7 +161,7 @@ def _mean_push(k, u, cbar, n, nodes, lo, hi) -> tuple[float, float]:
     return up, dn
 
 
-def _check_terminal_mean(sc: Scenario, xi, lo, hi) -> None:
+def _check_terminal_mean(xi, lo, hi) -> None:
     """Raise :class:`InfeasibleTerminalError` unless ``E[xi]`` lies in the terminal band."""
     a = float(pairwise_mean(xi))
     stat = stat_tol(xi) + ROOT_TOL_DEFAULT
@@ -188,7 +190,7 @@ def solve_penalized(sc: Scenario, n: float) -> PenaltySolution:
     grid = bm.grid
     lo, hi = sc.obstacles.sample(grid)
     xi = sc.terminal_values(bm)
-    _check_terminal_mean(sc, xi, lo, hi)
+    _check_terminal_mean(xi, lo, hi)
 
     nodes = grid.nodes
     d_up, d_dn = np.zeros(grid.n_steps), np.zeros(grid.n_steps)
@@ -271,7 +273,9 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
     cross-section at ``t_k``; each level runs :func:`_level_means` on
     scalars.  The reference is the exact reflected limit, ``m0`` clamped
     against the obstacle band itself (a pinched band is allowed).  All rows
-    share one terminal draw, so its Monte Carlo noise cancels.
+    share one terminal draw, so its Monte Carlo noise cancels.  That draw is
+    ``B_T`` alone, bit for bit the last column of :meth:`Scenario.simulate`,
+    so the sweep never holds the (particles, nodes) ensemble.
     """
     levels = [float(v) for v in ns]
     increasing = all(b > a for a, b in zip(levels, levels[1:]))
@@ -282,14 +286,13 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
     if sc.obstacles is None:
         raise ValueError("scenario carries no linear obstacles")
     _require_state_free(sc.generator, "the penalty sweep")
-    bm = sc.simulate()
-    grid = bm.grid
+    grid = sc.make_grid()
     lo, hi = sc.obstacles.sample(grid)
-    xi = sc.terminal_values(bm)
-    _check_terminal_mean(sc, xi, lo, hi)
+    xi = sc._terminal_at(_brownian_terminal(grid, sc.particles, sc.rng))
+    _check_terminal_mean(xi, lo, hi)
     nodes, dt = grid.nodes, grid.step_sizes
     # the node means of the driver frozen at zero, as the constant-driver route reads it
-    zero = np.broadcast_to(0.0, bm.values.shape)
+    zero = np.broadcast_to(0.0, (sc.particles, grid.n_nodes))
     drift = _frozen_drift(sc.generator, zero, zero, grid)
     fbar = [float(pairwise_mean(np.broadcast_to(drift(k), xi.shape))) for k in range(grid.n_steps)]
     plain = np.empty(nodes.size)

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
+from meanreflect import core
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,10 @@ def test_brownian_reproducible_bitwise():
     assert_array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("n,steps", [(2, 1), (257, 8), (20_001, 3)])
+@pytest.mark.parametrize(
+    "n,steps",
+    [(2, 1), (257, 8), (20_001, 3), (4095, 5), (4096, 5), (4097, 5), (3 * 4096 + 1, 2)],
+)
 def test_brownian_bytes_match_a_row_major_reference(n, steps):
     # the draw stays row-major: each particle keeps its own row of draws
     g = mr.build_grid(0.7, steps)
@@ -210,6 +214,36 @@ def test_brownian_bytes_match_a_row_major_reference(n, steps):
     inc = rng.generator().standard_normal((n, steps)) * np.sqrt(g.step_sizes)
     ref = np.hstack([np.zeros((n, 1)), np.cumsum(inc, axis=1)])
     assert mr.simulate_brownian(g, n, rng).values.tobytes(order="C") == ref.tobytes()
+
+
+_TERMINAL_GRIDS = [
+    mr.build_grid(0.7, 6),
+    mr.build_grid(1.0, 1),
+    mr.TimeGrid(np.array([0.1, 0.15, 0.4, 0.41, 1.3])),
+]
+
+
+@pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 3 * 4096 + 1])
+@pytest.mark.parametrize("grid", _TERMINAL_GRIDS, ids=["uniform", "one-step", "non-uniform"])
+def test_terminal_draw_is_the_ensembles_last_column_bitwise(grid, n):
+    # the sweep reads B_T alone; it must be the B_T every solve of its scenario sees
+    rng = mr.RngSpec(99)
+    last = mr.simulate_brownian(grid, n, rng).values[:, -1]
+    assert core._brownian_terminal(grid, n, rng).tobytes() == last.tobytes()
+
+
+def test_brownian_holds_no_full_size_draw_beside_the_ensemble():
+    # in (particles, nodes) arrays of 20k x 21 doubles: the ensemble itself
+    # plus one block of increments
+    grid = mr.build_grid(1.0, 20)
+    array = 20_000 * grid.n_nodes * 8
+    tracemalloc.start()
+    try:
+        mr.simulate_brownian(grid, 20_000, mr.RngSpec(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * array, peak / array
 
 
 def test_brownian_rejects_single_particle():

@@ -349,3 +349,22 @@ def test_sweep_keeps_no_level_particles_alive():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2 * full
+
+
+def test_sweep_draws_only_the_terminal_cross_section(monkeypatch):
+    # in (particles, nodes) arrays of 20k x 21 doubles: the sweep reads B_T
+    # alone, so it must never hold the ensemble or a full-size draw
+    sc = _ode_scenario(particles=20_000)
+    array = sc.particles * (sc.steps + 1) * 8
+
+    def no_ensemble(self):
+        raise AssertionError("the sweep simulated the whole ensemble")
+
+    monkeypatch.setattr(mr.Scenario, "simulate", no_ensemble)
+    tracemalloc.start()
+    try:
+        mr.penalty_sweep(sc, [4.0, 16.0, 64.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * array, peak / array
