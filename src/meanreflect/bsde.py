@@ -172,8 +172,12 @@ class RegressionPlan:
             coefs = np.linalg.solve(self.grams[k], rhs.reshape(-1, width).T)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - needs ridge=0 + ties
             raise NumericalFailureError(f"regression normal system is singular: {exc}")
-        fit[:] = coefs[d][:, None]
-        for i in range(d - 1, -1, -1):
+        if not d:
+            fit[:] = coefs[0][:, None]
+            return
+        np.multiply(coefs[d][:, None], u, out=fit)
+        fit += coefs[d - 1][:, None]
+        for i in range(d - 2, -1, -1):
             fit *= u
             fit += coefs[i][:, None]
 
@@ -214,9 +218,22 @@ def _plain_drift(gen: Generator, grid: TimeGrid) -> DriftFn:
     return lambda k, pred, zk: gen.f(float(grid.nodes[k]), pred, pred, zk, zk)
 
 
-def _frozen_drift(gen: Generator, u: NDArray, v: NDArray, grid: TimeGrid) -> DriftFn:
-    """The hook of ``f`` frozen at a (particles, nodes) pair; reads node ``k``'s columns only."""
-    return lambda k, *_: gen.f(float(grid.nodes[k]), u[:, k], u[:, k], v[:, k], v[:, k])
+def _frozen_drift(
+    gen: Generator, u: NDArray, v: NDArray, grid: TimeGrid, shift: NDArray | None = None
+) -> DriftFn:
+    """The hook of ``f`` frozen at a (particles, nodes) pair; reads node ``k``'s columns only.
+
+    With a node array ``shift`` the frozen state is ``u + shift[None, :]``,
+    read as ``u[:, k] + shift[k]``: the bits of the stored sum, never stored.
+    """
+    if shift is None:
+        return lambda k, *_: gen.f(float(grid.nodes[k]), u[:, k], u[:, k], v[:, k], v[:, k])
+
+    def drift(k, *_):
+        uk = u[:, k] + shift[k]
+        return gen.f(float(grid.nodes[k]), uk, uk, v[:, k], v[:, k])
+
+    return drift
 
 
 def _backward_pass(
@@ -225,6 +242,7 @@ def _backward_pass(
     plan: RegressionPlan,
     drift: DriftFn,
     mean_shift: Callable[..., float] | None = None,
+    z: NDArray[np.floating] | None = None,
 ) -> BSDESolution:
     """The regression backward recursion of :func:`solve_bsde`, on checked inputs.
 
@@ -236,6 +254,11 @@ def _backward_pass(
     push).  Without it nothing is added, so a ``-0.0`` particle value stays
     ``-0.0``.  A step that leaves a non-finite value raises
     :class:`NumericalFailureError` naming the node and its time on the grid.
+
+    ``z``, an F-ordered (particles, nodes) array, receives the martingale
+    coefficients in place of a new array.  Column ``k`` is written only
+    after ``drift(k)`` returned, so ``z`` may be the array a frozen hook
+    reads (its last column, which no step reads, is written last).
     """
     grid = bm.grid
     n, m = bm.values.shape
@@ -243,7 +266,10 @@ def _backward_pass(
         raise ValueError("regression plan does not match the ensemble's steps")
     dt = grid.step_sizes
     y = np.empty((n, m), order="F")
-    z = np.empty((n, m), order="F")
+    if z is None:
+        z = np.empty((n, m), order="F")
+    elif z.shape != (n, m) or not z.flags.f_contiguous:
+        raise ValueError("z must be an F-ordered (particles, nodes) array")
     y[:, -1] = xi
     width = plan.cfg.degree + 1
     # per-pass scratch, reused at every node: targets with their products, powers, fits
@@ -255,15 +281,17 @@ def _backward_pass(
         state = bm.values[:, k]
         y_next = y[:, k + 1]
         block[0] = y_next
-        np.multiply(y_next, bm.values[:, k + 1] - state, out=block[width])
+        np.subtract(bm.values[:, k + 1], state, out=block[width])
+        block[width] *= y_next
         plan.project(k, state, block, powers, fit)
         pred = fit[0]
-        zk = fit[1] / dt[k]
+        zk = np.divide(fit[1], dt[k], out=fit[1])
         fval = np.broadcast_to(np.asarray(drift(k, pred, zk), dtype=float), pred.shape)
-        y[:, k] = pred + fval * dt[k]
+        yk = np.multiply(fval, dt[k], out=y[:, k])
+        yk += pred
         if mean_shift is not None:
-            y[:, k] += mean_shift(k, y_next, fval)
-        if not np.isfinite(y[:, k]).all():
+            yk += mean_shift(k, y_next, fval)
+        if not np.isfinite(yk).all():
             raise NumericalFailureError(
                 f"backward step left non-finite values at node {k} (t = {grid.nodes[k]:.6g})"
             )

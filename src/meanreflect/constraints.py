@@ -16,13 +16,14 @@ certify the accuracy of the result.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .core import Ensemble, TimeGrid, pairwise_mean, stat_tol
+from .core import Ensemble, TimeGrid, ensemble_means, pairwise_mean, stat_tol
 from .errors import NumericalFailureError
 
 __all__ = [
@@ -197,10 +198,12 @@ class BoundaryPair:
     ensemble cross-section: ``l(k, x) = mean_i L(t_k, x + off[k, i])``, with
     ``t_k`` node ``k`` of ``grid``, the one clock.  With ``offsets is None``
     the boundary is the bare loss pair (equivalent to a single centred
-    particle).  :meth:`band_edges` inverts both edges at every node, once:
-    the forward reflection, the estimate checks and the terminal-anchored
-    reflection of a bare ``time_invariant`` pair read them.  The anchored
-    reflection of any other pair inverts an edge only where the clamp binds.
+    particle); :func:`make_mean_boundary` gives offsets that read its
+    ensemble in place, one node's row at a time.  :meth:`band_edges` inverts
+    both edges at every node, once: the forward reflection, the estimate
+    checks and the terminal-anchored reflection of a bare ``time_invariant``
+    pair read them.  The anchored reflection of any other pair inverts an
+    edge only where the clamp binds.
 
     ``lower(k, x)`` and ``upper(k, x)`` take one node ``k`` with a scalar or
     array ``x``, or a 1-D numpy array of nodes ``k`` paired row-wise with
@@ -215,9 +218,11 @@ class BoundaryPair:
 
     def __post_init__(self):
         if self.offsets is not None:
-            off = np.asarray(self.offsets, dtype=float)
-            object.__setattr__(self, "offsets", off)
-            if off.ndim != 2 or off.shape[0] != self.grid.n_nodes:
+            off = self.offsets
+            if not isinstance(off, _RecentredRows):
+                off = np.asarray(off, dtype=float)
+                object.__setattr__(self, "offsets", off)
+            if len(off.shape) != 2 or off.shape[0] != self.grid.n_nodes:
                 raise ValueError("offsets must be (nodes, particles)")
 
     # -- evaluation ---------------------------------------------------------
@@ -300,20 +305,52 @@ class BoundaryPair:
             return False
         return self.losses.gap / self.C >= BAND_MIN_DEFAULT + 2.0 * _xtol(self.C, ROOT_TOL_DEFAULT)
 
-    def _edge_at(self, node: int, x: float) -> float:
+    def _edge_at(self, node: int, x: float, known: tuple[float, float] | None = None) -> float:
         """``x`` if it is in the band at ``node``, else the edge it crossed.
 
         The edge is the root of :meth:`band_edges` to ``ROOT_TOL_DEFAULT``,
         inverted from ``x`` and the boundary value this test took there.  A
         value that is not finite goes to the inversion, which refuses it.
+        ``known`` is ``(upper(node, x), lower(node, x))`` where the caller
+        has them already.
         """
-        v = self.upper(node, x)
+        v = self.upper(node, x) if known is None else known[0]
         if not v >= 0.0:
             return _invert_from(self, node, "lower_edge", ROOT_TOL_DEFAULT, x, v)
-        v = self.lower(node, x)
+        v = self.lower(node, x) if known is None else known[1]
         if not v <= 0.0:
             return _invert_from(self, node, "upper_edge", ROOT_TOL_DEFAULT, x, v)
         return x
+
+
+class _RecentredRows:
+    """The (nodes, particles) offsets ``values[:, k] - means[k]`` of an ensemble, never stored.
+
+    Indexing one node recentres its cross-section, with the bits of the
+    stored array, and keeps that one row, so every evaluation at a node
+    shares it.  Any other index, or ``np.asarray``, builds the full array.
+    """
+
+    def __init__(self, values: NDArray[np.floating], means: NDArray[np.floating]):
+        self._values = values
+        self._means = means
+        self._last: tuple = (None, None)  # (node, row), swapped whole: threads never mix them
+        self.shape = values.shape[::-1]
+
+    def __getitem__(self, key):
+        try:
+            k = operator.index(key)
+        except TypeError:  # a slice, a tuple, an index array
+            return np.asarray(self)[key]
+        node, row = self._last
+        if node != k:
+            row = self._values[:, k] - self._means[k]
+            row.setflags(write=False)
+            self._last = (k, row)
+        return row
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self._values.T - self._means[:, None], dtype=dtype)
 
 
 def make_mean_boundary(e: Ensemble, lp: LossPair) -> BoundaryPair:
@@ -323,13 +360,19 @@ def make_mean_boundary(e: Ensemble, lp: LossPair) -> BoundaryPair:
     ``l(k, x) = mean_i L(t_k, y_i - ybar + x)`` and likewise for ``r``, with
     ``t_k`` node ``k`` of the ensemble's grid.  For affine losses the
     recentring cancels exactly, so the boundary is built without offsets.
+    The pair reads the ensemble in place: its ``offsets`` recentre one
+    node's cross-section at a time (``np.asarray`` gives the full array).
     """
+    return _mean_boundary(e, lp, None)
+
+
+def _mean_boundary(e: Ensemble, lp: LossPair, means: NDArray[np.floating] | None) -> BoundaryPair:
+    """:func:`make_mean_boundary` given ``ensemble_means(e)``, or ``None`` to compute it."""
     if lp.affine:
         return BoundaryPair(e.grid, lp)
-    # The transpose of the F-ordered values is a C-ordered view: copy it before -=.
-    offsets = e.values.T.copy()
-    offsets -= pairwise_mean(offsets)[:, None]
-    return BoundaryPair(e.grid, lp, offsets)
+    if means is None:
+        means = ensemble_means(e)
+    return BoundaryPair(e.grid, lp, _RecentredRows(e.values, means))
 
 
 def invert_boundary(

@@ -105,9 +105,11 @@ def audit_solution(sol: MRSolution, lp: LossPair) -> MRAudit:
 
 
 def representation_gap(sol: MRSolution) -> float:
-    """Max particle/node gap of ``Y - (inner + K_T - K)`` (identity guard)."""
+    """Max particle/node gap of ``Y - (inner + K_T - K)`` (identity guard), node by node."""
     shift = sol.K.values[-1] - sol.K.values
-    return float(np.max(np.abs(sol.y.values - (sol.inner.values + shift[None, :]))))
+    y, inner = sol.y.values, sol.inner.values
+    gaps = [np.max(np.abs(y[:, k] - (inner[:, k] + shift[k]))) for k in range(shift.size)]
+    return float(np.max(gaps))  # np.max, not max: a NaN gap must carry through
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from .constraints import (
     LinearObstacles,
     LossPair,
     _loss_stats,
+    _mean_boundary,
     check_envelope_order,
-    make_mean_boundary,
     validate_loss,
 )
 from .core import (
@@ -273,11 +273,17 @@ class MRSolution:
 
 @dataclass(frozen=True)
 class _SegmentSolution:
-    """One constant-driver solve on one (sub-)grid."""
+    """One constant-driver solve on one (sub-)grid.
+
+    The reflected particles are ``plain.y + shift[None, :]``, ``shift = K_T
+    - K_t`` the force still to come; they are read node by node and never
+    stored: :func:`_stitch` builds them once for the returned solution, and
+    a column read alone has the bits of the stored sum.
+    """
 
     plain: BSDESolution
     bsp: BackwardReflectionSolution
-    y: Ensemble
+    shift: NDArray[np.floating]
     s: SamplePath
 
 
@@ -288,29 +294,28 @@ def _construct(
     sc: Scenario,
     terminal_tol: float,
     plan: RegressionPlan,
+    z: NDArray[np.floating] | None = None,
 ) -> _SegmentSolution:
     """Reflect a frozen-driver solve: plain solution, mean reflection, shift.
 
     The plain solution runs the backward loop on the state-independent hook
-    ``drift`` with ``bm``'s regression plan.  The reflected
-    input is the accumulated mean drift ``s_t = E[y_t0 - y_t]`` anchored at
-    ``a = E[xi]``; the boundary pair averages the losses over the recentred
-    plain cross-sections, so the reflected mean satisfies the original mean
-    constraints by construction.
+    ``drift`` with ``bm``'s regression plan, writing its ``z`` into ``z``
+    when given.  The reflected input is the accumulated mean drift ``s_t =
+    E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair averages the
+    losses over the recentred plain cross-sections, which it reads in place,
+    so the reflected mean satisfies the original mean constraints by
+    construction.
     """
-    plain = _backward_pass(xi, bm, plan, drift)
+    plain = _backward_pass(xi, bm, plan, drift, z=z)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
-    # The boundary pair goes in inline, so its offsets are freed before y is allocated.
     bsp = solve_bsp(
         s,
         float(means[-1]),
-        make_mean_boundary(plain.y, sc.losses),
+        _mean_boundary(plain.y, sc.losses, means),
         terminal_tol=terminal_tol,
     )
-    shift = bsp.K.values[-1] - bsp.K.values
-    y = Ensemble(bm.grid, plain.y.values + shift[None, :])
-    return _SegmentSolution(plain, bsp, y, s)
+    return _SegmentSolution(plain, bsp, bsp.K.values[-1] - bsp.K.values, s)
 
 
 def _require_state_free(gen: Generator, route: str) -> None:
@@ -339,7 +344,7 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
     drift = _frozen_drift(sc.generator, zero, zero, bm.grid)
     plan = RegressionPlan.build(bm, sc.regression)
     seg = _construct(xi, bm, drift, sc, term_tol, plan)
-    return _stitch([(0, bm.grid.n_steps, seg)], bm.grid, None)
+    return _stitch([(0, bm.grid.n_steps, seg.bsp, seg.s, seg.shift)], bm.grid, None, seg.plain)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +352,25 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
 # ---------------------------------------------------------------------------
 
 
-def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
-    """Largest per-node RMS gap, one node at a time: no full-size temporary."""
-    gaps = [pairwise_mean((a[:, k] - b[:, k]) ** 2) for k in range(a.shape[1])]
+def _max_rms_gap(
+    a: NDArray[np.floating],
+    a_shift: NDArray[np.floating] | None,
+    b: NDArray[np.floating],
+    b_shift: NDArray[np.floating] | None,
+) -> float:
+    """Largest per-node RMS gap of ``a + a_shift`` and ``b + b_shift``, one node at a time.
+
+    A shift is a node array added to every particle (``None``: none), so
+    neither sum is stored; each column has the bits of the stored sum.
+    """
+
+    def column(x, shift, k):
+        return x[:, k] if shift is None else x[:, k] + shift[k]
+
+    gaps = [
+        pairwise_mean((column(a, a_shift, k) - column(b, b_shift, k)) ** 2)
+        for k in range(a.shape[1])
+    ]
     return float(np.sqrt(np.max(gaps)))
 
 
@@ -371,8 +392,12 @@ def _picard_segment(
     quotient against the previous iteration (``None`` on the first); the
     split test and the trace read that one value.  Returns ``None`` when the
     quotient exceeds the margin or the iteration cap runs out — the caller
-    reacts by splitting the horizon further.  An iteration keeps only the
-    frozen pair ``(u, v)`` and the force of the last one.
+    reacts by splitting the horizon further.
+
+    An iteration holds the Brownian segment, the frozen state as the last
+    plain ``y`` ``u`` with its shift (the reflected ``y`` is never stored),
+    the new plain ``y`` and one ``z``: the new ``z`` overwrites the frozen
+    one, column ``k`` after the drift at node ``k`` read it.
     """
     gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
     term_tol = require_feasible_terminal(sc.losses, grid.horizon, xi)
@@ -382,11 +407,14 @@ def _picard_segment(
         plain = _backward_pass(xi, bm_seg, plan, _plain_drift(gen, grid))
         u, v = plain.y.values, plain.z.values
         del plain  # freed, like each previous segment, before _construct allocates
+    u_shift = None
     k_prev = np.zeros(grid.n_nodes)
     prev_d = 0.0
     for _ in range(tol.max_iterations):
-        seg = _construct(xi, bm_seg, _frozen_drift(gen, u, v, grid), sc, term_tol, plan)
-        d_y = _max_rms_gap(seg.y.values, u)
+        drift = _frozen_drift(gen, u, v, grid, u_shift)
+        # the read-only zero pair cannot take the new z: the first zero-init iteration allocates it
+        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, v if v.flags.writeable else None)
+        d_y = _max_rms_gap(seg.plain.y.values, seg.shift, u, u_shift)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k
         ratio = d / prev_d if prev_d > 0.0 else None
@@ -395,7 +423,8 @@ def _picard_segment(
             return seg
         if ratio is not None and ratio > tol.contraction_margin:
             return None
-        u, v, k_prev, prev_d = seg.y.values, seg.plain.z.values, seg.bsp.K.values, d
+        u, v, u_shift = seg.plain.y.values, seg.plain.z.values, seg.shift
+        k_prev, prev_d = seg.bsp.K.values, d
         del seg
     return None
 
@@ -428,43 +457,45 @@ def _trace(
 
 
 def _stitch(
-    segs: list[tuple[int, int, _SegmentSolution]],
+    parts: list[tuple[int, int, BackwardReflectionSolution, SamplePath, NDArray]],
     grid: TimeGrid,
     trace: PicardTrace | None,
+    plain: BSDESolution,
 ) -> MRSolution:
-    """Assemble the full-horizon solution from segment solutions, in node order.
+    """Assemble the full-horizon solution, the one place an :class:`MRSolution` is built.
 
-    The one place an :class:`MRSolution` is built.  Monotone force parts
-    accumulate across segments; the stitched inner ensemble is re-based so
-    the particle-wise representation ``y = inner + (K_T - K_t)`` holds
-    against the *global* force; for a single segment that offset is
-    ``K_T - K_T = 0``, so its arrays are used as they are.
+    ``parts`` holds each segment's nodes ``a..b``, reflection, input and
+    shift, in node order; ``plain`` the full-grid plain solution of every
+    segment (:func:`_place`), which becomes ``z`` and ``inner``.  Monotone force
+    parts accumulate across segments.  ``y`` is built here, node block by
+    node block, as the plain ``y`` plus its segment's own ``K_b - K_t``;
+    then ``inner`` is re-based in place so the particle-wise representation
+    ``y = inner + (K_T - K_t)`` holds against the *global* force.  For a
+    single segment that offset is ``K_T - K_T = 0`` and nothing moves.
     """
     m = grid.n_nodes
     pu, pd = np.empty(m), np.empty(m)
     base_up = base_dn = fr_up = fr_dn = s_sup = 0.0
-    for a, b, seg in segs:
-        pu[a : b + 1] = base_up + seg.bsp.push_up.values
-        pd[a : b + 1] = base_dn + seg.bsp.push_down.values
+    for a, b, bsp, s, _ in parts:
+        pu[a : b + 1] = base_up + bsp.push_up.values
+        pd[a : b + 1] = base_dn + bsp.push_down.values
         base_up, base_dn = float(pu[b]), float(pd[b])
-        fr_up += seg.bsp.flat_residual_up
-        fr_dn += seg.bsp.flat_residual_down
-        s_sup = max(s_sup, float(np.max(np.abs(seg.s.values))))
+        fr_up += bsp.flat_residual_up
+        fr_dn += bsp.flat_residual_down
+        s_sup = max(s_sup, float(np.max(np.abs(s.values))))
     kv = pu - pd
-    if len(segs) == 1:  # spans the grid: re-wrapped, not copied
-        seg = segs[0][2]
-        yv, zv, inner = seg.y.values, seg.plain.z.values, seg.plain.y.values
-    else:
-        n = segs[0][2].y.values.shape[0]
-        yv, zv, inner = (np.empty((n, m), order="F") for _ in range(3))
-        for a, b, seg in segs:
-            yv[:, a : b + 1] = seg.y.values
-            zv[:, a : b + 1] = seg.plain.z.values
-            inner[:, a : b + 1] = seg.plain.y.values - (kv[-1] - kv[b])
+    inner = plain.y.values
+    yv = np.empty(inner.shape, order="F")
+    for a, b, *_, shift in parts:
+        end = _end(b, m)
+        np.add(inner[:, a:end], shift[: end - a], out=yv[:, a:end])
+    if len(parts) > 1:
+        for a, b, *_ in parts:
+            inner[:, a : _end(b, m)] -= kv[-1] - kv[b]
     return MRSolution(
         y=Ensemble(grid, yv),
-        z=Ensemble(grid, zv),
-        inner=Ensemble(grid, inner),
+        z=plain.z,
+        inner=plain.y,
         K=SamplePath(grid, kv),
         push_up=SamplePath(grid, pu),
         push_down=SamplePath(grid, pd),
@@ -473,6 +504,21 @@ def _stitch(
         s_sup=s_sup,
         trace=trace,
     )
+
+
+def _end(b: int, m: int) -> int:
+    """End of the columns a segment ending at node ``b`` owns: the next one owns node ``b``."""
+    return b + 1 if b == m - 1 else b
+
+
+def _place(seg: _SegmentSolution, a: int, plain: BSDESolution) -> None:
+    """Write a segment's plain ``y`` and ``z``, from node ``a``, into full-grid ``plain``.
+
+    Only the columns the segment owns (:func:`_end`) are written.
+    """
+    end = _end(a + seg.shift.size - 1, plain.y.grid.n_nodes)
+    plain.y.values[:, a:end] = seg.plain.y.values[:, : end - a]
+    plain.z.values[:, a:end] = seg.plain.z.values[:, : end - a]
 
 
 def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
@@ -526,7 +572,14 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     while True:
         bounds = [int(round(j * grid.n_steps / n_segments)) for j in range(n_segments + 1)]
         records: list[tuple[NDArray[np.floating], list[tuple]]] = []
-        solved: list[tuple[int, int, _SegmentSolution]] = []
+        parts: list[tuple[int, int, BackwardReflectionSolution, SamplePath, NDArray]] = []
+        # A split solve writes each converged segment's plain solution into
+        # the full grid at once and drops its arrays; one segment is its own.
+        plain = None
+        if n_segments > 1:
+            plain = BSDESolution(
+                *(Ensemble(grid, np.empty(bm.values.shape, order="F")) for _ in range(2))
+            )
         xi_seg = xi
         for j in reversed(range(n_segments)):
             a, b = bounds[j], bounds[j + 1]
@@ -535,16 +588,21 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
             seg = _picard_segment(sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b))
             if seg is None:
                 break
-            solved.append((a, b, seg))
-            xi_seg = seg.y.values[:, 0].copy()
-        converged = len(solved) == n_segments
+            parts.append((a, b, seg.bsp, seg.s, seg.shift))
+            xi_seg = seg.plain.y.values[:, 0] + seg.shift[0]  # the reflected first column
+            if plain is None:
+                plain = seg.plain
+            else:
+                _place(seg, a, plain)
+            del seg
+        converged = len(parts) == n_segments
         *_, ratio = records[-1][1][-1]  # the attempt's last quotient
         split = not converged and ratio is not None and ratio > sc.tol.contraction_margin
         iterations = sum(len(rows) for _, rows in records)
         attempts.append((n_segments, iterations, ratio if split else math.nan))
         trace = _trace(records, converged, attempts)
         if converged:
-            return _stitch(solved[::-1], grid, trace)
+            return _stitch(parts[::-1], grid, trace, plain)
         nxt = min(2 * n_segments, max_segments)
         if nxt == n_segments:
             raise NonConvergenceError(

@@ -19,6 +19,7 @@ band nesting, and the total-variation bound through the band-edge root paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -216,7 +217,9 @@ def solve_bsp(
     the last node down — and the force is mapped back as ``K_t = Kbar_T -
     Kbar_{T-t}``.  Anchor violations within ``terminal_tol +
     ROOT_TOL_DEFAULT`` are absorbed as a small initial force of the reversed
-    problem.
+    problem.  The check reads the pair where the reversed input starts,
+    ``(a + s_T) - s_T``: ``a`` up to one rounding, far inside that
+    tolerance, and the first clamp step reuses the two values.
 
     A bare ``time_invariant`` pair is clamped against
     :meth:`BoundaryPair.band_edges`.  Any other pair inverts an edge only at a
@@ -230,14 +233,25 @@ def solve_bsp(
     grid = s.grid
     _require_one_grid(grid, bp.grid)
     last = grid.n_nodes - 1
+    a = float(a)
     tol = float(terminal_tol) + ROOT_TOL_DEFAULT
-    if not (bp.lower(last, a) <= tol and bp.upper(last, a) >= -tol):
+    start = float((a + s.values[-1]) - s.values[-1])  # the reversed input's first value
+    at_start = (bp.upper(last, start), bp.lower(last, start))
+    if not (at_start[1] <= tol and at_start[0] >= -tol):
         raise InfeasibleTerminalError(
             f"anchor {a} violates the terminal constraint beyond tolerance {tol:.3e}"
         )
     if bp._edges_on_demand():
+
+        def edge(k: int, free: float) -> float:
+            # the first free value is start, bar a -0.0 that the clamp makes 0.0
+            same = free == start and math.copysign(1.0, free) == math.copysign(1.0, start)
+            if k == last and same:
+                return bp._edge_at(k, free, at_start)
+            return bp._edge_at(k, free)
+
         empty = np.full(grid.n_nodes, np.inf)
-        x, up, dn = _reversed_clamp(s.values, a, empty, -empty, bp._edge_at)
+        x, up, dn = _reversed_clamp(s.values, a, empty, -empty, edge)
     else:
         rho, lam = _band_edges(bp)
         x, up, dn = _reversed_clamp(s.values, a, rho, lam)

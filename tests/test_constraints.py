@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -491,6 +492,47 @@ def test_mean_boundary_leaves_an_f_ordered_ensemble_intact():
     bp = make_mean_boundary(mr.Ensemble(g, vals), mr.saturating_band(-1.0, 4.0))
     np.testing.assert_array_equal(vals, before)
     assert_allclose(bp.offsets, (before - before.mean(axis=0)).T, rtol=0, atol=1e-12)
+
+
+def test_mean_boundary_reads_the_ensemble_in_place_with_the_bits_of_stored_offsets():
+    # the pair recentres one node's cross-section at a time, in any node
+    # order: every evaluation has the bits of the pair on the stored offsets
+    rng = np.random.default_rng(8)
+    g = mr.build_grid(1.0, 6)
+    e = mr.Ensemble(g, rng.normal(0.0, 1.2, (257, g.n_nodes)))
+    lp = mr.saturating_band(-1.0, 3.0)
+    bp = make_mean_boundary(e, lp)
+    offsets = e.values.T.copy()
+    offsets -= mr.pairwise_mean(offsets)[:, None]
+    assert np.asarray(bp.offsets).tobytes() == offsets.tobytes()
+    assert bp.offsets.shape == offsets.shape and bp.offsets[::-1].tobytes() == offsets[::-1].tobytes()
+    stored = BoundaryPair(g, lp, offsets)
+    xs = rng.normal(0.0, 2.0, 5)
+    for node in (6, 6, 0, 3, 6, 2, 2):
+        assert bp.offsets[node].tobytes() == offsets[node].tobytes()
+        for side in ("lower", "upper"):
+            ours, theirs = getattr(bp, side), getattr(stored, side)
+            assert ours(node, xs).tobytes() == theirs(node, xs).tobytes()
+            assert ours(node, float(xs[0])) == theirs(node, float(xs[0]))
+    nodes, rows = np.arange(g.n_nodes), np.broadcast_to(xs, (g.n_nodes, xs.size))
+    assert bp.upper(nodes, rows).tobytes() == stored.upper(nodes, rows).tobytes()
+    for ours, theirs in zip(bp.band_edges(), stored.band_edges()):
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_mean_boundary_copies_no_ensemble():
+    rng = np.random.default_rng(9)
+    g = mr.build_grid(1.0, 40)
+    e = mr.Ensemble(g, rng.normal(0.0, 1.0, (20_000, g.n_nodes)))
+    tracemalloc.start()
+    try:
+        bp = make_mean_boundary(e, mr.saturating_band(-1.0, 3.0))
+        bp.lower(3, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one recentred row and the loss's temporaries over it: a few columns
+    assert peak <= 0.5 * e.values.nbytes, peak / e.values.nbytes
 
 
 def test_band_edges_cached_and_consistent():

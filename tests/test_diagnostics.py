@@ -178,6 +178,16 @@ def test_representation_gap_measures_tampering():
     assert mr.representation_gap(sol) <= 1e-12
     tampered = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, sol.y.values + 0.25))
     assert_allclose(mr.representation_gap(tampered), 0.25, rtol=1e-12)
+    # node by node, the gap is the full-array formula's value; a NaN carries through
+    noise = np.random.default_rng(2).normal(0.0, 1e-3, sol.y.values.shape)
+    tampered = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, sol.y.values + noise))
+    shift = sol.K.values[-1] - sol.K.values
+    full = np.max(np.abs(tampered.y.values - (sol.inner.values + shift[None, :])))
+    assert mr.representation_gap(tampered) == float(full)
+    broken = tampered.y.values.copy()
+    broken[5, 3] = np.nan
+    broken = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, broken))
+    assert math.isnan(mr.representation_gap(broken))
 
 
 # ---------------------------------------------------------------------------

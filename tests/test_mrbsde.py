@@ -319,10 +319,10 @@ def test_exhausted_iteration_budget_raises_with_trace():
     assert all(math.isnan(a[2]) for a in tr.attempts)
 
 
-def _split_scenario():
+def _split_scenario(particles=2_000):
     # y-coupling too strong for one contraction: 8 stitched segments
     return _scenario(
-        mr.affine_mix_generator(a_y=5.0), particles=2_000, steps=16, seed=41,
+        mr.affine_mix_generator(a_y=5.0), particles=particles, steps=16, seed=41,
         losses=mr.linear_band(-60.0, 60.0),
     )
 
@@ -585,10 +585,18 @@ def test_constraint_violation_meter():
 
 @pytest.mark.parametrize("particles", [3, 101, 8193])
 def test_max_rms_gap_matches_the_full_array_formula(particles):
+    # each side may carry a node shift that is never stored: the gap must
+    # have the bits of the formula on the stored sums
     rng = np.random.default_rng(particles)
     a, b = rng.normal(0.0, 1.0, (2, particles, 9))
+    sa, sb = rng.normal(0.0, 1.0, (2, 9))
     full = float(np.sqrt(np.max(mr.pairwise_mean((a - b) ** 2, axis=0))))
-    assert _max_rms_gap(a, b) == full
+    assert _max_rms_gap(a, None, b, None) == full
+    shifted = (a + sa[None, :]) - (b + sb[None, :])
+    full = float(np.sqrt(np.max(mr.pairwise_mean(shifted**2, axis=0))))
+    assert _max_rms_gap(a, sa, b, sb) == full
+    full = float(np.sqrt(np.max(mr.pairwise_mean(((a + sa[None, :]) - b) ** 2, axis=0))))
+    assert _max_rms_gap(a, sa, b, None) == full
 
 
 def test_every_returned_ensemble_is_f_contiguous():
@@ -632,12 +640,12 @@ def _saturating(gen, *, steps, particles, seed):
 
 @pytest.mark.parametrize(
     "route,bound",
-    [("zero", 6.5), ("unreflected", 6.5), ("constant-driver", 4.5)],
+    [("zero", 5.0), ("unreflected", 5.0), ("constant-driver", 4.5)],
 )
 def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, bound):
     # in (particles, nodes) arrays of 4000 x 41 doubles: an iteration holds bm,
-    # the frozen pair (u, v) and the new plain y, z and shifted y; the
-    # constant-driver route has no frozen pair to hold
+    # the frozen plain y, the new plain y and one z, which the new z
+    # overwrites; the reflected y is built once, for the returned solution
     array = 4000 * 41 * 8
     if route == "constant-driver":
         gen = mr.constant_generator(4.0)
@@ -655,6 +663,57 @@ def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, bound):
         tracemalloc.stop()
     assert sol.trace is None or sol.trace.segment_count == 1
     assert peak <= bound * array, peak / array
+
+
+def test_split_solve_holds_each_segment_once():
+    # 6000 x 17 arrays; 8 segments: a converged segment's plain y and z go
+    # straight into the full-grid solution, the reflected y is built at the end
+    sc = _split_scenario(6_000)
+    tracemalloc.start()
+    try:
+        sol = mr.picard_solve(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.trace.segment_count == 8
+    assert peak <= 6.0 * (6_000 * 17 * 8), peak / (6_000 * 17 * 8)
+
+
+@pytest.mark.parametrize("case", ["affine-mix-z", "affine-mix-yz", "quadratic-z"])
+@pytest.mark.parametrize("init", ["zero", "unreflected"])
+def test_z_written_over_the_frozen_z_gives_the_bits_of_a_fresh_z(monkeypatch, case, init):
+    # the frozen hook reads v[:, k] at step k and the new z overwrites v in
+    # place: a column written before its drift read it would move the bits.
+    # (From the unreflected start, a driver of z alone reproduces the frozen
+    # z exactly, so only the y-coupled case can tell there.)
+    if case.startswith("affine-mix"):
+        a_y = 0.5 if case == "affine-mix-yz" else 0.0
+        gen = mr.affine_mix_generator(a_y=a_y, a_z=0.5, a_mean_z=0.25, const=3.0)
+        terminal, losses, envelope = 0.5, mr.saturating_band(-1.0, 2.0), None
+    else:
+        gen, terminal = mr.quadratic_z_generator(1.0), 2.8
+        losses, envelope = mr.linear_band(1.0, 3.0), mr.LinearEnvelope.constants(1.0, 3.0, 1.0)
+    sc = mr.Scenario(
+        horizon=1.0, steps=20, particles=3000, rng=mr.RngSpec(11),
+        terminal=lambda b: 1.5 * np.sin(b) + terminal, generator=gen,
+        losses=losses, envelope=envelope,
+    )
+    in_place = mr.picard_solve(sc, init=init)
+    backward_pass = bsde._backward_pass
+    replaced = []
+
+    def fresh_z(*args, z=None, **kwargs):
+        replaced.append(z is not None)
+        return backward_pass(*args, **kwargs)
+
+    monkeypatch.setattr(mrbsde, "_backward_pass", fresh_z)
+    allocated = mr.picard_solve(sc, init=init)
+    assert in_place.trace.iterations == allocated.trace.iterations >= 2
+    assert sum(replaced) == in_place.trace.iterations - (init == "zero")
+    for name in ("y", "z", "inner"):
+        assert getattr(in_place, name).values.tobytes() == getattr(allocated, name).values.tobytes()
+    assert in_place.K.values.tobytes() == allocated.K.values.tobytes()
+    assert np.any(in_place.K.values != 0.0)  # the band binds: the reflection is exercised
 
 
 def _count_plans(monkeypatch) -> list:
@@ -720,7 +779,9 @@ def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
     # public drift matrix of the same frozen pair must give the same bits
     def construct(drift):
         seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
-        return mrbsde._stitch([(0, sc.steps, seg)], bm.grid, None)
+        return mrbsde._stitch(
+            [(0, sc.steps, seg.bsp, seg.s, seg.shift)], bm.grid, None, seg.plain
+        )
 
     if case == "constant-at-zero":
         gen = mr.constant_generator(4.0)

@@ -247,6 +247,34 @@ def test_backward_is_reversed_forward_on_an_averaged_pair():
     assert max(_round_trip_gaps(s, 0.0, bp)) <= 1e-11
 
 
+@pytest.mark.parametrize("a,exact", [(0.25, True), (0.1, False)])
+def test_anchored_map_evaluates_the_terminal_node_once_per_side(monkeypatch, a, exact):
+    # the terminal check reads the pair where the reversed input starts,
+    # (a + s_T) - s_T, which is a up to one rounding (a itself, or not, by
+    # the case), and the first clamp step reuses those two values
+    rng = np.random.default_rng(3)
+    g = mr.build_grid(1.0, 8)
+    e = mr.Ensemble(g, rng.normal(0.0, 0.5, (64, g.n_nodes)))
+    bp = mr.make_mean_boundary(e, mr.saturating_band(-0.5, 0.5))
+    s = mr.SamplePath(g, np.array([0.0, 0.5, 1.0, 0.25, -0.5, -1.0, 0.0, 0.5, 0.7]))
+    start = (a + s.values[-1]) - s.values[-1]
+    assert (start == a) == exact
+    last = g.n_nodes - 1
+    calls = []
+    for side in ("lower", "upper"):
+        evaluate = getattr(mr.BoundaryPair, side)
+
+        def counting(self, node, x, evaluate=evaluate, side=side):
+            if np.ndim(node) == 0 and int(node) == last:
+                calls.append((side, float(x)))
+            return evaluate(self, node, x)
+
+        monkeypatch.setattr(mr.BoundaryPair, side, counting)
+    sol = mr.solve_bsp(s, a, bp)
+    assert sol.variation > 0.0
+    assert sorted(calls) == [("lower", start), ("upper", start)]
+
+
 def test_backward_map_runs_on_a_grid_that_is_not_its_own_mirror():
     # the map only reverses arrays, so uneven steps need no symmetric grid
     g = mr.TimeGrid(np.array([0.0, 0.05, 0.3, 0.31, 0.7, 1.0]))
