@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -83,8 +83,6 @@ def _fmt(x: float) -> str:
 
 def _json_default(obj: Any) -> Any:
     """``json.dumps`` hook for the values it cannot encode itself."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return asdict(obj)
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

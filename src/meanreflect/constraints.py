@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .core import Ensemble, TimeGrid, ensemble_means, pairwise_mean, stat_tol
-from .errors import NumericalFailureError
+from .errors import DegenerateConstraintsError, NumericalFailureError
 
 __all__ = [
     "LossPair",
@@ -200,10 +200,10 @@ class BoundaryPair:
     the boundary is the bare loss pair (equivalent to a single centred
     particle); :func:`make_mean_boundary` gives offsets that read its
     ensemble in place, one node's row at a time.  :meth:`band_edges` inverts
-    both edges at every node, once: the forward reflection, the estimate
-    checks and the terminal-anchored reflection of a bare ``time_invariant``
-    pair read them.  The anchored reflection of any other pair inverts an
-    edge only where the clamp binds.
+    both edges at every node, once, for the estimate checks.  The pair also
+    holds the one band policy of both reflection maps (``_clamp_band``): a
+    bare ``time_invariant`` pair is clamped against its band edges, any
+    other inverts an edge only where the clamp binds.
 
     ``lower(k, x)`` and ``upper(k, x)`` take one node ``k`` with a scalar or
     array ``x``, or a 1-D numpy array of nodes ``k`` paired row-wise with
@@ -293,31 +293,44 @@ class BoundaryPair:
         object.__setattr__(self, "_edges", (rho, lam))
         return rho, lam
 
-    def _edges_on_demand(self) -> bool:
-        """Whether the anchored clamp may invert an edge only where it binds.
+    def _clamp_band(self) -> tuple[NDArray[np.floating], NDArray[np.floating], Callable | None]:
+        """``(lo, hi, edge)`` for the clamp recursion: both reflection maps clamp through it.
 
-        Not for a bare ``time_invariant`` pair: one inversion per edge serves
-        every node.  Any other band is at least ``gap / C`` wide (``r - l >=
-        gap``, ``r`` rises at most ``C`` per unit), which settles the
-        degeneracy check unless it is below ``BAND_MIN_DEFAULT + 2 xtol``.
+        A bare ``time_invariant`` pair gives its :meth:`band_edges` and no
+        hook: one inversion per edge serves every node.  Any other band is at
+        least ``gap / C`` wide (``r - l >= gap``, ``r`` rises at most ``C``
+        per unit), which settles the degeneracy check, so it gives the empty
+        band (``+inf``, ``-inf``) and :meth:`_edge_at`, inverting an edge only
+        where the clamp binds.  Where ``gap / C`` is below ``BAND_MIN_DEFAULT
+        + 2 xtol`` the bound cannot settle the check, and the pair falls back
+        to its band edges.  Raises ``DegenerateConstraintsError`` if band
+        edges are narrower than ``BAND_MIN_DEFAULT`` at some node.
         """
-        if self.offsets is None and self.losses.time_invariant:
-            return False
-        return self.losses.gap / self.C >= BAND_MIN_DEFAULT + 2.0 * _xtol(self.C, ROOT_TOL_DEFAULT)
+        bare = self.offsets is None and self.losses.time_invariant
+        floor = BAND_MIN_DEFAULT + 2.0 * _xtol(self.C, ROOT_TOL_DEFAULT)
+        if not bare and self.losses.gap / self.C >= floor:
+            empty = np.full(self.grid.n_nodes, np.inf)
+            return empty, -empty, self._edge_at
+        rho, lam = self.band_edges()
+        width = lam - rho
+        if np.min(width) < BAND_MIN_DEFAULT:
+            k = int(np.argmin(width))
+            raise DegenerateConstraintsError(
+                f"admissible band collapsed to {width[k]:.3e} at node {k}"
+            )
+        return rho, lam, None
 
-    def _edge_at(self, node: int, x: float, known: tuple[float, float] | None = None) -> float:
+    def _edge_at(self, node: int, x: float) -> float:
         """``x`` if it is in the band at ``node``, else the edge it crossed.
 
         The edge is the root of :meth:`band_edges` to ``ROOT_TOL_DEFAULT``,
         inverted from ``x`` and the boundary value this test took there.  A
         value that is not finite goes to the inversion, which refuses it.
-        ``known`` is ``(upper(node, x), lower(node, x))`` where the caller
-        has them already.
         """
-        v = self.upper(node, x) if known is None else known[0]
+        v = self.upper(node, x)
         if not v >= 0.0:
             return _invert_from(self, node, "lower_edge", ROOT_TOL_DEFAULT, x, v)
-        v = self.lower(node, x) if known is None else known[1]
+        v = self.lower(node, x)
         if not v <= 0.0:
             return _invert_from(self, node, "upper_edge", ROOT_TOL_DEFAULT, x, v)
         return x

@@ -8,9 +8,10 @@ lam_t`` whose edges are boundary roots; the recursion is then a clamp with
 the force increment charged to whichever edge was hit.
 
 The backward map anchors the path at a terminal value; it runs the same
-clamp on the reversed clock.  For a bare ``time_invariant`` pair it reads
-the same precomputed band edges; for any other pair it inverts an edge only
-at the nodes where the free value leaves the band.
+clamp on the reversed clock.  How a pair finds its edges is one policy, kept
+in :class:`BoundaryPair`: both maps clamp through it, against precomputed
+band edges for a bare ``time_invariant`` pair and by inverting an edge only
+where the free value leaves the band for any other.
 
 The module also ships the quantitative estimates satisfied by these maps as
 executable report-style checks: input-stability of the force, ordering under
@@ -19,16 +20,15 @@ band nesting, and the total-variation bound through the band-edge root paths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .constraints import BAND_MIN_DEFAULT, ROOT_TOL_DEFAULT, X_WINDOW, BoundaryPair
+from .constraints import ROOT_TOL_DEFAULT, X_WINDOW, BoundaryPair
 from .core import SamplePath, TimeGrid
-from .errors import DegenerateConstraintsError, InfeasibleTerminalError
+from .errors import InfeasibleTerminalError
 
 __all__ = [
     "ReflectionSolution",
@@ -36,7 +36,6 @@ __all__ = [
     "solve_sp",
     "solve_bsp",
     "total_variation",
-    "flat_tolerance",
     "check_tv_bound",
     "check_continuity_bound",
     "check_comparison",
@@ -130,18 +129,6 @@ def _clamp_recursion(
     return np.array(xs), np.array(ups), np.array(dns)
 
 
-def _band_edges(bp: BoundaryPair) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """``bp.band_edges()``, or ``DegenerateConstraintsError`` if a band is below the floor."""
-    rho, lam = bp.band_edges()
-    width = lam - rho
-    if np.min(width) < BAND_MIN_DEFAULT:
-        k = int(np.argmin(width))
-        raise DegenerateConstraintsError(
-            f"admissible band collapsed to {width[k]:.3e} at node {k}"
-        )
-    return rho, lam
-
-
 def _require_one_grid(*grids: TimeGrid) -> None:
     """Raise ``ValueError`` unless the grids are one: the same object or the same nodes."""
     if any(g is not grids[0] and not np.array_equal(g.nodes, grids[0].nodes) for g in grids):
@@ -158,11 +145,12 @@ def _solution(cls, grid, x, push_up, push_down, residuals, **extra):
 def solve_sp(s: SamplePath, bp: BoundaryPair) -> ReflectionSolution:
     """Solve the two-sided reflection problem for input ``s``.
 
-    At each node the admissible band ``[rho_k, lam_k]`` is found by root
-    inversion of the boundaries, then the path follows the increments of
-    ``s`` clamped into the band.  If the start lies outside the band the
-    jump into it is charged to the force at node 0.  A path sitting exactly
-    on an edge with no outward drift receives no force.
+    The path follows the increments of ``s`` clamped into the admissible
+    band ``[rho_k, lam_k]``, whose edges are roots of the boundaries, found
+    as the pair's one band policy says (see :class:`BoundaryPair`).  If the
+    start lies outside the band the jump into it is charged to the force at
+    node 0.  A path sitting exactly on an edge with no outward drift
+    receives no force.
 
     Raises
     ------
@@ -170,8 +158,7 @@ def solve_sp(s: SamplePath, bp: BoundaryPair) -> ReflectionSolution:
         If the band width drops below ``BAND_MIN_DEFAULT`` at any node.
     """
     _require_one_grid(s.grid, bp.grid)
-    rho, lam = _band_edges(bp)
-    x, up, dn = _clamp_recursion(s.values, rho, lam)
+    x, up, dn = _clamp_recursion(s.values, *bp._clamp_band())
     residuals = flatness_residuals_raw(x, up, dn, bp)
     return _solution(ReflectionSolution, s.grid, x, up, dn, residuals)
 
@@ -217,15 +204,8 @@ def solve_bsp(
     the last node down — and the force is mapped back as ``K_t = Kbar_T -
     Kbar_{T-t}``.  Anchor violations within ``terminal_tol +
     ROOT_TOL_DEFAULT`` are absorbed as a small initial force of the reversed
-    problem.  The check reads the pair where the reversed input starts,
-    ``(a + s_T) - s_T``: ``a`` up to one rounding, far inside that
-    tolerance, and the first clamp step reuses the two values.
-
-    A bare ``time_invariant`` pair is clamped against
-    :meth:`BoundaryPair.band_edges`.  Any other pair inverts an edge only at a
-    node where the free value fails ``r >= 0`` or ``l <= 0``, starting from
-    that value; its ``gap / C`` width bound stands in for the degeneracy
-    check, unless the bound is too near ``BAND_MIN_DEFAULT`` to settle it.
+    problem.  The band is clamped as the pair's one band policy says (see
+    :class:`BoundaryPair`), the same as in :func:`solve_sp`.
 
     Raises ``DegenerateConstraintsError`` if a band clamped against
     ``band_edges`` is narrower than ``BAND_MIN_DEFAULT`` at some node.
@@ -235,26 +215,11 @@ def solve_bsp(
     last = grid.n_nodes - 1
     a = float(a)
     tol = float(terminal_tol) + ROOT_TOL_DEFAULT
-    start = float((a + s.values[-1]) - s.values[-1])  # the reversed input's first value
-    at_start = (bp.upper(last, start), bp.lower(last, start))
-    if not (at_start[1] <= tol and at_start[0] >= -tol):
+    if not (bp.lower(last, a) <= tol and bp.upper(last, a) >= -tol):
         raise InfeasibleTerminalError(
             f"anchor {a} violates the terminal constraint beyond tolerance {tol:.3e}"
         )
-    if bp._edges_on_demand():
-
-        def edge(k: int, free: float) -> float:
-            # the first free value is start, bar a -0.0 that the clamp makes 0.0
-            same = free == start and math.copysign(1.0, free) == math.copysign(1.0, start)
-            if k == last and same:
-                return bp._edge_at(k, free, at_start)
-            return bp._edge_at(k, free)
-
-        empty = np.full(grid.n_nodes, np.inf)
-        x, up, dn = _reversed_clamp(s.values, a, empty, -empty, edge)
-    else:
-        rho, lam = _band_edges(bp)
-        x, up, dn = _reversed_clamp(s.values, a, rho, lam)
+    x, up, dn = _reversed_clamp(s.values, a, *bp._clamp_band())
     residuals = flatness_residuals_raw(x, up, dn, bp, reverse=True)
     up, dn = up[-1] - up[::-1], dn[-1] - dn[::-1]
     return _solution(BackwardReflectionSolution, grid, x, up, dn, residuals, a=float(a))
@@ -295,11 +260,6 @@ def flatness_residuals_raw(
     up = residual(push_up_vals, lambda j: bp.upper(j, x_vals[j]))
     dn = residual(push_down_vals, lambda j: -bp.lower(j, x_vals[j]))
     return up, dn
-
-
-def flat_tolerance(s: SamplePath) -> float:
-    """Default acceptance threshold for flat residuals: 1e-10 * (1 + sup|s|)."""
-    return 1e-10 * (1.0 + float(np.max(np.abs(s.values))))
 
 
 def total_variation(K: SamplePath) -> float:

@@ -561,6 +561,21 @@ def test_run_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
+def test_an_envelope_above_r_is_a_config_error(tmp_path, capsys):
+    # linear-band [1, 3] has R = x - 1; q = 1/2 puts R' = x - 1/2 above it
+    cfg = _flat_config(
+        method="picard",
+        generator={"kind": "quadratic-z", "gamma": 1.0},
+        losses={"kind": "linear-band", "lower": 1.0, "upper": 3.0},
+        envelope={"kind": "affine-envelope", "b": 1.0, "p": 3.0, "q": 0.5},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", _write(tmp_path, "above.json", cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and "does not enclose" in err["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_terminal_exits_one(tmp_path, capsys):
     # a finite scale that overflows once multiplied by B_T; a NaN literal

@@ -127,3 +127,8 @@ def test_one_meter_for_a_mean_constraint():
     # the terminal check, the loss meters and the audit read one per-node pass
     assert {"terminal_feasibility", "constraint_violation"}.isdisjoint(mr.__all__)
     assert "envelope_terms" not in {f.name for f in dataclasses.fields(mr.PicardTrace)}
+
+
+def test_one_flat_residual_rule():
+    # audit_solution's rule is the one threshold for flat residuals in the library
+    assert "flat_tolerance" not in mr.__all__ and not hasattr(mr.skorokhod, "flat_tolerance")

@@ -57,9 +57,8 @@ def test_upward_drift_clamps_the_mean():
     assert np.max(np.abs(sol.mean_path - np.minimum(4.0 * (1.0 - t), 2.0))) <= tol
     assert abs(sol.K.values[-1] + 2.0) <= 0.02
     assert_array_equal(sol.push_up.values, 0.0)
-    assert sol.flat_residual_up == 0.0 and sol.flat_residual_down <= mr.flat_tolerance(
-        mr.SamplePath(sc.make_grid(), sol.mean_path)
-    )
+    assert sol.flat_residual_up == 0.0
+    assert sol.flat_residual_down <= 1e-10 * (1.0 + float(np.max(np.abs(sol.mean_path))))
 
 
 def test_downward_drift_mirrors_through_push_up():
@@ -417,6 +416,19 @@ def test_quadratic_mode_requires_an_envelope():
     sc = _scenario(mr.quadratic_z_generator(1.0), particles=512, steps=4,
                    losses=mr.linear_band(-10.0, 10.0))
     with pytest.raises(ValueError):
+        mr.picard_solve(sc)
+
+
+def test_quadratic_mode_rejects_an_envelope_that_fails_on_its_r_side():
+    # R = x - 1 against R' = x - q: q = 1 encloses, q = 1/2 puts R' above R
+    grid = mr.build_grid(1.0, 4)
+    band = mr.linear_band(1.0, 3.0)
+    assert mr.check_envelope_order(band, mr.LinearEnvelope.constants(1.0, 3.0, 1.0), grid)
+    above = mr.LinearEnvelope.constants(1.0, 3.0, 0.5)
+    assert not mr.check_envelope_order(band, above, grid)
+    sc = _scenario(mr.quadratic_z_generator(1.0), particles=512, steps=4, losses=band,
+                   envelope=above)
+    with pytest.raises(ValueError, match="does not enclose"):
         mr.picard_solve(sc)
 
 

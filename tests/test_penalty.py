@@ -185,6 +185,55 @@ def test_mean_dynamics_match_stiff_integrator():
         assert np.max(np.abs(means - ref)) <= 1e-6  # observed <= 7.1e-10
 
 
+class _CountingMath:
+    """``math`` with its ``log`` calls counted: the integrator's landing time is its one log."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+def test_a_mean_released_by_a_turning_obstacle_lands_on_it(monkeypatch):
+    # driver -10 drives the mean below the lower obstacle, which holds it
+    # until t = 0.5; before that (backward) the obstacle falls at rate 12,
+    # faster than the mean, so the mean relaxes back and lands on it
+    obstacles = mr.LinearObstacles(
+        lambda t: 12.0 if t < 0.5 else -2.0, lambda t: 20.0, lower_start=-6.0
+    )
+    sc = dataclasses.replace(
+        _ode_scenario(particles=2000), generator=mr.constant_generator(-10.0), obstacles=obstacles
+    )
+    grid = sc.make_grid()
+    lo, hi = obstacles.sample(grid)
+    xi = sc.terminal_values(sc.simulate())
+    counting = _CountingMath()
+    monkeypatch.setattr(penalty, "math", counting)
+    for n in (8.0, 64.0, 512.0, 4096.0, 65536.0):
+        logs = counting.logs
+        sol = mr.solve_penalized(sc, n)
+        assert counting.logs > logs  # the landing branch ran
+        means = np.array(
+            [mr.pairwise_mean(sol.y.values[:, k]) for k in range(grid.n_nodes)]
+        )
+        # the integrator is exact for obstacles affine between the nodes
+        ref = radau_penalized_mean(
+            float(mr.pairwise_mean(xi)),
+            -10.0,
+            n,
+            1.0,
+            grid.nodes,
+            lambda t: np.interp(t, grid.nodes, lo),
+            lambda t: np.interp(t, grid.nodes, hi),
+        )
+        assert np.max(np.abs(means - ref)) <= 1e-6  # observed <= 1.9e-9
+
+
 # ---------------------------------------------------------------------------
 # the convergence sweep
 # ---------------------------------------------------------------------------

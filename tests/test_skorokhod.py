@@ -248,10 +248,10 @@ def test_backward_is_reversed_forward_on_an_averaged_pair():
 
 
 @pytest.mark.parametrize("a,exact", [(0.25, True), (0.1, False)])
-def test_anchored_map_evaluates_the_terminal_node_once_per_side(monkeypatch, a, exact):
-    # the terminal check reads the pair where the reversed input starts,
-    # (a + s_T) - s_T, which is a up to one rounding (a itself, or not, by
-    # the case), and the first clamp step reuses those two values
+def test_anchored_map_checks_the_pair_at_the_anchor_itself(monkeypatch, a, exact):
+    # the terminal check reads l(T, a) and r(T, a); the first clamp step
+    # reads the pair where the reversed input starts, (a + s_T) - s_T, which
+    # is a up to one rounding (a itself, or not, by the case)
     rng = np.random.default_rng(3)
     g = mr.build_grid(1.0, 8)
     e = mr.Ensemble(g, rng.normal(0.0, 0.5, (64, g.n_nodes)))
@@ -272,7 +272,8 @@ def test_anchored_map_evaluates_the_terminal_node_once_per_side(monkeypatch, a, 
         monkeypatch.setattr(mr.BoundaryPair, side, counting)
     sol = mr.solve_bsp(s, a, bp)
     assert sol.variation > 0.0
-    assert sorted(calls) == [("lower", start), ("upper", start)]
+    assert sorted(calls[:2]) == [("lower", a), ("upper", a)]
+    assert sorted(calls[2:]) == [("lower", start), ("upper", start)]
 
 
 def test_backward_map_runs_on_a_grid_that_is_not_its_own_mirror():
@@ -343,30 +344,43 @@ def test_on_demand_edges_match_the_clamp_against_band_edges(
 ):
     lp = _bent_pair(slope, bend, lo, lo + width, drift)
     bp, s = _averaged(lp, seed)
-    assert bp._edges_on_demand()
+    empty_lo, empty_hi, edge = bp._clamp_band()
+    assert edge == bp._edge_at and np.all(empty_lo == np.inf) and np.all(empty_hi == -np.inf)
     rho, lam = dataclasses.replace(bp).band_edges()  # a copy: bp itself caches no edges
     a = 0.5 * (rho[-1] + lam[-1])
-    sol = mr.solve_bsp(s, a, bp)
+    backward = mr.solve_bsp(s, a, bp)
+    forward = mr.solve_sp(s, bp)
     assert bp._edges is None
     x, up, dn = skorokhod._reversed_clamp(s.values, a, rho, lam)
     k_ref = (up[-1] - up[::-1]) - (dn[-1] - dn[::-1])
+    x_fwd, up_fwd, dn_fwd = skorokhod._clamp_recursion(s.values, rho, lam)
     # Each side's edges are within the root tolerance (plus a rounding) of
     # the roots.  K_t = x_0 - x_t - (s_t - s_0) moves by two x gaps.
     tol = 2.0 * ROOT_TOL_DEFAULT + 1e-14
-    assert np.max(np.abs(sol.x.values - x)) <= tol
-    assert np.max(np.abs(sol.K.values - k_ref)) <= 2.0 * tol
-    assert max(sol.flat_residual_up, sol.flat_residual_down) <= mr.flat_tolerance(s)
+    flat_tol = 1e-10 * (1.0 + float(np.max(np.abs(s.values))))
+    for sol, x_ref, k in ((backward, x, k_ref), (forward, x_fwd, up_fwd - dn_fwd)):
+        assert np.max(np.abs(sol.x.values - x_ref)) <= tol
+        assert np.max(np.abs(sol.K.values - k)) <= 2.0 * tol
+        assert max(sol.flat_residual_up, sol.flat_residual_down) <= flat_tol
 
 
 def test_an_averaged_band_below_the_floor_is_still_degenerate():
     # gap / C under BAND_MIN_DEFAULT: the width bound cannot settle the
-    # check, so solve_bsp falls back to the band widths and refuses the band
+    # check, so the pair falls back to the band widths and refuses the band
     g = mr.build_grid(1.0, 6)
     lp = _bent_pair(1.0, 0.5, -2.5e-10, 2.5e-10, 0.0)
     bp = mr.BoundaryPair(g, lp, np.zeros((g.n_nodes, 4)))
-    assert not bp._edges_on_demand()
     with pytest.raises(DegenerateConstraintsError):
-        mr.solve_bsp(_ramp(g, 1.0), 0.0, bp)
+        bp._clamp_band()
+    for solve in (mr.solve_sp, lambda s, bp: mr.solve_bsp(s, 0.0, bp)):
+        with pytest.raises(DegenerateConstraintsError):
+            solve(_ramp(g, 1.0), bp)
+    # gap / C still under the floor, the band itself just above it: the
+    # band edges, and no hook
+    lp = _bent_pair(1.0, 0.5, -5.5e-10, 5.5e-10, 0.0)
+    bp = mr.BoundaryPair(g, lp, np.zeros((g.n_nodes, 4)))
+    rho, lam, edge = bp._clamp_band()
+    assert edge is None and rho is bp._edges[0] and lam is bp._edges[1]
 
 
 def test_backward_rejects_infeasible_anchor():
@@ -698,7 +712,8 @@ def test_reflection_properties_hold_on_random_walks(start, incs, lo, width):
     assert np.all(np.diff(sol.push_up.values) >= 0.0)
     assert np.all(np.diff(sol.push_down.values) >= 0.0)
     # flatness within the declared tolerance
-    assert max(sol.flat_residual_up, sol.flat_residual_down) <= mr.flat_tolerance(s)
+    flat_tol = 1e-10 * (1.0 + float(np.max(np.abs(s.values))))
+    assert max(sol.flat_residual_up, sol.flat_residual_down) <= flat_tol
     # closed-form agreement
     x_ref, k_ref = double_barrier_batch(walk[None, :], lo, hi)
     assert np.max(np.abs(sol.x.values - x_ref[0])) <= 1e-9
