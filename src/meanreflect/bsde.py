@@ -218,22 +218,9 @@ def _plain_drift(gen: Generator, grid: TimeGrid) -> DriftFn:
     return lambda k, pred, zk: gen.f(float(grid.nodes[k]), pred, pred, zk, zk)
 
 
-def _frozen_drift(
-    gen: Generator, u: NDArray, v: NDArray, grid: TimeGrid, shift: NDArray | None = None
-) -> DriftFn:
-    """The hook of ``f`` frozen at a (particles, nodes) pair; reads node ``k``'s columns only.
-
-    With a node array ``shift`` the frozen state is ``u + shift[None, :]``,
-    read as ``u[:, k] + shift[k]``: the bits of the stored sum, never stored.
-    """
-    if shift is None:
-        return lambda k, *_: gen.f(float(grid.nodes[k]), u[:, k], u[:, k], v[:, k], v[:, k])
-
-    def drift(k, *_):
-        uk = u[:, k] + shift[k]
-        return gen.f(float(grid.nodes[k]), uk, uk, v[:, k], v[:, k])
-
-    return drift
+def _frozen_drift(gen: Generator, u: NDArray, v: NDArray, grid: TimeGrid) -> DriftFn:
+    """The hook of ``f`` frozen at a (particles, nodes) pair; reads node ``k``'s columns only."""
+    return lambda k, *_: gen.f(float(grid.nodes[k]), u[:, k], u[:, k], v[:, k], v[:, k])
 
 
 def _backward_pass(

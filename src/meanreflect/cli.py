@@ -43,12 +43,7 @@ from .constraints import (
     saturating_band,
 )
 from .core import RngSpec
-from .diagnostics import (
-    audit_solution,
-    contraction_estimate,
-    mean_loss_paths,
-    representation_gap,
-)
+from .diagnostics import _audit, _loss_paths, contraction_estimate, representation_gap
 from .errors import InfeasibleTerminalError, MeanReflectError, NumericalFailureError
 from .mrbsde import (
     MRSolution,
@@ -414,7 +409,7 @@ def _run_result(
     """The per-node table of ``result.csv`` and the ``diagnostics.json`` payload."""
     grid = sol.K.grid
     mean_y = sol.mean_path
-    e_l, e_r = mean_loss_paths(sol.y, sc.losses)
+    e_l, e_r, v_tol = _loss_paths(sol.y, sc.losses)  # one meter pass: the table and the audit
     table = np.column_stack(
         [
             grid.nodes,
@@ -426,7 +421,7 @@ def _run_result(
             sol.push_down.values,
         ]
     )
-    audit = audit_solution(sol, sc.losses)
+    audit = _audit(sol, e_l, e_r, v_tol)
     diag: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",

@@ -84,7 +84,11 @@ def audit_solution(sol: MRSolution, lp: LossPair) -> MRAudit:
     residuals are near-exact, allowed ``1e-10 * (1 + sup|s|) * (1 + TV(K))``.
     The overshoots are ``max_k (E[L])^+`` and ``max_k (-E[R])^+``.
     """
-    e_l, e_r, v_tol = _loss_paths(sol.y, lp)
+    return _audit(sol, *_loss_paths(sol.y, lp))
+
+
+def _audit(sol: MRSolution, e_l: NDArray, e_r: NDArray, v_tol: float) -> MRAudit:
+    """:func:`audit_solution` on its meter pass ``_loss_paths(sol.y, lp)``."""
     v_l, v_r = float(np.max(np.maximum(e_l, 0.0))), float(np.max(np.maximum(-e_r, 0.0)))
     f_tol = 1e-10 * (1.0 + sol.s_sup) * (1.0 + sol.variation)
     passed = (

@@ -27,7 +27,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bsde import (
-    BSDESolution,
     DriftFn,
     Generator,
     RegressionConfig,
@@ -238,8 +237,8 @@ class MRSolution:
     """Reflected solution: particles, martingale coefficients, and the force.
 
     ``y`` holds the reflected particles, ``inner`` the plain backward
-    solution they were shifted from, so ``y = inner + (K_T - K_t)`` holds
-    particle-wise.  ``K = push_up - push_down`` is one deterministic
+    solution they were shifted from, built as ``y - (K_T - K_t)``, so
+    ``y = inner + (K_T - K_t)`` holds particle-wise up to rounding.  ``K = push_up - push_down`` is one deterministic
     function; ``s_sup`` records the sup of the reflected input path(s) for
     flat-residual tolerance scaling.
     """
@@ -273,17 +272,11 @@ class MRSolution:
 
 @dataclass(frozen=True)
 class _SegmentSolution:
-    """One constant-driver solve on one (sub-)grid.
+    """One constant-driver solve on one (sub-)grid: reflected ``y``, ``z``, reflection, input."""
 
-    The reflected particles are ``plain.y + shift[None, :]``, ``shift = K_T
-    - K_t`` the force still to come; they are read node by node and never
-    stored: :func:`_stitch` builds them once for the returned solution, and
-    a column read alone has the bits of the stored sum.
-    """
-
-    plain: BSDESolution
+    y: NDArray[np.floating]
+    z: NDArray[np.floating]
     bsp: BackwardReflectionSolution
-    shift: NDArray[np.floating]
     s: SamplePath
 
 
@@ -304,7 +297,8 @@ def _construct(
     E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair averages the
     losses over the recentred plain cross-sections, which it reads in place,
     so the reflected mean satisfies the original mean constraints by
-    construction.
+    construction.  Once the reflection has read them, the plain ``y`` is
+    shifted in place by the force still to come, ``K_T - K_t``.
     """
     plain = _backward_pass(xi, bm, plan, drift, z=z)
     means = ensemble_means(plain.y)
@@ -315,7 +309,9 @@ def _construct(
         _mean_boundary(plain.y, sc.losses, means),
         terminal_tol=terminal_tol,
     )
-    return _SegmentSolution(plain, bsp, bsp.K.values[-1] - bsp.K.values, s)
+    y = plain.y.values
+    y += bsp.K.values[-1] - bsp.K.values
+    return _SegmentSolution(y, plain.z.values, bsp, s)
 
 
 def _require_state_free(gen: Generator, route: str) -> None:
@@ -344,7 +340,7 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
     drift = _frozen_drift(sc.generator, zero, zero, bm.grid)
     plan = RegressionPlan.build(bm, sc.regression)
     seg = _construct(xi, bm, drift, sc, term_tol, plan)
-    return _stitch([(0, bm.grid.n_steps, seg.bsp, seg.s, seg.shift)], bm.grid, None, seg.plain)
+    return _stitch([(0, bm.grid.n_steps, seg.bsp, seg.s)], bm.grid, None, seg.y, seg.z)
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +348,9 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
 # ---------------------------------------------------------------------------
 
 
-def _max_rms_gap(
-    a: NDArray[np.floating],
-    a_shift: NDArray[np.floating] | None,
-    b: NDArray[np.floating],
-    b_shift: NDArray[np.floating] | None,
-) -> float:
-    """Largest per-node RMS gap of ``a + a_shift`` and ``b + b_shift``, one node at a time.
-
-    A shift is a node array added to every particle (``None``: none), so
-    neither sum is stored; each column has the bits of the stored sum.
-    """
-
-    def column(x, shift, k):
-        return x[:, k] if shift is None else x[:, k] + shift[k]
-
-    gaps = [
-        pairwise_mean((column(a, a_shift, k) - column(b, b_shift, k)) ** 2)
-        for k in range(a.shape[1])
-    ]
+def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
+    """Largest per-node RMS gap of two (particles, nodes) arrays, one node at a time."""
+    gaps = [pairwise_mean((a[:, k] - b[:, k]) ** 2) for k in range(a.shape[1])]
     return float(np.sqrt(np.max(gaps)))
 
 
@@ -394,10 +374,9 @@ def _picard_segment(
     quotient exceeds the margin or the iteration cap runs out — the caller
     reacts by splitting the horizon further.
 
-    An iteration holds the Brownian segment, the frozen state as the last
-    plain ``y`` ``u`` with its shift (the reflected ``y`` is never stored),
-    the new plain ``y`` and one ``z``: the new ``z`` overwrites the frozen
-    one, column ``k`` after the drift at node ``k`` read it.
+    An iteration holds the Brownian segment, the frozen ``y``, the new ``y``
+    and one ``z``: the new ``z`` overwrites the frozen one, column ``k``
+    after the drift at node ``k`` read it.
     """
     gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
     term_tol = require_feasible_terminal(sc.losses, grid.horizon, xi)
@@ -407,14 +386,13 @@ def _picard_segment(
         plain = _backward_pass(xi, bm_seg, plan, _plain_drift(gen, grid))
         u, v = plain.y.values, plain.z.values
         del plain  # freed, like each previous segment, before _construct allocates
-    u_shift = None
     k_prev = np.zeros(grid.n_nodes)
     prev_d = 0.0
     for _ in range(tol.max_iterations):
-        drift = _frozen_drift(gen, u, v, grid, u_shift)
+        drift = _frozen_drift(gen, u, v, grid)
         # the read-only zero pair cannot take the new z: the first zero-init iteration allocates it
         seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, v if v.flags.writeable else None)
-        d_y = _max_rms_gap(seg.plain.y.values, seg.shift, u, u_shift)
+        d_y = _max_rms_gap(seg.y, u)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k
         ratio = d / prev_d if prev_d > 0.0 else None
@@ -423,7 +401,7 @@ def _picard_segment(
             return seg
         if ratio is not None and ratio > tol.contraction_margin:
             return None
-        u, v, u_shift = seg.plain.y.values, seg.plain.z.values, seg.shift
+        u, v = seg.y, seg.z
         k_prev, prev_d = seg.bsp.K.values, d
         del seg
     return None
@@ -457,26 +435,24 @@ def _trace(
 
 
 def _stitch(
-    parts: list[tuple[int, int, BackwardReflectionSolution, SamplePath, NDArray]],
+    parts: list[tuple[int, int, BackwardReflectionSolution, SamplePath]],
     grid: TimeGrid,
     trace: PicardTrace | None,
-    plain: BSDESolution,
+    y: NDArray[np.floating],
+    z: NDArray[np.floating],
 ) -> MRSolution:
     """Assemble the full-horizon solution, the one place an :class:`MRSolution` is built.
 
-    ``parts`` holds each segment's nodes ``a..b``, reflection, input and
-    shift, in node order; ``plain`` the full-grid plain solution of every
-    segment (:func:`_place`), which becomes ``z`` and ``inner``.  Monotone force
-    parts accumulate across segments.  ``y`` is built here, node block by
-    node block, as the plain ``y`` plus its segment's own ``K_b - K_t``;
-    then ``inner`` is re-based in place so the particle-wise representation
-    ``y = inner + (K_T - K_t)`` holds against the *global* force.  For a
-    single segment that offset is ``K_T - K_T = 0`` and nothing moves.
+    ``parts`` holds each segment's nodes ``a..b``, reflection and input, in
+    node order; ``y`` and ``z`` the full-grid reflected particles and
+    martingale coefficients of every segment (:func:`_place`).  Monotone
+    force parts accumulate across segments, and ``inner`` is built against
+    the *global* force, so ``y = inner + (K_T - K_t)`` holds particle-wise.
     """
     m = grid.n_nodes
     pu, pd = np.empty(m), np.empty(m)
     base_up = base_dn = fr_up = fr_dn = s_sup = 0.0
-    for a, b, bsp, s, _ in parts:
+    for a, b, bsp, s in parts:
         pu[a : b + 1] = base_up + bsp.push_up.values
         pd[a : b + 1] = base_dn + bsp.push_down.values
         base_up, base_dn = float(pu[b]), float(pd[b])
@@ -484,18 +460,11 @@ def _stitch(
         fr_dn += bsp.flat_residual_down
         s_sup = max(s_sup, float(np.max(np.abs(s.values))))
     kv = pu - pd
-    inner = plain.y.values
-    yv = np.empty(inner.shape, order="F")
-    for a, b, *_, shift in parts:
-        end = _end(b, m)
-        np.add(inner[:, a:end], shift[: end - a], out=yv[:, a:end])
-    if len(parts) > 1:
-        for a, b, *_ in parts:
-            inner[:, a : _end(b, m)] -= kv[-1] - kv[b]
+    inner = np.subtract(y, kv[-1] - kv, out=np.empty(y.shape, order="F"))
     return MRSolution(
-        y=Ensemble(grid, yv),
-        z=plain.z,
-        inner=plain.y,
+        y=Ensemble(grid, y),
+        z=Ensemble(grid, z),
+        inner=Ensemble(grid, inner),
         K=SamplePath(grid, kv),
         push_up=SamplePath(grid, pu),
         push_down=SamplePath(grid, pd),
@@ -506,19 +475,16 @@ def _stitch(
     )
 
 
-def _end(b: int, m: int) -> int:
-    """End of the columns a segment ending at node ``b`` owns: the next one owns node ``b``."""
-    return b + 1 if b == m - 1 else b
+def _place(seg: _SegmentSolution, a: int, y: NDArray, z: NDArray) -> None:
+    """Write a segment's ``y`` and ``z``, from node ``a``, into the full-grid arrays.
 
-
-def _place(seg: _SegmentSolution, a: int, plain: BSDESolution) -> None:
-    """Write a segment's plain ``y`` and ``z``, from node ``a``, into full-grid ``plain``.
-
-    Only the columns the segment owns (:func:`_end`) are written.
+    A segment owns its nodes but the last, which the next segment owns; the
+    last segment owns the horizon's last node too.
     """
-    end = _end(a + seg.shift.size - 1, plain.y.grid.n_nodes)
-    plain.y.values[:, a:end] = seg.plain.y.values[:, : end - a]
-    plain.z.values[:, a:end] = seg.plain.z.values[:, : end - a]
+    b = a + seg.y.shape[1] - 1
+    end = b + 1 if b == y.shape[1] - 1 else b
+    y[:, a:end] = seg.y[:, : end - a]
+    z[:, a:end] = seg.z[:, : end - a]
 
 
 def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
@@ -572,14 +538,12 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     while True:
         bounds = [int(round(j * grid.n_steps / n_segments)) for j in range(n_segments + 1)]
         records: list[tuple[NDArray[np.floating], list[tuple]]] = []
-        parts: list[tuple[int, int, BackwardReflectionSolution, SamplePath, NDArray]] = []
-        # A split solve writes each converged segment's plain solution into
-        # the full grid at once and drops its arrays; one segment is its own.
-        plain = None
+        parts: list[tuple[int, int, BackwardReflectionSolution, SamplePath]] = []
+        # A split solve writes each converged segment's solution into the
+        # full grid at once and drops its arrays; one segment is its own.
+        y = z = None
         if n_segments > 1:
-            plain = BSDESolution(
-                *(Ensemble(grid, np.empty(bm.values.shape, order="F")) for _ in range(2))
-            )
+            y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
         xi_seg = xi
         for j in reversed(range(n_segments)):
             a, b = bounds[j], bounds[j + 1]
@@ -588,12 +552,12 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
             seg = _picard_segment(sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b))
             if seg is None:
                 break
-            parts.append((a, b, seg.bsp, seg.s, seg.shift))
-            xi_seg = seg.plain.y.values[:, 0] + seg.shift[0]  # the reflected first column
-            if plain is None:
-                plain = seg.plain
+            parts.append((a, b, seg.bsp, seg.s))
+            xi_seg = seg.y[:, 0].copy()  # a view would keep the segment's arrays alive
+            if y is None:
+                y, z = seg.y, seg.z
             else:
-                _place(seg, a, plain)
+                _place(seg, a, y, z)
             del seg
         converged = len(parts) == n_segments
         *_, ratio = records[-1][1][-1]  # the attempt's last quotient
@@ -602,7 +566,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         attempts.append((n_segments, iterations, ratio if split else math.nan))
         trace = _trace(records, converged, attempts)
         if converged:
-            return _stitch(parts[::-1], grid, trace, plain)
+            return _stitch(parts[::-1], grid, trace, y, z)
         nxt = min(2 * n_segments, max_segments)
         if nxt == n_segments:
             raise NonConvergenceError(

@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .constraints import ROOT_TOL_DEFAULT, X_WINDOW, BoundaryPair
 from .core import SamplePath, TimeGrid
-from .errors import InfeasibleTerminalError
+from .errors import InfeasibleTerminalError, NumericalFailureError
 
 __all__ = [
     "ReflectionSolution",
@@ -135,6 +135,17 @@ def _require_one_grid(*grids: TimeGrid) -> None:
         raise ValueError("paths, solutions and boundary pairs must share the grid")
 
 
+def _require_map_input(s: SamplePath, bp: BoundaryPair) -> None:
+    """The checks of both maps: one grid, and a finite input (else the first bad node)."""
+    _require_one_grid(s.grid, bp.grid)
+    bad = np.flatnonzero(~np.isfinite(s.values))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericalFailureError(
+            f"reflection input is {s.values[k]} at node {k} (t = {s.grid.nodes[k]:.6g})"
+        )
+
+
 def _solution(cls, grid, x, push_up, push_down, residuals, **extra):
     """Wrap node arrays as a reflection solution with ``K = push_up - push_down``."""
     K = SamplePath(grid, push_up - push_down)
@@ -156,8 +167,10 @@ def solve_sp(s: SamplePath, bp: BoundaryPair) -> ReflectionSolution:
     ------
     DegenerateConstraintsError
         If the band width drops below ``BAND_MIN_DEFAULT`` at any node.
+    NumericalFailureError
+        If ``s`` is not finite at some node; the first such node is named.
     """
-    _require_one_grid(s.grid, bp.grid)
+    _require_map_input(s, bp)
     x, up, dn = _clamp_recursion(s.values, *bp._clamp_band())
     residuals = flatness_residuals_raw(x, up, dn, bp)
     return _solution(ReflectionSolution, s.grid, x, up, dn, residuals)
@@ -208,10 +221,11 @@ def solve_bsp(
     :class:`BoundaryPair`), the same as in :func:`solve_sp`.
 
     Raises ``DegenerateConstraintsError`` if a band clamped against
-    ``band_edges`` is narrower than ``BAND_MIN_DEFAULT`` at some node.
+    ``band_edges`` is narrower than ``BAND_MIN_DEFAULT`` at some node, and
+    ``NumericalFailureError``, as :func:`solve_sp` does, on a non-finite ``s``.
     """
     grid = s.grid
-    _require_one_grid(grid, bp.grid)
+    _require_map_input(s, bp)
     last = grid.n_nodes - 1
     a = float(a)
     tol = float(terminal_tol) + ROOT_TOL_DEFAULT

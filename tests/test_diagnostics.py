@@ -137,8 +137,9 @@ def test_the_audit_and_the_run_result_meter_each_node_once_per_pass():
     assert calls == {"L": 41, "R": 41}  # one meter pass over the 41 nodes
     counted = dataclasses.replace(sc, losses=lp)  # the entry check calls the losses too
     calls.update(L=0, R=0)
-    cli._run_result({}, counted, sol, 5, 0.0)
-    assert calls == {"L": 82, "R": 82}  # the loss-mean columns, then the audit
+    _, diag = cli._run_result({}, counted, sol, 5, 0.0)
+    assert calls == {"L": 41, "R": 41}  # one pass feeds the loss-mean columns and the audit
+    assert diag["audit"] == dataclasses.asdict(mr.audit_solution(sol, sc.losses))
 
 
 def test_audit_accepts_a_clean_clamp_and_rejects_a_corrupted_one():

@@ -132,3 +132,21 @@ def test_one_meter_for_a_mean_constraint():
 def test_one_flat_residual_rule():
     # audit_solution's rule is the one threshold for flat residuals in the library
     assert "flat_tolerance" not in mr.__all__ and not hasattr(mr.skorokhod, "flat_tolerance")
+
+
+_SOURCES = sorted(p for p in Path(mr.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.stem)
+def test_a_module_uses_every_name_it_imports(path):
+    # the package __init__ imports to re-export; every other module imports to use
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -597,18 +597,16 @@ def test_constraint_violation_meter():
 
 @pytest.mark.parametrize("particles", [3, 101, 8193])
 def test_max_rms_gap_matches_the_full_array_formula(particles):
-    # each side may carry a node shift that is never stored: the gap must
-    # have the bits of the formula on the stored sums
+    # the gap is read one node column at a time: it must have the bits of
+    # the formula on the whole arrays, also on shifted (reflected) arrays
     rng = np.random.default_rng(particles)
     a, b = rng.normal(0.0, 1.0, (2, particles, 9))
     sa, sb = rng.normal(0.0, 1.0, (2, 9))
     full = float(np.sqrt(np.max(mr.pairwise_mean((a - b) ** 2, axis=0))))
-    assert _max_rms_gap(a, None, b, None) == full
-    shifted = (a + sa[None, :]) - (b + sb[None, :])
-    full = float(np.sqrt(np.max(mr.pairwise_mean(shifted**2, axis=0))))
-    assert _max_rms_gap(a, sa, b, sb) == full
-    full = float(np.sqrt(np.max(mr.pairwise_mean(((a + sa[None, :]) - b) ** 2, axis=0))))
-    assert _max_rms_gap(a, sa, b, None) == full
+    assert _max_rms_gap(a, b) == full
+    a, b = np.asfortranarray(a + sa[None, :]), b + sb[None, :]
+    full = float(np.sqrt(np.max(mr.pairwise_mean((a - b) ** 2, axis=0))))
+    assert _max_rms_gap(a, b) == full
 
 
 def test_every_returned_ensemble_is_f_contiguous():
@@ -656,8 +654,8 @@ def _saturating(gen, *, steps, particles, seed):
 )
 def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, bound):
     # in (particles, nodes) arrays of 4000 x 41 doubles: an iteration holds bm,
-    # the frozen plain y, the new plain y and one z, which the new z
-    # overwrites; the reflected y is built once, for the returned solution
+    # the frozen y, the new y and one z, which the new z overwrites; inner is
+    # built once, for the returned solution
     array = 4000 * 41 * 8
     if route == "constant-driver":
         gen = mr.constant_generator(4.0)
@@ -678,8 +676,8 @@ def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, bound):
 
 
 def test_split_solve_holds_each_segment_once():
-    # 6000 x 17 arrays; 8 segments: a converged segment's plain y and z go
-    # straight into the full-grid solution, the reflected y is built at the end
+    # 6000 x 17 arrays; 8 segments: a converged segment's y and z go
+    # straight into the full-grid solution, inner is built at the end
     sc = _split_scenario(6_000)
     tracemalloc.start()
     try:
@@ -785,15 +783,39 @@ def test_other_solves_build_one_regression_plan_each(monkeypatch, route):
     _assert_no_particle_axis(plans[0], sc.particles)
 
 
+def test_construct_writes_the_reflected_y_over_the_plain_y(monkeypatch):
+    # the reflected y is the plain pass's own array shifted in place by the
+    # force still to come, K_T - K_t: no second (particles, nodes) array
+    sc = _saturating(mr.constant_generator(4.0), steps=20, particles=4000, seed=3)
+    bm = sc.simulate()
+    xi = sc.terminal_values(bm)
+    term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
+    plan = bsde.RegressionPlan.build(bm, sc.regression)
+    passes = []
+
+    def recording(*args, **kwargs):
+        plain = bsde._backward_pass(*args, **kwargs)
+        passes.append((plain.y.values, plain.y.values.copy()))
+        return plain
+
+    monkeypatch.setattr(mrbsde, "_backward_pass", recording)
+    zero = np.broadcast_to(0.0, bm.values.shape)
+    drift = bsde._frozen_drift(sc.generator, zero, zero, bm.grid)
+    seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
+    ((y, plain),) = passes
+    assert np.shares_memory(seg.y, y)
+    K = seg.bsp.K.values
+    assert np.any(K != 0.0)  # the band binds: the shift is not zero
+    assert seg.y.tobytes() == (plain + (K[-1] - K)).tobytes()
+
+
 @pytest.mark.parametrize("case", ["constant-at-zero", "affine-mix-frozen"])
 def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
     # the backward loop reads the frozen generator one node at a time; the
     # public drift matrix of the same frozen pair must give the same bits
     def construct(drift):
         seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
-        return mrbsde._stitch(
-            [(0, sc.steps, seg.bsp, seg.s, seg.shift)], bm.grid, None, seg.plain
-        )
+        return mrbsde._stitch([(0, sc.steps, seg.bsp, seg.s)], bm.grid, None, seg.y, seg.z)
 
     if case == "constant-at-zero":
         gen = mr.constant_generator(4.0)

@@ -11,7 +11,11 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
-from meanreflect.errors import DegenerateConstraintsError, InfeasibleTerminalError
+from meanreflect.errors import (
+    DegenerateConstraintsError,
+    InfeasibleTerminalError,
+    NumericalFailureError,
+)
 from meanreflect import skorokhod
 from meanreflect.constraints import ROOT_TOL_DEFAULT, X_WINDOW
 from meanreflect.skorokhod import _boundary_discrepancy, flatness_residuals_raw
@@ -390,6 +394,24 @@ def test_backward_rejects_infeasible_anchor():
     # NaN fails every comparison, so a NaN anchor must not pass the check
     with pytest.raises(InfeasibleTerminalError):
         mr.solve_bsp(_ramp(g, 0.0), float("nan"), _band(-1.0, 1.0, g))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pair", ["linear", "saturating", "averaged"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_maps_refuse_a_non_finite_input(direction, pair, bad):
+    # a bare pair used to return a NaN path with zero force; both maps now
+    # name the first bad node in grid order, also where a later node is bad
+    g = mr.build_grid(1.0, 4)
+    if pair == "averaged":
+        spread = np.outer(np.linspace(-0.2, 0.2, 7), np.ones(g.n_nodes))
+        bp = mr.make_mean_boundary(mr.Ensemble(g, spread), mr.saturating_band(-1.0, 1.0))
+    else:
+        bp = mr.BoundaryPair(g, getattr(mr, f"{pair}_band")(-1.0, 1.0))
+    s = mr.SamplePath(g, [0.0, 0.5, bad, 0.25, bad])
+    solve = mr.solve_sp if direction == "forward" else lambda s, bp: mr.solve_bsp(s, 0.0, bp)
+    with pytest.raises(NumericalFailureError, match=r"is -?(nan|inf) at node 2 \(t = 0\.5\)"):
+        solve(s, bp)
 
 
 # ---------------------------------------------------------------------------
