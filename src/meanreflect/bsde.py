@@ -229,7 +229,9 @@ def _backward_pass(
     plan: RegressionPlan,
     drift: DriftFn,
     mean_shift: Callable[..., float] | None = None,
+    y: NDArray[np.floating] | None = None,
     z: NDArray[np.floating] | None = None,
+    meter: Callable[[int, NDArray[np.floating]], None] | None = None,
 ) -> BSDESolution:
     """The regression backward recursion of :func:`solve_bsde`, on checked inputs.
 
@@ -242,27 +244,28 @@ def _backward_pass(
     ``-0.0``.  A step that leaves a non-finite value raises
     :class:`NumericalFailureError` naming the node and its time on the grid.
 
-    ``z``, an F-ordered (particles, nodes) array, receives the martingale
-    coefficients in place of a new array.  Column ``k`` is written only
-    after ``drift(k)`` returned, so ``z`` may be the array a frozen hook
-    reads (its last column, which no step reads, is written last).
+    ``y`` and ``z``, F-ordered (particles, nodes) arrays, receive the solution
+    in place of new arrays, so they may be the pair a frozen hook reads:
+    column ``k`` is overwritten only after ``drift(k)`` returned and, when
+    given, ``meter(k, yk)`` saw the new ``y`` column beside the old one.
     """
     grid = bm.grid
     n, m = bm.values.shape
     if len(plan.scales) != m - 1:
         raise ValueError("regression plan does not match the ensemble's steps")
     dt = grid.step_sizes
-    y = np.empty((n, m), order="F")
-    if z is None:
-        z = np.empty((n, m), order="F")
-    elif z.shape != (n, m) or not z.flags.f_contiguous:
-        raise ValueError("z must be an F-ordered (particles, nodes) array")
+    y, z = (np.empty((n, m), order="F") if a is None else a for a in (y, z))
+    if not (y.shape == z.shape == (n, m) and y.flags.f_contiguous and z.flags.f_contiguous):
+        raise ValueError("y and z must be F-ordered (particles, nodes) arrays")
+    if meter is not None:
+        meter(m - 1, xi)
     y[:, -1] = xi
     width = plan.cfg.degree + 1
     # per-pass scratch, reused at every node: targets with their products, powers, fits
     block = np.empty((2 * width, n))
     powers = np.empty((width - 1, n))
     fit = np.empty((2, n))
+    row = None if meter is None else np.empty(n)  # the new y column while the meter reads
 
     for k in range(m - 2, -1, -1):
         state = bm.values[:, k]
@@ -274,7 +277,7 @@ def _backward_pass(
         pred = fit[0]
         zk = np.divide(fit[1], dt[k], out=fit[1])
         fval = np.broadcast_to(np.asarray(drift(k, pred, zk), dtype=float), pred.shape)
-        yk = np.multiply(fval, dt[k], out=y[:, k])
+        yk = np.multiply(fval, dt[k], out=y[:, k] if row is None else row)
         yk += pred
         if mean_shift is not None:
             yk += mean_shift(k, y_next, fval)
@@ -282,6 +285,9 @@ def _backward_pass(
             raise NumericalFailureError(
                 f"backward step left non-finite values at node {k} (t = {grid.nodes[k]:.6g})"
             )
+        if meter is not None:
+            meter(k, yk)
+            y[:, k] = yk
         z[:, k] = zk
 
     z[:, -1] = z[:, -2]

@@ -149,7 +149,7 @@ class Scenario:
         return simulate_brownian(self.make_grid(), self.particles, self.rng)
 
     def terminal_values(self, bm: Ensemble) -> NDArray[np.floating]:
-        return self._terminal_at(bm.values[:, -1])
+        return self._terminal_at(bm.values[:, -1].copy())  # a view would keep bm alive
 
     def _terminal_at(self, b_t: NDArray[np.floating]) -> NDArray[np.floating]:
         """``terminal`` on the cross-section ``b_t``, one finite value per particle."""
@@ -287,20 +287,23 @@ def _construct(
     sc: Scenario,
     terminal_tol: float,
     plan: RegressionPlan,
+    y: NDArray[np.floating] | None = None,
     z: NDArray[np.floating] | None = None,
+    meter: Callable | None = None,
 ) -> _SegmentSolution:
     """Reflect a frozen-driver solve: plain solution, mean reflection, shift.
 
     The plain solution runs the backward loop on the state-independent hook
-    ``drift`` with ``bm``'s regression plan, writing its ``z`` into ``z``
-    when given.  The reflected input is the accumulated mean drift ``s_t =
+    ``drift`` with ``bm``'s regression plan, writing its ``y`` and ``z``
+    into ``y`` and ``z`` when given, each ``y`` column after ``meter`` read
+    it.  The reflected input is the accumulated mean drift ``s_t =
     E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair averages the
     losses over the recentred plain cross-sections, which it reads in place,
     so the reflected mean satisfies the original mean constraints by
     construction.  Once the reflection has read them, the plain ``y`` is
     shifted in place by the force still to come, ``K_T - K_t``.
     """
-    plain = _backward_pass(xi, bm, plan, drift, z=z)
+    plain = _backward_pass(xi, bm, plan, drift, y=y, z=z, meter=meter)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
     bsp = solve_bsp(
@@ -336,11 +339,13 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
     bm = sc.simulate()
     xi = sc.terminal_values(bm)
     term_tol = require_feasible_terminal(sc.losses, sc.horizon, xi)
+    grid = bm.grid
     zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
-    drift = _frozen_drift(sc.generator, zero, zero, bm.grid)
+    drift = _frozen_drift(sc.generator, zero, zero, grid)
     plan = RegressionPlan.build(bm, sc.regression)
     seg = _construct(xi, bm, drift, sc, term_tol, plan)
-    return _stitch([(0, bm.grid.n_steps, seg.bsp, seg.s)], bm.grid, None, seg.y, seg.z)
+    del bm  # freed before _stitch builds inner
+    return _stitch([(0, grid.n_steps, seg.bsp, seg.s)], grid, None, seg.y, seg.z)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +353,27 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
 # ---------------------------------------------------------------------------
 
 
-def _max_rms_gap(a: NDArray[np.floating], b: NDArray[np.floating]) -> float:
-    """Largest per-node RMS gap of two (particles, nodes) arrays, one node at a time."""
-    gaps = [pairwise_mean((a[:, k] - b[:, k]) ** 2) for k in range(a.shape[1])]
-    return float(np.sqrt(np.max(gaps)))
+def _move_meter(u: NDArray[np.floating], s_old: NDArray[np.floating]) -> tuple[Callable, Callable]:
+    """The backward pass's meter of the move away from the frozen ``y``, and the move.
+
+    ``u`` is the frozen reflected ``y``, carrying the force ``s_old = K_T - K_t``.
+    ``meter(k, yk)`` reads the new plain column ``yk`` before the pass
+    overwrites ``u[:, k]``, and records the mean and centred mean square of
+    ``e = (yk + s_old[k]) - u[:, k]``.  The reflected ``y`` moves by ``e + s_new
+    - s_old``: ``move(s_new)`` is its largest per-node RMS, exactly 0 on a repeat.
+    """
+    moves = np.empty((2, u.shape[1]))
+    e = np.empty(u.shape[0])
+
+    def meter(k: int, yk: NDArray[np.floating]) -> None:
+        np.subtract(np.add(yk, s_old[k], out=e), u[:, k], out=e)
+        mean = pairwise_mean(e)
+        moves[:, k] = mean, pairwise_mean(np.square(np.subtract(e, mean, out=e), out=e))
+
+    def move(s_new: NDArray[np.floating]) -> float:
+        return float(np.sqrt(np.max(moves[1] + (moves[0] + s_new - s_old) ** 2)))
+
+    return meter, move
 
 
 def _picard_segment(
@@ -374,9 +396,10 @@ def _picard_segment(
     quotient exceeds the margin or the iteration cap runs out — the caller
     reacts by splitting the horizon further.
 
-    An iteration holds the Brownian segment, the frozen ``y``, the new ``y``
-    and one ``z``: the new ``z`` overwrites the frozen one, column ``k``
-    after the drift at node ``k`` read it.
+    An iteration holds three (particles, nodes) arrays, the Brownian segment,
+    one ``y`` and one ``z``: the new plain pair overwrites the frozen one,
+    column ``k`` after the drift at node ``k`` and the move meter (``d_y``,
+    :func:`_move_meter`) read it.
     """
     gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
     term_tol = require_feasible_terminal(sc.losses, grid.horizon, xi)
@@ -390,9 +413,11 @@ def _picard_segment(
     prev_d = 0.0
     for _ in range(tol.max_iterations):
         drift = _frozen_drift(gen, u, v, grid)
-        # the read-only zero pair cannot take the new z: the first zero-init iteration allocates it
-        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, v if v.flags.writeable else None)
-        d_y = _max_rms_gap(seg.y, u)
+        meter, move = _move_meter(u, k_prev[-1] - k_prev)
+        # the read-only zero start cannot take the new pair: its first iteration allocates it
+        out = (u, v) if v.flags.writeable else (None, None)
+        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, *out, meter)
+        d_y = move(seg.bsp.K.values[-1] - seg.bsp.K.values)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k
         ratio = d / prev_d if prev_d > 0.0 else None
@@ -566,6 +591,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         attempts.append((n_segments, iterations, ratio if split else math.nan))
         trace = _trace(records, converged, attempts)
         if converged:
+            del bm, bm_seg  # freed before _stitch builds inner
             return _stitch(parts[::-1], grid, trace, y, z)
         nxt = min(2 * n_segments, max_segments)
         if nxt == n_segments:

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import meanreflect as mr
 from meanreflect import cli, mrbsde, penalty
 from meanreflect.verify import SUITE_NAMES
+from conftest import peak_bytes
 
 
 def _write(tmp_path, name, payload):
@@ -615,22 +615,19 @@ def test_a_failed_audit_fails_run(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_picard_run_holds_five_arrays_at_most(tmp_path):
-    # in (particles, nodes) arrays of 4000 x 41 doubles: the solve holds four
-    # at its peak, and the audit and the representation gap add no full array
+def test_picard_run_holds_four_arrays_at_most(tmp_path):
+    # in (particles, nodes) arrays of 4000 x 41 doubles: the solve holds three
+    # (bm, y, z) while it iterates and y, z and inner once bm is dropped, and
+    # the audit and the representation gap add no full array
     cfg = _write(tmp_path, "c.json", {
         "schema_version": 1, "horizon": 1.0, "steps": 40, "particles": 4_000, "seed": 5,
         "terminal": {"kind": "bounded-sin", "scale": 1.5, "shift": 0.5},
         "generator": {"kind": "affine-mix", "a_y": 0.5, "a_mean_z": 0.25, "const": 3.0},
         "losses": {"kind": "saturating-band", "lower": -1.0, "upper": 2.0},
     })
-    tracemalloc.start()
-    try:
-        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.0 * (4_000 * 41 * 8), peak / (4_000 * 41 * 8)
+    code, peak = peak_bytes(lambda: cli.main(["run", cfg, "--out", str(tmp_path / "out")]))
+    assert code == 0
+    assert peak <= 4.0 * (4_000 * 41 * 8), peak / (4_000 * 41 * 8)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,6 +23,7 @@ from meanreflect.constraints import (
     validate_loss,
 )
 from meanreflect.errors import NumericalFailureError
+from conftest import peak_bytes
 
 _GRID = mr.build_grid(1.0, 4)
 
@@ -524,13 +524,11 @@ def test_mean_boundary_copies_no_ensemble():
     rng = np.random.default_rng(9)
     g = mr.build_grid(1.0, 40)
     e = mr.Ensemble(g, rng.normal(0.0, 1.0, (20_000, g.n_nodes)))
-    tracemalloc.start()
-    try:
-        bp = make_mean_boundary(e, mr.saturating_band(-1.0, 3.0))
-        bp.lower(3, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def build_and_evaluate():
+        make_mean_boundary(e, mr.saturating_band(-1.0, 3.0)).lower(3, 0.5)
+
+    _, peak = peak_bytes(build_and_evaluate)
     # one recentred row and the loss's temporaries over it: a few columns
     assert peak <= 0.5 * e.values.nbytes, peak / e.values.nbytes
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
 from meanreflect import core
+from conftest import peak_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +237,7 @@ def test_brownian_holds_no_full_size_draw_beside_the_ensemble():
     # plus one block of increments
     grid = mr.build_grid(1.0, 20)
     array = 20_000 * grid.n_nodes * 8
-    tracemalloc.start()
-    try:
-        mr.simulate_brownian(grid, 20_000, mr.RngSpec(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: mr.simulate_brownian(grid, 20_000, mr.RngSpec(1)))
     assert peak <= 1.3 * array, peak / array
 
 
@@ -340,8 +335,5 @@ def test_ensemble_means_match_the_axis_0_reduction_bytes():
 def test_ensemble_means_never_copy_the_whole_ensemble():
     # 20k x 41 doubles are 6.26 MiB; one column is 0.15 MiB
     e = mr.simulate_brownian(mr.build_grid(1.0, 40), 20_000, mr.RngSpec(1))
-    tracemalloc.start()
-    mr.ensemble_means(e)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    _, peak = peak_bytes(lambda: mr.ensemble_means(e))
     assert peak < 2**20

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ import meanreflect as mr
 from meanreflect import bsde, cli, mrbsde
 from meanreflect.constraints import ROOT_TOL_DEFAULT
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
-from meanreflect.mrbsde import _max_rms_gap
+from meanreflect.mrbsde import _move_meter
+from conftest import peak_bytes
 from oracles import cole_hopf_value
 
 
@@ -595,18 +595,53 @@ def test_constraint_violation_meter():
     assert audit.violation_lower > 1.0 and audit.violation_upper == 0.0
 
 
+def _metered(u, y_new, s_old, s_new):
+    """The in-pass move: meter each new plain column before it overwrites ``u``."""
+    meter, move = _move_meter(u, s_old)
+    for k in reversed(range(u.shape[1])):
+        meter(k, y_new[:, k].copy())
+        u[:, k] = y_new[:, k]
+    return move(s_new)
+
+
 @pytest.mark.parametrize("particles", [3, 101, 8193])
-def test_max_rms_gap_matches_the_full_array_formula(particles):
-    # the gap is read one node column at a time: it must have the bits of
-    # the formula on the whole arrays, also on shifted (reflected) arrays
+def test_in_pass_move_matches_the_full_array_formula(particles):
+    # the move is metered one column at a time, before the frozen y is
+    # overwritten, and finished once the new force is known: it must agree
+    # with the formula on the whole reflected arrays, with or without an old
+    # shift, and be exactly 0 on a repeated iterate
     rng = np.random.default_rng(particles)
-    a, b = rng.normal(0.0, 1.0, (2, particles, 9))
-    sa, sb = rng.normal(0.0, 1.0, (2, 9))
-    full = float(np.sqrt(np.max(mr.pairwise_mean((a - b) ** 2, axis=0))))
-    assert _max_rms_gap(a, b) == full
-    a, b = np.asfortranarray(a + sa[None, :]), b + sb[None, :]
-    full = float(np.sqrt(np.max(mr.pairwise_mean((a - b) ** 2, axis=0))))
-    assert _max_rms_gap(a, b) == full
+    p_old, p_new = rng.normal(0.0, 1.0, (2, particles, 9))
+    k_old, k_new = rng.normal(0.0, 1.0, (2, 9))
+    for s_old in (np.zeros(9), k_old[-1] - k_old):
+        s_new = k_new[-1] - k_new
+        u = np.asfortranarray(p_old + s_old)
+        full = float(np.sqrt(np.max(mr.pairwise_mean((p_new + s_new - u) ** 2, axis=0))))
+        assert _metered(u, p_new, s_old, s_new) == pytest.approx(full, rel=1e-14, abs=0.0)
+        u = np.asfortranarray(p_old + s_old)
+        assert _metered(u, p_old, s_old, s_old.copy()) == 0.0
+
+
+def test_in_pass_move_matches_the_full_array_formula_on_a_picard_trace(monkeypatch):
+    # the picard-saturating-cli config at seed 5: each recorded d_y against
+    # the formula on the stored reflected iterates
+    sc = _saturating(
+        mr.affine_mix_generator(a_y=0.5, a_mean_z=0.25, const=3.0), steps=40, particles=20_000, seed=5
+    )
+    construct = mrbsde._construct
+    frozen = [np.zeros((sc.particles, sc.steps + 1))]
+    full = []
+
+    def recording(*args):
+        seg = construct(*args)
+        full.append(float(np.sqrt(np.max(mr.pairwise_mean((seg.y - frozen[0]) ** 2, axis=0)))))
+        frozen[0] = seg.y.copy()
+        return seg
+
+    monkeypatch.setattr(mrbsde, "_construct", recording)
+    tr = mr.picard_solve(sc).trace
+    assert tr.iterations == len(full) == 9 and tr.segment_count == 1
+    assert_allclose(tr.y_distances, full, rtol=1e-14, atol=0.0)
 
 
 def test_every_returned_ensemble_is_f_contiguous():
@@ -648,45 +683,62 @@ def _saturating(gen, *, steps, particles, seed):
     )
 
 
-@pytest.mark.parametrize(
-    "route,bound",
-    [("zero", 5.0), ("unreflected", 5.0), ("constant-driver", 4.5)],
-)
-def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, bound):
-    # in (particles, nodes) arrays of 4000 x 41 doubles: an iteration holds bm,
-    # the frozen y, the new y and one z, which the new z overwrites; inner is
-    # built once, for the returned solution
+@pytest.mark.parametrize("terminal", ["sin", "identity"])
+@pytest.mark.parametrize("route", ["zero", "unreflected", "constant-driver"])
+def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, terminal):
+    # in (particles, nodes) arrays of 4000 x 41 doubles: an iteration holds
+    # three, bm, one y and one z, which the new y and z overwrite; bm is
+    # dropped before inner is built once, for the returned solution.  A
+    # terminal that returns its argument (a view of bm) must not keep bm alive.
     array = 4000 * 41 * 8
     if route == "constant-driver":
         gen = mr.constant_generator(4.0)
     else:
         gen = mr.affine_mix_generator(a_y=0.5, a_mean_z=0.25, const=3.0)
     sc = _saturating(gen, steps=40, particles=4000, seed=5)
-    tracemalloc.start()
-    try:
-        if route == "constant-driver":
-            sol = mr.solve_constant_driver(sc)
-        else:
-            sol = mr.picard_solve(sc, init=route)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    if terminal == "identity":
+        sc = dataclasses.replace(sc, terminal=lambda b: b)
+    if route == "constant-driver":
+        sol, peak = peak_bytes(lambda: mr.solve_constant_driver(sc))
+    else:
+        sol, peak = peak_bytes(lambda: mr.picard_solve(sc, init=route))
     assert sol.trace is None or sol.trace.segment_count == 1
-    assert peak <= bound * array, peak / array
+    assert peak <= 4.0 * array, peak / array
 
 
 def test_split_solve_holds_each_segment_once():
     # 6000 x 17 arrays; 8 segments: a converged segment's y and z go
     # straight into the full-grid solution, inner is built at the end
     sc = _split_scenario(6_000)
-    tracemalloc.start()
-    try:
-        sol = mr.picard_solve(sc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sol, peak = peak_bytes(lambda: mr.picard_solve(sc))
     assert sol.trace.segment_count == 8
-    assert peak <= 6.0 * (6_000 * 17 * 8), peak / (6_000 * 17 * 8)
+    assert peak <= 5.5 * (6_000 * 17 * 8), peak / (6_000 * 17 * 8)
+
+
+def _frozen_case(case):
+    """A 3000 x 21 Picard scenario whose frozen hook reads ``case``'s arguments."""
+    terminal, losses, envelope = 0.5, mr.saturating_band(-1.0, 2.0), None
+    if case.startswith("affine-mix"):
+        a_y = 0.5 if case == "affine-mix-yz" else 0.0
+        gen = mr.affine_mix_generator(a_y=a_y, a_z=0.5, a_mean_z=0.25, const=3.0)
+    elif case == "aliasing":  # returns its y argument itself: a view of the frozen column
+        gen, terminal = mr.Generator("lipschitz", lambda t, y, my, z, mz: y, lam=1.0), 1.5
+    else:
+        gen, terminal = mr.quadratic_z_generator(1.0), 2.8
+        losses, envelope = mr.linear_band(1.0, 3.0), mr.LinearEnvelope.constants(1.0, 3.0, 1.0)
+    return mr.Scenario(
+        horizon=1.0, steps=20, particles=3000, rng=mr.RngSpec(11),
+        terminal=lambda b: 1.5 * np.sin(b) + terminal, generator=gen,
+        losses=losses, envelope=envelope,
+    )
+
+
+def _assert_same_bits(in_place, allocated):
+    assert in_place.trace.iterations == allocated.trace.iterations >= 2
+    for name in ("y", "z", "inner"):
+        assert getattr(in_place, name).values.tobytes() == getattr(allocated, name).values.tobytes()
+    assert in_place.K.values.tobytes() == allocated.K.values.tobytes()
+    assert np.any(in_place.K.values != 0.0)  # the band binds: the reflection is exercised
 
 
 @pytest.mark.parametrize("case", ["affine-mix-z", "affine-mix-yz", "quadratic-z"])
@@ -696,18 +748,7 @@ def test_z_written_over_the_frozen_z_gives_the_bits_of_a_fresh_z(monkeypatch, ca
     # place: a column written before its drift read it would move the bits.
     # (From the unreflected start, a driver of z alone reproduces the frozen
     # z exactly, so only the y-coupled case can tell there.)
-    if case.startswith("affine-mix"):
-        a_y = 0.5 if case == "affine-mix-yz" else 0.0
-        gen = mr.affine_mix_generator(a_y=a_y, a_z=0.5, a_mean_z=0.25, const=3.0)
-        terminal, losses, envelope = 0.5, mr.saturating_band(-1.0, 2.0), None
-    else:
-        gen, terminal = mr.quadratic_z_generator(1.0), 2.8
-        losses, envelope = mr.linear_band(1.0, 3.0), mr.LinearEnvelope.constants(1.0, 3.0, 1.0)
-    sc = mr.Scenario(
-        horizon=1.0, steps=20, particles=3000, rng=mr.RngSpec(11),
-        terminal=lambda b: 1.5 * np.sin(b) + terminal, generator=gen,
-        losses=losses, envelope=envelope,
-    )
+    sc = _frozen_case(case)
     in_place = mr.picard_solve(sc, init=init)
     backward_pass = bsde._backward_pass
     replaced = []
@@ -718,12 +759,31 @@ def test_z_written_over_the_frozen_z_gives_the_bits_of_a_fresh_z(monkeypatch, ca
 
     monkeypatch.setattr(mrbsde, "_backward_pass", fresh_z)
     allocated = mr.picard_solve(sc, init=init)
-    assert in_place.trace.iterations == allocated.trace.iterations >= 2
     assert sum(replaced) == in_place.trace.iterations - (init == "zero")
-    for name in ("y", "z", "inner"):
-        assert getattr(in_place, name).values.tobytes() == getattr(allocated, name).values.tobytes()
-    assert in_place.K.values.tobytes() == allocated.K.values.tobytes()
-    assert np.any(in_place.K.values != 0.0)  # the band binds: the reflection is exercised
+    _assert_same_bits(in_place, allocated)
+
+
+@pytest.mark.parametrize("case", ["affine-mix-z", "affine-mix-yz", "quadratic-z", "aliasing"])
+@pytest.mark.parametrize("init", ["zero", "unreflected"])
+def test_y_written_over_the_frozen_y_gives_the_bits_of_a_fresh_y(monkeypatch, case, init):
+    # the frozen hook and the move meter read u[:, k] at step k and the new
+    # plain y overwrites u in place: a column written before both read it
+    # would move the bits, the recorded moves included.  The copy-before-
+    # write run gives the pass a fresh y, so the frozen y is never written.
+    sc = _frozen_case(case)
+    in_place = mr.picard_solve(sc, init=init)
+    backward_pass = bsde._backward_pass
+    replaced = []
+
+    def fresh_y(*args, y=None, **kwargs):
+        replaced.append(y is not None)
+        return backward_pass(*args, **kwargs)
+
+    monkeypatch.setattr(mrbsde, "_backward_pass", fresh_y)
+    allocated = mr.picard_solve(sc, init=init)
+    assert sum(replaced) == in_place.trace.iterations - (init == "zero")
+    _assert_same_bits(in_place, allocated)
+    assert in_place.trace.y_distances == allocated.trace.y_distances
 
 
 def _count_plans(monkeypatch) -> list:

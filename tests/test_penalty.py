@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from numpy.testing import assert_array_equal
 import meanreflect as mr
 from meanreflect import bsde, penalty
 from meanreflect.errors import InfeasibleTerminalError, NumericalFailureError
+from conftest import peak_bytes
 from oracles import radau_penalized_mean
 
 
@@ -393,10 +393,7 @@ def test_sweep_keeps_no_level_particles_alive():
     full = sc.particles * (sc.steps + 1) * 8
     peaks = []
     for ns in ([4.0], [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]):
-        tracemalloc.start()
-        mr.penalty_sweep(sc, ns)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+        peaks.append(peak_bytes(lambda: mr.penalty_sweep(sc, ns))[1])
     assert peaks[1] <= peaks[0] + 2 * full
 
 
@@ -410,10 +407,5 @@ def test_sweep_draws_only_the_terminal_cross_section(monkeypatch):
         raise AssertionError("the sweep simulated the whole ensemble")
 
     monkeypatch.setattr(mr.Scenario, "simulate", no_ensemble)
-    tracemalloc.start()
-    try:
-        mr.penalty_sweep(sc, [4.0, 16.0, 64.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: mr.penalty_sweep(sc, [4.0, 16.0, 64.0]))
     assert peak <= 0.5 * array, peak / array
