@@ -9,7 +9,8 @@ the generator at the previous iterate (read node by node in the backward
 loop); on horizons too long for one contraction it splits the interval
 adaptively and stitches the segment solutions together backward in time.
 A segment's grid is a slice of the horizon's grid and keeps its node times,
-so the generator and the losses are always evaluated on the true clock.
+so the generator and the losses are always evaluated on the true clock, and
+every segment solves into its columns of one full-grid ``y``/``z`` pair.
 
 The force ``K`` is always a single deterministic function — particles share
 it — and its monotone parts are charged only while the corresponding mean
@@ -238,9 +239,10 @@ class MRSolution:
 
     ``y`` holds the reflected particles, ``inner`` the plain backward
     solution they were shifted from, built as ``y - (K_T - K_t)``, so
-    ``y = inner + (K_T - K_t)`` holds particle-wise up to rounding.  ``K = push_up - push_down`` is one deterministic
-    function; ``s_sup`` records the sup of the reflected input path(s) for
-    flat-residual tolerance scaling.
+    ``y = inner + (K_T - K_t)`` holds particle-wise up to rounding.
+    ``K = push_up - push_down`` is one deterministic function; ``s_sup``
+    records the sup of the reflected input path(s) for flat-residual
+    tolerance scaling.
     """
 
     y: Ensemble
@@ -272,10 +274,8 @@ class MRSolution:
 
 @dataclass(frozen=True)
 class _SegmentSolution:
-    """One constant-driver solve on one (sub-)grid: reflected ``y``, ``z``, reflection, input."""
+    """One constant-driver solve on one (sub-)grid: its reflection and reflected input."""
 
-    y: NDArray[np.floating]
-    z: NDArray[np.floating]
     bsp: BackwardReflectionSolution
     s: SamplePath
 
@@ -287,20 +287,20 @@ def _construct(
     sc: Scenario,
     terminal_tol: float,
     plan: RegressionPlan,
-    y: NDArray[np.floating] | None = None,
-    z: NDArray[np.floating] | None = None,
+    y: NDArray[np.floating],
+    z: NDArray[np.floating],
     meter: Callable | None = None,
 ) -> _SegmentSolution:
     """Reflect a frozen-driver solve: plain solution, mean reflection, shift.
 
     The plain solution runs the backward loop on the state-independent hook
     ``drift`` with ``bm``'s regression plan, writing its ``y`` and ``z``
-    into ``y`` and ``z`` when given, each ``y`` column after ``meter`` read
-    it.  The reflected input is the accumulated mean drift ``s_t =
-    E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair averages the
-    losses over the recentred plain cross-sections, which it reads in place,
-    so the reflected mean satisfies the original mean constraints by
-    construction.  Once the reflection has read them, the plain ``y`` is
+    into the F-ordered pair ``y``, ``z``, each ``y`` column after ``meter``
+    (when given) read it.  The reflected input is the accumulated mean drift
+    ``s_t = E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair
+    averages the losses over the recentred plain cross-sections, which it
+    reads in place, so the reflected mean satisfies the original mean
+    constraints by construction.  Once the reflection has read them, the plain ``y`` is
     shifted in place by the force still to come, ``K_T - K_t``.
     """
     plain = _backward_pass(xi, bm, plan, drift, y=y, z=z, meter=meter)
@@ -312,9 +312,8 @@ def _construct(
         _mean_boundary(plain.y, sc.losses, means),
         terminal_tol=terminal_tol,
     )
-    y = plain.y.values
     y += bsp.K.values[-1] - bsp.K.values
-    return _SegmentSolution(y, plain.z.values, bsp, s)
+    return _SegmentSolution(bsp, s)
 
 
 def _require_state_free(gen: Generator, route: str) -> None:
@@ -343,9 +342,10 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
     zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
     drift = _frozen_drift(sc.generator, zero, zero, grid)
     plan = RegressionPlan.build(bm, sc.regression)
-    seg = _construct(xi, bm, drift, sc, term_tol, plan)
+    y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
+    seg = _construct(xi, bm, drift, sc, term_tol, plan, y, z)
     del bm  # freed before _stitch builds inner
-    return _stitch([(0, grid.n_steps, seg.bsp, seg.s)], grid, None, seg.y, seg.z)
+    return _stitch([(0, grid.n_steps, seg.bsp, seg.s)], grid, None, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +383,15 @@ def _picard_segment(
     init: str,
     records: list[tuple],
     plan: RegressionPlan,
+    y: NDArray[np.floating],
+    z: NDArray[np.floating],
 ) -> _SegmentSolution | None:
     """Iterate the frozen-driver construction on one segment to tolerance.
 
     ``plan`` is the segment's slice of the horizon's regression plan; the
-    ``"unreflected"`` initial solve and every iteration reuse it.
+    ``"unreflected"`` initial solve and every iteration reuse it, and all of
+    them write into ``y`` and ``z``, the segment's F-contiguous columns of
+    the full-grid pair, which hold the reflected solution on return.
 
     Appends one ``(d_y, d_k, K variation, s variation, ratio)`` record per
     iteration to ``records``, where ``ratio`` is the combined-distance
@@ -406,17 +410,14 @@ def _picard_segment(
     if init == "zero":
         u = v = np.broadcast_to(0.0, bm_seg.values.shape)  # read-only: allocates nothing
     else:
-        plain = _backward_pass(xi, bm_seg, plan, _plain_drift(gen, grid))
-        u, v = plain.y.values, plain.z.values
-        del plain  # freed, like each previous segment, before _construct allocates
+        _backward_pass(xi, bm_seg, plan, _plain_drift(gen, grid), y=y, z=z)
+        u, v = y, z
     k_prev = np.zeros(grid.n_nodes)
     prev_d = 0.0
     for _ in range(tol.max_iterations):
         drift = _frozen_drift(gen, u, v, grid)
         meter, move = _move_meter(u, k_prev[-1] - k_prev)
-        # the read-only zero start cannot take the new pair: its first iteration allocates it
-        out = (u, v) if v.flags.writeable else (None, None)
-        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, *out, meter)
+        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, y, z, meter)
         d_y = move(seg.bsp.K.values[-1] - seg.bsp.K.values)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k
@@ -426,9 +427,8 @@ def _picard_segment(
             return seg
         if ratio is not None and ratio > tol.contraction_margin:
             return None
-        u, v = seg.y, seg.z
+        u, v = y, z
         k_prev, prev_d = seg.bsp.K.values, d
-        del seg
     return None
 
 
@@ -470,7 +470,7 @@ def _stitch(
 
     ``parts`` holds each segment's nodes ``a..b``, reflection and input, in
     node order; ``y`` and ``z`` the full-grid reflected particles and
-    martingale coefficients of every segment (:func:`_place`).  Monotone
+    martingale coefficients that every segment solved into.  Monotone
     force parts accumulate across segments, and ``inner`` is built against
     the *global* force, so ``y = inner + (K_T - K_t)`` holds particle-wise.
     """
@@ -500,18 +500,6 @@ def _stitch(
     )
 
 
-def _place(seg: _SegmentSolution, a: int, y: NDArray, z: NDArray) -> None:
-    """Write a segment's ``y`` and ``z``, from node ``a``, into the full-grid arrays.
-
-    A segment owns its nodes but the last, which the next segment owns; the
-    last segment owns the horizon's last node too.
-    """
-    b = a + seg.y.shape[1] - 1
-    end = b + 1 if b == y.shape[1] - 1 else b
-    y[:, a:end] = seg.y[:, : end - a]
-    z[:, a:end] = seg.z[:, : end - a]
-
-
 def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     """Fixed-point solve of the mean-field reflected problem.
 
@@ -525,8 +513,11 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     iteration cap is hit), the horizon is split into twice as many segments
     and the solve restarts, stitching segment solutions backward from the
     terminal; each segment's terminal, the horizon's first, is validated for
-    feasibility.  The trace describes the last attempt; its ``attempts``
-    lists every one.
+    feasibility.  One full-grid ``y``/``z`` pair serves every attempt: a
+    segment solves into its columns ``a..b``.  Node ``b``'s ``z`` is the
+    later segment's, so it is kept across the earlier segment's solve,
+    which writes a placeholder there.  The trace describes the last attempt;
+    its ``attempts`` lists every one.
 
     ``init`` selects the initial iterate: ``"zero"`` or ``"unreflected"``
     (the plain self-consistent backward solve).
@@ -557,6 +548,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     )
 
     nodes = grid.nodes
+    y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
     max_segments = max(1, grid.n_steps // 2)
     n_segments = 1
     attempts: list[tuple[int, int, float]] = []
@@ -564,26 +556,23 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         bounds = [int(round(j * grid.n_steps / n_segments)) for j in range(n_segments + 1)]
         records: list[tuple[NDArray[np.floating], list[tuple]]] = []
         parts: list[tuple[int, int, BackwardReflectionSolution, SamplePath]] = []
-        # A split solve writes each converged segment's solution into the
-        # full grid at once and drops its arrays; one segment is its own.
-        y = z = None
-        if n_segments > 1:
-            y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
         xi_seg = xi
         for j in reversed(range(n_segments)):
             a, b = bounds[j], bounds[j + 1]
-            bm_seg = Ensemble(TimeGrid(nodes[a : b + 1]), bm.values[:, a : b + 1])
+            cols = slice(a, b + 1)
+            bm_seg = Ensemble(TimeGrid(nodes[cols]), bm.values[:, cols])
             records.append((bm_seg.grid.nodes, []))
-            seg = _picard_segment(sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b))
+            # node b's z is the later segment's: this pass writes its placeholder there
+            z_b = z[:, b].copy() if b < grid.n_steps else None
+            seg = _picard_segment(
+                sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b), y[:, cols], z[:, cols]
+            )
             if seg is None:
                 break
+            if z_b is not None:
+                z[:, b] = z_b
             parts.append((a, b, seg.bsp, seg.s))
-            xi_seg = seg.y[:, 0].copy()  # a view would keep the segment's arrays alive
-            if y is None:
-                y, z = seg.y, seg.z
-            else:
-                _place(seg, a, y, z)
-            del seg
+            xi_seg = y[:, a].copy()  # the earlier segment's pass writes this column
         converged = len(parts) == n_segments
         *_, ratio = records[-1][1][-1]  # the attempt's last quotient
         split = not converged and ratio is not None and ratio > sc.tol.contraction_margin

@@ -601,7 +601,7 @@ def test_a_failed_audit_fails_run(tmp_path, capsys, monkeypatch):
 
     def unshifted(*args):
         seg = construct(*args)
-        seg.y[...] -= seg.bsp.K.values[-1] - seg.bsp.K.values  # undo the in-place add
+        args[6][...] -= seg.bsp.K.values[-1] - seg.bsp.K.values  # undo the in-place add to y
         return seg
 
     monkeypatch.setattr(mrbsde, "_construct", unshifted)

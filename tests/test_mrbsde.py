@@ -634,8 +634,9 @@ def test_in_pass_move_matches_the_full_array_formula_on_a_picard_trace(monkeypat
 
     def recording(*args):
         seg = construct(*args)
-        full.append(float(np.sqrt(np.max(mr.pairwise_mean((seg.y - frozen[0]) ** 2, axis=0)))))
-        frozen[0] = seg.y.copy()
+        y = args[6]  # the reflected y, written into the pair handed in
+        full.append(float(np.sqrt(np.max(mr.pairwise_mean((y - frozen[0]) ** 2, axis=0)))))
+        frozen[0] = y.copy()
         return seg
 
     monkeypatch.setattr(mrbsde, "_construct", recording)
@@ -706,13 +707,28 @@ def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, terminal):
     assert peak <= 4.0 * array, peak / array
 
 
-def test_split_solve_holds_each_segment_once():
-    # 6000 x 17 arrays; 8 segments: a converged segment's y and z go
-    # straight into the full-grid solution, inner is built at the end
+@pytest.mark.parametrize("init", ["zero", "unreflected"])
+def test_split_solve_holds_one_full_grid_pair(init):
+    # 6000 x 17 arrays: bm and one full-grid y/z pair, allocated once for
+    # every attempt; each segment solves into its columns of that pair, and
+    # inner is built at the end, once bm is dropped
     sc = _split_scenario(6_000)
-    sol, peak = peak_bytes(lambda: mr.picard_solve(sc))
-    assert sol.trace.segment_count == 8
-    assert peak <= 5.5 * (6_000 * 17 * 8), peak / (6_000 * 17 * 8)
+    sol, peak = peak_bytes(lambda: mr.picard_solve(sc, init=init))
+    assert sol.trace.segment_count == (8 if init == "zero" else 4)
+    assert peak <= 4.5 * (6_000 * 17 * 8), peak / (6_000 * 17 * 8)
+
+
+@pytest.mark.parametrize("init", ["zero", "unreflected"])
+def test_stitched_z_at_a_segment_boundary_is_the_later_segments(init):
+    # node b's z belongs to the segment that starts at b; the earlier
+    # segment's pass writes its terminal placeholder, z[:, b - 1], over it
+    sol = mr.picard_solve(_split_scenario(), init=init)
+    nodes = sol.z.grid.nodes
+    starts = [int(np.searchsorted(nodes, seg[0])) for seg in sol.trace.segment_nodes]
+    interior = [b for b in starts if b > 0]
+    assert len(interior) == sol.trace.segment_count - 1 > 0
+    for b in interior:
+        assert not np.array_equal(sol.z.values[:, b], sol.z.values[:, b - 1]), b
 
 
 def _frozen_case(case):
@@ -746,8 +762,11 @@ def _assert_same_bits(in_place, allocated):
 def test_z_written_over_the_frozen_z_gives_the_bits_of_a_fresh_z(monkeypatch, case, init):
     # the frozen hook reads v[:, k] at step k and the new z overwrites v in
     # place: a column written before its drift read it would move the bits.
-    # (From the unreflected start, a driver of z alone reproduces the frozen
-    # z exactly, so only the y-coupled case can tell there.)
+    # The copy-after-pass run gives every pass a fresh z and copies it into
+    # the given z once the pass is done, so the frozen z is never written
+    # while the pass reads it.  (From the unreflected start, a driver of z
+    # alone reproduces the frozen z exactly, so only the y-coupled case can
+    # tell there.)
     sc = _frozen_case(case)
     in_place = mr.picard_solve(sc, init=init)
     backward_pass = bsde._backward_pass
@@ -755,11 +774,13 @@ def test_z_written_over_the_frozen_z_gives_the_bits_of_a_fresh_z(monkeypatch, ca
 
     def fresh_z(*args, z=None, **kwargs):
         replaced.append(z is not None)
-        return backward_pass(*args, **kwargs)
+        sol = backward_pass(*args, **kwargs)
+        z[...] = sol.z.values
+        return sol
 
     monkeypatch.setattr(mrbsde, "_backward_pass", fresh_z)
     allocated = mr.picard_solve(sc, init=init)
-    assert sum(replaced) == in_place.trace.iterations - (init == "zero")
+    assert sum(replaced) == in_place.trace.iterations + (init == "unreflected")
     _assert_same_bits(in_place, allocated)
 
 
@@ -768,8 +789,9 @@ def test_z_written_over_the_frozen_z_gives_the_bits_of_a_fresh_z(monkeypatch, ca
 def test_y_written_over_the_frozen_y_gives_the_bits_of_a_fresh_y(monkeypatch, case, init):
     # the frozen hook and the move meter read u[:, k] at step k and the new
     # plain y overwrites u in place: a column written before both read it
-    # would move the bits, the recorded moves included.  The copy-before-
-    # write run gives the pass a fresh y, so the frozen y is never written.
+    # would move the bits, the recorded moves included.  The copy-after-
+    # pass run gives every pass a fresh y and copies it into the given y
+    # once the pass is done, so the frozen y is never written while read.
     sc = _frozen_case(case)
     in_place = mr.picard_solve(sc, init=init)
     backward_pass = bsde._backward_pass
@@ -777,11 +799,13 @@ def test_y_written_over_the_frozen_y_gives_the_bits_of_a_fresh_y(monkeypatch, ca
 
     def fresh_y(*args, y=None, **kwargs):
         replaced.append(y is not None)
-        return backward_pass(*args, **kwargs)
+        sol = backward_pass(*args, **kwargs)
+        y[...] = sol.y.values
+        return sol
 
     monkeypatch.setattr(mrbsde, "_backward_pass", fresh_y)
     allocated = mr.picard_solve(sc, init=init)
-    assert sum(replaced) == in_place.trace.iterations - (init == "zero")
+    assert sum(replaced) == in_place.trace.iterations + (init == "unreflected")
     _assert_same_bits(in_place, allocated)
     assert in_place.trace.y_distances == allocated.trace.y_distances
 
@@ -861,12 +885,13 @@ def test_construct_writes_the_reflected_y_over_the_plain_y(monkeypatch):
     monkeypatch.setattr(mrbsde, "_backward_pass", recording)
     zero = np.broadcast_to(0.0, bm.values.shape)
     drift = bsde._frozen_drift(sc.generator, zero, zero, bm.grid)
-    seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
-    ((y, plain),) = passes
-    assert np.shares_memory(seg.y, y)
+    y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
+    seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan, y, z)
+    ((pass_y, plain),) = passes
+    assert np.shares_memory(pass_y, y)
     K = seg.bsp.K.values
     assert np.any(K != 0.0)  # the band binds: the shift is not zero
-    assert seg.y.tobytes() == (plain + (K[-1] - K)).tobytes()
+    assert y.tobytes() == (plain + (K[-1] - K)).tobytes()
 
 
 @pytest.mark.parametrize("case", ["constant-at-zero", "affine-mix-frozen"])
@@ -874,8 +899,9 @@ def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
     # the backward loop reads the frozen generator one node at a time; the
     # public drift matrix of the same frozen pair must give the same bits
     def construct(drift):
-        seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan)
-        return mrbsde._stitch([(0, sc.steps, seg.bsp, seg.s)], bm.grid, None, seg.y, seg.z)
+        y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
+        seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan, y, z)
+        return mrbsde._stitch([(0, sc.steps, seg.bsp, seg.s)], bm.grid, None, y, z)
 
     if case == "constant-at-zero":
         gen = mr.constant_generator(4.0)
@@ -916,8 +942,9 @@ def test_non_finite_step_names_the_clock_time():
         mr.solve_bsde(xi, gen, bm)
     drift = bsde._frozen_drift(gen, bm.values, bm.values, bm.grid)
     plan = bsde.RegressionPlan.build(bm, sc.regression)
+    y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
     with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
-        mrbsde._construct(xi, bm, drift, sc, 1.0, plan)
+        mrbsde._construct(xi, bm, drift, sc, 1.0, plan, y, z)
 
 
 def test_band_edges_are_inverted_only_where_the_clamp_binds(monkeypatch):
