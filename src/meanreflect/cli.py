@@ -409,7 +409,8 @@ def _run_result(
     """The per-node table of ``result.csv`` and the ``diagnostics.json`` payload."""
     grid = sol.K.grid
     mean_y = sol.mean_path
-    e_l, e_r, v_tol = _loss_paths(sol.y, sc.losses)  # one meter pass: the table and the audit
+    meter = _loss_paths(sol.y, sc.losses)  # one meter pass: the table and the audit
+    e_l, e_r, tols, _ = meter
     table = np.column_stack(
         [
             grid.nodes,
@@ -421,7 +422,7 @@ def _run_result(
             sol.push_down.values,
         ]
     )
-    audit = _audit(sol, e_l, e_r, v_tol)
+    audit = _audit(sol, sc.losses, *meter)
     diag: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -435,7 +436,7 @@ def _run_result(
             "lower": audit.violation_lower,
             "upper": audit.violation_upper,
         },
-        "stat_tol": audit.violation_tol,
+        "stat_tol": float(np.max(tols)),
         "force_terminal": float(sol.K.values[-1]),
         "force_variation": sol.variation,
         "trace": _trace_block(sol),

@@ -174,15 +174,20 @@ def validate_loss(lp: LossPair, grid: TimeGrid) -> LossValidation:
     return LossValidation(violations, slope_min, slope_max, min_gap, failures)
 
 
-def _loss_stats(lp: LossPair, t: float, x: NDArray[np.floating]) -> tuple[float, float, float]:
-    """``(E[L(t, x)], E[R(t, x)], tol)`` over one cross-section ``x``, each loss evaluated once.
+def _loss_stats(
+    lp: LossPair, t: float, x: NDArray[np.floating]
+) -> tuple[float, float, float, float]:
+    """``(E[L(t, x)], E[R(t, x)], tol, scale)`` over one cross-section ``x``, one call per loss.
 
     ``tol`` is the Monte Carlo tolerance of the mean constraint: :func:`stat_tol`
-    of the loss values with the larger spread.
+    of the loss values with the larger spread.  ``scale``, the largest of
+    ``|L|``, ``|R|`` and ``C |x|`` there, sets the rounding of both means.
     """
     lv = np.asarray(lp.L(float(t), x), dtype=float)
     rv = np.asarray(lp.R(float(t), x), dtype=float)
-    return float(pairwise_mean(lv)), float(pairwise_mean(rv)), max(stat_tol(lv), stat_tol(rv))
+    scale = max(-lv.min(), lv.max(), -rv.min(), rv.max(), -lp.C * x.min(), lp.C * x.max())
+    means = float(pairwise_mean(lv)), float(pairwise_mean(rv))
+    return *means, max(stat_tol(lv), stat_tol(rv)), float(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +214,23 @@ class BoundaryPair:
     array ``x``, or a 1-D numpy array of nodes ``k`` paired row-wise with
     ``x`` of shape ``(len(k),)`` or ``(len(k), p)``.  They return values
     shaped like ``x``, each entry with the bits of the scalar call there.
+
+    An averaged pair skips the particle evaluations whose outcome is already
+    known, with no bit moved.  Its clamp hook certifies a side of the band
+    test from the declared slopes (see :meth:`_edge_at`), and each side
+    keeps its last scalar evaluation per node (see :meth:`_eval`), so the
+    flatness residual reads the value the inversion just took.  Both rest on
+    the pair's ensemble staying unchanged while the pair is in use, as its
+    cached recentred row and band edges already do: build a new pair for a
+    new ensemble.
     """
 
     grid: TimeGrid
     losses: LossPair
     offsets: NDArray[np.floating] | None = None
     _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (f, node) -> (bits of x, f's averaged value there): the last scalar evaluation
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offsets is not None:
@@ -242,6 +258,10 @@ class BoundaryPair:
         reduces each row along its last, contiguous axis, so every entry has
         the reduction order of a scalar call.  Over a node array, a bare
         ``time_invariant`` pair takes one call of ``f``, others go row by row.
+        An averaged pair also keeps the last scalar value of each ``(f,
+        node)``, keyed on the bits of ``x`` (so ``-0.0`` and ``0.0`` are two
+        keys), and returns it for a repeated ``x``: the value of a pure
+        function, with the bits of a fresh evaluation.
         """
         x = np.asarray(x, dtype=float)
         if isinstance(node, np.ndarray) and node.ndim:
@@ -252,10 +272,16 @@ class BoundaryPair:
             node = 0
         t = float(self.grid.nodes[node])
         if self.offsets is None:
-            vals = f(t, x)
-        else:
-            vals = pairwise_mean(f(t, np.add.outer(x, self.offsets[node])))
-        return np.asarray(vals, dtype=float)[()]
+            return np.asarray(f(t, x), dtype=float)[()]
+        if x.ndim:
+            return pairwise_mean(f(t, np.add.outer(x, self.offsets[node])))
+        key, bits = (f, int(node)), x.tobytes()
+        last = self._memo.get(key)
+        if last is not None and last[0] == bits:
+            return last[1]
+        v = np.float64(pairwise_mean(f(t, x + self.offsets[node])))
+        self._memo[key] = (bits, v)
+        return v
 
     @property
     def c(self) -> float:
@@ -323,17 +349,45 @@ class BoundaryPair:
     def _edge_at(self, node: int, x: float) -> float:
         """``x`` if it is in the band at ``node``, else the edge it crossed.
 
-        The edge is the root of :meth:`band_edges` to ``ROOT_TOL_DEFAULT``,
-        inverted from ``x`` and the boundary value this test took there.  A
-        value that is not finite goes to the inversion, which refuses it.
+        The test reads ``r(node, x) >= 0``, then ``l(node, x) <= 0``.  A side
+        that :meth:`_certified` settles is not evaluated: it would pass, so
+        the result is the same, bit for bit.  The edge is the root of
+        :meth:`band_edges` to ``ROOT_TOL_DEFAULT``, inverted from ``x`` and
+        the boundary value this test took there.  A value that is not finite
+        is never certified; it goes to the inversion, which refuses it.
         """
-        v = self.upper(node, x)
-        if not v >= 0.0:
-            return _invert_from(self, node, "lower_edge", ROOT_TOL_DEFAULT, x, v)
-        v = self.lower(node, x)
-        if not v <= 0.0:
-            return _invert_from(self, node, "upper_edge", ROOT_TOL_DEFAULT, x, v)
+        sure_r, sure_l = self._certified(node, x)
+        if not sure_r:
+            v = self.upper(node, x)
+            if not v >= 0.0:
+                return _invert_from(self, node, "lower_edge", ROOT_TOL_DEFAULT, x, v)
+        if not sure_l:
+            v = self.lower(node, x)
+            if not v <= 0.0:
+                return _invert_from(self, node, "upper_edge", ROOT_TOL_DEFAULT, x, v)
         return x
+
+    def _certified(self, node: int, x: float) -> tuple[bool, bool]:
+        """Whether ``r(node, x) >= 0`` and ``l(node, x) <= 0`` hold by the declared slopes alone.
+
+        With slopes in ``[c, C]``, ``P`` and ``N`` the means of the node's
+        offsets' positive and negative parts, and ``L``, ``R`` the losses at
+        ``(t_node, x)``: ``r >= R + c P - C N`` and ``l <= L + C P - c N``.
+        A side is certified where its bound clears zero by more than a
+        rounding allowance of ``1e-9`` relative to the terms' magnitudes.
+        A bare pair certifies nothing: there ``l`` and ``r`` are the losses.
+        Nor does a free value that is not finite.
+        """
+        if self.offsets is None or not math.isfinite(x):
+            return False, False
+        row = self.offsets[node]
+        pos = float(pairwise_mean(np.maximum(row, 0.0)))
+        neg = pos - float(pairwise_mean(row))
+        t = float(self.grid.nodes[node])
+        lo, hi = float(self.losses.L(t, x)), float(self.losses.R(t, x))
+        c, C = self.c, self.C
+        margin = 1e-9 * (1.0 + abs(lo) + abs(hi) + C * (abs(x) + pos + abs(neg)))
+        return hi + c * pos - C * neg > margin, lo + C * pos - c * neg < -margin
 
 
 class _RecentredRows:

@@ -179,7 +179,7 @@ def require_feasible_terminal(
     (``ValueError`` otherwise): boundary code drops its offsets.
     """
     t, xi = float(t_final), np.asarray(xi, dtype=float)
-    e_l, e_r, stat = _loss_stats(losses, t, xi)
+    e_l, e_r, stat, _ = _loss_stats(losses, t, xi)
     tol = stat + ROOT_TOL_DEFAULT
     if not (e_l <= tol and e_r >= -tol):
         raise InfeasibleTerminalError(

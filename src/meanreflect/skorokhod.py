@@ -11,7 +11,10 @@ The backward map anchors the path at a terminal value; it runs the same
 clamp on the reversed clock.  How a pair finds its edges is one policy, kept
 in :class:`BoundaryPair`: both maps clamp through it, against precomputed
 band edges for a bare ``time_invariant`` pair and by inverting an edge only
-where the free value leaves the band for any other.
+where the free value leaves the band for any other.  An averaged pair's
+band test evaluates only the sides that its declared slopes leave open, and
+the flatness residuals read the value the inversion took at the clamped
+point from the pair's memo; neither moves a bit.
 
 The module also ships the quantitative estimates satisfied by these maps as
 executable report-style checks: input-stability of the force, ordering under

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meanreflect as mr
-from meanreflect import cli, mrbsde, penalty
+from meanreflect import cli, constraints, mrbsde, penalty, skorokhod
 from meanreflect.verify import SUITE_NAMES
 from conftest import peak_bytes
 
@@ -628,6 +629,62 @@ def test_picard_run_holds_four_arrays_at_most(tmp_path):
     code, peak = peak_bytes(lambda: cli.main(["run", cfg, "--out", str(tmp_path / "out")]))
     assert code == 0
     assert peak <= 4.0 * (4_000 * 41 * 8), peak / (4_000 * 41 * 8)
+
+
+def test_picard_run_evaluates_the_averaged_boundary_only_where_the_result_is_open(
+    tmp_path, monkeypatch
+):
+    # particle-sized loss evaluations of one run, by the phase that asks for
+    # them: the certificate settles most band tests and the memo serves every
+    # flatness residual, while the inversions keep their count
+    particles = 2_000
+    phases, counts = ["other"], dict.fromkeys(("band test", "inversion", "flatness", "other"), 0)
+
+    def in_phase(name, f):
+        def wrapped(*args, **kwargs):
+            phases.append(name)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                phases.pop()
+
+        return wrapped
+
+    def counted(f):
+        def loss(t, x):
+            if np.size(x) >= particles:
+                counts[phases[-1]] += 1
+            return f(t, x)
+
+        return loss
+
+    build = cli.build_scenario
+
+    def counting_scenario(cfg, seed):
+        sc = build(cfg, seed)
+        lp = dataclasses.replace(sc.losses, L=counted(sc.losses.L), R=counted(sc.losses.R))
+        return dataclasses.replace(sc, losses=lp)
+
+    monkeypatch.setattr(cli, "build_scenario", counting_scenario)
+    for owner, name, phase in (
+        (mr.BoundaryPair, "_edge_at", "band test"),
+        (constraints, "_invert_from", "inversion"),
+        (skorokhod, "flatness_residuals_raw", "flatness"),
+    ):
+        monkeypatch.setattr(owner, name, in_phase(phase, getattr(owner, name)))
+    cfg = _write(tmp_path, "c.json", {
+        "schema_version": 1, "horizon": 1.0, "steps": 40, "particles": particles, "seed": 5,
+        "terminal": {"kind": "bounded-sin", "scale": 1.5, "shift": 0.5},
+        "generator": {"kind": "affine-mix", "a_y": 0.5, "a_mean_z": 0.25, "const": 3.0},
+        "losses": {"kind": "saturating-band", "lower": -1.0, "upper": 2.0},
+    })
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    # 369 hook calls (9 iterations x 41 nodes) made 738 band tests before the
+    # certificate, and the flatness residuals 115
+    assert counts["band test"] <= 167
+    assert counts["inversion"] == 690
+    assert counts["flatness"] == 0
+    assert counts["other"] == 102  # terminal and anchor checks, the run's meter pass
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -340,8 +340,8 @@ def _bisect(g) -> float:
 
 
 @st.composite
-def _boundary_cases(draw):
-    """A boundary pair (bare or averaged) with its declared slopes, and a tolerance.
+def _drawn_losses(draw) -> mr.LossPair:
+    """A loss pair with its declared slopes.
 
     ``kind`` is a saturating band (slopes in [s/2, 3s/2]) or a linear one
     (c == C == s); a nonzero ``amp`` shifts both losses in time, so no edge
@@ -361,7 +361,7 @@ def _boundary_cases(draw):
     def shift(t):
         return amp * math.sin(3.0 * t)
 
-    lp = mr.LossPair(
+    return mr.LossPair(
         L=lambda t, x: s * (np.asarray(x, dtype=float) - sat(x) - upper - shift(t)),
         R=lambda t, x: s * (np.asarray(x, dtype=float) + sat(x) - lower - shift(t)),
         c=s * (0.5 if kind == "saturating" else 1.0),
@@ -370,6 +370,12 @@ def _boundary_cases(draw):
         time_invariant=amp == 0.0,
         affine=kind == "linear",
     )
+
+
+@st.composite
+def _boundary_cases(draw):
+    """A boundary pair (bare or averaged) of :func:`_drawn_losses`, and a tolerance."""
+    lp = draw(_drawn_losses())
     g = mr.build_grid(1.0, draw(st.integers(1, 5)))
     off = None
     if draw(st.booleans()):
@@ -539,6 +545,134 @@ def test_band_edges_cached_and_consistent():
     rho2, lam2 = bp.band_edges()
     assert rho1 is rho2 and lam1 is lam2  # cache hit returns the same arrays
     assert np.all(lam1 > rho1)
+
+
+# ---------------------------------------------------------------------------
+# the certified band test and the evaluation memo
+# ---------------------------------------------------------------------------
+
+
+def _edge_by_evaluation(bp: BoundaryPair, k: int, x: float) -> float:
+    """The clamp hook with no certificate: both sides evaluated, in the hook's order."""
+    if not bp.upper(k, x) >= 0.0:
+        return invert_boundary(bp, k, "lower_edge", hint=x)
+    if not bp.lower(k, x) <= 0.0:
+        return invert_boundary(bp, k, "upper_edge", hint=x)
+    return x
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@st.composite
+def _skewed_cases(draw):
+    """An averaged pair over skewed, uncentred offsets, a node and a free value.
+
+    The free value is drawn anywhere, or within ``1e-6`` of a band edge, where
+    a linear band (``c == C``) makes the slope bound as tight as it gets.
+    """
+    lp = draw(_drawn_losses())
+    g = mr.build_grid(1.0, draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    sign, sigma = draw(st.sampled_from([-1.0, 1.0])), draw(st.floats(0.1, 1.5))
+    skew = sign * rng.lognormal(0.0, sigma, (g.n_nodes, n))
+    off = draw(st.floats(-3.0, 3.0)) + draw(st.floats(0.05, 3.0)) * skew
+    bp = BoundaryPair(g, lp, off)
+    k = draw(st.integers(0, g.n_nodes - 1))
+    which = draw(st.sampled_from([None, "lower_edge", "upper_edge"]))
+    if which is None:
+        x = draw(st.floats(-30.0, 30.0))
+    else:
+        x = invert_boundary(bp, k, which) + draw(
+            st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+        )
+    return bp, k, float(x)
+
+
+@given(_skewed_cases())
+def test_a_certified_side_passes_its_evaluated_test(case):
+    bp, k, x = case
+    sure_r, sure_l = bp._certified(k, x)
+    if sure_r:
+        assert bp.upper(k, x) >= 0.0
+    if sure_l:
+        assert bp.lower(k, x) <= 0.0
+    # so the hook returns what evaluating both sides returns, bit for bit
+    fresh = BoundaryPair(bp.grid, bp.losses, bp.offsets)
+    assert _bits(bp._edge_at(k, x)) == _bits(_edge_by_evaluation(fresh, k, x))
+
+
+def test_the_certificate_settles_the_middle_of_a_band_and_skips_no_bare_pair():
+    g = mr.build_grid(1.0, 2)
+    off = np.random.default_rng(4).normal(0.0, 0.3, (g.n_nodes, 50))
+    bp = BoundaryPair(g, mr.saturating_band(-1.0, 2.0), off)
+    assert bp._certified(1, 0.5) == (True, True)
+    # on an edge the bound of its side cannot clear zero
+    assert bp._certified(1, invert_boundary(bp, 1, "upper_edge")) == (True, False)
+    assert bp._certified(1, invert_boundary(bp, 1, "lower_edge")) == (False, True)
+    # a bare pair is its losses, and a free value that is not finite goes
+    # to the inversion, which refuses it
+    assert BoundaryPair(g, mr.saturating_band(-1.0, 2.0))._certified(1, 0.5) == (False, False)
+    for x in (math.nan, math.inf, -math.inf):
+        assert bp._certified(1, x) == (False, False)
+
+
+def _counted_band(calls: list) -> mr.LossPair:
+    lp = mr.saturating_band(-1.0, 2.0)
+
+    def counted(f):
+        def g(t, x):
+            calls.append(np.shape(x))
+            return f(t, x)
+
+        return g
+
+    return dataclasses.replace(lp, L=counted(lp.L), R=counted(lp.R))
+
+
+def test_the_memo_keys_on_the_bits_of_x():
+    calls = []
+    g = mr.build_grid(1.0, 2)
+    bp = BoundaryPair(g, _counted_band(calls), np.random.default_rng(6).normal(0.4, 1.0, (3, 9)))
+    values = [bp.upper(1, x) for x in (0.0, 0.0, -0.0, -0.0, 0.0)]
+    assert len(calls) == 3  # -0.0 and 0.0 are two keys, and only the last is kept
+    assert len({_bits(v) for v in values}) == 1  # x + o gives one sum for either zero
+    bp.upper(1, 0.25)
+    bp.upper(2, 0.25)
+    bp.lower(1, 0.25)
+    assert len(calls) == 6  # a new x, another node, the other side: each evaluates
+    bp.upper(1, 0.25)
+    bp.upper(2, 0.25)
+    bp.upper(1, np.array([0.25, 0.25]))  # arrays are never memoized
+    assert len(calls) == 7
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["lower", "upper"]),
+            st.integers(0, 2),
+            st.sampled_from([0.0, -0.0, 0.5, np.nextafter(0.5, 1.0), -2.0, 1e-300]),
+        ),
+        max_size=30,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_memo_hit_has_the_bits_of_a_fresh_evaluation(events, seed):
+    calls = []
+    g = mr.build_grid(1.0, 2)
+    off = np.random.default_rng(seed).normal(0.3, 1.2, (g.n_nodes, 17))
+    bp = BoundaryPair(g, _counted_band(calls), off)
+    last, fresh_evals = {}, 0
+    for side, k, x in events:
+        if last.get((side, k)) != _bits(x):
+            last[(side, k)] = _bits(x)
+            fresh_evals += 1
+        fresh = BoundaryPair(g, mr.saturating_band(-1.0, 2.0), off)
+        assert _bits(getattr(bp, side)(k, x)) == _bits(getattr(fresh, side)(k, x))
+    assert len(calls) == fresh_evals
 
 
 # ---------------------------------------------------------------------------

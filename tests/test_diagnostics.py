@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
-from meanreflect import cli
+from meanreflect import cli, mrbsde
 from meanreflect.core import STAT_TOL_MULT
 from meanreflect.mrbsde import PicardTrace
 
@@ -155,7 +155,9 @@ def test_audit_accepts_a_clean_clamp_and_rejects_a_corrupted_one():
     sol = mr.solve_constant_driver(sc)
     audit = mr.audit_solution(sol, sc.losses)
     assert audit.passed
-    assert audit.violation_tol == mr.solution_stat_tol(sol.y, sc.losses)
+    # the reflected mean is exact: the tolerance is the root tolerance and
+    # rounding, far below the Monte Carlo one
+    assert 1e-12 <= audit.violation_tol <= 1e-11 < mr.solution_stat_tol(sol.y, sc.losses)
     assert audit.flat_residual_up <= audit.flat_tol
 
     # pushing the particles above the band must trip the constraint side
@@ -163,6 +165,71 @@ def test_audit_accepts_a_clean_clamp_and_rejects_a_corrupted_one():
     bad = mr.audit_solution(tampered, sc.losses)
     assert not bad.passed
     assert bad.violation_lower > bad.violation_tol
+    # one particle that is not finite inside the horizon fails it too
+    for value in (np.inf, -np.inf, np.nan):
+        broken = sol.y.values.copy()
+        broken[5, 3] = value
+        broken = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, broken))
+        with np.errstate(invalid="ignore"):
+            assert not mr.audit_solution(broken, sc.losses).passed
+
+
+@pytest.mark.parametrize("left_out", [1.0, 0.1])
+def test_the_audit_fails_a_solution_missing_part_of_its_force(monkeypatch, left_out):
+    # the assembled Y keeps a share of K_T - K_t out: 10% leaves the mean
+    # 0.038 above the band, inside the Monte Carlo tolerance (0.056) and
+    # far outside the exact one
+    stitch = mrbsde._stitch
+
+    def short_of_force(*args):
+        sol = stitch(*args)
+        kv = sol.K.values
+        y = sol.y.values - left_out * (kv[-1] - kv)
+        return dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, y))
+
+    sc = mr.Scenario(
+        horizon=1.0,
+        steps=20,
+        particles=5_000,
+        rng=mr.RngSpec(7),
+        terminal=lambda b: 2.8 + 1.5 * np.sin(b),
+        generator=mr.quadratic_z_generator(1.0),
+        losses=mr.linear_band(1.0, 3.0),
+        envelope=mr.LinearEnvelope.constants(1.0, 3.0, 1.0),
+    )
+    assert mr.audit_solution(mr.picard_solve(sc), sc.losses).passed
+    monkeypatch.setattr(mrbsde, "_stitch", short_of_force)
+    sol = mr.picard_solve(sc)
+    audit = mr.audit_solution(sol, sc.losses)
+    assert audit.violation_lower > 0.3 * left_out
+    assert not audit.passed
+    if left_out < 1.0:  # what a statistical check lets through
+        assert audit.violation_lower < mr.solution_stat_tol(sol.y, sc.losses)
+
+
+def test_the_audit_allows_the_admitted_terminal_overshoot_and_no_more():
+    # xi's mean sits 1e-3 above the band, inside the terminal check's Monte
+    # Carlo tolerance: the solver absorbs it as an initial force, which
+    # shifts every mean by as much, so the audit allows it at every node
+    lp = mr.linear_band(-1.0, 2.0)
+    sc = mr.Scenario(
+        horizon=1.0,
+        steps=20,
+        particles=5_000,
+        rng=mr.RngSpec(3),
+        terminal=lambda b: b - np.mean(b) + 2.001,
+        generator=mr.constant_generator(4.0),
+        losses=lp,
+    )
+    sol = mr.solve_constant_driver(sc)
+    e_l, _ = mr.mean_loss_paths(sol.y, lp)
+    assert_allclose(e_l[-1], 1e-3, rtol=1e-9)
+    assert np.count_nonzero(e_l > 1e-3 - 1e-9) > 1  # the shift reaches the binding nodes
+    audit = mr.audit_solution(sol, lp)
+    assert audit.passed and audit.violation_lower <= audit.violation_tol < 1.1e-3
+    # the terminal overshoot itself must stay within the terminal check's tolerance
+    over = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, sol.y.values + 0.5))
+    assert not mr.audit_solution(over, lp).passed
 
 
 def test_representation_gap_measures_tampering():

@@ -251,19 +251,20 @@ def test_backward_is_reversed_forward_on_an_averaged_pair():
     assert max(_round_trip_gaps(s, 0.0, bp)) <= 1e-11
 
 
-@pytest.mark.parametrize("a,exact", [(0.25, True), (0.1, False)])
-def test_anchored_map_checks_the_pair_at_the_anchor_itself(monkeypatch, a, exact):
-    # the terminal check reads l(T, a) and r(T, a); the first clamp step
-    # reads the pair where the reversed input starts, (a + s_T) - s_T, which
-    # is a up to one rounding (a itself, or not, by the case)
+def _anchor_step_calls(monkeypatch, a, spread):
+    """``(start, certified, calls)``: ``solve_bsp``'s evaluations at the last node, in order.
+
+    ``start = (a + s_T) - s_T`` is where the reversed input starts, ``a``
+    up to one rounding; ``certified`` is the slope certificate there.
+    """
     rng = np.random.default_rng(3)
     g = mr.build_grid(1.0, 8)
-    e = mr.Ensemble(g, rng.normal(0.0, 0.5, (64, g.n_nodes)))
+    e = mr.Ensemble(g, rng.normal(0.0, spread, (64, g.n_nodes)))
     bp = mr.make_mean_boundary(e, mr.saturating_band(-0.5, 0.5))
     s = mr.SamplePath(g, np.array([0.0, 0.5, 1.0, 0.25, -0.5, -1.0, 0.0, 0.5, 0.7]))
     start = (a + s.values[-1]) - s.values[-1]
-    assert (start == a) == exact
     last = g.n_nodes - 1
+    certified = bp._certified(last, float(start))
     calls = []
     for side in ("lower", "upper"):
         evaluate = getattr(mr.BoundaryPair, side)
@@ -274,10 +275,30 @@ def test_anchored_map_checks_the_pair_at_the_anchor_itself(monkeypatch, a, exact
             return evaluate(self, node, x)
 
         monkeypatch.setattr(mr.BoundaryPair, side, counting)
-    sol = mr.solve_bsp(s, a, bp)
-    assert sol.variation > 0.0
+    assert mr.solve_bsp(s, a, bp).variation > 0.0
+    return start, certified, calls
+
+
+@pytest.mark.parametrize("a,exact", [(0.25, True), (0.1, False)])
+def test_anchored_map_checks_the_pair_at_the_anchor_itself(monkeypatch, a, exact):
+    # the terminal check reads l(T, a) and r(T, a); the first clamp step
+    # reads the pair where the reversed input starts, (a + s_T) - s_T, which
+    # is a up to one rounding (a itself, or not, by the case).  The offsets
+    # spread too far for the slope certificate to settle that step.
+    start, certified, calls = _anchor_step_calls(monkeypatch, a, spread=2.0)
+    assert (start == a) == exact
+    assert certified == (False, False)
     assert sorted(calls[:2]) == [("lower", a), ("upper", a)]
     assert sorted(calls[2:]) == [("lower", start), ("upper", start)]
+
+
+@pytest.mark.parametrize("a", [0.25, 0.1])
+def test_a_certified_first_step_evaluates_nothing_at_the_anchor(monkeypatch, a):
+    # the mirror case: a narrow spread lets the certificate settle both
+    # sides at the start, so only the terminal check evaluates the last node
+    start, certified, calls = _anchor_step_calls(monkeypatch, a, spread=0.5)
+    assert certified == (True, True)
+    assert sorted(calls) == [("lower", a), ("upper", a)]
 
 
 def test_backward_map_runs_on_a_grid_that_is_not_its_own_mirror():
