@@ -247,13 +247,15 @@ def _backward_pass(
     ``y`` and ``z``, F-ordered (particles, nodes) arrays, receive the solution
     in place of new arrays, so they may be the pair a frozen hook reads:
     column ``k`` is overwritten only after ``drift(k)`` returned and, when
-    given, ``meter(k, yk)`` saw the new ``y`` column beside the old one.
+    given, ``meter(k, yk)`` saw the new ``y`` column beside the old one.  A
+    given ``z`` keeps its terminal column; a new one gets ``z[:, -2]`` there.
     """
     grid = bm.grid
     n, m = bm.values.shape
     if len(plan.scales) != m - 1:
         raise ValueError("regression plan does not match the ensemble's steps")
     dt = grid.step_sizes
+    own_z = z is None
     y, z = (np.empty((n, m), order="F") if a is None else a for a in (y, z))
     if not (y.shape == z.shape == (n, m) and y.flags.f_contiguous and z.flags.f_contiguous):
         raise ValueError("y and z must be F-ordered (particles, nodes) arrays")
@@ -290,7 +292,8 @@ def _backward_pass(
             y[:, k] = yk
         z[:, k] = zk
 
-    z[:, -1] = z[:, -2]
+    if own_z:
+        z[:, -1] = z[:, -2]
     return BSDESolution(Ensemble(grid, y), Ensemble(grid, z))
 
 

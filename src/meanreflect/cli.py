@@ -422,7 +422,6 @@ def _run_result(
             sol.push_down.values,
         ]
     )
-    audit = _audit(sol, sc.losses, *meter)
     diag: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -430,12 +429,8 @@ def _run_result(
         "timing_seconds": dt_wall,
         "nodes": grid.n_nodes,
         "particles": sc.particles,
-        "audit": asdict(audit),
+        "audit": asdict(_audit(sol, sc.losses, *meter)),
         "representation_gap": representation_gap(sol),
-        "constraint_violation": {
-            "lower": audit.violation_lower,
-            "upper": audit.violation_upper,
-        },
         "stat_tol": float(np.max(tols)),
         "force_terminal": float(sol.K.values[-1]),
         "force_variation": sol.variation,

@@ -150,7 +150,7 @@ class Scenario:
         return simulate_brownian(self.make_grid(), self.particles, self.rng)
 
     def terminal_values(self, bm: Ensemble) -> NDArray[np.floating]:
-        return self._terminal_at(bm.values[:, -1].copy())  # a view would keep bm alive
+        return self._terminal_at(bm.values[:, -1].copy())  # the terminal may write its argument
 
     def _terminal_at(self, b_t: NDArray[np.floating]) -> NDArray[np.floating]:
         """``terminal`` on the cross-section ``b_t``, one finite value per particle."""
@@ -237,17 +237,16 @@ class PicardTrace:
 class MRSolution:
     """Reflected solution: particles, martingale coefficients, and the force.
 
-    ``y`` holds the reflected particles, ``inner`` the plain backward
-    solution they were shifted from, built as ``y - (K_T - K_t)``, so
-    ``y = inner + (K_T - K_t)`` holds particle-wise up to rounding.
-    ``K = push_up - push_down`` is one deterministic function; ``s_sup``
-    records the sup of the reflected input path(s) for flat-residual
-    tolerance scaling.
+    ``y`` holds the reflected particles, the plain solution :attr:`inner`
+    shifted by the force to come, ``K_T - K_t``; ``K = push_up - push_down``
+    is one deterministic function, ``s_sup`` the sup of the reflected input
+    path(s), which scales flat-residual tolerances.  An admitted terminal
+    overshoot ``v_T`` shifts every reflected mean by up to ``v_T / c``:
+    ``K`` leaves out that initial force, and the audit's tolerance allows it.
     """
 
     y: Ensemble
     z: Ensemble
-    inner: Ensemble
     K: SamplePath
     push_up: SamplePath
     push_down: SamplePath
@@ -255,6 +254,12 @@ class MRSolution:
     flat_residual_down: float
     s_sup: float
     trace: PicardTrace | None = None
+
+    @property
+    def inner(self) -> Ensemble:
+        """The plain backward solution ``y - (K_T - K_t)``, F-ordered as ``y``, built per call."""
+        kv = self.K.values
+        return Ensemble(self.y.grid, np.subtract(self.y.values, kv[-1] - kv))
 
     @property
     def variation(self) -> float:
@@ -344,7 +349,6 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
     plan = RegressionPlan.build(bm, sc.regression)
     y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
     seg = _construct(xi, bm, drift, sc, term_tol, plan, y, z)
-    del bm  # freed before _stitch builds inner
     return _stitch([(0, grid.n_steps, seg.bsp, seg.s)], grid, None, y, z)
 
 
@@ -470,9 +474,9 @@ def _stitch(
 
     ``parts`` holds each segment's nodes ``a..b``, reflection and input, in
     node order; ``y`` and ``z`` the full-grid reflected particles and
-    martingale coefficients that every segment solved into.  Monotone
-    force parts accumulate across segments, and ``inner`` is built against
-    the *global* force, so ``y = inner + (K_T - K_t)`` holds particle-wise.
+    martingale coefficients that every segment solved into, whose terminal
+    ``z`` placeholder, ``z[:, -2]``, is written here.  Monotone force parts
+    accumulate across segments into the *global* force.
     """
     m = grid.n_nodes
     pu, pd = np.empty(m), np.empty(m)
@@ -485,11 +489,10 @@ def _stitch(
         fr_dn += bsp.flat_residual_down
         s_sup = max(s_sup, float(np.max(np.abs(s.values))))
     kv = pu - pd
-    inner = np.subtract(y, kv[-1] - kv, out=np.empty(y.shape, order="F"))
+    z[:, -1] = z[:, -2]
     return MRSolution(
         y=Ensemble(grid, y),
         z=Ensemble(grid, z),
-        inner=Ensemble(grid, inner),
         K=SamplePath(grid, kv),
         push_up=SamplePath(grid, pu),
         push_down=SamplePath(grid, pd),
@@ -514,10 +517,9 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     and the solve restarts, stitching segment solutions backward from the
     terminal; each segment's terminal, the horizon's first, is validated for
     feasibility.  One full-grid ``y``/``z`` pair serves every attempt: a
-    segment solves into its columns ``a..b``.  Node ``b``'s ``z`` is the
-    later segment's, so it is kept across the earlier segment's solve,
-    which writes a placeholder there.  The trace describes the last attempt;
-    its ``attempts`` lists every one.
+    segment solves into its columns ``a..b``, and leaves node ``b``'s ``z``,
+    the later segment's, as it found it.  The trace describes the last
+    attempt; its ``attempts`` lists every one.
 
     ``init`` selects the initial iterate: ``"zero"`` or ``"unreflected"``
     (the plain self-consistent backward solve).
@@ -562,15 +564,11 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
             cols = slice(a, b + 1)
             bm_seg = Ensemble(TimeGrid(nodes[cols]), bm.values[:, cols])
             records.append((bm_seg.grid.nodes, []))
-            # node b's z is the later segment's: this pass writes its placeholder there
-            z_b = z[:, b].copy() if b < grid.n_steps else None
             seg = _picard_segment(
                 sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b), y[:, cols], z[:, cols]
             )
             if seg is None:
                 break
-            if z_b is not None:
-                z[:, b] = z_b
             parts.append((a, b, seg.bsp, seg.s))
             xi_seg = y[:, a].copy()  # the earlier segment's pass writes this column
         converged = len(parts) == n_segments
@@ -580,7 +578,6 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
         attempts.append((n_segments, iterations, ratio if split else math.nan))
         trace = _trace(records, converged, attempts)
         if converged:
-            del bm, bm_seg  # freed before _stitch builds inner
             return _stitch(parts[::-1], grid, trace, y, z)
         nxt = min(2 * n_segments, max_segments)
         if nxt == n_segments:

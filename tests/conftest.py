@@ -1,4 +1,4 @@
-"""Shared pytest configuration and the peak-memory helper.
+"""Shared pytest configuration and the memory helpers.
 
 Hypothesis deadlines are disabled: several properties drive numpy-heavy code
 whose first call pays a dispatch/allocation warm-up that trips the default
@@ -26,9 +26,18 @@ def peak_bytes(fn):
     Tracing stops however ``fn`` ends, so a failing call cannot leave it on
     for the tests after it.
     """
+    return _traced(fn, 1)
+
+
+def retained_bytes(fn):
+    """Like :func:`peak_bytes`, but the bytes still traced while the result is alive."""
+    return _traced(fn, 0)
+
+
+def _traced(fn, which):
     tracemalloc.start()
     try:
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
+        return result, tracemalloc.get_traced_memory()[which]
     finally:
         tracemalloc.stop()

@@ -618,8 +618,8 @@ def test_a_failed_audit_fails_run(tmp_path, capsys, monkeypatch):
 
 def test_picard_run_holds_four_arrays_at_most(tmp_path):
     # in (particles, nodes) arrays of 4000 x 41 doubles: the solve holds three
-    # (bm, y, z) while it iterates and y, z and inner once bm is dropped, and
-    # the audit and the representation gap add no full array
+    # (bm, y, z) while it iterates and returns y and z alone, and the audit
+    # and the representation gap add no full array
     cfg = _write(tmp_path, "c.json", {
         "schema_version": 1, "horizon": 1.0, "steps": 40, "particles": 4_000, "seed": 5,
         "terminal": {"kind": "bounded-sin", "scale": 1.5, "shift": 0.5},

@@ -244,13 +244,18 @@ def test_representation_gap_measures_tampering():
     )
     sol = mr.solve_constant_driver(sc)
     assert mr.representation_gap(sol) <= 1e-12
+    # inner is derived from y, so the gap cannot see a tampered y; the exact
+    # audit fails the same tamper
     tampered = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, sol.y.values + 0.25))
-    assert_allclose(mr.representation_gap(tampered), 0.25, rtol=1e-12)
+    assert mr.audit_solution(sol, sc.losses).passed
+    audit = mr.audit_solution(tampered, sc.losses)
+    assert not audit.passed
+    assert_allclose(audit.violation_lower, 0.25, rtol=1e-12)
     # node by node, the gap is the full-array formula's value; a NaN carries through
     noise = np.random.default_rng(2).normal(0.0, 1e-3, sol.y.values.shape)
     tampered = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, sol.y.values + noise))
     shift = sol.K.values[-1] - sol.K.values
-    full = np.max(np.abs(tampered.y.values - (sol.inner.values + shift[None, :])))
+    full = np.max(np.abs(tampered.y.values - (tampered.inner.values + shift[None, :])))
     assert mr.representation_gap(tampered) == float(full)
     broken = tampered.y.values.copy()
     broken[5, 3] = np.nan

@@ -123,6 +123,14 @@ def test_a_grid_is_its_nodes():
     assert [f.name for f in dataclasses.fields(mr.TimeGrid)] == ["nodes"]
 
 
+def test_a_solution_stores_only_what_it_cannot_derive():
+    # the plain solution is y - (K_T - K_t): inner is a property, not a field
+    assert [f.name for f in dataclasses.fields(mr.MRSolution)] == [
+        "y", "z", "K", "push_up", "push_down",
+        "flat_residual_up", "flat_residual_down", "s_sup", "trace",
+    ]
+
+
 def test_one_meter_for_a_mean_constraint():
     # the terminal check, the loss meters and the audit read one per-node pass
     assert {"terminal_feasibility", "constraint_violation"}.isdisjoint(mr.__all__)

@@ -15,7 +15,7 @@ from meanreflect import bsde, cli, mrbsde
 from meanreflect.constraints import ROOT_TOL_DEFAULT
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from meanreflect.mrbsde import _move_meter
-from conftest import peak_bytes
+from conftest import peak_bytes, retained_bytes
 from oracles import cole_hopf_value
 
 
@@ -688,9 +688,9 @@ def _saturating(gen, *, steps, particles, seed):
 @pytest.mark.parametrize("route", ["zero", "unreflected", "constant-driver"])
 def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, terminal):
     # in (particles, nodes) arrays of 4000 x 41 doubles: an iteration holds
-    # three, bm, one y and one z, which the new y and z overwrite; bm is
-    # dropped before inner is built once, for the returned solution.  A
-    # terminal that returns its argument (a view of bm) must not keep bm alive.
+    # three, bm, one y and one z, which the new y and z overwrite, and the
+    # returned solution is that y and z.  A terminal that returns its
+    # argument (a view of bm) must add no array.
     array = 4000 * 41 * 8
     if route == "constant-driver":
         gen = mr.constant_generator(4.0)
@@ -707,11 +707,30 @@ def test_solves_allocate_no_driver_matrix_or_zero_ensemble(route, terminal):
     assert peak <= 4.0 * array, peak / array
 
 
+@pytest.mark.parametrize("route", ["zero", "unreflected", "constant-driver"])
+def test_a_returned_solution_retains_y_and_z_alone(route):
+    # in (particles, nodes) arrays of 4000 x 41 doubles: the solution keeps
+    # y and z; inner is derived from y on demand, with the same bits
+    array = 4000 * 41 * 8
+    if route == "constant-driver":
+        sc = _saturating(mr.constant_generator(4.0), steps=40, particles=4000, seed=5)
+        sol, retained = retained_bytes(lambda: mr.solve_constant_driver(sc))
+    else:
+        gen = mr.affine_mix_generator(a_y=0.5, a_mean_z=0.25, const=3.0)
+        sc = _saturating(gen, steps=40, particles=4000, seed=5)
+        sol, retained = retained_bytes(lambda: mr.picard_solve(sc, init=route))
+    assert retained <= 2.1 * array, retained / array
+    inner, kv = sol.inner.values, sol.K.values
+    assert inner.flags.f_contiguous
+    assert inner.tobytes() == (sol.y.values - (kv[-1] - kv)).tobytes()
+    assert np.any(kv != 0.0)  # the band binds: the shift is exercised
+
+
 @pytest.mark.parametrize("init", ["zero", "unreflected"])
 def test_split_solve_holds_one_full_grid_pair(init):
     # 6000 x 17 arrays: bm and one full-grid y/z pair, allocated once for
     # every attempt; each segment solves into its columns of that pair, and
-    # inner is built at the end, once bm is dropped
+    # the assembler adds no full array
     sc = _split_scenario(6_000)
     sol, peak = peak_bytes(lambda: mr.picard_solve(sc, init=init))
     assert sol.trace.segment_count == (8 if init == "zero" else 4)
@@ -721,7 +740,8 @@ def test_split_solve_holds_one_full_grid_pair(init):
 @pytest.mark.parametrize("init", ["zero", "unreflected"])
 def test_stitched_z_at_a_segment_boundary_is_the_later_segments(init):
     # node b's z belongs to the segment that starts at b; the earlier
-    # segment's pass writes its terminal placeholder, z[:, b - 1], over it
+    # segment's pass must leave it, not write its terminal placeholder,
+    # z[:, b - 1], over it
     sol = mr.picard_solve(_split_scenario(), init=init)
     nodes = sol.z.grid.nodes
     starts = [int(np.searchsorted(nodes, seg[0])) for seg in sol.trace.segment_nodes]
