@@ -10,7 +10,10 @@ the mean level; reflection solvers only ever see boundary pairs.
 Roots of the boundaries in ``x`` (the edges of the admissible band for the
 mean) are found by a bracketed solver in plain numpy, Illinois regula falsi:
 the declared slopes ``[c, C]`` bracket the root from any probe point and
-certify the accuracy of the result.
+certify the accuracy of the result.  The clamp hook of an averaged pair
+also warm-starts: it keeps each edge it finds with the slope of the chord
+that led there, and a Picard iterate's pair starts from the previous
+iterate's record, probing along that slope before the bracket closes.
 """
 
 from __future__ import annotations
@@ -223,6 +226,13 @@ class BoundaryPair:
     the pair's ensemble staying unchanged while the pair is in use, as its
     cached recentred row and band edges already do: build a new pair for a
     new ensemble.
+
+    The hook of an averaged pair also records each edge it finds, keyed by
+    ``(node, which)``, with the slope of the chord from where its inversion
+    started (``_found``).  The next Picard iterate's pair takes that record
+    as its hints (``_hints``) and starts each hinted test and inversion
+    there (see :meth:`_crossed`): edge bits move within the root tolerance,
+    band-test outcomes not at all while the declared slopes hold.
     """
 
     grid: TimeGrid
@@ -231,6 +241,10 @@ class BoundaryPair:
     _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (f, node) -> (bits of x, f's averaged value there): the last scalar evaluation
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (node, which) -> (edge, slope): the edges the clamp hook found, latest last
+    _found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (node, which) -> (edge, slope): the previous iterate's record, the hook's hints
+    _hints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offsets is not None:
@@ -352,22 +366,69 @@ class BoundaryPair:
         The test reads ``r(node, x) >= 0``, then ``l(node, x) <= 0``.  A side
         that :meth:`_certified` settles is not evaluated: it would pass, so
         the result is the same, bit for bit.  The edge is the root of
-        :meth:`band_edges` to ``ROOT_TOL_DEFAULT``, inverted from ``x`` and
-        the boundary value this test took there.  A value that is not finite
-        is never certified; it goes to the inversion, which refuses it.
+        :meth:`band_edges` to ``ROOT_TOL_DEFAULT``, inverted from the last
+        point the test evaluated.  A value that is not finite is never
+        certified; it goes to the inversion, which refuses it.  Each side left
+        open is tested, and its edge found, by :meth:`_crossed`, from a hint
+        where the pair has one.
         """
-        sure_r, sure_l = self._certified(node, x)
+        sure_r, sure_l, spread = self._certified(node, x)
         if not sure_r:
-            v = self.upper(node, x)
-            if not v >= 0.0:
-                return _invert_from(self, node, "lower_edge", ROOT_TOL_DEFAULT, x, v)
+            edge = self._crossed(node, x, "lower_edge", spread)
+            if edge is not None:
+                return edge
         if not sure_l:
-            v = self.lower(node, x)
-            if not v <= 0.0:
-                return _invert_from(self, node, "upper_edge", ROOT_TOL_DEFAULT, x, v)
+            edge = self._crossed(node, x, "upper_edge", spread)
+            if edge is not None:
+                return edge
         return x
 
-    def _certified(self, node: int, x: float) -> tuple[bool, bool]:
+    def _crossed(self, node: int, x: float, which: str, spread: float) -> float | None:
+        """The edge ``which`` if ``x`` fails its side of the band test at ``node``, else ``None``.
+
+        With no hint the side is evaluated at ``x``, as the test reads.  With
+        a hint ``(e, slope)`` for ``(node, which)`` it is evaluated at ``e``
+        instead: with slopes in ``[c, C]``, that value bounds the side at
+        ``x``, and a bound that clears zero by the rounding margin of
+        :meth:`_certified` settles the test (``spread`` is the node's mean
+        absolute offset).  A passed test returns ``None``, a failed one
+        inverts from ``e``; an open one evaluates at ``x`` after all and
+        inverts from there.  Either way the outcome is the evaluated test's
+        whenever the declared slopes hold.  The inversion's first probe
+        takes the hinted slope, or else the slope of this pair's last edge.
+        Only an averaged pair records its edges, each with its chord slope,
+        and only it is handed hints, so a bare pair tests and inverts with
+        no slope.
+        """
+        side, sign = (self.upper, 1.0) if which == "lower_edge" else (self.lower, -1.0)
+        hint = self._hints.get((node, which))
+        slope = None if hint is None else hint[1]
+        if slope is None and self._found:
+            slope = next(reversed(self._found.values()))[1]
+        start = None
+        if hint is not None and math.isfinite(hint[0]) and math.isfinite(x):
+            e = hint[0]
+            w = side(node, e)
+            if math.isfinite(w):
+                # side(x) = w + s (x - e) for some s in [c, C]: sign * side(x) is in [low, high]
+                low, high = sorted(sign * (w + s * (x - e)) for s in (self.c, self.C))
+                margin = 1e-9 * (1.0 + abs(w) + self.C * (abs(x) + abs(e) + spread))
+                if low > margin:
+                    return None
+                if high < -margin:
+                    start = e, w
+        if start is None:
+            v = side(node, x)
+            if sign * v >= 0.0:
+                return None
+            start = x, v
+        edge, slope = _invert_from(self, node, which, ROOT_TOL_DEFAULT, *start, slope)
+        if self.offsets is not None:
+            self._found.pop((node, which), None)  # so the last entry is the latest edge
+            self._found[(node, which)] = edge, slope
+        return edge
+
+    def _certified(self, node: int, x: float) -> tuple[bool, bool, float]:
         """Whether ``r(node, x) >= 0`` and ``l(node, x) <= 0`` hold by the declared slopes alone.
 
         With slopes in ``[c, C]``, ``P`` and ``N`` the means of the node's
@@ -376,18 +437,21 @@ class BoundaryPair:
         A side is certified where its bound clears zero by more than a
         rounding allowance of ``1e-9`` relative to the terms' magnitudes.
         A bare pair certifies nothing: there ``l`` and ``r`` are the losses.
-        Nor does a free value that is not finite.
+        Nor does a free value that is not finite.  The third value is the
+        node's mean absolute offset ``P + |N|``, which scales the allowance
+        (0 where nothing is certified).
         """
         if self.offsets is None or not math.isfinite(x):
-            return False, False
+            return False, False, 0.0
         row = self.offsets[node]
         pos = float(pairwise_mean(np.maximum(row, 0.0)))
         neg = pos - float(pairwise_mean(row))
         t = float(self.grid.nodes[node])
         lo, hi = float(self.losses.L(t, x)), float(self.losses.R(t, x))
         c, C = self.c, self.C
-        margin = 1e-9 * (1.0 + abs(lo) + abs(hi) + C * (abs(x) + pos + abs(neg)))
-        return hi + c * pos - C * neg > margin, lo + C * pos - c * neg < -margin
+        spread = pos + abs(neg)
+        margin = 1e-9 * (1.0 + abs(lo) + abs(hi) + C * (abs(x) + spread))
+        return hi + c * pos - C * neg > margin, lo + C * pos - c * neg < -margin, spread
 
 
 class _RecentredRows:
@@ -433,13 +497,22 @@ def make_mean_boundary(e: Ensemble, lp: LossPair) -> BoundaryPair:
     return _mean_boundary(e, lp, None)
 
 
-def _mean_boundary(e: Ensemble, lp: LossPair, means: NDArray[np.floating] | None) -> BoundaryPair:
-    """:func:`make_mean_boundary` given ``ensemble_means(e)``, or ``None`` to compute it."""
+def _mean_boundary(
+    e: Ensemble, lp: LossPair, means: NDArray[np.floating] | None, hints: dict | None = None
+) -> BoundaryPair:
+    """:func:`make_mean_boundary` given ``ensemble_means(e)``, or ``None`` to compute it.
+
+    ``hints``, an earlier averaged pair's record of found edges, seeds its
+    clamp hook (see :meth:`BoundaryPair._crossed`); an affine pair takes none.
+    """
     if lp.affine:
         return BoundaryPair(e.grid, lp)
     if means is None:
         means = ensemble_means(e)
-    return BoundaryPair(e.grid, lp, _RecentredRows(e.values, means))
+    bp = BoundaryPair(e.grid, lp, _RecentredRows(e.values, means))
+    if hints:
+        bp._hints.update(hints)
+    return bp
 
 
 def invert_boundary(
@@ -464,13 +537,17 @@ def invert_boundary(
     ``xtol``.  Where ``s`` exceeds ``2 * xtol`` (``|root|`` above about 1e3
     at the default ``root_tol`` and ``C = 10``) no bracket is that narrow;
     the solver stops at two adjacent floats instead, within ``s`` of the
-    root.
+    root.  ``root_tol`` must be positive and finite (``ValueError``
+    otherwise).  The walk probes no measured slope: only the clamp hook's
+    inversions warm-start (see :meth:`BoundaryPair._crossed`).
     """
     if which not in ("upper_edge", "lower_edge"):
         raise ValueError("which must be 'upper_edge' or 'lower_edge'")
+    if not 0.0 < root_tol < math.inf:
+        raise ValueError("root_tol must be positive and finite")
     side = bp.lower if which == "upper_edge" else bp.upper
     x0 = float(hint)
-    return _invert_from(bp, node, which, root_tol, x0, side(node, x0))
+    return _invert_from(bp, node, which, root_tol, x0, side(node, x0))[0]
 
 
 def _xtol(C: float, root_tol: float) -> float:
@@ -479,12 +556,28 @@ def _xtol(C: float, root_tol: float) -> float:
 
 
 def _invert_from(
-    bp: BoundaryPair, node: int, which: str, root_tol: float, x0: float, v0: float
-) -> float:
-    """:func:`invert_boundary` from ``x0``, whose boundary value ``v0`` is known."""
+    bp: BoundaryPair,
+    node: int,
+    which: str,
+    root_tol: float,
+    x0: float,
+    v0: float,
+    slope: float | None = None,
+) -> tuple[float, float | None]:
+    """:func:`invert_boundary` from ``x0``, whose boundary value ``v0`` is known.
+
+    Returns the root and the slope of the chord from ``(x0, v0)`` to it
+    (``slope`` itself where the root is ``x0``).  Given a ``slope``, clipped
+    to ``[c, C]`` (ignored if not finite), the walk's first probe is ``x0 -
+    v0 / slope`` and each later one the secant point of its last two,
+    capped at the walk's current reach; without one the walk probes as
+    :func:`invert_boundary` says.  The Illinois refinement is the same.
+    """
     side = bp.lower if which == "upper_edge" else bp.upper
     xtol = _xtol(bp.C, root_tol)
     ftol = bp.c * xtol
+    if slope is not None:
+        slope = min(max(slope, bp.c), bp.C) if math.isfinite(slope) else None
 
     def checked(x: float, v: float) -> float:
         if not (math.isfinite(x) and math.isfinite(v)):
@@ -496,22 +589,32 @@ def _invert_from(
     def f(x: float) -> float:
         return checked(x, side(node, x))
 
+    def found(x: float) -> tuple[float, float | None]:
+        return x, v0 / (x0 - x) if x != x0 else slope
+
     checked(x0, v0)
     if abs(v0) <= ftol:
-        return x0
+        return found(x0)
     # Walk from the hint to x0 - v0/C, then x0 - v0/c, doubling the last step
     # only if the declared c overstates the slope, until the sign flips.
+    # Given a slope, the first probe is x0 - v0/slope and each later one a
+    # secant point, short of the reach x0 + step where that is nearer.
     a, fa = x0, v0
-    b, step = x0 - v0 / bp.C, -v0 / bp.c
+    b, step = x0 - v0 / (bp.C if slope is None else slope), -v0 / bp.c
+    secant = math.nan
     for _ in range(62):
         if b != a:
             fb = f(b)
             if abs(fb) <= ftol:
-                return b
+                return found(b)
             if (fb > 0.0) != (v0 > 0.0):
                 break
+            if slope is not None and fb != fa:
+                secant = b - fb * (b - a) / (fb - fa)
             a, fa = b, fb
         b, step = x0 + step, 2.0 * step
+        if (secant - a) * step > 0.0:  # beyond a, toward the root (false while NaN)
+            b = min(secant, b) if step > 0.0 else max(secant, b)
     else:
         raise NumericalFailureError(
             f"band edge {which!r} at node {node}: root bracket failed to close; "
@@ -520,15 +623,15 @@ def _invert_from(
     # b is always the newest point and f changes sign between a and b.
     for _ in range(_ILLINOIS_STEPS):
         if abs(b - a) <= 2.0 * xtol:
-            return 0.5 * (a + b)
+            return found(0.5 * (a + b))
         x = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < x < max(a, b):
             x = 0.5 * (a + b)
             if not min(a, b) < x < max(a, b):
-                return b  # a and b are adjacent floats
+                return found(b)  # a and b are adjacent floats
         fx = f(x)
         if abs(fx) <= ftol:
-            return x
+            return found(x)
         if (fx > 0.0) != (fb > 0.0):
             a, fa = b, fb
         else:

@@ -279,10 +279,11 @@ class MRSolution:
 
 @dataclass(frozen=True)
 class _SegmentSolution:
-    """One constant-driver solve on one (sub-)grid: its reflection and reflected input."""
+    """One constant-driver solve on one (sub-)grid: its reflection, input and found band edges."""
 
     bsp: BackwardReflectionSolution
     s: SamplePath
+    edges: dict
 
 
 def _construct(
@@ -295,6 +296,7 @@ def _construct(
     y: NDArray[np.floating],
     z: NDArray[np.floating],
     meter: Callable | None = None,
+    hints: dict | None = None,
 ) -> _SegmentSolution:
     """Reflect a frozen-driver solve: plain solution, mean reflection, shift.
 
@@ -306,19 +308,17 @@ def _construct(
     averages the losses over the recentred plain cross-sections, which it
     reads in place, so the reflected mean satisfies the original mean
     constraints by construction.  Once the reflection has read them, the plain ``y`` is
-    shifted in place by the force still to come, ``K_T - K_t``.
+    shifted in place by the force still to come, ``K_T - K_t``.  ``hints``,
+    an earlier solve's ``edges`` on the same grid, seed the pair's clamp hook,
+    and ``edges`` records the band edges this solve's hook found.
     """
     plain = _backward_pass(xi, bm, plan, drift, y=y, z=z, meter=meter)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
-    bsp = solve_bsp(
-        s,
-        float(means[-1]),
-        _mean_boundary(plain.y, sc.losses, means),
-        terminal_tol=terminal_tol,
-    )
+    bp = _mean_boundary(plain.y, sc.losses, means, hints)
+    bsp = solve_bsp(s, float(means[-1]), bp, terminal_tol=terminal_tol)
     y += bsp.K.values[-1] - bsp.K.values
-    return _SegmentSolution(bsp, s)
+    return _SegmentSolution(bsp, s, bp._found)
 
 
 def _require_state_free(gen: Generator, route: str) -> None:
@@ -408,6 +408,11 @@ def _picard_segment(
     one ``y`` and one ``z``: the new plain pair overwrites the frozen one,
     column ``k`` after the drift at node ``k`` and the move meter (``d_y``,
     :func:`_move_meter`) read it.
+
+    Each iteration's boundary pair starts its band edges from the edges and
+    slopes the previous iteration's pair found (see
+    :meth:`BoundaryPair._crossed`): between iterates an edge moves only by
+    the Picard step.  The first iteration of a segment starts cold.
     """
     gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
     term_tol = require_feasible_terminal(sc.losses, grid.horizon, xi)
@@ -418,10 +423,12 @@ def _picard_segment(
         u, v = y, z
     k_prev = np.zeros(grid.n_nodes)
     prev_d = 0.0
+    edges = None
     for _ in range(tol.max_iterations):
         drift = _frozen_drift(gen, u, v, grid)
         meter, move = _move_meter(u, k_prev[-1] - k_prev)
-        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, y, z, meter)
+        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, y, z, meter, edges)
+        edges = seg.edges
         d_y = move(seg.bsp.K.values[-1] - seg.bsp.K.values)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))
         d = d_y + d_k

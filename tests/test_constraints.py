@@ -594,7 +594,7 @@ def _skewed_cases(draw):
 @given(_skewed_cases())
 def test_a_certified_side_passes_its_evaluated_test(case):
     bp, k, x = case
-    sure_r, sure_l = bp._certified(k, x)
+    sure_r, sure_l, _ = bp._certified(k, x)
     if sure_r:
         assert bp.upper(k, x) >= 0.0
     if sure_l:
@@ -608,15 +608,78 @@ def test_the_certificate_settles_the_middle_of_a_band_and_skips_no_bare_pair():
     g = mr.build_grid(1.0, 2)
     off = np.random.default_rng(4).normal(0.0, 0.3, (g.n_nodes, 50))
     bp = BoundaryPair(g, mr.saturating_band(-1.0, 2.0), off)
-    assert bp._certified(1, 0.5) == (True, True)
+    assert bp._certified(1, 0.5)[:2] == (True, True)
     # on an edge the bound of its side cannot clear zero
-    assert bp._certified(1, invert_boundary(bp, 1, "upper_edge")) == (True, False)
-    assert bp._certified(1, invert_boundary(bp, 1, "lower_edge")) == (False, True)
+    assert bp._certified(1, invert_boundary(bp, 1, "upper_edge"))[:2] == (True, False)
+    assert bp._certified(1, invert_boundary(bp, 1, "lower_edge"))[:2] == (False, True)
     # a bare pair is its losses, and a free value that is not finite goes
     # to the inversion, which refuses it
-    assert BoundaryPair(g, mr.saturating_band(-1.0, 2.0))._certified(1, 0.5) == (False, False)
+    bare = BoundaryPair(g, mr.saturating_band(-1.0, 2.0))
+    assert bare._certified(1, 0.5)[:2] == (False, False)
     for x in (math.nan, math.inf, -math.inf):
-        assert bp._certified(1, x) == (False, False)
+        assert bp._certified(1, x)[:2] == (False, False)
+
+
+@given(_boundary_cases(), st.data())
+def test_a_hinted_hook_has_the_outcome_of_a_cold_one(case, data):
+    # the clamp hook walks the nodes from the last down, as the backward map
+    # does, each side hinted by an edge near its root, on the wrong side of
+    # it, at the other edge, at x or not finite, with a slope inside or
+    # outside [c, C]: where the cold hook passes x the hinted one returns x,
+    # bit for bit, and elsewhere both return the crossed edge to tolerance
+    bp, _ = case
+    g, lp, off = bp.grid, bp.losses, bp.offsets
+    sides = dict(_sides(bp))
+    roots = {
+        which: [_bisect(lambda x, k=k: side(k, x)) for k in range(g.n_nodes)]
+        for which, side in sides.items()
+    }
+    cold, hinted = BoundaryPair(g, lp, off), BoundaryPair(g, lp, off)
+    slopes = st.one_of(
+        st.floats(0.0, 1.0).map(lambda u: lp.c + u * (lp.C - lp.c)),
+        st.sampled_from([None, -1.0, 0.0, 0.1 * lp.c, 10.0 * lp.C, math.inf, math.nan]),
+    )
+    near = st.sampled_from(
+        [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3]
+    )
+    xtol = max(ROOT_TOL_DEFAULT / max(lp.C, 1.0), 1e-15)
+    for k in range(g.n_nodes - 1, -1, -1):
+        at_edge = st.tuples(st.sampled_from(sorted(roots)), near).map(lambda p: roots[p[0]][k] + p[1])
+        x = data.draw(st.one_of(at_edge, at_edge, st.floats(-30.0, 30.0)))
+        for which, other in (("lower_edge", "upper_edge"), ("upper_edge", "lower_edge")):
+            delta = st.one_of(near, st.sampled_from([1.0, -1.0]), st.floats(-10.0, 10.0))
+            edge = data.draw(
+                st.one_of(
+                    delta.map(lambda d: roots[which][k] + d),
+                    st.sampled_from([x, roots[other][k], math.nan, math.inf, -math.inf]),
+                )
+            )
+            hinted._hints[(k, which)] = (edge, data.draw(slopes))
+        want, got = cold._edge_at(k, x), hinted._edge_at(k, x)
+        if _bits(want) == _bits(x):
+            assert _bits(got) == _bits(x)
+            continue
+        which = "lower_edge" if not cold.upper(k, x) >= 0.0 else "upper_edge"
+        root = roots[which][k]
+        assert abs(got - root) <= xtol + 4.0 * np.spacing(abs(root))
+        assert abs(sides[which](k, got)) <= ROOT_TOL_DEFAULT
+    # the hook's record and hints leave the band edges alone
+    fresh = BoundaryPair(g, lp, off).band_edges()
+    for pair in (cold, hinted):
+        for ours, theirs in zip(pair.band_edges(), fresh):
+            assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("root_tol", [math.inf, math.nan, 0.0, -1e-12, -math.inf])
+def test_invert_boundary_refuses_a_root_tol_that_is_not_positive_and_finite(root_tol):
+    # an infinite tolerance would return the hint itself (0.0 for an edge at
+    # 1 + sqrt 5), NaN would switch off both stopping tests, and zero or a
+    # negative tolerance would fall silently to the 1e-15 floor
+    bp = BoundaryPair(mr.build_grid(1.0, 2), mr.saturating_band(-1.0, 2.0))
+    assert abs(invert_boundary(bp, 0, "upper_edge") - (1.0 + math.sqrt(5.0))) <= 1e-12
+    for which in ("lower_edge", "upper_edge"):
+        with pytest.raises(ValueError, match="root_tol"):
+            invert_boundary(bp, 0, which, root_tol)
 
 
 def _counted_band(calls: list) -> mr.LossPair:

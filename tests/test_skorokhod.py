@@ -264,7 +264,7 @@ def _anchor_step_calls(monkeypatch, a, spread):
     s = mr.SamplePath(g, np.array([0.0, 0.5, 1.0, 0.25, -0.5, -1.0, 0.0, 0.5, 0.7]))
     start = (a + s.values[-1]) - s.values[-1]
     last = g.n_nodes - 1
-    certified = bp._certified(last, float(start))
+    certified = bp._certified(last, float(start))[:2]
     calls = []
     for side in ("lower", "upper"):
         evaluate = getattr(mr.BoundaryPair, side)
