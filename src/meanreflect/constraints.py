@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,9 +63,12 @@ class LossPair:
 
     ``L`` and ``R`` map ``(t, x)`` to a real (vectorized in ``x``); both must
     be strictly increasing in ``x`` with slopes in ``[c, C]``, and satisfy
-    ``R - L >= gap > 0`` everywhere.  ``time_invariant`` marks pairs whose
-    values do not depend on ``t``, which lets boundary code reuse band edges
-    and boundary values across nodes.  ``affine`` marks pairs affine in
+    ``R - L >= gap > 0`` everywhere.  A scalar ``x`` reaches a loss as a
+    Python float, and the loss must return one real for it, with the bits
+    of its array call's entry there; an array ``x`` is a float array.
+    :func:`validate_loss` checks this contract.  ``time_invariant`` marks
+    pairs whose values do not depend on ``t``, which lets boundary code
+    reuse band edges and boundary values across nodes.  ``affine`` marks pairs affine in
     ``x``: averaging an affine loss over mean-zero offsets reproduces the
     loss itself, so boundary construction can drop the offsets entirely.
     """
@@ -85,14 +89,19 @@ class LossPair:
             raise ValueError("gap between R and L must be positive and finite")
 
 
+def _real(x):
+    """A float ``x`` as it is, anything else as a float array: the catalogue losses' input."""
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)
+
+
 def linear_band(lower: float, upper: float) -> LossPair:
     """Losses pinning the mean to [lower, upper]: L = x - upper, R = x - lower."""
     if not lower < upper:
         raise ValueError("need lower < upper")
     lo, hi = float(lower), float(upper)
     return LossPair(
-        L=lambda t, x: np.asarray(x, dtype=float) - hi,
-        R=lambda t, x: np.asarray(x, dtype=float) - lo,
+        L=lambda t, x: _real(x) - hi,
+        R=lambda t, x: _real(x) - lo,
         c=1.0,
         C=1.0,
         gap=hi - lo,
@@ -101,9 +110,9 @@ def linear_band(lower: float, upper: float) -> LossPair:
     )
 
 
-def _saturation(x: NDArray[np.floating]) -> NDArray[np.floating]:
-    x = np.asarray(x, dtype=float)
-    return x * x / (2.0 * (1.0 + np.abs(x)))
+def _saturation(x: float | NDArray[np.floating]) -> float | NDArray[np.floating]:
+    """``x^2 / (2(1+|x|))`` of a float, or of a float array."""
+    return x * x / (2.0 * (1.0 + abs(x)))
 
 
 def saturating_band(lower: float, upper: float) -> LossPair:
@@ -117,9 +126,18 @@ def saturating_band(lower: float, upper: float) -> LossPair:
     if not lower < upper:
         raise ValueError("need lower < upper")
     lo, hi = float(lower), float(upper)
+
+    def L(t, x):
+        x = _real(x)
+        return x - _saturation(x) - hi
+
+    def R(t, x):
+        x = _real(x)
+        return x + _saturation(x) - lo
+
     return LossPair(
-        L=lambda t, x: np.asarray(x, dtype=float) - _saturation(x) - hi,
-        R=lambda t, x: np.asarray(x, dtype=float) + _saturation(x) - lo,
+        L=L,
+        R=R,
         c=0.5,
         C=1.5,
         gap=hi - lo,
@@ -150,12 +168,22 @@ def validate_loss(lp: LossPair, grid: TimeGrid) -> LossValidation:
     same ``L`` and ``R`` values at every node, bit for bit: boundary code
     evaluates such a pair once for all nodes.  A pair declared ``affine``
     must have one slope per loss and node, up to the relative slope
-    tolerance: boundary code drops its offsets.  Report-only: a failed
+    tolerance: boundary code drops its offsets.  At the first node time,
+    each loss is also called once per window point on a Python float, as
+    scalar boundary code calls it: the ``scalar contract`` check fails if
+    a call raises, returns anything but one real, or differs in bits from
+    the array call's entry there (NaN matches NaN).  Report-only: a failed
     check is named in ``failures`` but raises nothing.
     """
     slope_tol = 1e-9
     # (node, loss, x): every node's L and R values on the window
     vals = np.array([[f(float(t), X_WINDOW) for f in (lp.L, lp.R)] for t in grid.nodes], float)
+    t0 = float(grid.nodes[0])
+    scalar_ok = all(
+        _same_scalar(f, t0, x, v)
+        for f, row in zip((lp.L, lp.R), vals[0])
+        for x, v in zip(X_WINDOW.tolist(), row.tolist())
+    )
     slopes = np.diff(vals, axis=-1) / np.diff(X_WINDOW)
     violations = int(np.count_nonzero(~(slopes > 0.0)))  # NaN counts
     # np.min/np.max carry a NaN through, so a NaN slope or gap fails its check.
@@ -172,9 +200,23 @@ def validate_loss(lp: LossPair, grid: TimeGrid) -> LossValidation:
         "gap": lp.gap - slope_tol <= min_gap,
         "time_invariant claim": not (lp.time_invariant and time_varies),
         "affine claim": not (lp.affine and bent),
+        "scalar contract": scalar_ok,
     }
     failures = tuple(name for name, ok in checks.items() if not ok)
     return LossValidation(violations, slope_min, slope_max, min_gap, failures)
+
+
+def _same_scalar(f: Callable, t: float, x: float, v: float) -> bool:
+    """Whether ``f(t, x)`` on a Python float is one real with the bits ``v`` (NaN matches NaN)."""
+    try:
+        w = f(t, x)
+    except Exception:  # any failure of the caller's loss is a failed check, not a crash
+        return False
+    w = np.asarray(w)
+    if w.shape or w.dtype.kind not in "fiu":  # one real: a number or a 0-d real array
+        return False
+    w = float(w)
+    return (math.isnan(w) and math.isnan(v)) or struct.pack("<d", w) == struct.pack("<d", v)
 
 
 def _loss_stats(
@@ -272,11 +314,16 @@ class BoundaryPair:
         reduces each row along its last, contiguous axis, so every entry has
         the reduction order of a scalar call.  Over a node array, a bare
         ``time_invariant`` pair takes one call of ``f``, others go row by row.
-        An averaged pair also keeps the last scalar value of each ``(f,
-        node)``, keyed on the bits of ``x`` (so ``-0.0`` and ``0.0`` are two
-        keys), and returns it for a repeated ``x``: the value of a pure
-        function, with the bits of a fresh evaluation.
+        A bare pair at one ``int`` node with a float ``x`` calls ``f`` once
+        on a Python float and returns ``np.float64`` of its value: the bits
+        of the array call there, without 0-d array arithmetic.  An averaged
+        pair also keeps the last scalar value of each ``(f, node)``, keyed
+        on the bits of ``x`` (so ``-0.0`` and ``0.0`` are two keys), and
+        returns it for a repeated ``x``: the value of a pure function, with
+        the bits of a fresh evaluation.
         """
+        if self.offsets is None and isinstance(node, int) and isinstance(x, float):
+            return np.float64(f(float(self.grid.nodes[node]), float(x)))
         x = np.asarray(x, dtype=float)
         if isinstance(node, np.ndarray) and node.ndim:
             if x.shape[:1] != node.shape:
@@ -353,8 +400,8 @@ class BoundaryPair:
             return empty, -empty, self._edge_at
         rho, lam = self.band_edges()
         width = lam - rho
-        if np.min(width) < BAND_MIN_DEFAULT:
-            k = int(np.argmin(width))
+        if width.min() < BAND_MIN_DEFAULT:
+            k = int(width.argmin())
             raise DegenerateConstraintsError(
                 f"admissible band collapsed to {width[k]:.3e} at node {k}"
             )
@@ -572,12 +619,15 @@ def _invert_from(
     v0 / slope`` and each later one the secant point of its last two,
     capped at the walk's current reach; without one the walk probes as
     :func:`invert_boundary` says.  The Illinois refinement is the same.
+    Every point and value is held as a Python float, with the bits of the
+    boundary's ``np.float64``.
     """
     side = bp.lower if which == "upper_edge" else bp.upper
+    x0, v0 = float(x0), float(v0)
     xtol = _xtol(bp.C, root_tol)
     ftol = bp.c * xtol
     if slope is not None:
-        slope = min(max(slope, bp.c), bp.C) if math.isfinite(slope) else None
+        slope = min(max(float(slope), bp.c), bp.C) if math.isfinite(slope) else None
 
     def checked(x: float, v: float) -> float:
         if not (math.isfinite(x) and math.isfinite(v)):
@@ -587,7 +637,7 @@ def _invert_from(
         return v
 
     def f(x: float) -> float:
-        return checked(x, side(node, x))
+        return checked(x, float(side(node, x)))
 
     def found(x: float) -> tuple[float, float | None]:
         return x, v0 / (x0 - x) if x != x0 else slope

@@ -8,6 +8,7 @@ function of its inputs and deterministic.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ __all__ = [
     "contraction_estimate",
     "rate_fit",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +77,9 @@ class MRAudit:
 
     ``violation_tol`` is the exact tolerance of the reflected nodes; the
     Monte Carlo tolerance of the loss means is :func:`solution_stat_tol`.
+    ``terminal_overshoot`` is ``v_T = max(E[L_T], -E[R_T], 0)``, the part of
+    the violation that comes from the terminal data, and ``terminal_tol``
+    the tolerance it was admitted under.
     """
 
     violation_lower: float
@@ -82,6 +88,8 @@ class MRAudit:
     flat_residual_up: float
     flat_residual_down: float
     flat_tol: float
+    terminal_overshoot: float
+    terminal_tol: float
     passed: bool
 
 
@@ -98,8 +106,9 @@ def audit_solution(sol: MRSolution, lp: LossPair) -> MRAudit:
     the overshoot at the terminal node, which holds the data: the solver
     admits it within the terminal check's Monte Carlo tolerance plus
     ``ROOT_TOL_DEFAULT``, and absorbs it as an initial force that shifts
-    every mean by at most ``v_T / c``.  The audit checks both.  Flat
-    residuals are allowed ``1e-10 * (1 + sup|s|) * (1 + TV(K))``.
+    every mean by at most ``v_T / c``.  The audit checks both, reports
+    ``v_T`` and its tolerance, and logs a warning when ``v_T`` is not zero.
+    Flat residuals are allowed ``1e-10 * (1 + sup|s|) * (1 + TV(K))``.
     """
     return _audit(sol, lp, *_loss_paths(sol.y, lp))
 
@@ -114,9 +123,17 @@ def _audit(
     rounding = 64.0 * np.finfo(float).eps * e_l.size * scale
     v_tol = float((1.0 + ratio) * lp.C * ROOT_TOL_DEFAULT + ratio * v_T + rounding)
     f_tol = 1e-10 * (1.0 + sol.s_sup) * (1.0 + sol.variation)
+    t_tol = float(tols[-1]) + ROOT_TOL_DEFAULT
+    if v_T > 0.0:
+        logger.warning(
+            "the terminal data overshoots the mean constraint by %.3e (admitted up to %.3e); "
+            "every mean where the band binds carries up to C/c times that",
+            v_T,
+            t_tol,
+        )
     passed = (
         math.isfinite(v_tol)  # an infinite Y or loss value fails, as a NaN does below
-        and v_T <= tols[-1] + ROOT_TOL_DEFAULT
+        and v_T <= t_tol
         and v_l <= v_tol
         and v_r <= v_tol
         and sol.flat_residual_up <= f_tol
@@ -129,6 +146,8 @@ def _audit(
         flat_residual_up=sol.flat_residual_up,
         flat_residual_down=sol.flat_residual_down,
         flat_tol=f_tol,
+        terminal_overshoot=v_T,
+        terminal_tol=t_tol,
         passed=bool(passed),
     )
 

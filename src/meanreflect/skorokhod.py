@@ -23,6 +23,8 @@ band nesting, and the total-variation bound through the band-edge root paths.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,30 +108,34 @@ def _clamp_recursion(
     every node to the hook.  The move to the clamped value is charged to
     ``push_up`` if it goes up, to ``push_down`` if it goes down.
     """
-    s = s_vals.tolist()
-    lo = lo.tolist()
-    hi = hi.tolist()
+    n = len(s_vals)
+    xs, ups, dns = [0.0] * n, np.empty(n), np.empty(n)
     # From x = prev = 0, node 0's free value is s[0] (a -0.0 becomes 0.0).
     x = prev = up = dn = 0.0
-    xs, ups, dns = [], [], []
-    for k in range(len(s)):
-        free = x + (s[k] - prev)
-        prev = s[k]
-        if lo[k] <= free <= hi[k]:
+    # A part is written up to its last increment's node; from there on it holds up (dn).
+    k_up = k_dn = 0
+    for k, (sk, lk, hk) in enumerate(zip(s_vals.tolist(), lo.tolist(), hi.tolist())):
+        free = x + (sk - prev)
+        prev = sk
+        if lk <= free <= hk:
             x = free
         else:
             if edge is not None:
                 x = edge(k, free)
             else:
-                x = lo[k] if free < lo[k] else hi[k] if free > hi[k] else free
+                x = lk if free < lk else hk if free > hk else free
             if x > free:
+                ups[k_up:k] = up
                 up += x - free
+                k_up = k
             elif x < free:
+                dns[k_dn:k] = dn
                 dn += free - x
-        xs.append(x)
-        ups.append(up)
-        dns.append(dn)
-    return np.array(xs), np.array(ups), np.array(dns)
+                k_dn = k
+        xs[k] = x
+    ups[k_up:] = up
+    dns[k_dn:] = dn
+    return np.array(xs), ups, dns
 
 
 def _require_one_grid(*grids: TimeGrid) -> None:
@@ -141,9 +147,9 @@ def _require_one_grid(*grids: TimeGrid) -> None:
 def _require_map_input(s: SamplePath, bp: BoundaryPair) -> None:
     """The checks of both maps: one grid, and a finite input (else the first bad node)."""
     _require_one_grid(s.grid, bp.grid)
-    bad = np.flatnonzero(~np.isfinite(s.values))
-    if bad.size:
-        k = int(bad[0])
+    finite = np.isfinite(s.values)
+    if not finite.all():
+        k = int(finite.argmin())
         raise NumericalFailureError(
             f"reflection input is {s.values[k]} at node {k} (t = {s.grid.nodes[k]:.6g})"
         )
@@ -267,12 +273,12 @@ def flatness_residuals_raw(
 
     def residual(push, slack) -> float:
         d = push - np.concatenate(([0.0], push[:-1]))  # np.diff(push, prepend=0.0), cheaper
-        k = np.flatnonzero(d > 0.0)
+        (k,) = (d > 0.0).nonzero()
         if not k.size:
             return 0.0
         terms = np.maximum(slack(len(x_vals) - 1 - k if reverse else k), 0.0) * d[k]
         # A left fold from 0.0 in increment order, as the per-increment sum made it.
-        return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+        return functools.reduce(operator.add, terms.tolist(), 0.0)
 
     up = residual(push_up_vals, lambda j: bp.upper(j, x_vals[j]))
     dn = residual(push_down_vals, lambda j: -bp.lower(j, x_vals[j]))

@@ -72,7 +72,10 @@ def _walk(
 ) -> SamplePath:
     dt = grid.step_sizes
     drift = float(rng.uniform(-2.0, 2.0))
-    inc = rng.normal(0.0, np.sqrt(dt)) * scale + drift * dt
+    # The draws and bits of rng.normal(0.0, sqrt(dt)), which is 0.0 + sqrt(dt) N:
+    # that 0.0 + only turns a -0.0 into 0.0, and adding the drift term, never
+    # -0.0, gives both the same sum.
+    inc = rng.standard_normal(dt.size) * np.sqrt(dt) * scale + drift * dt
     vals = np.concatenate([[start], start + np.cumsum(inc)])
     return SamplePath(grid, vals)
 

@@ -5,8 +5,11 @@ library's own algorithms: the two-sided reflection through its explicit
 max-min representation instead of the clamp recursion, the penalized mean
 dynamics through an adaptive stiff ODE integrator instead of the closed-form
 event integrator, and the quadratic initial value through the exponential
-transform instead of regression.  Agreement between the two
-routes is the point; never "fix" one side to match the other.
+transform instead of regression, and the mean-field reflected mean
+through a closed-form reduction (Gauss-Hermite quadrature and Brent's
+method) instead of regression, Picard iteration and Illinois steps.
+Agreement between the two routes is the point; never "fix" one side to
+match the other.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from numpy.typing import NDArray
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 
 # ---------------------------------------------------------------------------
@@ -128,3 +133,74 @@ def cole_hopf_value(gamma: float, terminal_values: NDArray[np.floating]) -> floa
     if g <= 0.0:
         raise ValueError("gamma must be positive")
     return float(math.log(math.fsum(np.exp(g * vals)) / vals.size) / g)
+
+
+# ---------------------------------------------------------------------------
+# mean-field reflected mean, closed-form reduction
+# ---------------------------------------------------------------------------
+
+def sin_terminal_reflected_mean(
+    nodes: NDArray[np.floating],
+    amplitude: float,
+    shift: float,
+    drivers: tuple[float, float, float, float],
+    L,
+    R,
+    points: int = 80,
+) -> NDArray[np.floating]:
+    """Reflected mean path ``E[Y_t]`` for ``xi = amplitude sin(B_T) + shift``, node by node.
+
+    ``drivers`` is ``(a_y, a_mean_y, a_mean_z, const)`` of the driver
+    ``a_y y + a_mean_y E[y] + a_mean_z E[z] + const``, and ``L``, ``R`` the
+    time-invariant losses as functions of ``x``.  The force is deterministic
+    and the driver linear in ``y``, so the centred part solves a linear
+    BSDE of its own:
+
+        Y_t - E[Y_t] = A_t sin(B_t),  A_t = amplitude e^{(a_y - 1/2)(T - t)},
+        E[Z_t] = A_t e^{-t/2}.
+
+    The band edges at ``t`` are the roots in ``m`` of ``E[L(m + A_t
+    sin(B_t))]`` and ``E[R(...)]`` with ``B_t ~ N(0, t)``, the expectations
+    taken by ``points``-point Gauss-Hermite quadrature and the roots by
+    ``brentq``.  The mean runs the grid's clamp scheme from ``E[xi] =
+    shift``:
+
+        m_k = clamp((m_{k+1} + e_k h) / (1 - (a_y + a_mean_y) h)),
+        e_k = a_mean_z E[Z_{t_k}] + const,
+
+    into the band at node ``k``; the divisor is there because the fixed
+    point freezes the driver at node ``k``'s own value.
+    """
+    a_y, a_mean_y, a_mean_z, const = (float(v) for v in drivers)
+    t_nodes = [float(t) for t in nodes]
+    horizon = t_nodes[-1]
+    x, w = hermegauss(points)
+    w = w / math.sqrt(2.0 * math.pi)
+
+    def amp(t: float) -> float:
+        return amplitude * math.exp((a_y - 0.5) * (horizon - t))
+
+    def root(f, t: float) -> float:
+        offsets = amp(t) * np.sin(math.sqrt(t) * x)
+
+        def mean(m: float) -> float:
+            return float(w @ f(m + offsets))
+
+        lo, hi = -1.0, 1.0
+        while mean(lo) > 0.0:
+            lo *= 2.0
+        while mean(hi) < 0.0:
+            hi *= 2.0
+        return brentq(mean, lo, hi, xtol=1e-14)
+
+    def clamp(m: float, t: float) -> float:
+        return min(max(m, root(R, t)), root(L, t))
+
+    m = clamp(float(shift), horizon)
+    path = [m]
+    for k in range(len(t_nodes) - 2, -1, -1):
+        t, h = t_nodes[k], t_nodes[k + 1] - t_nodes[k]
+        e = a_mean_z * amp(t) * math.exp(-t / 2.0) + const
+        m = clamp((m + e * h) / (1.0 - (a_y + a_mean_y) * h), t)
+        path.append(m)
+    return np.array(path[::-1])

@@ -129,6 +129,96 @@ def test_validate_and_envelope_order_fail_on_nan_losses(everywhere):
     assert not check_envelope_order(lp, env, _GRID)
 
 
+def _array_only_band() -> mr.LossPair:
+    # linear_band(-1, 2) written with an ndarray method: a float has no .clip
+    return mr.LossPair(
+        L=lambda t, x: x.clip(-50.0, 50.0) - 2.0,
+        R=lambda t, x: x.clip(-50.0, 50.0) + 1.0,
+        c=1.0,
+        C=1.0,
+        gap=3.0,
+    )
+
+
+def _float_branch(t, x):
+    # x - 2 in two roundings: the float branch adds and subtracts 0.1
+    if isinstance(x, float):
+        return (x + 0.1) - 2.1
+    return np.asarray(x, dtype=float) - 2.0
+
+
+def _rounding_band() -> mr.LossPair:
+    return mr.LossPair(
+        L=_float_branch, R=lambda t, x: np.asarray(x, dtype=float) + 1.0, c=1.0, C=1.0, gap=3.0
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [_array_only_band, _rounding_band], ids=["array-only", "rounding"]
+)
+def test_a_loss_that_breaks_the_scalar_contract_is_refused_where_it_enters(make):
+    # scalar boundary code hands a loss a Python float: a loss that needs an
+    # array, or rounds its float branch otherwise, would move bits or crash there
+    lp = make()
+    if make is _rounding_band:  # the branches differ somewhere on the window
+        vals = lp.L(0.0, X_WINDOW)
+        assert any(_float_branch(0.0, x) != v for x, v in zip(X_WINDOW.tolist(), vals))
+    assert validate_loss(lp, _GRID).failures == ("scalar contract",)
+    with pytest.raises(ValueError, match="scalar contract"):
+        mr.Scenario(
+            horizon=1.0,
+            steps=4,
+            particles=100,
+            rng=mr.RngSpec(1),
+            terminal=lambda b: b,
+            generator=mr.constant_generator(1.0),
+            losses=lp,
+        )
+
+
+def test_the_scalar_contract_accepts_0d_arrays_and_matching_nans():
+    # np.asarray(x) of a float is a 0-d array: one real; a NaN matches a NaN
+    lp = mr.LossPair(
+        L=lambda t, x: np.asarray(x, dtype=float) - 2.0,
+        R=lambda t, x: np.asarray(x, dtype=float),
+        c=1.0,
+        C=1.0,
+        gap=2.0,
+    )
+    assert validate_loss(lp, _GRID).passed
+    rep = validate_loss(_nan_band(False), _GRID)
+    assert "scalar contract" not in rep.failures and not rep.passed
+
+
+@pytest.mark.parametrize(
+    "band", [mr.linear_band, mr.saturating_band], ids=["linear", "saturating"]
+)
+def test_a_bare_scalar_evaluation_hands_the_loss_a_float_and_keeps_the_array_bits(band):
+    lp = band(-1.0, 2.0)
+    seen = []
+
+    def recorded(f):
+        def loss(t, x):
+            seen.append((type(t), type(x)))
+            return f(t, x)
+
+        return loss
+
+    g = mr.build_grid(1.0, 3)
+    bp = BoundaryPair(g, dataclasses.replace(lp, L=recorded(lp.L), R=recorded(lp.R)))
+    nodes, rows = np.arange(g.n_nodes), np.broadcast_to(X_WINDOW, (g.n_nodes, X_WINDOW.size))
+    for side in (bp.lower, bp.upper):
+        whole = side(nodes, rows)
+        for k in range(g.n_nodes):
+            for j, x in enumerate(X_WINDOW.tolist()):
+                seen.clear()
+                for arg in (x, np.float64(x)):
+                    v = side(k, arg)
+                    assert type(v) is np.float64
+                    assert v.tobytes() == whole[k, j].tobytes()
+                assert seen == [(float, float)] * 2
+
+
 # ---------------------------------------------------------------------------
 # mean-level boundaries
 # ---------------------------------------------------------------------------

@@ -44,12 +44,42 @@ def test_build_grid_rejects_bad_arguments(horizon, steps):
 
 @pytest.mark.parametrize(
     "nodes",
-    [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.5, 1.0]],
-    ids=["nan-inside", "inf-end", "minus-inf-start"],
+    [
+        [0.0, math.nan, 1.0],
+        [0.0, 1.0, math.inf],
+        [-math.inf, 0.5, 1.0],
+        [0.0, math.inf, 1.0],
+        [0.0, 1.0, math.nan],
+    ],
+    ids=["nan-inside", "inf-end", "minus-inf-start", "inf-inside", "nan-end"],
 )
 def test_grid_rejects_non_finite_nodes(nodes):
     # a NaN node used to pass every check, and simulate_brownian on it drew NaN paths
     with pytest.raises(ValueError, match="finite"):
+        mr.TimeGrid(np.array(nodes))
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.5, 3.0, 7.3, 1e-3, 1e300, 1e-310, 5e-324])
+def test_build_grid_has_the_bits_of_linspace(horizon):
+    # the grid is np.linspace(0, T, n + 1) with its end pinned to T, bit for
+    # bit, subnormal steps included
+    for steps in (1, 2, 3, 7, 20, 32, 40, 64, 96, 1000):
+        ref = np.linspace(0.0, horizon, steps + 1)
+        ref[-1] = horizon
+        try:
+            nodes = mr.build_grid(horizon, steps).nodes
+        except ValueError:  # a step that rounds to 0: linspace's nodes do not increase
+            assert not np.all(np.diff(ref) > 0.0)
+            continue
+        assert nodes.tobytes() == ref.tobytes()
+        assert mr.TimeGrid(nodes).step_sizes.tobytes() == np.diff(ref).tobytes()
+
+
+@pytest.mark.parametrize(
+    "nodes", [[0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.5]], ids=["repeated", "decreasing"]
+)
+def test_grid_rejects_nodes_that_do_not_increase(nodes):
+    with pytest.raises(ValueError, match="strictly increasing"):
         mr.TimeGrid(np.array(nodes))
 
 

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
-from meanreflect import cli, mrbsde
+from meanreflect import cli, constraints, mrbsde
 from meanreflect.core import STAT_TOL_MULT
 from meanreflect.mrbsde import PicardTrace
 
@@ -230,6 +230,66 @@ def test_the_audit_allows_the_admitted_terminal_overshoot_and_no_more():
     # the terminal overshoot itself must stay within the terminal check's tolerance
     over = dataclasses.replace(sol, y=mr.Ensemble(sol.y.grid, sol.y.values + 0.5))
     assert not mr.audit_solution(over, lp).passed
+
+
+def _overshot_terminal(lp, target):
+    # xi = B_T - mean(B_T) + m, with m the root of the empirical E[L(xi)] = target
+    from scipy.optimize import brentq
+
+    def terminal(b):
+        offsets = b - np.mean(b)
+        m = brentq(lambda m: np.mean(lp.L(1.0, offsets + m)) - target, -10.0, 10.0, xtol=1e-15)
+        return offsets + m
+
+    return terminal
+
+
+@pytest.mark.parametrize(
+    "band, target", [("linear", 1e-3), ("saturating", 4e-3)], ids=["linear", "saturating"]
+)
+def test_the_audit_names_the_terminal_overshoot_and_its_tolerance(band, target, caplog):
+    lp = (mr.linear_band if band == "linear" else mr.saturating_band)(-1.0, 2.0)
+    sc = mr.Scenario(
+        horizon=1.0,
+        steps=20,
+        particles=5_000,
+        rng=mr.RngSpec(3),
+        terminal=_overshot_terminal(lp, target),
+        generator=mr.constant_generator(4.0),
+        losses=lp,
+    )
+    sol = mr.solve_constant_driver(sc)
+    with caplog.at_level("WARNING", logger="meanreflect.diagnostics"):
+        audit = mr.audit_solution(sol, lp)
+    # read from the audit's own node-T meter: the overshoot of the data, and
+    # the node-T Monte Carlo tolerance plus the root tolerance that admitted it
+    e_l, e_r, tol_t, _ = constraints._loss_stats(lp, 1.0, sol.y.values[:, -1])
+    assert audit.terminal_overshoot == max(e_l, -e_r, 0.0)
+    assert_allclose(audit.terminal_overshoot, target, rtol=1e-6)
+    assert audit.terminal_tol == tol_t + constraints.ROOT_TOL_DEFAULT
+    assert audit.terminal_overshoot <= audit.terminal_tol and audit.passed
+    (record,) = caplog.records
+    assert record.levelname == "WARNING" and f"{audit.terminal_overshoot:.3e}" in record.message
+    # the run's diagnostics carry both fields
+    _, diag = cli._run_result({}, sc, sol, 5, 0.0)
+    assert diag["audit"]["terminal_overshoot"] == audit.terminal_overshoot
+    assert diag["audit"]["terminal_tol"] == audit.terminal_tol
+
+
+def test_an_admissible_terminal_reads_no_overshoot_and_logs_nothing(caplog):
+    sc = mr.Scenario(
+        horizon=1.0,
+        steps=20,
+        particles=5_000,
+        rng=mr.RngSpec(3),
+        terminal=lambda b: b,
+        generator=mr.constant_generator(4.0),
+        losses=mr.saturating_band(-1.0, 2.0),
+    )
+    with caplog.at_level("WARNING", logger="meanreflect.diagnostics"):
+        audit = mr.audit_solution(mr.solve_constant_driver(sc), sc.losses)
+    assert audit.passed and audit.terminal_overshoot == 0.0 and audit.terminal_tol > 0.0
+    assert not caplog.records
 
 
 def test_representation_gap_measures_tampering():

@@ -13,10 +13,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 import meanreflect as mr
 from meanreflect import bsde, cli, mrbsde
 from meanreflect.constraints import ROOT_TOL_DEFAULT
+from meanreflect.core import pairwise_mean, stat_tol
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
 from meanreflect.mrbsde import _move_meter
 from conftest import peak_bytes, retained_bytes
-from oracles import cole_hopf_value
+from oracles import cole_hopf_value, sin_terminal_reflected_mean
 
 
 def _scenario(gen, *, losses=None, steps=25, particles=20_000, seed=7, horizon=1.0, **kw):
@@ -1000,3 +1001,55 @@ def test_band_edges_are_inverted_only_where_the_clamp_binds(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4352 // 2
     assert sol.trace.iterations == 9 and mr.audit_solution(sol, sc.losses).passed
+
+
+def _saturation(x):
+    return x * x / (2.0 * (1.0 + np.abs(x)))
+
+
+@pytest.mark.parametrize(
+    "amp, shift, drivers, band, seed",
+    [
+        # the picard-saturating-cli config: the upper edge binds for about a third of the horizon
+        (1.5, 0.5, (0.5, 0.0, 0.25, 3.0), ("saturating", -1.0, 2.0), 17001),
+        # a mean-field value term on a linear band: the lower edge binds
+        (1.0, 0.2, (0.3, 0.6, 0.5, -3.0), ("linear", -1.0, 1.0), 5),
+    ],
+    ids=["saturating-cli", "linear-mean-y"],
+)
+def test_picard_mean_matches_the_closed_form_reduction(amp, shift, drivers, band, seed):
+    kind, lo, hi = band
+    if kind == "saturating":
+        lp, c, C = mr.saturating_band(lo, hi), 0.5, 1.5
+        L, R = (lambda x: x - _saturation(x) - hi), (lambda x: x + _saturation(x) - lo)
+    else:
+        lp, c, C = mr.linear_band(lo, hi), 1.0, 1.0
+        L, R = (lambda x: x - hi), (lambda x: x - lo)
+    a_y, a_mean_y, a_mean_z, const = drivers
+    steps, horizon = 40, 1.0
+    sc = mr.Scenario(
+        horizon=horizon,
+        steps=steps,
+        particles=40_000,
+        rng=mr.RngSpec(seed),
+        terminal=lambda b: amp * np.sin(b) + shift,
+        generator=mr.affine_mix_generator(a_y, a_mean_y, 0.0, a_mean_z, const),
+        losses=lp,
+    )
+    sol = mr.picard_solve(sc)
+    ref = sin_terminal_reflected_mean(sol.y.grid.nodes, amp, shift, drivers, L, R)
+    assert sol.variation > 1.0  # the band binds, so the clamp scheme is tested
+    # The Monte Carlo tolerance of the mean estimate, carried through the
+    # scheme.  A clamped mean sits on an edge whose empirical loss mean is
+    # within stat_tol(Y) C of the exact one, so the edge within (C/c)
+    # stat_tol(Y); the terminal mean within stat_tol(Y_T); each E[Z] within
+    # stat_tol(Z), entering with weight a_mean_z h per node.  The clamp does
+    # not expand an error, and each step backward grows it by at most
+    # 1 / (1 - (a_y + a_mean_y) h).
+    h = horizon / steps
+    growth = (1.0 - (a_y + a_mean_y) * h) ** -steps
+    tol_y = max(stat_tol(sol.y.values[:, k]) for k in range(steps + 1))
+    tol_z = max(stat_tol(sol.z.values[:, k]) for k in range(steps))
+    bound = growth * ((C / c) * tol_y + abs(a_mean_z) * horizon * tol_z)
+    mean = np.array([float(pairwise_mean(sol.y.values[:, k])) for k in range(steps + 1)])
+    assert np.max(np.abs(mean - ref)) <= bound

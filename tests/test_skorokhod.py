@@ -95,6 +95,47 @@ def test_jordan_parts_never_step_together():
         assert not np.any(up & dn)
 
 
+def _clamp_loop(s_vals, lo, hi, edge=None):
+    # reference: the recursion with every node's x and cumulative parts appended
+    x = prev = up = dn = 0.0
+    xs, ups, dns = [], [], []
+    for k, sk in enumerate(s_vals.tolist()):
+        free = x + (sk - prev)
+        prev = sk
+        if lo[k] <= free <= hi[k]:
+            x = free
+        else:
+            x = edge(k, free) if edge is not None else min(max(free, lo[k]), hi[k])
+            if x > free:
+                up += x - free
+            elif x < free:
+                dn += free - x
+        xs.append(x)
+        ups.append(up)
+        dns.append(dn)
+    return np.array(xs), np.array(ups), np.array(dns)
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["band", "hook"])
+def test_the_clamp_recursion_has_the_bits_of_the_per_node_loop(hooked):
+    # the parts are written in runs between increments; every entry must
+    # keep the bits of the per-node append, from no clamp to a clamp at
+    # every node
+    rng = np.random.default_rng(3)
+    for n, scale in ((2, 1.0), (9, 0.1), (40, 1.0), (65, 3.0), (65, 30.0)):
+        s_vals = np.cumsum(rng.normal(0.0, scale, n)) + rng.uniform(-0.5, 0.5, n)
+        lo = -1.0 - rng.uniform(0.0, 0.3, n)
+        hi = 1.0 + rng.uniform(0.0, 0.3, n)
+        edge = None
+        if hooked:
+            edge = lambda k, free, lo=lo, hi=hi: lo[k] if free < lo[k] else hi[k]  # noqa: E731
+            lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
+        got = skorokhod._clamp_recursion(s_vals, lo, hi, edge)
+        ref = _clamp_loop(s_vals, lo, hi, edge)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_idempotence_reflected_path_stays_put():
     g = mr.build_grid(1.0, 32)
     rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import meanreflect as mr
@@ -112,3 +113,62 @@ def test_comparison_suite_catches_a_biased_solver(monkeypatch):
     monkeypatch.setattr(sk_mod, "solve_sp", biased)
     res = verify_mod.run_comparison_suite(instances=10)
     assert not res.passed and res.failures == 10
+
+
+def test_suites_keep_their_boundary_evaluations_and_inversions(monkeypatch):
+    # the work of each suite, counted where it happens: every boundary
+    # evaluation (scalar or not) and every band-edge inversion
+    import meanreflect.constraints as constraints
+
+    suite, counts = ["none"], {}
+
+    def counted(kind, f):
+        def wrapped(*args, **kwargs):
+            key = (suite[-1], kind)
+            counts[key] = counts.get(key, 0) + 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    def named(name, runner):
+        def wrapped(*args, **kwargs):
+            suite.append(name)
+            try:
+                return runner(*args, **kwargs)
+            finally:
+                suite.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(mr.BoundaryPair, "_eval", counted("eval", mr.BoundaryPair._eval))
+    monkeypatch.setattr(constraints, "_invert_from", counted("inversion", constraints._invert_from))
+    for name in verify_mod.SUITE_NAMES[:5]:
+        runner = f"run_{name.replace('-', '_')}_suite"
+        monkeypatch.setattr(verify_mod, runner, named(name, getattr(verify_mod, runner)))
+    results = mr.run_suite("all", 100, 801)
+    assert all(r.passed for r in results)
+    # (boundary evaluations, inversions) per suite, as measured before scalar
+    # boundary work moved to Python floats: 10646 and 1600 in all
+    assert {name: (counts[name, "eval"], counts[name, "inversion"]) for name, _ in counts} == {
+        "reversal": (1419, 200),
+        "continuity": (2739, 400),
+        "backward-continuity": (2844, 400),
+        "comparison": (2526, 400),
+        "variation": (1118, 200),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 801])
+def test_a_walk_has_the_draws_and_bits_of_the_normal_formula(seed):
+    # _walk draws standard normals and scales them: the bits of
+    # rng.normal(0, sqrt(dt)) * scale + drift * dt, from the same stream
+    grid = mr.build_grid(1.0, 64)
+    for scale, start in ((1.0, 0.3), (0.1, -0.02)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        path = verify_mod._walk(rng, grid, scale, start)
+        dt = np.diff(grid.nodes)
+        drift = float(ref_rng.uniform(-2.0, 2.0))
+        inc = ref_rng.normal(0.0, np.sqrt(dt)) * scale + drift * dt
+        ref = np.concatenate([[start], start + np.cumsum(inc)])
+        assert path.values.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()  # the streams stay in step
