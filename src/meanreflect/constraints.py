@@ -10,10 +10,10 @@ the mean level; reflection solvers only ever see boundary pairs.
 Roots of the boundaries in ``x`` (the edges of the admissible band for the
 mean) are found by a bracketed solver in plain numpy, Illinois regula falsi:
 the declared slopes ``[c, C]`` bracket the root from any probe point and
-certify the accuracy of the result.  The clamp hook of an averaged pair
-also warm-starts: it keeps each edge it finds with the slope of the chord
-that led there, and a Picard iterate's pair starts from the previous
-iterate's record, probing along that slope before the bracket closes.
+certify the accuracy of the result.  A map solve's clamp hook, an edge
+finder made for that solve, also warm-starts: it keeps each edge it finds
+with the slope of the chord that led there, and a Picard iterate's finder
+starts from the previous iterate's record, probing along that slope first.
 """
 
 from __future__ import annotations
@@ -253,40 +253,23 @@ class BoundaryPair:
     both edges at every node, once, for the estimate checks.  The pair also
     holds the one band policy of both reflection maps (``_clamp_band``): a
     bare ``time_invariant`` pair is clamped against its band edges, any
-    other inverts an edge only where the clamp binds.
+    other by a per-solve :class:`_EdgeFinder` that inverts an edge only where
+    the clamp binds.
 
     ``lower(k, x)`` and ``upper(k, x)`` take one node ``k`` with a scalar or
     array ``x``, or a 1-D numpy array of nodes ``k`` paired row-wise with
     ``x`` of shape ``(len(k),)`` or ``(len(k), p)``.  They return values
     shaped like ``x``, each entry with the bits of the scalar call there.
 
-    An averaged pair skips the particle evaluations whose outcome is already
-    known, with no bit moved.  Its clamp hook certifies a side of the band
-    test from the declared slopes (see :meth:`_edge_at`), and each side
-    keeps its last scalar evaluation per node (see :meth:`_eval`), so the
-    flatness residual reads the value the inversion just took.  Both rest on
-    the pair's ensemble staying unchanged while the pair is in use, as its
-    cached recentred row and band edges already do: build a new pair for a
-    new ensemble.
-
-    The hook of an averaged pair also records each edge it finds, keyed by
-    ``(node, which)``, with the slope of the chord from where its inversion
-    started (``_found``).  The next Picard iterate's pair takes that record
-    as its hints (``_hints``) and starts each hinted test and inversion
-    there (see :meth:`_crossed`): edge bits move within the root tolerance,
-    band-test outcomes not at all while the declared slopes hold.
+    The pair's one state, its cached band edges, and its cached recentred
+    row rest on its ensemble staying unchanged while the pair is in use:
+    build a new pair for a new ensemble.
     """
 
     grid: TimeGrid
     losses: LossPair
     offsets: NDArray[np.floating] | None = None
     _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (f, node) -> (bits of x, f's averaged value there): the last scalar evaluation
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (node, which) -> (edge, slope): the edges the clamp hook found, latest last
-    _found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (node, which) -> (edge, slope): the previous iterate's record, the hook's hints
-    _hints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offsets is not None:
@@ -316,11 +299,7 @@ class BoundaryPair:
         ``time_invariant`` pair takes one call of ``f``, others go row by row.
         A bare pair at one ``int`` node with a float ``x`` calls ``f`` once
         on a Python float and returns ``np.float64`` of its value: the bits
-        of the array call there, without 0-d array arithmetic.  An averaged
-        pair also keeps the last scalar value of each ``(f, node)``, keyed
-        on the bits of ``x`` (so ``-0.0`` and ``0.0`` are two keys), and
-        returns it for a repeated ``x``: the value of a pure function, with
-        the bits of a fresh evaluation.
+        of the array call there, without 0-d array arithmetic.
         """
         if self.offsets is None and isinstance(node, int) and isinstance(x, float):
             return np.float64(f(float(self.grid.nodes[node]), float(x)))
@@ -336,13 +315,7 @@ class BoundaryPair:
             return np.asarray(f(t, x), dtype=float)[()]
         if x.ndim:
             return pairwise_mean(f(t, np.add.outer(x, self.offsets[node])))
-        key, bits = (f, int(node)), x.tobytes()
-        last = self._memo.get(key)
-        if last is not None and last[0] == bits:
-            return last[1]
-        v = np.float64(pairwise_mean(f(t, x + self.offsets[node])))
-        self._memo[key] = (bits, v)
-        return v
+        return np.float64(pairwise_mean(f(t, x + self.offsets[node])))
 
     @property
     def c(self) -> float:
@@ -380,24 +353,25 @@ class BoundaryPair:
         object.__setattr__(self, "_edges", (rho, lam))
         return rho, lam
 
-    def _clamp_band(self) -> tuple[NDArray[np.floating], NDArray[np.floating], Callable | None]:
-        """``(lo, hi, edge)`` for the clamp recursion: both reflection maps clamp through it.
+    def _clamp_band(self, hints: dict | None = None) -> tuple[NDArray, NDArray, _EdgeFinder | None]:
+        """``(lo, hi, edge)`` for one clamp recursion: both reflection maps clamp through it.
 
         A bare ``time_invariant`` pair gives its :meth:`band_edges` and no
         hook: one inversion per edge serves every node.  Any other band is at
         least ``gap / C`` wide (``r - l >= gap``, ``r`` rises at most ``C``
         per unit), which settles the degeneracy check, so it gives the empty
-        band (``+inf``, ``-inf``) and :meth:`_edge_at`, inverting an edge only
-        where the clamp binds.  Where ``gap / C`` is below ``BAND_MIN_DEFAULT
-        + 2 xtol`` the bound cannot settle the check, and the pair falls back
-        to its band edges.  Raises ``DegenerateConstraintsError`` if band
-        edges are narrower than ``BAND_MIN_DEFAULT`` at some node.
+        band (``+inf``, ``-inf``) and a new :class:`_EdgeFinder` seeded with
+        ``hints``, inverting an edge only where the clamp binds.  Where
+        ``gap / C`` is below ``BAND_MIN_DEFAULT + 2 xtol`` the bound cannot
+        settle the check, and the pair falls back to its band edges.  Raises
+        ``DegenerateConstraintsError`` if band edges are narrower than
+        ``BAND_MIN_DEFAULT`` at some node.
         """
         bare = self.offsets is None and self.losses.time_invariant
         floor = BAND_MIN_DEFAULT + 2.0 * _xtol(self.C, ROOT_TOL_DEFAULT)
         if not bare and self.losses.gap / self.C >= floor:
             empty = np.full(self.grid.n_nodes, np.inf)
-            return empty, -empty, self._edge_at
+            return empty, -empty, _EdgeFinder(self, hints)
         rho, lam = self.band_edges()
         width = lam - rho
         if width.min() < BAND_MIN_DEFAULT:
@@ -406,74 +380,6 @@ class BoundaryPair:
                 f"admissible band collapsed to {width[k]:.3e} at node {k}"
             )
         return rho, lam, None
-
-    def _edge_at(self, node: int, x: float) -> float:
-        """``x`` if it is in the band at ``node``, else the edge it crossed.
-
-        The test reads ``r(node, x) >= 0``, then ``l(node, x) <= 0``.  A side
-        that :meth:`_certified` settles is not evaluated: it would pass, so
-        the result is the same, bit for bit.  The edge is the root of
-        :meth:`band_edges` to ``ROOT_TOL_DEFAULT``, inverted from the last
-        point the test evaluated.  A value that is not finite is never
-        certified; it goes to the inversion, which refuses it.  Each side left
-        open is tested, and its edge found, by :meth:`_crossed`, from a hint
-        where the pair has one.
-        """
-        sure_r, sure_l, spread = self._certified(node, x)
-        if not sure_r:
-            edge = self._crossed(node, x, "lower_edge", spread)
-            if edge is not None:
-                return edge
-        if not sure_l:
-            edge = self._crossed(node, x, "upper_edge", spread)
-            if edge is not None:
-                return edge
-        return x
-
-    def _crossed(self, node: int, x: float, which: str, spread: float) -> float | None:
-        """The edge ``which`` if ``x`` fails its side of the band test at ``node``, else ``None``.
-
-        With no hint the side is evaluated at ``x``, as the test reads.  With
-        a hint ``(e, slope)`` for ``(node, which)`` it is evaluated at ``e``
-        instead: with slopes in ``[c, C]``, that value bounds the side at
-        ``x``, and a bound that clears zero by the rounding margin of
-        :meth:`_certified` settles the test (``spread`` is the node's mean
-        absolute offset).  A passed test returns ``None``, a failed one
-        inverts from ``e``; an open one evaluates at ``x`` after all and
-        inverts from there.  Either way the outcome is the evaluated test's
-        whenever the declared slopes hold.  The inversion's first probe
-        takes the hinted slope, or else the slope of this pair's last edge.
-        Only an averaged pair records its edges, each with its chord slope,
-        and only it is handed hints, so a bare pair tests and inverts with
-        no slope.
-        """
-        side, sign = (self.upper, 1.0) if which == "lower_edge" else (self.lower, -1.0)
-        hint = self._hints.get((node, which))
-        slope = None if hint is None else hint[1]
-        if slope is None and self._found:
-            slope = next(reversed(self._found.values()))[1]
-        start = None
-        if hint is not None and math.isfinite(hint[0]) and math.isfinite(x):
-            e = hint[0]
-            w = side(node, e)
-            if math.isfinite(w):
-                # side(x) = w + s (x - e) for some s in [c, C]: sign * side(x) is in [low, high]
-                low, high = sorted(sign * (w + s * (x - e)) for s in (self.c, self.C))
-                margin = 1e-9 * (1.0 + abs(w) + self.C * (abs(x) + abs(e) + spread))
-                if low > margin:
-                    return None
-                if high < -margin:
-                    start = e, w
-        if start is None:
-            v = side(node, x)
-            if sign * v >= 0.0:
-                return None
-            start = x, v
-        edge, slope = _invert_from(self, node, which, ROOT_TOL_DEFAULT, *start, slope)
-        if self.offsets is not None:
-            self._found.pop((node, which), None)  # so the last entry is the latest edge
-            self._found[(node, which)] = edge, slope
-        return edge
 
     def _certified(self, node: int, x: float) -> tuple[bool, bool, float]:
         """Whether ``r(node, x) >= 0`` and ``l(node, x) <= 0`` hold by the declared slopes alone.
@@ -499,6 +405,85 @@ class BoundaryPair:
         spread = pos + abs(neg)
         margin = 1e-9 * (1.0 + abs(lo) + abs(hi) + C * (abs(x) + spread))
         return hi + c * pos - C * neg > margin, lo + C * pos - c * neg < -margin, spread
+
+
+class _EdgeFinder:
+    """One map solve's clamp hook on a pair that inverts its edges on demand.
+
+    ``finder(node, x)`` is ``x`` if it is in the band at ``node``, else the
+    edge it crossed.  The test reads ``r(node, x) >= 0``, then ``l(node, x)
+    <= 0``.  A side that :meth:`BoundaryPair._certified` settles is not
+    evaluated: it would pass, so the result is the same, bit for bit.  The
+    edge is the root of :meth:`BoundaryPair.band_edges` to
+    ``ROOT_TOL_DEFAULT``, inverted from the last point the test evaluated.
+    A value that is not finite is never certified; it goes to the
+    inversion, which refuses it.  Each side left open is tested, and its
+    edge found, by :meth:`_crossed`, from a hint where the finder has one.
+
+    On an averaged pair the finder records each edge it returns in
+    ``found``, keyed by ``(node, which)``, as ``(edge, slope, value)``: the
+    slope of the chord from where its inversion started, and the side's
+    value at the edge, which the maps' flatness residuals read.  The next
+    Picard iterate's finder takes that record as its ``hints``.  A finder
+    serves one solve, which calls it once per node.
+    """
+
+    def __init__(self, bp: BoundaryPair, hints: dict | None = None):
+        self.bp = bp
+        self.hints = hints or {}
+        self.found: dict = {}
+
+    def __call__(self, node: int, x: float) -> float:
+        sure_r, sure_l, spread = self.bp._certified(node, x)
+        for sure, which in ((sure_r, "lower_edge"), (sure_l, "upper_edge")):
+            edge = None if sure else self._crossed(node, x, which, spread)
+            if edge is not None:
+                return edge
+        return x
+
+    def _crossed(self, node: int, x: float, which: str, spread: float) -> float | None:
+        """The edge ``which`` if ``x`` fails its side of the band test at ``node``, else ``None``.
+
+        With no hint the side is evaluated at ``x``, as the test reads.  With
+        a hint ``(e, slope, ...)`` for ``(node, which)`` it is evaluated at
+        ``e`` instead: with slopes in ``[c, C]``, that value bounds the side
+        at ``x``, and a bound that clears zero by the rounding margin of
+        :meth:`BoundaryPair._certified` settles the test (``spread`` is the
+        node's mean absolute offset).  A passed test returns ``None``, a
+        failed one inverts from ``e``; an open one evaluates at ``x`` after
+        all and inverts from there.  Either way the outcome is the evaluated
+        test's whenever the declared slopes hold.  The inversion's first
+        probe takes the hinted slope, or else the slope of this solve's last
+        edge.  Only an averaged pair's finder records its edges, so a bare
+        pair tests and inverts with no slope.
+        """
+        bp = self.bp
+        side, sign = (bp.upper, 1.0) if which == "lower_edge" else (bp.lower, -1.0)
+        hint = self.hints.get((node, which))
+        slope = None if hint is None else hint[1]
+        if slope is None and self.found:
+            slope = next(reversed(self.found.values()))[1]
+        start = None
+        if hint is not None and math.isfinite(hint[0]) and math.isfinite(x):
+            e = hint[0]
+            w = side(node, e)
+            if math.isfinite(w):
+                # side(x) = w + s (x - e) for some s in [c, C]: sign * side(x) is in [low, high]
+                low, high = sorted(sign * (w + s * (x - e)) for s in (bp.c, bp.C))
+                margin = 1e-9 * (1.0 + abs(w) + bp.C * (abs(x) + abs(e) + spread))
+                if low > margin:
+                    return None
+                if high < -margin:
+                    start = e, w
+        if start is None:
+            v = side(node, x)
+            if sign * v >= 0.0:
+                return None
+            start = x, v
+        edge, value, slope = _invert_from(bp, node, which, ROOT_TOL_DEFAULT, *start, slope)
+        if bp.offsets is not None:
+            self.found[(node, which)] = edge, slope, value
+        return edge
 
 
 class _RecentredRows:
@@ -544,22 +529,13 @@ def make_mean_boundary(e: Ensemble, lp: LossPair) -> BoundaryPair:
     return _mean_boundary(e, lp, None)
 
 
-def _mean_boundary(
-    e: Ensemble, lp: LossPair, means: NDArray[np.floating] | None, hints: dict | None = None
-) -> BoundaryPair:
-    """:func:`make_mean_boundary` given ``ensemble_means(e)``, or ``None`` to compute it.
-
-    ``hints``, an earlier averaged pair's record of found edges, seeds its
-    clamp hook (see :meth:`BoundaryPair._crossed`); an affine pair takes none.
-    """
+def _mean_boundary(e: Ensemble, lp: LossPair, means: NDArray[np.floating] | None) -> BoundaryPair:
+    """:func:`make_mean_boundary` given ``ensemble_means(e)``, or ``None`` to compute it."""
     if lp.affine:
         return BoundaryPair(e.grid, lp)
     if means is None:
         means = ensemble_means(e)
-    bp = BoundaryPair(e.grid, lp, _RecentredRows(e.values, means))
-    if hints:
-        bp._hints.update(hints)
-    return bp
+    return BoundaryPair(e.grid, lp, _RecentredRows(e.values, means))
 
 
 def invert_boundary(
@@ -586,7 +562,7 @@ def invert_boundary(
     the solver stops at two adjacent floats instead, within ``s`` of the
     root.  ``root_tol`` must be positive and finite (``ValueError``
     otherwise).  The walk probes no measured slope: only the clamp hook's
-    inversions warm-start (see :meth:`BoundaryPair._crossed`).
+    inversions warm-start (see :meth:`_EdgeFinder._crossed`).
     """
     if which not in ("upper_edge", "lower_edge"):
         raise ValueError("which must be 'upper_edge' or 'lower_edge'")
@@ -610,11 +586,12 @@ def _invert_from(
     x0: float,
     v0: float,
     slope: float | None = None,
-) -> tuple[float, float | None]:
+) -> tuple[float, float, float | None]:
     """:func:`invert_boundary` from ``x0``, whose boundary value ``v0`` is known.
 
-    Returns the root and the slope of the chord from ``(x0, v0)`` to it
-    (``slope`` itself where the root is ``x0``).  Given a ``slope``, clipped
+    Returns the root, the boundary's value there and the slope of the chord
+    from ``(x0, v0)`` to it (``slope`` itself where the root is ``x0``).
+    Every root it returns is a point it evaluated.  Given a ``slope``, clipped
     to ``[c, C]`` (ignored if not finite), the walk's first probe is ``x0 -
     v0 / slope`` and each later one the secant point of its last two,
     capped at the walk's current reach; without one the walk probes as
@@ -639,12 +616,12 @@ def _invert_from(
     def f(x: float) -> float:
         return checked(x, float(side(node, x)))
 
-    def found(x: float) -> tuple[float, float | None]:
-        return x, v0 / (x0 - x) if x != x0 else slope
+    def found(x: float, v: float) -> tuple[float, float, float | None]:
+        return x, v, (v0 / (x0 - x) if x != x0 else slope)
 
     checked(x0, v0)
     if abs(v0) <= ftol:
-        return found(x0)
+        return found(x0, v0)
     # Walk from the hint to x0 - v0/C, then x0 - v0/c, doubling the last step
     # only if the declared c overstates the slope, until the sign flips.
     # Given a slope, the first probe is x0 - v0/slope and each later one a
@@ -656,7 +633,7 @@ def _invert_from(
         if b != a:
             fb = f(b)
             if abs(fb) <= ftol:
-                return found(b)
+                return found(b, fb)
             if (fb > 0.0) != (v0 > 0.0):
                 break
             if slope is not None and fb != fa:
@@ -673,15 +650,16 @@ def _invert_from(
     # b is always the newest point and f changes sign between a and b.
     for _ in range(_ILLINOIS_STEPS):
         if abs(b - a) <= 2.0 * xtol:
-            return found(0.5 * (a + b))
+            x = 0.5 * (a + b)
+            return found(x, float(side(node, x)))  # unchecked, as a width stop returns x anyway
         x = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < x < max(a, b):
             x = 0.5 * (a + b)
             if not min(a, b) < x < max(a, b):
-                return found(b)  # a and b are adjacent floats
+                return found(b, fb)  # a and b are adjacent floats
         fx = f(x)
         if abs(fx) <= ftol:
-            return found(x)
+            return found(x, fx)
         if (fx > 0.0) != (fb > 0.0):
             a, fa = b, fb
         else:

@@ -58,7 +58,7 @@ from .core import (
     simulate_brownian,
 )
 from .errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
-from .skorokhod import BackwardReflectionSolution, solve_bsp, total_variation
+from .skorokhod import BackwardReflectionSolution, _solve_bsp, total_variation
 
 __all__ = [
     "Tolerances",
@@ -309,16 +309,16 @@ def _construct(
     reads in place, so the reflected mean satisfies the original mean
     constraints by construction.  Once the reflection has read them, the plain ``y`` is
     shifted in place by the force still to come, ``K_T - K_t``.  ``hints``,
-    an earlier solve's ``edges`` on the same grid, seed the pair's clamp hook,
+    an earlier solve's ``edges`` on the same grid, seed the map's clamp hook,
     and ``edges`` records the band edges this solve's hook found.
     """
     plain = _backward_pass(xi, bm, plan, drift, y=y, z=z, meter=meter)
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
-    bp = _mean_boundary(plain.y, sc.losses, means, hints)
-    bsp = solve_bsp(s, float(means[-1]), bp, terminal_tol=terminal_tol)
+    bp = _mean_boundary(plain.y, sc.losses, means)
+    bsp, edges = _solve_bsp(s, float(means[-1]), bp, terminal_tol, hints)
     y += bsp.K.values[-1] - bsp.K.values
-    return _SegmentSolution(bsp, s, bp._found)
+    return _SegmentSolution(bsp, s, edges)
 
 
 def _require_state_free(gen: Generator, route: str) -> None:
@@ -409,10 +409,10 @@ def _picard_segment(
     column ``k`` after the drift at node ``k`` and the move meter (``d_y``,
     :func:`_move_meter`) read it.
 
-    Each iteration's boundary pair starts its band edges from the edges and
-    slopes the previous iteration's pair found (see
-    :meth:`BoundaryPair._crossed`): between iterates an edge moves only by
-    the Picard step.  The first iteration of a segment starts cold.
+    Each iteration's clamp hook starts its band edges from the edges and
+    slopes the previous iteration's hook found (see ``_EdgeFinder._crossed``
+    in :mod:`meanreflect.constraints`): between iterates an edge moves only
+    by the Picard step.  The first iteration of a segment starts cold.
     """
     gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
     term_tol = require_feasible_terminal(sc.losses, grid.horizon, xi)

@@ -10,11 +10,11 @@ the force increment charged to whichever edge was hit.
 The backward map anchors the path at a terminal value; it runs the same
 clamp on the reversed clock.  How a pair finds its edges is one policy, kept
 in :class:`BoundaryPair`: both maps clamp through it, against precomputed
-band edges for a bare ``time_invariant`` pair and by inverting an edge only
-where the free value leaves the band for any other.  An averaged pair's
-band test evaluates only the sides that its declared slopes leave open, and
-the flatness residuals read the value the inversion took at the clamped
-point from the pair's memo; neither moves a bit.
+band edges for a bare ``time_invariant`` pair and, for any other, through a
+per-solve edge finder that inverts an edge only where the free value leaves
+the band.  On an averaged pair the finder tests only the sides that the
+declared slopes leave open, and the flatness residuals read its record of
+the values at the edges it found; neither moves a bit.
 
 The module also ships the quantitative estimates satisfied by these maps as
 executable report-style checks: input-stability of the force, ordering under
@@ -180,8 +180,9 @@ def solve_sp(s: SamplePath, bp: BoundaryPair) -> ReflectionSolution:
         If ``s`` is not finite at some node; the first such node is named.
     """
     _require_map_input(s, bp)
-    x, up, dn = _clamp_recursion(s.values, *bp._clamp_band())
-    residuals = flatness_residuals_raw(x, up, dn, bp)
+    lo, hi, edge = bp._clamp_band()
+    x, up, dn = _clamp_recursion(s.values, lo, hi, edge)
+    residuals = flatness_residuals_raw(x, up, dn, bp, found=None if edge is None else edge.found)
     return _solution(ReflectionSolution, s.grid, x, up, dn, residuals)
 
 
@@ -233,6 +234,14 @@ def solve_bsp(
     ``band_edges`` is narrower than ``BAND_MIN_DEFAULT`` at some node, and
     ``NumericalFailureError``, as :func:`solve_sp` does, on a non-finite ``s``.
     """
+    return _solve_bsp(s, a, bp, terminal_tol)[0]
+
+
+def _solve_bsp(s: SamplePath, a: float, bp: BoundaryPair, terminal_tol: float, hints=None):
+    """:func:`solve_bsp` with its edge finder given ``hints``, and the finder's ``found``.
+
+    The record is ``{}`` where the pair clamps with no finder.
+    """
     grid = s.grid
     _require_map_input(s, bp)
     last = grid.n_nodes - 1
@@ -242,10 +251,12 @@ def solve_bsp(
         raise InfeasibleTerminalError(
             f"anchor {a} violates the terminal constraint beyond tolerance {tol:.3e}"
         )
-    x, up, dn = _reversed_clamp(s.values, a, *bp._clamp_band())
-    residuals = flatness_residuals_raw(x, up, dn, bp, reverse=True)
+    lo, hi, edge = bp._clamp_band(hints)
+    found = {} if edge is None else edge.found
+    x, up, dn = _reversed_clamp(s.values, a, lo, hi, edge)
+    residuals = flatness_residuals_raw(x, up, dn, bp, reverse=True, found=found)
     up, dn = up[-1] - up[::-1], dn[-1] - dn[::-1]
-    return _solution(BackwardReflectionSolution, grid, x, up, dn, residuals, a=float(a))
+    return _solution(BackwardReflectionSolution, grid, x, up, dn, residuals, a=float(a)), found
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +271,7 @@ def flatness_residuals_raw(
     bp: BoundaryPair,
     *,
     reverse: bool = False,
+    found: dict | None = None,
 ) -> tuple[float, float]:
     """Force applied while the respective constraint was strictly inactive.
 
@@ -268,8 +280,17 @@ def flatness_residuals_raw(
     violates minimality.  ``down`` mirrors this with ``max(-l, 0)``.  With
     ``reverse`` the cumulative parts run on the reversed clock: their
     position ``k`` is node ``len(x_vals) - 1 - k``.  ``x_vals`` is in node
-    order either way.
+    order either way.  ``found``, the record of the edge finder that clamped
+    ``x_vals``, gives ``r`` where it holds a ``"lower_edge"`` and ``l``
+    where it holds an ``"upper_edge"``; the pair is evaluated at the rest.
     """
+
+    def side_at(j, side, which):
+        if not found:
+            return side(j, x_vals[j])
+        return np.array([
+            found[n, which][2] if (n, which) in found else side(n, x_vals[n]) for n in j.tolist()
+        ])
 
     def residual(push, slack) -> float:
         d = push - np.concatenate(([0.0], push[:-1]))  # np.diff(push, prepend=0.0), cheaper
@@ -280,8 +301,8 @@ def flatness_residuals_raw(
         # A left fold from 0.0 in increment order, as the per-increment sum made it.
         return functools.reduce(operator.add, terms.tolist(), 0.0)
 
-    up = residual(push_up_vals, lambda j: bp.upper(j, x_vals[j]))
-    dn = residual(push_down_vals, lambda j: -bp.lower(j, x_vals[j]))
+    up = residual(push_up_vals, lambda j: side_at(j, bp.upper, "lower_edge"))
+    dn = residual(push_down_vals, lambda j: -side_at(j, bp.lower, "upper_edge"))
     return up, dn
 
 

@@ -635,9 +635,9 @@ def test_picard_run_evaluates_the_averaged_boundary_only_where_the_result_is_ope
     tmp_path, monkeypatch
 ):
     # particle-sized loss evaluations of one run, by the phase that asks for
-    # them: the certificate settles most band tests, the memo serves every
-    # flatness residual, and each iterate's inversions start from the edges
-    # and slopes of the previous iterate's
+    # them: the certificate settles most band tests, the edge finder's record
+    # serves every flatness residual, and each iterate's inversions start from
+    # the edges and slopes of the previous iterate's
     particles = 2_000
     phases, counts = ["other"], dict.fromkeys(("band test", "inversion", "flatness", "other"), 0)
 
@@ -668,7 +668,7 @@ def test_picard_run_evaluates_the_averaged_boundary_only_where_the_result_is_ope
 
     monkeypatch.setattr(cli, "build_scenario", counting_scenario)
     for owner, name, phase in (
-        (mr.BoundaryPair, "_edge_at", "band test"),
+        (constraints._EdgeFinder, "__call__", "band test"),
         (constraints, "_invert_from", "inversion"),
         (skorokhod, "flatness_residuals_raw", "flatness"),
     ):

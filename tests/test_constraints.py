@@ -17,6 +17,7 @@ from meanreflect.constraints import (
     ROOT_TOL_DEFAULT,
     X_WINDOW,
     BoundaryPair,
+    _EdgeFinder,
     check_envelope_order,
     invert_boundary,
     make_mean_boundary,
@@ -638,7 +639,7 @@ def test_band_edges_cached_and_consistent():
 
 
 # ---------------------------------------------------------------------------
-# the certified band test and the evaluation memo
+# the certified band test and the edge finder
 # ---------------------------------------------------------------------------
 
 
@@ -691,7 +692,7 @@ def test_a_certified_side_passes_its_evaluated_test(case):
         assert bp.lower(k, x) <= 0.0
     # so the hook returns what evaluating both sides returns, bit for bit
     fresh = BoundaryPair(bp.grid, bp.losses, bp.offsets)
-    assert _bits(bp._edge_at(k, x)) == _bits(_edge_by_evaluation(fresh, k, x))
+    assert _bits(_EdgeFinder(bp)(k, x)) == _bits(_edge_by_evaluation(fresh, k, x))
 
 
 def test_the_certificate_settles_the_middle_of_a_band_and_skips_no_bare_pair():
@@ -724,7 +725,7 @@ def test_a_hinted_hook_has_the_outcome_of_a_cold_one(case, data):
         which: [_bisect(lambda x, k=k: side(k, x)) for k in range(g.n_nodes)]
         for which, side in sides.items()
     }
-    cold, hinted = BoundaryPair(g, lp, off), BoundaryPair(g, lp, off)
+    cold, hinted = _EdgeFinder(BoundaryPair(g, lp, off)), _EdgeFinder(BoundaryPair(g, lp, off))
     slopes = st.one_of(
         st.floats(0.0, 1.0).map(lambda u: lp.c + u * (lp.C - lp.c)),
         st.sampled_from([None, -1.0, 0.0, 0.1 * lp.c, 10.0 * lp.C, math.inf, math.nan]),
@@ -744,19 +745,19 @@ def test_a_hinted_hook_has_the_outcome_of_a_cold_one(case, data):
                     st.sampled_from([x, roots[other][k], math.nan, math.inf, -math.inf]),
                 )
             )
-            hinted._hints[(k, which)] = (edge, data.draw(slopes))
-        want, got = cold._edge_at(k, x), hinted._edge_at(k, x)
+            hinted.hints[(k, which)] = (edge, data.draw(slopes))
+        want, got = cold(k, x), hinted(k, x)
         if _bits(want) == _bits(x):
             assert _bits(got) == _bits(x)
             continue
-        which = "lower_edge" if not cold.upper(k, x) >= 0.0 else "upper_edge"
+        which = "lower_edge" if not cold.bp.upper(k, x) >= 0.0 else "upper_edge"
         root = roots[which][k]
         assert abs(got - root) <= xtol + 4.0 * np.spacing(abs(root))
         assert abs(sides[which](k, got)) <= ROOT_TOL_DEFAULT
     # the hook's record and hints leave the band edges alone
     fresh = BoundaryPair(g, lp, off).band_edges()
-    for pair in (cold, hinted):
-        for ours, theirs in zip(pair.band_edges(), fresh):
+    for finder in (cold, hinted):
+        for ours, theirs in zip(finder.bp.band_edges(), fresh):
             assert ours.tobytes() == theirs.tobytes()
 
 
@@ -772,60 +773,20 @@ def test_invert_boundary_refuses_a_root_tol_that_is_not_positive_and_finite(root
             invert_boundary(bp, 0, which, root_tol)
 
 
-def _counted_band(calls: list) -> mr.LossPair:
-    lp = mr.saturating_band(-1.0, 2.0)
-
-    def counted(f):
-        def g(t, x):
-            calls.append(np.shape(x))
-            return f(t, x)
-
-        return g
-
-    return dataclasses.replace(lp, L=counted(lp.L), R=counted(lp.R))
-
-
-def test_the_memo_keys_on_the_bits_of_x():
-    calls = []
-    g = mr.build_grid(1.0, 2)
-    bp = BoundaryPair(g, _counted_band(calls), np.random.default_rng(6).normal(0.4, 1.0, (3, 9)))
-    values = [bp.upper(1, x) for x in (0.0, 0.0, -0.0, -0.0, 0.0)]
-    assert len(calls) == 3  # -0.0 and 0.0 are two keys, and only the last is kept
-    assert len({_bits(v) for v in values}) == 1  # x + o gives one sum for either zero
-    bp.upper(1, 0.25)
-    bp.upper(2, 0.25)
-    bp.lower(1, 0.25)
-    assert len(calls) == 6  # a new x, another node, the other side: each evaluates
-    bp.upper(1, 0.25)
-    bp.upper(2, 0.25)
-    bp.upper(1, np.array([0.25, 0.25]))  # arrays are never memoized
-    assert len(calls) == 7
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["lower", "upper"]),
-            st.integers(0, 2),
-            st.sampled_from([0.0, -0.0, 0.5, np.nextafter(0.5, 1.0), -2.0, 1e-300]),
-        ),
-        max_size=30,
-    ),
-    st.integers(0, 2**32 - 1),
-)
-def test_a_memo_hit_has_the_bits_of_a_fresh_evaluation(events, seed):
-    calls = []
-    g = mr.build_grid(1.0, 2)
-    off = np.random.default_rng(seed).normal(0.3, 1.2, (g.n_nodes, 17))
-    bp = BoundaryPair(g, _counted_band(calls), off)
-    last, fresh_evals = {}, 0
-    for side, k, x in events:
-        if last.get((side, k)) != _bits(x):
-            last[(side, k)] = _bits(x)
-            fresh_evals += 1
-        fresh = BoundaryPair(g, mr.saturating_band(-1.0, 2.0), off)
-        assert _bits(getattr(bp, side)(k, x)) == _bits(getattr(fresh, side)(k, x))
-    assert len(calls) == fresh_evals
+@given(_skewed_cases(), st.data())
+def test_the_finder_records_the_bits_of_a_fresh_evaluation_at_each_edge(case, data):
+    # the maps' flatness residuals read these values in place of evaluating
+    # the pair at the edges the finder returned
+    bp = case[0]
+    finder = _EdgeFinder(bp)
+    near = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-6, -1e-6, 1.0, -1.0])
+    for k in range(bp.grid.n_nodes - 1, -1, -1):
+        which = data.draw(st.sampled_from(["lower_edge", "upper_edge"]))
+        finder(k, invert_boundary(bp, k, which) + data.draw(near))
+    fresh = BoundaryPair(bp.grid, bp.losses, bp.offsets)
+    for (k, which), (edge, _, value) in finder.found.items():
+        side = fresh.upper if which == "lower_edge" else fresh.lower
+        assert _bits(value) == _bits(side(k, edge))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,13 @@ def test_a_solution_stores_only_what_it_cannot_derive():
     ]
 
 
+def test_a_boundary_pair_keeps_no_state_but_its_band_edges():
+    # the clamp hook's hints and record belong to one solve's edge finder
+    fields = [f.name for f in dataclasses.fields(mr.BoundaryPair)]
+    assert fields == ["grid", "losses", "offsets", "_edges"]
+    assert "hints" not in inspect.signature(mr.constraints._mean_boundary).parameters
+
+
 def test_one_meter_for_a_mean_constraint():
     # the terminal check, the loss meters and the audit read one per-node pass
     assert {"terminal_feasibility", "constraint_violation"}.isdisjoint(mr.__all__)

@@ -17,7 +17,7 @@ from meanreflect.errors import (
     NumericalFailureError,
 )
 from meanreflect import skorokhod
-from meanreflect.constraints import ROOT_TOL_DEFAULT, X_WINDOW
+from meanreflect.constraints import ROOT_TOL_DEFAULT, X_WINDOW, _EdgeFinder
 from meanreflect.skorokhod import _boundary_discrepancy, flatness_residuals_raw
 from oracles import double_barrier_batch
 
@@ -411,7 +411,8 @@ def test_on_demand_edges_match_the_clamp_against_band_edges(
     lp = _bent_pair(slope, bend, lo, lo + width, drift)
     bp, s = _averaged(lp, seed)
     empty_lo, empty_hi, edge = bp._clamp_band()
-    assert edge == bp._edge_at and np.all(empty_lo == np.inf) and np.all(empty_hi == -np.inf)
+    assert isinstance(edge, _EdgeFinder) and edge.bp is bp
+    assert np.all(empty_lo == np.inf) and np.all(empty_hi == -np.inf)
     rho, lam = dataclasses.replace(bp).band_edges()  # a copy: bp itself caches no edges
     a = 0.5 * (rho[-1] + lam[-1])
     backward = mr.solve_bsp(s, a, bp)
@@ -428,6 +429,71 @@ def test_on_demand_edges_match_the_clamp_against_band_edges(
         assert np.max(np.abs(sol.x.values - x_ref)) <= tol
         assert np.max(np.abs(sol.K.values - k)) <= 2.0 * tol
         assert max(sol.flat_residual_up, sol.flat_residual_down) <= flat_tol
+
+
+def test_an_averaged_pair_is_a_value():
+    # a solve reads the pair's fields alone: one pair solved backward twice,
+    # then forward, has the bits of a fresh pair over the same ensemble each time
+    lp = mr.saturating_band(-0.5, 0.5)
+    moved = []
+    for seed in range(40):
+        bp, s = _averaged(lp, seed)
+        for name, solve in (
+            ("bsp", lambda p: mr.solve_bsp(s, 0.0, p)),
+            ("bsp again", lambda p: mr.solve_bsp(s, 0.0, p)),
+            ("sp", lambda p: mr.solve_sp(s, p)),
+        ):
+            got, want = solve(bp), solve(_averaged(lp, seed)[0])
+            for part in ("x", "K", "push_up", "push_down"):
+                if getattr(got, part).values.tobytes() != getattr(want, part).values.tobytes():
+                    moved.append((seed, name, part))
+    assert moved == []
+
+
+def test_a_width_stop_edge_is_evaluated_by_its_inversion(monkeypatch):
+    # seed 0's forward solve ends the inversion of node 4's lower edge on the
+    # bracket-width stop, at the midpoint of two evaluated points.  The
+    # inversion evaluates that midpoint and the finder records the value, so
+    # the flatness residual evaluates no particles; the edge keeps its bits.
+    phases, calls, records, points = ["other"], [], [], []
+
+    def counted(f):
+        def loss(t, x):
+            if np.size(x) >= 64:
+                calls.append(phases[-1])
+            return f(t, x)
+
+        return loss
+
+    def flatness(*args, **kwargs):
+        records.append(kwargs["found"])
+        phases.append("flatness")
+        try:
+            return flatness_residuals_raw(*args, **kwargs)
+        finally:
+            phases.pop()
+
+    def upper(self, node, x, upper=mr.BoundaryPair.upper):
+        if np.ndim(node) == 0 and int(node) == 4:
+            points.append(float(x))
+        return upper(self, node, x)
+
+    lp = mr.saturating_band(-0.5, 0.5)
+    bp, s = _averaged(dataclasses.replace(lp, L=counted(lp.L), R=counted(lp.R)), 0)
+    monkeypatch.setattr(skorokhod, "flatness_residuals_raw", flatness)
+    monkeypatch.setattr(mr.BoundaryPair, "upper", upper)
+    sol = mr.solve_sp(s, bp)
+    edge, _, value = records[0][4, "lower_edge"]
+    assert points[-1] == edge and np.float64(value) == bp.upper(4, edge)
+    xtol = ROOT_TOL_DEFAULT / lp.C
+    assert any(
+        0.5 * (a + b) == edge and abs(b - a) <= 2.0 * xtol
+        for i, a in enumerate(points[:-1])
+        for b in points[i + 1 : -1]
+    )
+    assert sol.x.values[4] == edge and float.hex(edge) == "-0x1.4d091b598c6fep-1"
+    assert sol.push_up.values[4] > sol.push_up.values[3]
+    assert "flatness" not in calls
 
 
 def test_an_averaged_band_below_the_floor_is_still_degenerate():
