@@ -789,6 +789,31 @@ def test_the_finder_records_the_bits_of_a_fresh_evaluation_at_each_edge(case, da
         assert _bits(value) == _bits(side(k, edge))
 
 
+def test_an_averaged_pair_evaluates_every_scalar_call_afresh():
+    # the pair caches no boundary value: a repeated point calls the loss
+    # again and gets the bits it got before
+    calls = []
+    lp = mr.saturating_band(-1.0, 2.0)
+
+    def counted(f):
+        def h(t, x):
+            calls.append(np.shape(x))
+            return f(t, x)
+
+        return h
+
+    g = mr.build_grid(1.0, 2)
+    off = np.random.default_rng(6).normal(0.4, 1.0, (3, 9))
+    bp = BoundaryPair(g, dataclasses.replace(lp, L=counted(lp.L), R=counted(lp.R)), off)
+    values = [bp.upper(1, x) for x in (0.0, 0.0, -0.0, -0.0, 0.0)]
+    assert len(calls) == 5
+    assert len({_bits(v) for v in values}) == 1  # x + o gives one sum for either zero
+    for side, k in (("upper", 1), ("upper", 2), ("lower", 1), ("upper", 1)):
+        fresh = getattr(BoundaryPair(g, lp, off), side)(k, 0.25)
+        assert _bits(getattr(bp, side)(k, 0.25)) == _bits(fresh)
+    assert len(calls) == 9
+
+
 # ---------------------------------------------------------------------------
 # affine envelopes
 # ---------------------------------------------------------------------------
