@@ -307,7 +307,7 @@ class BoundaryPair:
         if isinstance(node, np.ndarray) and node.ndim:
             if x.shape[:1] != node.shape:
                 raise ValueError("a node array needs one row of x per node")
-            if self.offsets is not None or not self.losses.time_invariant:
+            if not self._invariant:
                 return np.array([self._eval(f, k, r) for k, r in zip(node, x)]).reshape(x.shape)
             node = 0
         t = float(self.grid.nodes[node])
@@ -316,6 +316,11 @@ class BoundaryPair:
         if x.ndim:
             return pairwise_mean(f(t, np.add.outer(x, self.offsets[node])))
         return np.float64(pairwise_mean(f(t, x + self.offsets[node])))
+
+    @property
+    def _invariant(self) -> bool:
+        """Bare and ``time_invariant``: the pair has the values of its first node at every node."""
+        return self.offsets is None and self.losses.time_invariant
 
     @property
     def c(self) -> float:
@@ -339,7 +344,7 @@ class BoundaryPair:
         m = self.grid.n_nodes
         rho = np.empty(m)
         lam = np.empty(m)
-        if self.offsets is None and self.losses.time_invariant:
+        if self._invariant:
             rho[:] = invert_boundary(self, 0, "lower_edge")
             lam[:] = invert_boundary(self, 0, "upper_edge")
         else:
@@ -367,9 +372,8 @@ class BoundaryPair:
         ``DegenerateConstraintsError`` if band edges are narrower than
         ``BAND_MIN_DEFAULT`` at some node.
         """
-        bare = self.offsets is None and self.losses.time_invariant
         floor = BAND_MIN_DEFAULT + 2.0 * _xtol(self.C, ROOT_TOL_DEFAULT)
-        if not bare and self.losses.gap / self.C >= floor:
+        if not self._invariant and self.losses.gap / self.C >= floor:
             empty = np.full(self.grid.n_nodes, np.inf)
             return empty, -empty, _EdgeFinder(self, hints)
         rho, lam = self.band_edges()

@@ -144,6 +144,13 @@ class SamplePath:
                 f"path has {values.shape} values for {self.grid.n_nodes} nodes"
             )
 
+    @classmethod
+    def _trusted(cls, grid: TimeGrid, values: NDArray[np.floating]) -> SamplePath:
+        """A path of a float array already shaped like ``grid``'s nodes, built without checks."""
+        path = object.__new__(cls)
+        path.__dict__.update(grid=grid, values=values)
+        return path
+
 
 @dataclass(frozen=True)
 class Ensemble:

@@ -156,10 +156,14 @@ def _require_map_input(s: SamplePath, bp: BoundaryPair) -> None:
 
 
 def _solution(cls, grid, x, push_up, push_down, residuals, **extra):
-    """Wrap node arrays as a reflection solution with ``K = push_up - push_down``."""
-    K = SamplePath(grid, push_up - push_down)
-    up, dn = SamplePath(grid, push_up), SamplePath(grid, push_down)
-    return cls(SamplePath(grid, x), K, up, dn, *residuals, **extra)
+    """Wrap node arrays as a reflection solution with ``K = push_up - push_down``.
+
+    The arrays are the map's own float arrays, one value per node of
+    ``grid``, its input's grid, so the paths skip :class:`SamplePath`'s checks.
+    """
+    path = SamplePath._trusted
+    K = path(grid, push_up - push_down)
+    return cls(path(grid, x), K, path(grid, push_up), path(grid, push_down), *residuals, **extra)
 
 
 def solve_sp(s: SamplePath, bp: BoundaryPair) -> ReflectionSolution:
@@ -357,15 +361,30 @@ class ContinuityReport:
     passed: bool
 
 
-def _node_rows(bp: BoundaryPair) -> tuple[NDArray[np.integer], NDArray[np.floating]]:
-    """Every node of ``bp``'s grid, each with one row of the fixed x window."""
-    n = bp.grid.n_nodes
+def _node_rows(
+    bp1: BoundaryPair, bp2: BoundaryPair
+) -> tuple[NDArray[np.integer], NDArray[np.floating]]:
+    """The nodes at which two pairs on one grid are read, each with one row of ``X_WINDOW``.
+
+    Where both pairs are bare and ``time_invariant`` that is node 0 alone:
+    :meth:`BoundaryPair._eval` reads such a pair at its first node for every
+    row, so the other rows would repeat it, and a sup or a comparison over
+    the one row has the bits of one over all.  Any other pair is read at
+    every node.
+    """
+    if bp1._invariant and bp2._invariant:
+        return np.arange(1), X_WINDOW[np.newaxis]
+    n = bp1.grid.n_nodes
     return np.arange(n), np.broadcast_to(X_WINDOW, (n, X_WINDOW.size))
 
 
 def _boundary_discrepancy(bp1: BoundaryPair, bp2: BoundaryPair) -> tuple[float, float]:
-    """sup over nodes and the x window of |l1 - l2| and |r1 - r2|; NaN gaps are skipped."""
-    nodes, rows = _node_rows(bp1)
+    """sup over the :func:`_node_rows` of |l1 - l2| and |r1 - r2|; NaN gaps are skipped.
+
+    One evaluation per side and pair: one row for two bare ``time_invariant``
+    pairs, every node for any others.
+    """
+    nodes, rows = _node_rows(bp1, bp2)
 
     def sup_gap(f1, f2) -> float:
         gap = np.abs(f1(nodes, rows) - f2(nodes, rows))
@@ -394,8 +413,10 @@ def check_continuity_bound(
                            + (2/c) max(Lbar, Rbar),
 
     where Lbar/Rbar are the sup-discrepancies of the boundary values
-    (estimated at the grid's node times, on the fixed x window ``X_WINDOW``)
-    and (c, C) are Lipschitz constants valid for both pairs.  Raises
+    (estimated at the grid's node times, on the fixed x window ``X_WINDOW``;
+    at node 0 alone for two bare ``time_invariant`` pairs, whose values are
+    the same at every node) and (c, C) are Lipschitz constants valid for
+    both pairs.  Raises
     ``ValueError`` unless the paths, solutions and pairs share one grid.
     """
     _require_one_grid(sol1.K.grid, sol2.K.grid, s1.grid, s2.grid, bp1.grid, bp2.grid)
@@ -434,12 +455,14 @@ def check_comparison(
     Both solves run on the same input and their cumulative parts are
     compared at every node; the premise (wide boundary below/above the
     narrow one in the required order) is verified at the grid's node times,
-    on the fixed x window ``X_WINDOW``.  The slack is ``1e-9`` less the
-    larger violation, NaN if either is NaN.
+    on the fixed x window ``X_WINDOW``: on one row at node 0 where both
+    pairs are bare and ``time_invariant``, whose values are the same at
+    every node, else at every node.  The slack is ``1e-9`` less the larger
+    violation, NaN if either is NaN.
     """
     sol_w = solve_sp(s, bp_wide)
     sol_n = solve_sp(s, bp_narrow)
-    nodes, rows = _node_rows(bp_wide)
+    nodes, rows = _node_rows(bp_wide, bp_narrow)
     premise_ok = not (
         np.any(bp_wide.lower(nodes, rows) > bp_narrow.lower(nodes, rows) + 1e-12)
         or np.any(bp_wide.upper(nodes, rows) < bp_narrow.upper(nodes, rows) - 1e-12)

@@ -778,6 +778,102 @@ def test_bare_invariant_pairs_take_one_loss_call_per_estimate(monkeypatch, make)
     assert calls1 == calls2 == {"L": 1, "R": 1}
 
 
+def _recording(lp: mr.LossPair) -> tuple[mr.LossPair, list[tuple[float, tuple[int, ...]]]]:
+    """``lp`` with both losses recording ``(t, shape of x)`` per call."""
+    seen = []
+
+    def recording(f):
+        def g(t, x):
+            seen.append((t, np.shape(x)))
+            return f(t, x)
+
+        return g
+
+    return dataclasses.replace(lp, L=recording(lp.L), R=recording(lp.R)), seen
+
+
+def _bits(report) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+
+
+@pytest.mark.parametrize("kind", ["bare", "averaged", "bare, time-varying"])
+def test_the_estimates_read_one_window_row_of_two_bare_invariant_pairs(monkeypatch, kind):
+    # a bare time_invariant pair is read at node 0 for every row, so the
+    # continuity gap and the comparison premise read one row of X_WINDOW for
+    # two such pairs; any other pair is still read at every node
+    g = mr.build_grid(1.0, 16)
+    s = _ramp(g, 3.0, start=-0.4)
+    spread = np.random.default_rng(7).normal(0.0, 0.5, (8, g.n_nodes))
+    pairs, seen = [], []
+    for lo, hi in ((-1.0, 1.0), (-1.1, 1.2)):
+        lp, calls = _recording(mr.saturating_band(lo, hi))
+        if kind == "averaged":
+            pairs.append(mr.make_mean_boundary(mr.Ensemble(g, spread), lp))
+        else:
+            pairs.append(mr.BoundaryPair(g, dataclasses.replace(lp, time_invariant=kind == "bare")))
+        seen.append(calls)
+    narrow, wide = pairs
+    sols = {id(bp): mr.solve_sp(s, bp) for bp in pairs}
+    # the comparison premise alone: its two solves are served ready-made
+    monkeypatch.setattr(skorokhod, "solve_sp", lambda s, bp, **kw: sols[id(bp)])
+    row = (41,) if kind == "bare, time-varying" else (41, 8)
+
+    def estimates():
+        for calls in seen:
+            calls.clear()
+        cont = mr.check_continuity_bound(sols[id(narrow)], sols[id(wide)], s, s, narrow, wide)
+        comp = mr.check_comparison(s, wide, narrow)
+        return cont, comp
+
+    cont, comp = estimates()
+    for calls in seen:  # L and R, once for the gap and once for the premise
+        if kind == "bare":
+            assert calls == [(g.nodes[0], (1, 41))] * 4
+        else:
+            assert sorted(calls) == sorted([(t, row) for t in g.nodes.tolist()] * 4)
+    assert comp.premise_ok and cont.boundary_gap > 0.0
+    # the gap of a per-node loop, in which a NaN would be skipped
+    gap = 0.0
+    for k in range(g.n_nodes):
+        for f1, f2 in ((narrow.lower, wide.lower), (narrow.upper, wide.upper)):
+            gap = float(np.fmax.reduce(np.abs(f1(k, X_WINDOW) - f2(k, X_WINDOW)), initial=gap))
+    assert cont.boundary_gap.hex() == gap.hex()
+    # every field has the bits of the estimates read at every node
+
+    def every_node(bp1, *_):
+        n = bp1.grid.n_nodes
+        return np.arange(n), np.broadcast_to(X_WINDOW, (n, X_WINDOW.size))
+
+    monkeypatch.setattr(skorokhod, "_node_rows", every_node)
+    ref_cont, ref_comp = estimates()
+    assert (_bits(cont), _bits(comp)) == (_bits(ref_cont), _bits(ref_comp))
+
+
+@pytest.mark.parametrize("averaged", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+def test_a_map_solution_holds_checked_paths_on_the_input_grid(averaged, backward):
+    # the maps wrap their own node arrays without re-checking them; the
+    # paths are what the checked SamplePath makes of the same values
+    g = mr.build_grid(1.0, 24)
+    s = _ramp(g, 3.0, start=-0.4)
+    lp = mr.saturating_band(-1.0, 1.0)
+    if averaged:
+        spread = np.random.default_rng(5).normal(0.0, 0.5, (8, g.n_nodes))
+        bp = mr.make_mean_boundary(mr.Ensemble(g, spread), lp)
+    else:
+        bp = mr.BoundaryPair(g, lp)
+    sol = mr.solve_bsp(s, 0.25, bp) if backward else mr.solve_sp(s, bp)
+    paths = (sol.x, sol.K, sol.push_up, sol.push_down)
+    for path in paths:
+        ref = mr.SamplePath(g, path.values)
+        assert type(path) is mr.SamplePath and path.grid is g
+        assert vars(path).keys() == vars(ref).keys()
+        assert path.values.dtype == ref.values.dtype and path.values.shape == g.nodes.shape
+        assert path.values.tobytes() == ref.values.tobytes()
+    assert sol.K.values.tobytes() == (sol.push_up.values - sol.push_down.values).tobytes()
+    assert sol.variation > 0.0
+
+
 def test_backward_continuity_uses_doubled_constants():
     g = mr.build_grid(1.0, 16)
     s1 = _ramp(g, 3.0)

@@ -172,3 +172,90 @@ def test_a_walk_has_the_draws_and_bits_of_the_normal_formula(seed):
         ref = np.concatenate([[start], start + np.cumsum(inc)])
         assert path.values.tobytes() == ref.tobytes()
         assert rng.random() == ref_rng.random()  # the streams stay in step
+
+
+def test_the_reversal_suite_fails_a_nan_residual(monkeypatch):
+    # a backward map that puts NaN at one interior node: the round-trip
+    # residual is NaN there, and NaN fails, as in the other suites
+    real = verify_mod.solve_bsp
+
+    def holed(s, a, bp, **kw):
+        sol = real(s, a, bp, **kw)
+        x = sol.x.values.copy()
+        x[1] = np.nan
+        return dataclasses.replace(sol, x=SamplePath(sol.x.grid, x))
+
+    monkeypatch.setattr(verify_mod, "solve_bsp", holed)
+    res = verify_mod.run_reversal_suite(instances=10)
+    assert not res.passed and res.failures == 10
+    assert np.isnan(res.worst_slack)
+    assert "round-trip residual nan" in res.details[0]
+
+
+def test_a_nan_slack_is_the_worst_slack():
+    outcomes = iter([(0.5, True, ""), (float("nan"), False, "nan slack"), (0.2, True, "")])
+    res = verify_mod._run_instances("stub", 3, 0, lambda rng: next(outcomes))
+    assert res.failures == 1 and not res.passed
+    assert np.isnan(res.worst_slack)
+    assert res.details == ("instance 1: nan slack",)
+
+
+# run_suite("all", 100, seed) as recorded before the window cut, the unchecked
+# solution wrappers and the cheap scalar draws: (failures, worst_slack.hex())
+# per suite, every suite passing with no details
+_RECORDED_SUITES = {
+    None: [
+        (0, "0x1.19599812dea11p-40"),
+        (0, "0x1.12e0c20000000p-30"),
+        (0, "0x1.a18597d487c9fp-2"),
+        (0, "0x1.12e0be826d695p-30"),
+        (0, "0x1.f46174f31eeccp+2"),
+    ],
+    0: [
+        (0, "0x1.19599812dea11p-40"),
+        (0, "0x1.12e0c40000000p-30"),
+        (0, "0x1.d0f757a9690a4p-2"),
+        (0, "0x1.12e0be826d695p-30"),
+        (0, "0x1.f234481769968p+2"),
+    ],
+    801: [
+        (0, "0x1.19399812dea11p-40"),
+        (0, "0x1.12e0cf0000000p-30"),
+        (0, "0x1.3e0115261ede7p-1"),
+        (0, "0x1.12e0be826d695p-30"),
+        (0, "0x1.bff804dc3590cp+2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 801])
+def test_suite_results_keep_their_recorded_bits(seed):
+    results = mr.run_suite("all", 100, seed)
+    assert [r.name for r in results] == list(verify_mod.SUITE_NAMES[:5])
+    for r, (failures, worst) in zip(results, _RECORDED_SUITES[seed]):
+        assert (r.instances, r.failures, r.passed, r.details) == (100, failures, True, ())
+        assert r.worst_slack.hex() == worst, r.name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 801])
+def test_a_scalar_draw_has_the_draws_and_bits_of_rng_uniform(seed):
+    # the suites' literal ranges, then the anchor ranges, which read band edges
+    ranges = [(-3.0, -0.5), (0.5, 3.0), (0.0, 1.0), (-2.0, 2.0), (-0.1, 0.1)]
+    grid = mr.build_grid(1.0, 40)
+    for lp in (mr.linear_band(-1.3, 2.1), mr.saturating_band(-2.7, 0.6)):
+        rho, lam = mr.BoundaryPair(grid, lp).band_edges()
+        width = lam[-1] - rho[-1]
+        ranges += [
+            (float(rho[-1] + 0.05 * width), float(lam[-1] - 0.05 * width)),
+            (float(rho[0] + 0.02), float(lam[0] - 0.02)),
+        ]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for low, high in ranges * 3:
+        draw = verify_mod._uniform(rng, low, high)
+        assert type(draw) is float
+        assert draw.hex() == float(ref_rng.uniform(low, high)).hex()
+    # the band side's coin, and the two perturbations once drawn as one array
+    assert (rng.random() < 0.5) == (ref_rng.uniform() < 0.5)
+    pair = [verify_mod._uniform(rng, -0.1, 0.1) for _ in range(2)]
+    assert np.array(pair).tobytes() == ref_rng.uniform(-0.1, 0.1, size=2).tobytes()
+    assert rng.random() == ref_rng.random()  # the streams stay in step
