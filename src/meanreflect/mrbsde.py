@@ -58,7 +58,7 @@ from .core import (
     simulate_brownian,
 )
 from .errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
-from .skorokhod import BackwardReflectionSolution, _solve_bsp, total_variation
+from .skorokhod import BackwardReflectionSolution, _require_map_input, _solve_bsp, total_variation
 
 __all__ = [
     "Tolerances",
@@ -172,9 +172,11 @@ def require_feasible_terminal(
 ) -> float:
     """Raise :class:`InfeasibleTerminalError` unless the anchor is admissible.
 
-    The tolerance, the Monte Carlo one of the two loss cross-sections plus
-    ``ROOT_TOL_DEFAULT``, is returned: callers forward it to the backward
-    reflection so both checks agree.  A pair declared ``affine`` must give
+    The solvers' one terminal check, once per started segment: the map they
+    call checks no anchor.  The tolerance, the Monte Carlo one of the two
+    loss cross-sections plus ``ROOT_TOL_DEFAULT``, is returned: it is the
+    audit's ``terminal_tol``, not a value handed to the map.  A pair
+    declared ``affine`` must give
     ``E[L] = L(T, E[xi])`` and likewise for ``R``, up to rounding
     (``ValueError`` otherwise): boundary code drops its offsets.
     """
@@ -240,9 +242,10 @@ class MRSolution:
     ``y`` holds the reflected particles, the plain solution :attr:`inner`
     shifted by the force to come, ``K_T - K_t``; ``K = push_up - push_down``
     is one deterministic function, ``s_sup`` the sup of the reflected input
-    path(s), which scales flat-residual tolerances.  An admitted terminal
-    overshoot ``v_T`` shifts every reflected mean by up to ``v_T / c``:
-    ``K`` leaves out that initial force, and the audit's tolerance allows it.
+    path(s), which scales flat-residual tolerances.  A terminal overshoot
+    ``v_T`` that :func:`require_feasible_terminal` admits shifts every
+    reflected mean by up to ``v_T / c``: ``K`` leaves out that initial
+    force, and the audit's tolerance allows it.
     """
 
     y: Ensemble
@@ -291,7 +294,6 @@ def _construct(
     bm: Ensemble,
     drift: DriftFn,
     sc: Scenario,
-    terminal_tol: float,
     plan: RegressionPlan,
     y: NDArray[np.floating],
     z: NDArray[np.floating],
@@ -307,7 +309,8 @@ def _construct(
     ``s_t = E[y_t0 - y_t]`` anchored at ``a = E[xi]``; the boundary pair
     averages the losses over the recentred plain cross-sections, which it
     reads in place, so the reflected mean satisfies the original mean
-    constraints by construction.  Once the reflection has read them, the plain ``y`` is
+    constraints by construction; the map takes the anchor unchecked, the
+    caller having checked ``xi``.  Once the reflection has read them, the plain ``y`` is
     shifted in place by the force still to come, ``K_T - K_t``.  ``hints``,
     an earlier solve's ``edges`` on the same grid, seed the map's clamp hook,
     and ``edges`` records the band edges this solve's hook found.
@@ -316,7 +319,8 @@ def _construct(
     means = ensemble_means(plain.y)
     s = SamplePath(bm.grid, means[0] - means)
     bp = _mean_boundary(plain.y, sc.losses, means)
-    bsp, edges = _solve_bsp(s, float(means[-1]), bp, terminal_tol, hints)
+    _require_map_input(s, bp)  # finite particles can still have an infinite mean
+    bsp, edges = _solve_bsp(s, float(means[-1]), bp, hints)
     y += bsp.K.values[-1] - bsp.K.values
     return _SegmentSolution(bsp, s, edges)
 
@@ -342,13 +346,13 @@ def solve_constant_driver(sc: Scenario) -> MRSolution:
     _require_state_free(sc.generator, "the constant-driver route")
     bm = sc.simulate()
     xi = sc.terminal_values(bm)
-    term_tol = require_feasible_terminal(sc.losses, sc.horizon, xi)
+    require_feasible_terminal(sc.losses, sc.horizon, xi)
     grid = bm.grid
     zero = np.broadcast_to(0.0, bm.values.shape)  # read-only: allocates nothing
     drift = _frozen_drift(sc.generator, zero, zero, grid)
     plan = RegressionPlan.build(bm, sc.regression)
     y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
-    seg = _construct(xi, bm, drift, sc, term_tol, plan, y, z)
+    seg = _construct(xi, bm, drift, sc, plan, y, z)
     return _stitch([(0, grid.n_steps, seg.bsp, seg.s)], grid, None, y, z)
 
 
@@ -415,7 +419,7 @@ def _picard_segment(
     by the Picard step.  The first iteration of a segment starts cold.
     """
     gen, tol, grid = sc.generator, sc.tol, bm_seg.grid
-    term_tol = require_feasible_terminal(sc.losses, grid.horizon, xi)
+    require_feasible_terminal(sc.losses, grid.horizon, xi)
     if init == "zero":
         u = v = np.broadcast_to(0.0, bm_seg.values.shape)  # read-only: allocates nothing
     else:
@@ -427,7 +431,7 @@ def _picard_segment(
     for _ in range(tol.max_iterations):
         drift = _frozen_drift(gen, u, v, grid)
         meter, move = _move_meter(u, k_prev[-1] - k_prev)
-        seg = _construct(xi, bm_seg, drift, sc, term_tol, plan, y, z, meter, edges)
+        seg = _construct(xi, bm_seg, drift, sc, plan, y, z, meter, edges)
         edges = seg.edges
         d_y = move(seg.bsp.K.values[-1] - seg.bsp.K.values)
         d_k = float(np.max(np.abs(seg.bsp.K.values - k_prev)))

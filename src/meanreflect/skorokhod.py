@@ -216,51 +216,46 @@ def _reversed_clamp(
     return x[::-1].copy(), up, dn
 
 
-def solve_bsp(
-    s: SamplePath,
-    a: float,
-    bp: BoundaryPair,
-    *,
-    terminal_tol: float = 0.0,
-) -> BackwardReflectionSolution:
+def solve_bsp(s: SamplePath, a: float, bp: BoundaryPair) -> BackwardReflectionSolution:
     """Solve the terminal-anchored reflection problem.
 
-    Requires the anchor to satisfy ``l(T, a) <= terminal_tol`` and
-    ``r(T, a) >= -terminal_tol``.  The clamp recursion runs on the reversed
+    Requires the anchor to satisfy ``l(T, a) <= ROOT_TOL_DEFAULT`` and
+    ``r(T, a) >= -ROOT_TOL_DEFAULT`` (``InfeasibleTerminalError``
+    otherwise); an admitted violation is absorbed as a small initial force
+    of the reversed problem.  The clamp recursion runs on the reversed
     clock — input ``a + s_T - s_{T-t}`` against the band of ``bp`` from
     the last node down — and the force is mapped back as ``K_t = Kbar_T -
-    Kbar_{T-t}``.  Anchor violations within ``terminal_tol +
-    ROOT_TOL_DEFAULT`` are absorbed as a small initial force of the reversed
-    problem.  The band is clamped as the pair's one band policy says (see
-    :class:`BoundaryPair`), the same as in :func:`solve_sp`.
+    Kbar_{T-t}``.  The band is clamped as the pair's one band policy says
+    (see :class:`BoundaryPair`), the same as in :func:`solve_sp`.
 
-    Raises ``DegenerateConstraintsError`` if a band clamped against
-    ``band_edges`` is narrower than ``BAND_MIN_DEFAULT`` at some node, and
-    ``NumericalFailureError``, as :func:`solve_sp` does, on a non-finite ``s``.
+    Raises ``ValueError`` unless ``s`` and ``bp`` share a grid,
+    ``NumericalFailureError``, as :func:`solve_sp` does, on a non-finite
+    ``s``, then ``InfeasibleTerminalError`` on the anchor, and
+    ``DegenerateConstraintsError`` if a band clamped against
+    ``band_edges`` is narrower than ``BAND_MIN_DEFAULT`` at some node.
     """
-    return _solve_bsp(s, a, bp, terminal_tol)[0]
-
-
-def _solve_bsp(s: SamplePath, a: float, bp: BoundaryPair, terminal_tol: float, hints=None):
-    """:func:`solve_bsp` with its edge finder given ``hints``, and the finder's ``found``.
-
-    The record is ``{}`` where the pair clamps with no finder.
-    """
-    grid = s.grid
     _require_map_input(s, bp)
-    last = grid.n_nodes - 1
-    a = float(a)
-    tol = float(terminal_tol) + ROOT_TOL_DEFAULT
+    last, a, tol = s.grid.n_nodes - 1, float(a), ROOT_TOL_DEFAULT
     if not (bp.lower(last, a) <= tol and bp.upper(last, a) >= -tol):
         raise InfeasibleTerminalError(
             f"anchor {a} violates the terminal constraint beyond tolerance {tol:.3e}"
         )
+    return _solve_bsp(s, a, bp)[0]
+
+
+def _solve_bsp(s: SamplePath, a: float, bp: BoundaryPair, hints=None):
+    """:func:`solve_bsp` past its checks, its finder given ``hints``; also the finder's ``found``.
+
+    The caller checks the map input and the anchor; the solvers check their
+    terminal data once per segment (``mrbsde.require_feasible_terminal``).
+    The record is ``{}`` where the pair clamps with no finder.
+    """
     lo, hi, edge = bp._clamp_band(hints)
     found = {} if edge is None else edge.found
     x, up, dn = _reversed_clamp(s.values, a, lo, hi, edge)
     residuals = flatness_residuals_raw(x, up, dn, bp, reverse=True, found=found)
     up, dn = up[-1] - up[::-1], dn[-1] - dn[::-1]
-    return _solution(BackwardReflectionSolution, grid, x, up, dn, residuals, a=float(a)), found
+    return _solution(BackwardReflectionSolution, s.grid, x, up, dn, residuals, a=a), found
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +452,15 @@ def check_comparison(
     narrow one in the required order) is verified at the grid's node times,
     on the fixed x window ``X_WINDOW``: on one row at node 0 where both
     pairs are bare and ``time_invariant``, whose values are the same at
-    every node, else at every node.  The slack is ``1e-9`` less the larger
-    violation, NaN if either is NaN.
+    every node, else at every node; a NaN boundary value fails it.  The
+    slack is ``1e-9`` less the larger violation, NaN if either is NaN.
     """
     sol_w = solve_sp(s, bp_wide)
     sol_n = solve_sp(s, bp_narrow)
     nodes, rows = _node_rows(bp_wide, bp_narrow)
-    premise_ok = not (
-        np.any(bp_wide.lower(nodes, rows) > bp_narrow.lower(nodes, rows) + 1e-12)
-        or np.any(bp_wide.upper(nodes, rows) < bp_narrow.upper(nodes, rows) - 1e-12)
+    premise_ok = bool(
+        np.all(bp_wide.lower(nodes, rows) <= bp_narrow.lower(nodes, rows) + 1e-12)
+        and np.all(bp_wide.upper(nodes, rows) >= bp_narrow.upper(nodes, rows) - 1e-12)
     )
     viol_up = float(np.max(sol_w.push_up.values - sol_n.push_up.values))
     viol_dn = float(np.max(sol_w.push_down.values - sol_n.push_down.values))

@@ -93,15 +93,16 @@ def _public_signatures():
 
 
 def test_the_numerical_floors_are_constants():
-    # the root accuracy, band floor and Monte Carlo multiplier are module
-    # constants; only the root solver keeps its documented accuracy contract
-    knobs = {"root_tol", "band_min", "stat_tol_mult", "mult"}
+    # the root accuracy, band floor, Monte Carlo multiplier and terminal
+    # tolerance are module constants; only the root solver keeps its
+    # documented accuracy contract (the audit reports its terminal_tol)
+    knobs = {"root_tol", "band_min", "stat_tol_mult", "mult", "terminal_tol"}
     found = sorted(
         (qualname, p)
         for qualname, sig in _public_signatures()
         for p in knobs & set(sig.parameters)
     )
-    assert found == [("invert_boundary", "root_tol")]
+    assert found == [("MRAudit", "terminal_tol"), ("invert_boundary", "root_tol")]
 
 
 def test_tolerances_are_the_picard_stopping_rule_alone():

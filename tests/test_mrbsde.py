@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import meanreflect as mr
-from meanreflect import bsde, cli, mrbsde
+from meanreflect import bsde, cli, constraints, mrbsde
 from meanreflect.constraints import ROOT_TOL_DEFAULT
 from meanreflect.core import pairwise_mean, stat_tol
 from meanreflect.errors import InfeasibleTerminalError, NonConvergenceError, NumericalFailureError
@@ -347,6 +347,50 @@ def test_split_solve_reports_every_attempt(monkeypatch):
     assert all(a[2] > margin for a in tr.attempts[:-1])
 
 
+@pytest.mark.parametrize("pair", ["bare", "averaged"])
+def test_a_split_solve_checks_its_terminal_data_once_per_started_segment(monkeypatch, pair):
+    # the entry check runs once per segment a solve starts, discarded
+    # attempts included; no map checks the anchor again, so the pair is
+    # read at its anchor only by the band test, never beside it
+    checks, segments, anchors, beside = [], [], set(), set()
+    band_test = [False]
+
+    def wrap(owner, name, before):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            before(*args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    real_call = constraints._EdgeFinder.__call__
+
+    def finder_call(self, node, x):
+        band_test[0] = True
+        try:
+            return real_call(self, node, x)
+        finally:
+            band_test[0] = False
+
+    def side_read(bp, node, x):
+        if not band_test[0] and isinstance(node, int) and node == bp.grid.n_nodes - 1:
+            beside.update(np.ravel(x).tolist())
+
+    monkeypatch.setattr(constraints._EdgeFinder, "__call__", finder_call)
+    wrap(mrbsde, "require_feasible_terminal", lambda *a: checks.append(1))
+    wrap(mrbsde, "_picard_segment", lambda *a: segments.append(1))
+    wrap(mrbsde, "_solve_bsp", lambda s, a, bp, *rest: anchors.add(a))
+    wrap(constraints.BoundaryPair, "lower", side_read)
+    wrap(constraints.BoundaryPair, "upper", side_read)
+    sc = _split_scenario()
+    if pair == "averaged":  # a saturating band: each map runs an edge finder
+        sc = _saturating(sc.generator, steps=sc.steps, particles=sc.particles, seed=41)
+    tr = mr.picard_solve(sc).trace
+    assert len(checks) == len(segments) > tr.segment_count == 8
+    assert anchors and not anchors & beside
+
+
 @pytest.mark.parametrize("init", ["zero", "unreflected"])
 def test_split_segments_run_on_the_true_clock(init):
     # a band moving in time, [t - 1, t + 3], held at its lower edge: a segment
@@ -635,7 +679,7 @@ def test_in_pass_move_matches_the_full_array_formula_on_a_picard_trace(monkeypat
 
     def recording(*args):
         seg = construct(*args)
-        y = args[6]  # the reflected y, written into the pair handed in
+        y = args[5]  # the reflected y, written into the pair handed in
         full.append(float(np.sqrt(np.max(mr.pairwise_mean((y - frozen[0]) ** 2, axis=0)))))
         frozen[0] = y.copy()
         return seg
@@ -894,7 +938,7 @@ def test_construct_writes_the_reflected_y_over_the_plain_y(monkeypatch):
     sc = _saturating(mr.constant_generator(4.0), steps=20, particles=4000, seed=3)
     bm = sc.simulate()
     xi = sc.terminal_values(bm)
-    term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
+    mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
     plan = bsde.RegressionPlan.build(bm, sc.regression)
     passes = []
 
@@ -907,7 +951,7 @@ def test_construct_writes_the_reflected_y_over_the_plain_y(monkeypatch):
     zero = np.broadcast_to(0.0, bm.values.shape)
     drift = bsde._frozen_drift(sc.generator, zero, zero, bm.grid)
     y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
-    seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan, y, z)
+    seg = mrbsde._construct(xi, bm, drift, sc, plan, y, z)
     ((pass_y, plain),) = passes
     assert np.shares_memory(pass_y, y)
     K = seg.bsp.K.values
@@ -921,7 +965,7 @@ def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
     # public drift matrix of the same frozen pair must give the same bits
     def construct(drift):
         y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
-        seg = mrbsde._construct(xi, bm, drift, sc, term_tol, plan, y, z)
+        seg = mrbsde._construct(xi, bm, drift, sc, plan, y, z)
         return mrbsde._stitch([(0, sc.steps, seg.bsp, seg.s)], bm.grid, None, y, z)
 
     if case == "constant-at-zero":
@@ -931,7 +975,7 @@ def test_frozen_drift_hook_matches_the_driver_matrix_bitwise(case):
     sc = _saturating(gen, steps=20, particles=4000, seed=3)
     bm = sc.simulate()
     xi = sc.terminal_values(bm)
-    term_tol = mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
+    mr.require_feasible_terminal(sc.losses, sc.horizon, xi)
     plan = bsde.RegressionPlan.build(bm, sc.regression)
     if case == "constant-at-zero":
         zero = mr.Ensemble(bm.grid, np.zeros_like(bm.values))
@@ -965,7 +1009,7 @@ def test_non_finite_step_names_the_clock_time():
     plan = bsde.RegressionPlan.build(bm, sc.regression)
     y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
     with pytest.raises(NumericalFailureError, match=r"node 2 \(t = 5\.5\)"):
-        mrbsde._construct(xi, bm, drift, sc, 1.0, plan, y, z)
+        mrbsde._construct(xi, bm, drift, sc, plan, y, z)
 
 
 def test_band_edges_are_inverted_only_where_the_clamp_binds(monkeypatch):

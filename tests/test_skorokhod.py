@@ -935,6 +935,22 @@ def test_comparison_flags_misordered_premise():
     assert not rep.premise_ok
 
 
+def test_comparison_fails_a_premise_it_could_not_check():
+    # a narrow band whose L is NaN at x = 0.5, on the x window: the premise
+    # there is not known to hold, so it must not read as verified
+    g = mr.build_grid(1.0, 16)
+    band = mr.linear_band(-1.0, 1.0)
+
+    def L(t, x):
+        v = band.L(t, x)
+        return np.where(x == 0.5, math.nan, v) if isinstance(x, np.ndarray) else v
+
+    narrow = mr.BoundaryPair(g, dataclasses.replace(band, L=L))
+    assert math.isnan(narrow.lower(0, np.array([0.5]))[0])
+    rep = mr.check_comparison(_ramp(g, 2.0), _band(-2.0, 2.0, g), narrow)
+    assert not rep.premise_ok and not rep.passed
+
+
 # ---------------------------------------------------------------------------
 # randomized law of the map
 # ---------------------------------------------------------------------------
