@@ -4,7 +4,8 @@ Reads versioned JSON scenario configs, orchestrates the solvers, and emits
 bit-stable artifacts: a gnuplot-ready per-node CSV and a diagnostics JSON
 holding every checker report.  CSV numbers are written with 17 significant
 digits and JSON floats as Python's shortest round-trip repr, so both are
-exact and reruns can be compared byte-for-byte.
+exact and reruns can be compared byte-for-byte; an undefined (NaN) number is
+JSON ``null``, and any other non-finite number fails the command.
 
 Configs are checked where they enter: every object rejects a field its
 parser does not read, and every number must be finite.
@@ -83,9 +84,9 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    path.write_text(text + "\n")
+def _nan_as_null(x: float) -> float | None:
+    """JSON has no NaN: an undefined number is written as ``null``."""
+    return None if math.isnan(x) else x
 
 
 def _emit_error(reason: str, message: str) -> None:
@@ -377,27 +378,36 @@ def resolve_seed(cli_seed: int | None, cfg: dict | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_artifacts(out_dir: str, csv_name: str, header: str, rows, diag: dict) -> None:
+    """Write the CSV table and ``diagnostics.json`` into ``out_dir``, or nothing at all.
+
+    Both are serialized first, so a non-finite number in either raises
+    ``NumericalFailureError`` before any file is written.
+    """
     rows = [[float(v) for v in row] for row in rows]
     if not all(map(math.isfinite, (v for row in rows for v in row))):
-        raise NumericalFailureError(f"{path.name} would hold non-finite values")
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+        raise NumericalFailureError(f"{csv_name} would hold non-finite values")
+    table = "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows])
+    try:
+        text = json.dumps(diag, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailureError("diagnostics.json would hold non-finite values") from exc
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / csv_name).write_text(table + "\n")
+    (out / "diagnostics.json").write_text(text + "\n")
 
 
 def _trace_block(sol: MRSolution) -> dict | None:
+    """Every :class:`PicardTrace` field, and from three iterations its contraction estimate.
+
+    An attempt that did not split has a NaN split ratio, written as ``null``.
+    """
     tr = sol.trace
     if tr is None:
         return None
-    block = {
-        "iterations": tr.iterations,
-        "converged": tr.converged,
-        "segment_count": tr.segment_count,
-        "segment_iterations": list(tr.segment_iterations),
-        "y_distances": list(tr.y_distances),
-        "k_distances": list(tr.k_distances),
-        "ratios": list(tr.ratios),
-    }
+    block = asdict(tr)
+    block["attempts"] = [(n, its, _nan_as_null(r)) for n, its, r in tr.attempts]
     if tr.iterations >= 3:
         block["contraction"] = asdict(contraction_estimate(tr))
     return block
@@ -478,10 +488,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None) -> int:
     if not audit["passed"]:
         detail = ", ".join(f"{k} {v:.3g}" for k, v in audit.items() if k != "passed")
         raise NumericalFailureError(f"the solution failed its audit: {detail}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "result.csv", CSV_HEADER, table)
-    _dump_json(out / "diagnostics.json", diag)
+    _write_artifacts(out_dir, "result.csv", CSV_HEADER, table, diag)
     return 0
 
 
@@ -528,25 +535,20 @@ def cmd_sweep_penalty(
         sweep.upper_bound_column,
         sweep.lower_bound_column,
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
-    _dump_json(
-        out / "diagnostics.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep-penalty",
-            "seed": resolved,
-            "timing_seconds": wall,
-            "levels": list(sweep.ns),
-            "slope": sweep.slope,
-            "sup_errors": list(sweep.sup_errors),
-            "upper_bound_column": list(sweep.upper_bound_column),
-            "lower_bound_column": list(sweep.lower_bound_column),
-            "reference_mean": sweep.reference_mean,
-            "scenario": cfg,
-        },
-    )
+    diag = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "sweep-penalty",
+        "seed": resolved,
+        "timing_seconds": wall,
+        "levels": list(sweep.ns),
+        "slope": _nan_as_null(sweep.slope),
+        "sup_errors": list(sweep.sup_errors),
+        "upper_bound_column": list(sweep.upper_bound_column),
+        "lower_bound_column": list(sweep.lower_bound_column),
+        "reference_mean": sweep.reference_mean,
+        "scenario": cfg,
+    }
+    _write_artifacts(out_dir, "sweep.csv", SWEEP_HEADER, rows, diag)
     return 0
 
 

@@ -501,7 +501,7 @@ class _RecentredRows:
     def __init__(self, values: NDArray[np.floating], means: NDArray[np.floating]):
         self._values = values
         self._means = means
-        self._last: tuple = (None, None)  # (node, row), swapped whole: threads never mix them
+        self._last: tuple = (None, None)  # (node, row) of the last node indexed
         self.shape = values.shape[::-1]
 
     def __getitem__(self, key):

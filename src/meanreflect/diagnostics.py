@@ -179,32 +179,27 @@ class ContractionEstimate:
 
 
 def contraction_estimate(trace: PicardTrace) -> ContractionEstimate:
-    """Ratio sequence and geometric fit of a fixed-point trace.
+    """The contraction factor of a fixed-point trace, read off its ratios.
 
-    Fits ``log d_m`` against the iteration index by least squares over the
-    positive distances; the exponentiated slope estimates the contraction
-    factor.  Needs at least three recorded iterations.
+    ``fitted_ratio`` is the geometric mean of the positive ``trace.ratios``,
+    the quotients of consecutive combined distances within a segment that
+    :func:`picard_solve` splits the horizon on, and ``fit_residual`` the
+    root-mean-square spread of their logarithms.  Within one segment the
+    mean is the average per-iteration rate from its first iterate to its
+    last; pooling the logarithms never mixes two segments' distances.  A
+    zero ratio is an exact repeat and is left out; a trace with no positive
+    ratio reports 0.0 for both.  Needs at least three recorded iterations.
     """
     if trace.iterations < 3:
         raise ValueError("need at least three iterations to estimate contraction")
-    dists = np.asarray(trace.combined_distances, dtype=float)
-    pos = dists > 0.0
-    if np.count_nonzero(pos) >= 2:
-        idx = np.nonzero(pos)[0].astype(float)
-        logs = np.log(dists[pos])
-        slope, intercept = np.polyfit(idx, logs, 1)
-        resid = float(np.sqrt(np.mean((logs - (slope * idx + intercept)) ** 2)))
-        fitted = float(np.exp(slope))
-    else:
-        # Distances collapsed to exact zero almost immediately.
-        fitted = 0.0
-        resid = 0.0
-    contracting = fitted < 1.0
+    logs = np.log([r for r in trace.ratios if r > 0.0])
+    fitted = float(np.exp(np.mean(logs))) if logs.size else 0.0
+    resid = float(np.std(logs)) if logs.size else 0.0
     return ContractionEstimate(
         ratios=trace.ratios,
         fitted_ratio=fitted,
         fit_residual=resid,
-        contracting=contracting,
+        contracting=fitted < 1.0,
     )
 
 

@@ -517,6 +517,57 @@ def test_run_with_envelope_includes_variation_guard(tmp_path):
     assert len(guard["variations"]) == diag["trace"]["iterations"]
 
 
+def _strict_json(path):
+    # JSON has no NaN or Infinity; json.loads accepts them, strict parsers do not
+    def refuse(literal):
+        raise ValueError(f"{path.name} holds {literal}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_run_writes_the_whole_trace_of_a_split_solve(tmp_path):
+    # a coupling too strong for one contraction: attempts of 1, 2, 4 and 8 segments
+    cfg = _write(
+        tmp_path,
+        "split.json",
+        _flat_config(
+            steps=16,
+            seed=41,
+            terminal={"kind": "bounded-sin", "scale": 1.5, "shift": 0.5},
+            generator={"kind": "affine-mix", "a_y": 5.0},
+            losses={"kind": "linear-band", "lower": -60.0, "upper": 60.0},
+        ),
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    trace = _strict_json(out / "diagnostics.json")["trace"]
+    assert {f.name for f in dataclasses.fields(mrbsde.PicardTrace)} <= set(trace)
+    attempts = trace["attempts"]
+    assert [a[0] for a in attempts] == [1, 2, 4, 8]
+    assert attempts[-1] == [trace["segment_count"], trace["iterations"], None]
+    margin = mr.Tolerances().contraction_margin
+    assert all(a[2] > margin for a in attempts[:-1])
+    est = trace["contraction"]
+    assert min(trace["ratios"]) <= est["fitted_ratio"] <= max(trace["ratios"])
+    assert est["fit_residual"] < 1.0
+
+
+def test_a_non_finite_diagnostic_fails_run_before_any_artifact(tmp_path, capsys, monkeypatch):
+    real = cli._run_result
+
+    def tampered(*args):
+        table, diag = real(*args)
+        return table, dict(diag, representation_gap=float("nan"))
+
+    monkeypatch.setattr(cli, "_run_result", tampered)
+    cfg = _write(tmp_path, "flat.json", _flat_config())
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NumericalFailureError" and "diagnostics.json" in err["message"]
+    assert not out.exists()
+
+
 def test_run_csv_is_byte_identical_across_reruns(tmp_path):
     cfg = _write(tmp_path, "clamp.json", _clamp_config())
     blobs = []
@@ -837,6 +888,15 @@ def test_sweep_levels_flag_overrides_config(tmp_path):
     assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--levels", "4,16"]) == 0
     _, rows = _read_table(out / "sweep.csv")
     np.testing.assert_array_equal(rows[:, 0], [4.0, 16.0])
+
+
+def test_a_one_level_sweep_writes_a_null_slope(tmp_path):
+    # one level gives no rate: the sweep's NaN slope is written as null
+    cfg = _write(tmp_path, "sweep.json", _sweep_config())
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--levels", "8"]) == 0
+    diag = _strict_json(out / "diagnostics.json")
+    assert diag["levels"] == [8.0] and diag["slope"] is None
 
 
 def test_sweep_is_byte_identical_across_thread_counts(tmp_path):

@@ -347,6 +347,17 @@ def test_split_solve_reports_every_attempt(monkeypatch):
     assert all(a[2] > margin for a in tr.attempts[:-1])
 
 
+def test_the_contraction_estimate_reads_the_ratios_picard_splits_on():
+    # each segment restarts its distances from the top; a fit across the
+    # segments read that restart as growth, so the estimate reads the ratios
+    tr = mr.picard_solve(_split_scenario()).trace
+    est = mr.contraction_estimate(tr)
+    logs = np.log([r for r in tr.ratios if r > 0.0])
+    assert_allclose(est.fitted_ratio, math.exp(np.mean(logs)), rtol=1e-12)
+    assert min(tr.ratios) <= est.fitted_ratio <= max(tr.ratios)
+    assert est.contracting and est.fit_residual < 1.0
+
+
 @pytest.mark.parametrize("pair", ["bare", "averaged"])
 def test_a_split_solve_checks_its_terminal_data_once_per_started_segment(monkeypatch, pair):
     # the entry check runs once per segment a solve starts, discarded
