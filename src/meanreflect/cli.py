@@ -4,8 +4,9 @@ Reads versioned JSON scenario configs, orchestrates the solvers, and emits
 bit-stable artifacts: a gnuplot-ready per-node CSV and a diagnostics JSON
 holding every checker report.  CSV numbers are written with 17 significant
 digits and JSON floats as Python's shortest round-trip repr, so both are
-exact and reruns can be compared byte-for-byte; an undefined (NaN) number is
-JSON ``null``, and any other non-finite number fails the command.
+exact and reruns can be compared byte-for-byte.  The JSON holds the
+library's records as they are: an undefined number is ``None`` there and
+``null`` here, and a non-finite number fails the command.
 
 Configs are checked where they enter: every object rejects a field its
 parser does not read, and every number must be finite.
@@ -75,18 +76,6 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _json_default(obj: Any) -> Any:
-    """``json.dumps`` hook for the values it cannot encode itself."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _nan_as_null(x: float) -> float | None:
-    """JSON has no NaN: an undefined number is written as ``null``."""
-    return None if math.isnan(x) else x
 
 
 def _emit_error(reason: str, message: str) -> None:
@@ -379,35 +368,35 @@ def resolve_seed(cli_seed: int | None, cfg: dict | None) -> int:
 
 
 def _write_artifacts(out_dir: str, csv_name: str, header: str, rows, diag: dict) -> None:
-    """Write the CSV table and ``diagnostics.json`` into ``out_dir``, or nothing at all.
+    """Write the CSV table and ``diagnostics.json`` into ``out_dir``.
 
     Both are serialized first, so a non-finite number in either raises
-    ``NumericalFailureError`` before any file is written.
+    ``NumericalFailureError`` before any file is written; an ``out_dir``
+    that cannot be written is a ``ConfigError``.
     """
     rows = [[float(v) for v in row] for row in rows]
     if not all(map(math.isfinite, (v for row in rows for v in row))):
         raise NumericalFailureError(f"{csv_name} would hold non-finite values")
     table = "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows])
     try:
-        text = json.dumps(diag, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+        text = json.dumps(diag, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalFailureError("diagnostics.json would hold non-finite values") from exc
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / csv_name).write_text(table + "\n")
-    (out / "diagnostics.json").write_text(text + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / csv_name).write_text(table + "\n")
+        (out / "diagnostics.json").write_text(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
 
 
 def _trace_block(sol: MRSolution) -> dict | None:
-    """Every :class:`PicardTrace` field, and from three iterations its contraction estimate.
-
-    An attempt that did not split has a NaN split ratio, written as ``null``.
-    """
+    """Every :class:`PicardTrace` field, and from three iterations its contraction estimate."""
     tr = sol.trace
     if tr is None:
         return None
     block = asdict(tr)
-    block["attempts"] = [(n, its, _nan_as_null(r)) for n, its, r in tr.attempts]
     if tr.iterations >= 3:
         block["contraction"] = asdict(contraction_estimate(tr))
     return block
@@ -506,19 +495,18 @@ def cmd_sweep_penalty(
     _only(cfg, _SWEEP_FIELDS, "sweep-penalty config")
     resolved = resolve_seed(seed, cfg)
     sc = build_scenario(cfg, resolved)
+    penalty = cfg.get("penalty", {})
+    if not isinstance(penalty, dict):
+        raise ConfigError("'penalty' must be an object")
+    _only(penalty, ("levels",), "penalty")
+    levels = list(_array(penalty, "levels", "penalty")) if "levels" in penalty else []
     if levels_arg is not None:
         try:
             levels = [float(tok) for tok in levels_arg.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError("--levels must be a comma-separated number list") from exc
-    else:
-        penalty = cfg.get("penalty", {})
-        if not isinstance(penalty, dict):
-            raise ConfigError("'penalty' must be an object")
-        _only(penalty, ("levels",), "penalty")
-        if not penalty.get("levels"):
-            raise ConfigError("no penalty levels: pass --levels or config 'penalty.levels'")
-        levels = list(_array(penalty, "levels", "penalty"))
+    if not levels:
+        raise ConfigError("no penalty levels: pass --levels or config 'penalty.levels'")
     t0 = time.perf_counter()
     try:
         sweep = penalty_sweep(sc, levels)
@@ -541,11 +529,11 @@ def cmd_sweep_penalty(
         "seed": resolved,
         "timing_seconds": wall,
         "levels": list(sweep.ns),
-        "slope": _nan_as_null(sweep.slope),
+        "slope": sweep.slope,
         "sup_errors": list(sweep.sup_errors),
         "upper_bound_column": list(sweep.upper_bound_column),
         "lower_bound_column": list(sweep.lower_bound_column),
-        "reference_mean": sweep.reference_mean,
+        "reference_mean": sweep.reference_mean.tolist(),
         "scenario": cfg,
     }
     _write_artifacts(out_dir, "sweep.csv", SWEEP_HEADER, rows, diag)

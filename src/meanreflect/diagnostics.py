@@ -170,9 +170,8 @@ def representation_gap(sol: MRSolution) -> float:
 
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """Measured contraction behaviour of a fixed-point trace."""
+    """Measured contraction behaviour of a fixed-point trace, read off ``trace.ratios``."""
 
-    ratios: tuple[float, ...]
     fitted_ratio: float
     fit_residual: float
     contracting: bool
@@ -196,7 +195,6 @@ def contraction_estimate(trace: PicardTrace) -> ContractionEstimate:
     fitted = float(np.exp(np.mean(logs))) if logs.size else 0.0
     resid = float(np.std(logs)) if logs.size else 0.0
     return ContractionEstimate(
-        ratios=trace.ratios,
         fitted_ratio=fitted,
         fit_residual=resid,
         contracting=fitted < 1.0,

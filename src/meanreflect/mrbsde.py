@@ -215,7 +215,7 @@ class PicardTrace:
     These fields describe the returned (or failed) attempt; ``attempts``
     holds ``(segments, iterations, split_ratio)`` for every attempt in
     order, ``split_ratio`` being the quotient that exceeded the contraction
-    margin (NaN when the attempt converged or ran out of iterations).
+    margin (``None`` when the attempt converged or ran out of iterations).
     """
 
     y_distances: tuple[float, ...]
@@ -228,11 +228,7 @@ class PicardTrace:
     k_variations: tuple[float, ...] = ()
     s_variations: tuple[float, ...] = ()
     segment_nodes: tuple[tuple[float, ...], ...] = ()
-    attempts: tuple[tuple[int, int, float], ...] = ()
-
-    @property
-    def combined_distances(self) -> tuple[float, ...]:
-        return tuple(a + b for a, b in zip(self.y_distances, self.k_distances))
+    attempts: tuple[tuple[int, int, float | None], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -393,7 +389,7 @@ def _picard_segment(
     plan: RegressionPlan,
     y: NDArray[np.floating],
     z: NDArray[np.floating],
-) -> _SegmentSolution | None:
+) -> tuple[_SegmentSolution | None, float | None]:
     """Iterate the frozen-driver construction on one segment to tolerance.
 
     ``plan`` is the segment's slice of the horizon's regression plan; the
@@ -403,10 +399,11 @@ def _picard_segment(
 
     Appends one ``(d_y, d_k, K variation, s variation, ratio)`` record per
     iteration to ``records``, where ``ratio`` is the combined-distance
-    quotient against the previous iteration (``None`` on the first); the
-    split test and the trace read that one value.  Returns ``None`` when the
-    quotient exceeds the margin or the iteration cap runs out — the caller
-    reacts by splitting the horizon further.
+    quotient against the previous iteration (``None`` on the first).
+    Returns ``(seg, split_ratio)``: the solved segment and ``None`` on
+    convergence; ``None`` and the quotient that exceeded the margin; or
+    ``None`` twice when the iteration cap runs out.  On ``None`` the caller
+    splits the horizon further.
 
     An iteration holds three (particles, nodes) arrays, the Brownian segment,
     one ``y`` and one ``z``: the new plain pair overwrites the frozen one,
@@ -439,18 +436,18 @@ def _picard_segment(
         ratio = d / prev_d if prev_d > 0.0 else None
         records.append((d_y, d_k, seg.bsp.variation, total_variation(seg.s), ratio))
         if d <= tol.picard_tol:
-            return seg
+            return seg, None
         if ratio is not None and ratio > tol.contraction_margin:
-            return None
+            return None, ratio
         u, v = y, z
         k_prev, prev_d = seg.bsp.K.values, d
-    return None
+    return None, None
 
 
 def _trace(
     records: list[tuple[NDArray[np.floating], list[tuple]]],
     converged: bool,
-    attempts: list[tuple[int, int, float]],
+    attempts: list[tuple[int, int, float | None]],
 ) -> PicardTrace:
     """Every trace field from one attempt's records, one entry per started segment.
 
@@ -564,7 +561,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
     y, z = (np.empty(bm.values.shape, order="F") for _ in range(2))
     max_segments = max(1, grid.n_steps // 2)
     n_segments = 1
-    attempts: list[tuple[int, int, float]] = []
+    attempts: list[tuple[int, int, float | None]] = []
     while True:
         bounds = [int(round(j * grid.n_steps / n_segments)) for j in range(n_segments + 1)]
         records: list[tuple[NDArray[np.floating], list[tuple]]] = []
@@ -575,7 +572,7 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
             cols = slice(a, b + 1)
             bm_seg = Ensemble(TimeGrid(nodes[cols]), bm.values[:, cols])
             records.append((bm_seg.grid.nodes, []))
-            seg = _picard_segment(
+            seg, split_ratio = _picard_segment(
                 sc, bm_seg, xi_seg, init, records[-1][1], plan.steps(a, b), y[:, cols], z[:, cols]
             )
             if seg is None:
@@ -583,10 +580,8 @@ def picard_solve(sc: Scenario, *, init: str = "zero") -> MRSolution:
             parts.append((a, b, seg.bsp, seg.s))
             xi_seg = y[:, a].copy()  # the earlier segment's pass writes this column
         converged = len(parts) == n_segments
-        *_, ratio = records[-1][1][-1]  # the attempt's last quotient
-        split = not converged and ratio is not None and ratio > sc.tol.contraction_margin
         iterations = sum(len(rows) for _, rows in records)
-        attempts.append((n_segments, iterations, ratio if split else math.nan))
+        attempts.append((n_segments, iterations, split_ratio))
         trace = _trace(records, converged, attempts)
         if converged:
             return _stitch(parts[::-1], grid, trace, y, z)

@@ -227,7 +227,8 @@ class PenaltySweep:
     the reflected reference; ``upper_violations``/``lower_violations`` the
     sup-node obstacle overshoots; the bound columns are
     ``n^2 * sum((overshoot)^2 * dt)``, which stay bounded as ``n`` grows.
-    ``slope`` is the fitted log-log error rate (NaN when errors vanish).
+    ``slope`` is the fitted log-log error rate, defined only for two levels
+    or more with every error positive; otherwise it is ``None``.
     """
 
     ns: tuple[float, ...]
@@ -237,7 +238,7 @@ class PenaltySweep:
     lower_violations: tuple[float, ...]
     upper_bound_column: tuple[float, ...]
     lower_bound_column: tuple[float, ...]
-    slope: float
+    slope: float | None
     reference_mean: NDArray[np.floating]
 
 
@@ -315,10 +316,9 @@ def penalty_sweep(sc: Scenario, ns: list[float] | tuple[float, ...]) -> PenaltyS
         b_up.append(mid_sq(level * over))
         b_dn.append(mid_sq(level * under))
 
-    if all(e > 0.0 for e in errs) and len(errs) >= 2:
+    slope = None  # undefined unless two levels or more all have a positive error
+    if len(errs) >= 2 and all(e > 0.0 for e in errs):
         slope, _, _ = rate_fit(levels, errs)
-    else:
-        slope = float("nan")
     return PenaltySweep(
         ns=tuple(levels),
         sup_errors=tuple(errs),

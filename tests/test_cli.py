@@ -552,6 +552,29 @@ def test_run_writes_the_whole_trace_of_a_split_solve(tmp_path):
     assert est["fit_residual"] < 1.0
 
 
+def test_the_contraction_block_holds_the_estimate_alone(tmp_path):
+    # the ratios it reads are the trace's own, written once
+    cfg = _write(tmp_path, "mix.json", _flat_config(generator={"kind": "affine-mix", "a_y": 1.0}))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    trace = _strict_json(out / "diagnostics.json")["trace"]
+    assert trace["iterations"] >= 3
+    assert set(trace["contraction"]) == {"fitted_ratio", "fit_residual", "contracting"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-penalty"])
+def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    # an existing file where the output directory should go
+    config = _flat_config() if command == "run" else _sweep_config()
+    cfg = _write(tmp_path, "cfg.json", config)
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert cli.main([command, cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and str(out) in err["message"]
+    assert out.read_text() == "kept"
+
+
 def test_a_non_finite_diagnostic_fails_run_before_any_artifact(tmp_path, capsys, monkeypatch):
     real = cli._run_result
 
@@ -891,12 +914,42 @@ def test_sweep_levels_flag_overrides_config(tmp_path):
 
 
 def test_a_one_level_sweep_writes_a_null_slope(tmp_path):
-    # one level gives no rate: the sweep's NaN slope is written as null
+    # the slope is undefined, None and so null, unless two levels or more
+    # all have a positive error: one level gives no rate
     cfg = _write(tmp_path, "sweep.json", _sweep_config())
     out = tmp_path / "out"
     assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--levels", "8"]) == 0
     diag = _strict_json(out / "diagnostics.json")
     assert diag["levels"] == [8.0] and diag["slope"] is None
+    # and a band that never binds gives zero errors at every level
+    wide = {
+        "kind": "linear-rates",
+        "lower_rate": -2.0,
+        "upper_rate": 2.0,
+        "lower_start": -1.0,
+        "upper_start": 1.0,
+    }
+    never_binding = _sweep_config(generator={"kind": "constant", "value": 0.0}, obstacles=wide)
+    cfg = _write(tmp_path, "wide.json", never_binding)
+    out = tmp_path / "wide"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out)]) == 0
+    diag = _strict_json(out / "diagnostics.json")
+    assert diag["sup_errors"] == [0.0, 0.0] and diag["slope"] is None
+
+
+@pytest.mark.parametrize(
+    "penalty,field",
+    [({"levels": "x"}, "penalty.levels"), ({"level": [8.0]}, "level"), ({"junk": math.nan}, "junk")],
+    ids=["levels-not-an-array", "misspelt", "non-finite-unknown"],
+)
+def test_levels_flag_still_checks_the_penalty_block(tmp_path, capsys, penalty, field):
+    # --levels overrides the block's levels, not its checks
+    cfg = _write(tmp_path, "sweep.json", _sweep_config(penalty=penalty))
+    out = tmp_path / "out"
+    assert cli.main(["sweep-penalty", cfg, "--out", str(out), "--levels", "4,16"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and field in err["message"]
+    assert not out.exists()
 
 
 def test_sweep_is_byte_identical_across_thread_counts(tmp_path):

@@ -329,11 +329,12 @@ def test_representation_gap_measures_tampering():
 
 
 def test_contraction_fit_recovers_an_exact_geometric_decay():
-    est = mr.contraction_estimate(_trace([0.5**m for m in range(1, 6)]))
+    tr = _trace([0.5**m for m in range(1, 6)])
+    est = mr.contraction_estimate(tr)
     assert est.contracting
     assert_allclose(est.fitted_ratio, 0.5, rtol=1e-12)
     assert est.fit_residual <= 1e-12
-    assert_allclose(est.ratios, 0.5, rtol=1e-12)
+    assert_allclose(tr.ratios, 0.5, rtol=1e-12)
 
 
 def test_contraction_fit_flags_divergence():

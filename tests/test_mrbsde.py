@@ -316,7 +316,7 @@ def test_exhausted_iteration_budget_raises_with_trace():
     # one segment, then two (the cap of steps // 2); each runs out of its
     # one iteration, so neither names a split ratio
     assert [a[:2] for a in tr.attempts] == [(1, 1), (2, 1)]
-    assert all(math.isnan(a[2]) for a in tr.attempts)
+    assert all(a[2] is None for a in tr.attempts)
 
 
 def _split_scenario(particles=2_000):
@@ -342,7 +342,7 @@ def test_split_solve_reports_every_attempt(monkeypatch):
     assert sum(a[1] for a in tr.attempts) == len(calls) == 145 > tr.iterations == 139
     assert [a[0] for a in tr.attempts] == [1, 2, 4, 8]
     assert tr.attempts[-1][:2] == (tr.segment_count, tr.iterations)
-    assert math.isnan(tr.attempts[-1][2])
+    assert tr.attempts[-1][2] is None
     margin = mr.Tolerances().contraction_margin
     assert all(a[2] > margin for a in tr.attempts[:-1])
 
@@ -457,7 +457,7 @@ def test_trace_fields_agree(case):
     assert lengths == {tr.iterations} and len(tr.segment_iterations) == tr.segment_count
     assert len(tr.segment_nodes) == tr.segment_count
     # ratios: consecutive combined distances within each segment, in order
-    d = tr.combined_distances
+    d = [a + b for a, b in zip(tr.y_distances, tr.k_distances)]
     starts = np.cumsum((0,) + tr.segment_iterations[:-1])
     expected = [
         d[i] / d[i - 1]

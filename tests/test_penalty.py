@@ -288,6 +288,12 @@ def test_sweep_error_decays_like_one_over_n():
     assert sw.variations[-1] <= 10.05
 
 
+def test_one_level_gives_no_slope():
+    # a rate needs two levels: the undefined slope is None, not NaN
+    sw = mr.penalty_sweep(_ode_scenario(particles=512), [16.0])
+    assert sw.sup_errors[0] > 0.0 and sw.slope is None
+
+
 def test_sweep_squared_overshoot_column_stays_bounded():
     # n^2 * sum((mean - r)^+)^2 dt must not blow up as n grows; observed it
     # saturating near 118.8 for this scenario
@@ -324,7 +330,7 @@ def test_inactive_sweep_sits_at_the_noise_floor():
     assert all(e <= 1e-12 for e in sw.sup_errors)
     assert all(v == 0.0 for v in sw.variations)
     assert all(v == 0.0 for v in sw.upper_violations + sw.lower_violations)
-    assert math.isnan(sw.slope) or abs(sw.slope) < 0.5
+    assert sw.slope is None or abs(sw.slope) < 0.5
 
 
 @pytest.mark.parametrize(
